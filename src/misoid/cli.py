@@ -28,7 +28,7 @@ import numpy as np
 from .blocks import (compute_block_probabilities, compute_correlations,
                      export_correlations_csv, export_probabilities_csv)
 from .diagnostics import build_report, run_oracle_checks
-from .errors import FactorizationError, SizeGuardError
+from .errors import DegenerateRateError, FactorizationError, SizeGuardError
 from .regression import load_dataset_csv, save_dataset_csv
 from .sampler import (SamplerConfig, VARIANTS, build_problem, config_as_dict,
                       derive_seed, load_record, run, save_record, summarize)
@@ -41,6 +41,10 @@ __version__ = "0.1.0"
 
 class ConfigError(Exception):
     pass
+
+
+# errors that end a chain early: exit 1, with the partial chain flushed
+NUMERICAL_ERRORS = (FactorizationError, DegenerateRateError)
 
 
 def _read_config(path) -> configparser.ConfigParser:
@@ -151,21 +155,26 @@ def cmd_simulate(args) -> int:
 
 def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
     sec = _section(cfg, "sampler")
-    return SamplerConfig(
-        variant=variant,
-        n_mc=args.iterations or _get(sec, "iterations", int, required=True),
-        alpha=args.alpha or _get(sec, "alpha", float, required=True),
-        p=args.fir_order or _get(sec, "fir_order", int, required=True),
-        beta=args.beta or _get(sec, "beta", float),
-        n_ob=args.n_ob or _get(sec, "overlapping_blocks", int, default=1),
-        burn_in=(args.burn_in if args.burn_in is not None
-                 else _get(sec, "burn_in", int)),
-        seed=seed,
-        literal_paper_shape=(args.literal_paper_shape
-                             or _get(sec, "literal_paper_shape", bool,
-                                     default=False)),
-        thin=args.thin or _get(sec, "thin", int, default=1),
-    )
+    try:
+        return SamplerConfig(
+            variant=variant,
+            n_mc=args.iterations or _get(sec, "iterations", int,
+                                         required=True),
+            alpha=args.alpha or _get(sec, "alpha", float, required=True),
+            p=args.fir_order or _get(sec, "fir_order", int, required=True),
+            beta=args.beta or _get(sec, "beta", float),
+            n_ob=args.n_ob or _get(sec, "overlapping_blocks", int,
+                                   default=1),
+            burn_in=(args.burn_in if args.burn_in is not None
+                     else _get(sec, "burn_in", int)),
+            seed=seed,
+            literal_paper_shape=(args.literal_paper_shape
+                                 or _get(sec, "literal_paper_shape", bool,
+                                         default=False)),
+            thin=args.thin or _get(sec, "thin", int, default=1),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
@@ -174,7 +183,7 @@ def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
     aborted = False
     try:
         record, summary = run(problem, config)
-    except FactorizationError as exc:
+    except NUMERICAL_ERRORS as exc:
         aborted = True
         partial = getattr(exc, "partial_record", None)
         if partial is not None:
@@ -257,29 +266,34 @@ def cmd_identify(args) -> int:
             outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
             jobs.append((config, outdir))
 
-    failures = []
-
-    def _job(config, outdir):
+    def attempt(job):
+        """Run one chain; the error that stopped it, or None once written."""
+        config, outdir = job
         try:
             _run_one(problem, config, outdir, truth, data_hash, emit)
-        except FactorizationError as exc:
-            failures.append((outdir, str(exc)))
+        except Exception as exc:  # every chain runs; failures reported below
+            return exc
+        return None
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for config, outdir in jobs:
-                pool.submit(_job, config, outdir)
+            errors = list(pool.map(attempt, jobs))
     else:
-        for config, outdir in jobs:
-            _job(config, outdir)
+        errors = [attempt(job) for job in jobs]
 
-    if failures:
-        for outdir, message in failures:
-            print(f"numerical abort in {outdir}: {message}", file=sys.stderr)
-        return 1
-    for config, outdir in jobs:
-        print(f"chain written: {outdir}")
-    return 0
+    failed = []
+    for (_, outdir), exc in zip(jobs, errors):
+        if exc is None:
+            print(f"chain written: {outdir}")
+            continue
+        kind = ("numerical abort" if isinstance(exc, NUMERICAL_ERRORS)
+                else "error")
+        print(f"{kind} in {outdir}: {exc}", file=sys.stderr)
+        failed.append(exc)
+    for exc in failed:
+        if not isinstance(exc, NUMERICAL_ERRORS):
+            raise exc
+    return 1 if failed else 0
 
 
 # --------------------------------------------------------------------------
@@ -389,10 +403,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FactorizationError as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 1
 

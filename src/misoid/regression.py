@@ -8,10 +8,11 @@ the first sample (systems start at rest).  The stacked coefficient vector
 A :class:`RegressorBank` caches, once per run, everything the conditional
 samplers touch repeatedly: the full cross-product grid ``{G_i' G_j}``, the
 projections ``{G_k' y}`` and ``y'y``.  Every Gibbs update is then a small
-dense-matrix operation that never rescans the n samples.  The Toeplitz blocks
-themselves are only materialized when the total footprint is modest;
-otherwise the cross-products are assembled from lagged inner products of the
-raw input sequences.
+dense-matrix operation that never rescans the n samples.  The blocks
+themselves are never formed.  The grid comes from the lag correlations of
+all channel pairs, p BLAS products of the m-by-n inputs with their shifted
+transposes, plus an O(m^2 p^2) correction for the samples that fall past
+the end of the record; the projections are p matrix-vector products.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Output samples plus the m input sequences driving them."""
+    """Output samples plus the m input sequences driving them.
+
+    Both are stored as C-contiguous float arrays (copied if need be), so
+    every input row is one contiguous run of samples.
+    """
 
     y: np.ndarray        # (n,)
     inputs: np.ndarray   # (m, n)
@@ -41,8 +45,8 @@ class Dataset:
             raise ValueError(
                 f"inputs of length {y.size} expected, got {u.shape[1]}"
             )
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "inputs", u)
+        object.__setattr__(self, "y", np.ascontiguousarray(y))
+        object.__setattr__(self, "inputs", np.ascontiguousarray(u))
 
     @property
     def n(self) -> int:
@@ -78,22 +82,14 @@ def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
     return theta[k * p:(k + 1) * p]
 
 
-def toeplitz_block(u: np.ndarray, p: int) -> np.ndarray:
-    """The n-by-p regressor block for one input sequence."""
-    first_row = np.zeros(p)
-    first_row[0] = u[0]
-    return toeplitz(u, first_row)
-
-
 class RegressorBank:
-    """Regressor blocks for one dataset with cached cross-products.
+    """Cached cross-products of the regressor blocks of one dataset.
 
-    Immutable after construction.  ``dense_budget`` caps the number of
-    stored matrix entries (n * m * p) before block materialization is
-    skipped and cross-products are computed by direct lagged correlation.
+    Immutable after construction: ``gtg`` and ``gty`` are read-only, and
+    ``gtg`` is exactly symmetric.
     """
 
-    def __init__(self, data: Dataset, p: int, dense_budget: int = 50_000_000):
+    def __init__(self, data: Dataset, p: int):
         if p < 1:
             raise ValueError(f"FIR order must be positive, got {p}")
         if p > data.n:
@@ -106,35 +102,10 @@ class RegressorBank:
         self.n = data.n
         self.m = data.m
         self.yty = float(np.dot(data.y, data.y))
-
-        if self.n * self.m * self.p <= dense_budget:
-            self._blocks = [toeplitz_block(u, self.p) for u in data.inputs]
-            G = np.hstack(self._blocks)
-            self.gtg = G.T @ G
-            self.gty = G.T @ data.y
-        else:
-            self._blocks = None
-            self.gtg = np.empty((self.m * self.p, self.m * self.p))
-            for i in range(self.m):
-                for j in range(i, self.m):
-                    block = _lagged_gram(data.inputs[i], data.inputs[j], self.p)
-                    self.gtg[i * self.p:(i + 1) * self.p,
-                             j * self.p:(j + 1) * self.p] = block
-                    if j > i:
-                        self.gtg[j * self.p:(j + 1) * self.p,
-                                 i * self.p:(i + 1) * self.p] = block.T
-            self.gty = np.empty(self.m * self.p)
-            for k in range(self.m):
-                self.gty[k * self.p:(k + 1) * self.p] = _lagged_proj(
-                    data.inputs[k], data.y, self.p)
+        self.gtg = _lagged_cross_products(data.inputs, self.p)
+        self.gty = _lagged_projections(data.inputs, data.y, self.p)
         self.gtg.setflags(write=False)
         self.gty.setflags(write=False)
-
-    def block(self, k: int) -> np.ndarray:
-        """The Toeplitz block G_k (materialized on demand if not cached)."""
-        if self._blocks is not None:
-            return self._blocks[k]
-        return toeplitz_block(self.data.inputs[k], self.p)
 
     def gram(self, i: int, j: int) -> np.ndarray:
         """Cached p-by-p cross-product G_i' G_j."""
@@ -178,45 +149,56 @@ class RegressorBank:
         return out
 
 
-def _lagged_gram(ui: np.ndarray, uj: np.ndarray, p: int) -> np.ndarray:
-    """G_i' G_j without materializing the blocks.
+def _lagged_cross_products(inputs: np.ndarray, p: int) -> np.ndarray:
+    """The mp-by-mp grid {G_i' G_j} from p lagged products of the inputs.
 
-    Entry (a, b) is sum_t ui[t-a] uj[t-b] over the shared sample range, i.e.
-    the lag-(b-a) correlation of the two sequences minus the products that a
-    row offset of ``a`` pushes past the end of the record.
+    Entry (a, b) of G_i' G_j is sum_t u_i[t - a] u_j[t - b] over the n
+    rows t.  The lag-(b - a) correlation of the pair over the whole record,
+    found for every pair at once by one matrix product per lag, also counts
+    the rows t >= n; their sum obeys the diagonal recurrence
+    past[a, b] = past[a-1, b-1] + u_i[n-a] u_j[n-b] and is subtracted.
+    Samples before the first one are zeros, so p >= n stays exact.  Both
+    terms are formed the same way for (i, a, j, b) and (j, b, i, a), which
+    keeps the grid exactly symmetric.
     """
-    n = ui.size
-    # full-record correlations R[tau] = sum_s ui[s] uj[s - tau]
-    R = np.empty(2 * p - 1)
-    for tau in range(p):
-        R[tau + p - 1] = np.dot(ui[tau:], uj[:n - tau])
-        if tau:
-            R[p - 1 - tau] = np.dot(ui[:n - tau], uj[tau:])
-    out = np.empty((p, p))
+    m, n = inputs.shape
+    # lags[i, j, p - 1 + tau] = sum_t u_i[t] u_j[t - tau], for |tau| < p
+    lags = np.zeros((m, m, 2 * p - 1))
+    for tau in range(min(p, n)):
+        corr = inputs[:, tau:] @ inputs[:, :n - tau].T
+        if tau == 0:
+            corr = np.triu(corr) + np.triu(corr, 1).T
+        lags[:, :, p - 1 + tau] = corr
+        lags[:, :, p - 1 - tau] = corr.T
+    # last[:, r] = u[n - r] for r = 1 .. p - 1, zero before the record
+    last = np.zeros((m, p))
+    k = min(p - 1, n)
+    last[:, 1:k + 1] = inputs[:, n - k:][:, ::-1]
+    gtg = np.empty((m * p, m * p))
+    grid = gtg.reshape(m, p, m, p)          # grid[i, a, j, b] = G_i'G_j[a, b]
+    past_end = np.zeros((m, m, p))
     for a in range(p):
-        for b in range(p):
-            tau = b - a
-            val = R[tau + p - 1]
-            if a:
-                # products with row offset a that fall past the record end
-                lo = n - a
-                hi = n + min(tau, 0)
-                if hi > lo:
-                    val -= np.dot(ui[lo:hi], uj[lo - tau:hi - tau])
-            out[a, b] = val
-    return out
+        if a:
+            past_end[:, :, 1:] = (past_end[:, :, :-1]
+                                  + last[:, a, None, None] * last[:, 1:])
+        np.subtract(lags[:, :, p - 1 - a:2 * p - 1 - a], past_end,
+                    out=grid[:, a])
+    return gtg
 
 
-def _lagged_proj(u: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """G_k' y as lagged inner products of the input with the output."""
-    n = u.size
-    return np.array([np.dot(u[:n - a], y[a:]) for a in range(p)])
+def _lagged_projections(inputs: np.ndarray, y: np.ndarray,
+                        p: int) -> np.ndarray:
+    """Stacked {G_k' y}: entry k*p + a is sum_s u_k[s] y[s + a]."""
+    m, n = inputs.shape
+    gty = np.zeros((m, p))
+    for a in range(min(p, n)):
+        gty[:, a] = inputs[:, :n - a] @ y[a:]
+    return gty.reshape(-1)
 
 
-def build_regressors(data: Dataset, p: int,
-                     dense_budget: int = 50_000_000) -> RegressorBank:
+def build_regressors(data: Dataset, p: int) -> RegressorBank:
     """Assemble the regressor bank and its cached cross-products."""
-    return RegressorBank(data, p, dense_budget=dense_budget)
+    return RegressorBank(data, p)
 
 
 def predict(bank: RegressorBank, theta: np.ndarray) -> np.ndarray:

@@ -96,10 +96,9 @@ class Problem:
     kernel: StableSplineKernel
 
 
-def build_problem(data: Dataset, config: SamplerConfig,
-                  dense_budget: int = 50_000_000) -> Problem:
+def build_problem(data: Dataset, config: SamplerConfig) -> Problem:
     kernel = build_kernel(config.alpha, config.p)
-    bank = build_regressors(data, config.p, dense_budget=dense_budget)
+    bank = build_regressors(data, config.p)
     return Problem(data=data, bank=bank, kernel=kernel)
 
 

@@ -1,7 +1,28 @@
-import numpy as np
-import pytest
+import os
 
-import misoid as mi
+# The suite's p x p factorizations run faster on one BLAS thread than on
+# many; a caller's own setting still wins.  Set before numpy loads BLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import misoid as mi  # noqa: E402
+
+
+def toeplitz_block(u, p):
+    """Reference n-by-p regressor block, built explicitly: column ``lag``
+    is ``u`` delayed by ``lag`` samples, zero before the first sample."""
+    out = np.zeros((u.size, p))
+    for lag in range(min(p, u.size)):
+        out[lag:, lag] = u[:u.size - lag]
+    return out
+
+
+def stacked_regressors(inputs, p):
+    """Reference n-by-mp regressor [G_1 ... G_m]."""
+    return np.hstack([toeplitz_block(u, p) for u in inputs])
 
 
 def make_example1(data_seed=11, n=500, p=50, noise=0.3):

@@ -111,6 +111,32 @@ def test_bad_variant_exits_2(tiny_config):
     assert main(["identify", cfg, "--variant", "XX"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unwritable_output_exits_2(tiny_config, tmp_path, capsys, threads):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    blocker = tmp_path / "regular-file"
+    blocker.write_text("")
+    capsys.readouterr()
+    code = main(["identify", cfg, "--variant", "GS,GSOB", "--replicates",
+                 "2", "--threads", threads, "--output", f"{blocker}/runs"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "chain written" not in captured.out
+    assert "error:" in captured.err
+
+
+def test_config_value_error_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = tmp_path / "nobeta.cfg"
+    cfg.write_text(TINY_CFG.format(out=out).replace("beta = 20", "beta ="))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["identify", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta" in err
+
+
 def test_oracle_check_cli(tmp_path, capsys):
     cfg = tmp_path / "oracle.cfg"
     cfg.write_text("[oracle]\nsweeps = 400\nseed = 1\n")

@@ -7,7 +7,7 @@ from misoid.conditionals import (_chol_lower, sample_inverse_gamma,
                                  sample_sigma2_from_sumsq)
 from misoid.errors import DegenerateRateError, FactorizationError
 
-from conftest import make_small_problem
+from conftest import make_small_problem, toeplitz_block
 
 
 # -- inverse-gamma conditionals ---------------------------------------------
@@ -171,7 +171,7 @@ def test_theta_conditional_generalized_ridge_oracle():
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
     post = mi.theta_k_conditional(0, np.zeros(p), hyper, bank, kernel)
-    G = bank.block(0)
+    G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
 

@@ -4,7 +4,7 @@ import pytest
 import misoid as mi
 from misoid.errors import SizeGuardError
 
-from conftest import make_small_problem
+from conftest import make_small_problem, stacked_regressors
 
 
 # -- analytic posterior -------------------------------------------------------
@@ -37,7 +37,7 @@ def test_mean_is_regularized_objective_minimum():
     post = mi.analytic_posterior(bank, kernel, lam, sigma2)
     # gradient of ||y - G t||^2 / s2 + t' blockdiag(Kinv/lam) t at the mean
     resid = bank.data.y - bank.predict(post.mean)
-    G = np.hstack([bank.block(0), bank.block(1)])
+    G = stacked_regressors(bank.data.inputs, 4)
     prior = np.concatenate([
         2.0 * kernel.Kinv @ post.mean[:4] / lam,
         2.0 * kernel.Kinv @ post.mean[4:] / lam,

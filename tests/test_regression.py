@@ -1,25 +1,32 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import misoid as mi
-from misoid.regression import _lagged_gram, _lagged_proj, toeplitz_block
 
-from conftest import make_example1
+from conftest import make_example1, stacked_regressors, toeplitz_block
 
 
 def test_unit_impulse_block():
-    d = mi.Dataset(y=np.zeros(3), inputs=np.array([[1.0, 0.0, 0.0]]))
+    # G = [[1, 0], [0, 1], [0, 0]]: G'G = I and G'y = y[:2]
+    y = np.array([0.7, -1.2, 3.0])
+    d = mi.Dataset(y=y, inputs=np.array([[1.0, 0.0, 0.0]]))
     bank = mi.build_regressors(d, 2)
-    np.testing.assert_array_equal(bank.block(0),
-                                  np.array([[1, 0], [0, 1], [0, 0.0]]))
+    np.testing.assert_array_equal(bank.gram(0, 0), np.eye(2))
+    np.testing.assert_array_equal(bank.xty(0), y[:2])
 
 
 def test_toeplitz_layout():
+    # G = [[a, 0], [b, a], [c, b]]
     a, b, c = 1.5, -2.0, 0.3
-    d = mi.Dataset(y=np.zeros(3), inputs=np.array([[a, b, c]]))
+    y = np.array([0.5, 2.0, -1.0])
+    d = mi.Dataset(y=y, inputs=np.array([[a, b, c]]))
     bank = mi.build_regressors(d, 2)
-    np.testing.assert_array_equal(bank.block(0),
-                                  np.array([[a, 0], [b, a], [c, b]]))
+    G = np.array([[a, 0], [b, a], [c, b]])
+    np.testing.assert_allclose(bank.gram(0, 0), G.T @ G, rtol=1e-15)
+    np.testing.assert_allclose(bank.xty(0), G.T @ y, rtol=1e-15)
 
 
 def test_prediction_matches_direct_convolution():
@@ -60,10 +67,9 @@ def test_column_norms_match_truncated_input():
     u = rng.standard_normal(25)
     d = mi.Dataset(y=np.zeros(25), inputs=u[None, :])
     bank = mi.build_regressors(d, 6)
-    G = bank.block(0)
+    norms = np.sqrt(np.diag(bank.gram(0, 0)))
     for j in range(6):
-        assert np.linalg.norm(G[:, j]) == pytest.approx(
-            np.linalg.norm(u[:25 - j]))
+        assert norms[j] == pytest.approx(np.linalg.norm(u[:25 - j]))
 
 
 def test_true_theta_residual_variance():
@@ -78,21 +84,61 @@ def test_lagged_path_matches_dense():
     n, m, p = 150, 3, 6
     d = mi.Dataset(y=rng.standard_normal(n),
                    inputs=rng.standard_normal((m, n)))
-    dense = mi.build_regressors(d, p)
-    lagged = mi.build_regressors(d, p, dense_budget=1)
-    assert lagged._blocks is None
-    np.testing.assert_allclose(lagged.gtg, dense.gtg, atol=1e-10)
-    np.testing.assert_allclose(lagged.gty, dense.gty, atol=1e-10)
+    bank = mi.build_regressors(d, p)
+    G = stacked_regressors(d.inputs, p)
+    np.testing.assert_allclose(bank.gtg, G.T @ G, atol=1e-10)
+    np.testing.assert_allclose(bank.gty, G.T @ d.y, atol=1e-10)
 
 
-def test_lagged_helpers_against_blocks():
-    rng = np.random.default_rng(5)
-    n, p = 60, 5
-    ui, uj = rng.standard_normal(n), rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    Gi, Gj = toeplitz_block(ui, p), toeplitz_block(uj, p)
-    np.testing.assert_allclose(_lagged_gram(ui, uj, p), Gi.T @ Gj, atol=1e-10)
-    np.testing.assert_allclose(_lagged_proj(ui, y, p), Gi.T @ y, atol=1e-10)
+@st.composite
+def lagged_instances(draw):
+    """(inputs, y, p): m in 1..4, p in 1..12, n from 1 to about 3p."""
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 3 * p + 2))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inputs = scale * rng.standard_normal((m, n))
+    if m > 1 and draw(st.booleans()):
+        inputs[-1] = inputs[0]          # duplicated input: collinear pair
+    return inputs, rng.standard_normal(n), p
+
+
+def _instance(m, p, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, n)), rng.standard_normal(n), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(lagged_instances())
+@example(_instance(2, 6, 3, 0))        # p > n: rank deficient
+@example(_instance(3, 6, 6, 1))        # p = n
+@example(_instance(2, 7, 10, 2))       # p < n < 2p
+@example(_instance(4, 12, 30, 3))
+@example(_instance(1, 1, 1, 4))
+def test_cross_products_match_toeplitz_products(instance):
+    inputs, y, p = instance
+    m, n = inputs.shape
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bank = mi.build_regressors(mi.Dataset(y=y, inputs=inputs), p)
+    assert any(issubclass(w.category, UserWarning) for w in caught) == (p > n)
+
+    G = stacked_regressors(inputs, p)
+    gtg, gty = G.T @ G, G.T @ y
+    np.testing.assert_allclose(bank.gtg, gtg, rtol=0,
+                               atol=1e-10 * np.abs(gtg).max())
+    np.testing.assert_allclose(bank.gty, gty, rtol=0,
+                               atol=1e-10 * np.abs(gty).max())
+    assert np.array_equal(bank.gtg, bank.gtg.T)
+    assert bank.gtg.flags.c_contiguous
+    assert not bank.gtg.flags.writeable
+    assert not bank.gty.flags.writeable
+    for i in range(m):
+        for j in range(m):
+            np.testing.assert_array_equal(
+                bank.gram(i, j),
+                bank.gtg[i * p:(i + 1) * p, j * p:(j + 1) * p])
 
 
 def test_partial_projection():
@@ -102,8 +148,8 @@ def test_partial_projection():
                    inputs=rng.standard_normal((m, n)))
     bank = mi.build_regressors(d, p)
     theta = rng.standard_normal(m * p)
-    G1 = bank.block(1)
-    others = bank.block(0) @ theta[:p] + bank.block(2) @ theta[2 * p:]
+    G0, G1, G2 = (toeplitz_block(u, p) for u in d.inputs)
+    others = G0 @ theta[:p] + G2 @ theta[2 * p:]
     expected = G1.T @ (d.y - others)
     np.testing.assert_allclose(bank.partial_projection((1,), theta),
                                expected, atol=1e-10)
@@ -141,6 +187,8 @@ def test_csv_round_trip(tmp_path):
     back = mi.load_dataset_csv(path)
     np.testing.assert_array_equal(back.y, d.y)
     np.testing.assert_array_equal(back.inputs, d.inputs)
+    assert back.y.flags.c_contiguous and back.inputs.flags.c_contiguous
+    assert back.y.base is None and back.inputs.base is None  # table freed
 
 
 def test_csv_rejects_wrong_header(tmp_path):
