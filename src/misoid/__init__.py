@@ -18,9 +18,8 @@ from .diagnostics import (AnalyticPosterior, DiagnosticsReport,
                           run_oracle_checks)
 from .errors import DegenerateRateError, FactorizationError, SizeGuardError
 from .kernel import StableSplineKernel, build_kernel, quad_form
-from .regression import (Dataset, RegressorBank, build_regressors,
-                         load_dataset_csv, predict, save_dataset_csv,
-                         theta_block)
+from .regression import (Dataset, RegressorBank, load_dataset_csv,
+                         save_dataset_csv, theta_block)
 from .sampler import (ChainRecord, ChainState, PosteriorSummary, Problem,
                       SamplerConfig, VARIANTS, build_problem, derive_seed,
                       init_chain, load_record, run, save_record, summarize,

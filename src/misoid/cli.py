@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import __version__
 from .blocks import (compute_block_probabilities, compute_correlations,
                      export_correlations_csv, export_probabilities_csv)
 from .diagnostics import build_report, run_oracle_checks
@@ -35,8 +36,6 @@ from .sampler import (SamplerConfig, VARIANTS, build_problem, config_as_dict,
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
                      generate_inputs, generate_system, load_truth_json,
                      synthesize_dataset, write_truth_json)
-
-__version__ = "0.1.0"
 
 
 class ConfigError(Exception):

@@ -10,10 +10,11 @@ variance, and Gaussian measurement noise.  All conditionals are conjugate:
 * coefficient blocks (single channel, or a channel pair updated jointly) are
   Gaussian with precision  lambda**-1 Kinv + sigma**-2 G'G.
 
-Posterior factorizations work on the precision form and solve; an explicit
-covariance is produced (it is part of the posterior contract and cheap at
-block size p or 2p), with a single jitter retry of 1e-10 times the mean
-diagonal before giving up on a factorization.
+A Gaussian block is held as the lower Cholesky factor L of its precision
+and the whitened right-hand side w = L^-1 b; a draw is L^-T (w + z) for
+standard normal z (Rue 2001): one factorization and two triangular solves.
+The mean and covariance are computed only when read (oracle and tests).  A
+failed factorization gets one jitter retry of 1e-10 times the mean diagonal.
 """
 
 from __future__ import annotations
@@ -21,22 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DegenerateRateError, FactorizationError
 from .kernel import StableSplineKernel, quad_form
 from .regression import RegressorBank, theta_block
 
 RATE_FLOOR = 1e-300
-
-# Test hook (oracle-check mutation sanity): flips conditional means when -1.0.
-_MEAN_SIGN = 1.0
-
-
-def set_mean_corruption(enabled: bool) -> None:
-    """Corrupt Gaussian conditional means (sign flip). Testing only."""
-    global _MEAN_SIGN
-    _MEAN_SIGN = -1.0 if enabled else 1.0
 
 
 @dataclass
@@ -72,11 +64,28 @@ class HyperState:
 
 @dataclass
 class GaussianBlockPosterior:
-    """Mean, covariance and lower Cholesky factor of one Gaussian block."""
+    """Gaussian block N(Q^-1 b, Q^-1) as the lower Cholesky factor L of the
+    precision Q and the whitened right-hand side L^-1 b."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    chol: np.ndarray
+    factor: np.ndarray
+    whitened: np.ndarray
+
+    @classmethod
+    def from_precision(cls, precision: np.ndarray,
+                       rhs: np.ndarray) -> GaussianBlockPosterior:
+        L = _chol_lower(precision, "posterior precision")
+        return cls(factor=L, whitened=solve_triangular(
+            L, rhs, lower=True, check_finite=False))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return solve_triangular(self.factor, self.whitened, lower=True,
+                                trans="T", check_finite=False)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        cov = cho_solve((self.factor, True), np.eye(self.factor.shape[0]))
+        return 0.5 * (cov + cov.T)
 
 
 def _chol_lower(mat: np.ndarray, what: str) -> np.ndarray:
@@ -91,17 +100,6 @@ def _chol_lower(mat: np.ndarray, what: str) -> np.ndarray:
             raise FactorizationError(
                 f"{what}: factorization failed after jitter retry"
             ) from None
-
-
-def _posterior_from_precision(precision: np.ndarray,
-                              rhs: np.ndarray) -> GaussianBlockPosterior:
-    """Gaussian block N(precision^-1 rhs, precision^-1) via Cholesky solves."""
-    L = _chol_lower(precision, "posterior precision")
-    mean = _MEAN_SIGN * cho_solve((L, True), rhs)
-    cov = cho_solve((L, True), np.eye(precision.shape[0]))
-    cov = 0.5 * (cov + cov.T)
-    chol = _chol_lower(cov, "posterior covariance")
-    return GaussianBlockPosterior(mean=mean, covariance=cov, chol=chol)
 
 
 def sample_inverse_gamma(shape: float, rate: float,
@@ -154,23 +152,25 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
     return sample_inverse_gamma(0.5 * n, 0.5 * rss, rng)
 
 
-def theta_k_conditional(k: int, theta: np.ndarray, hyper: HyperState,
-                        bank: RegressorBank,
+def theta_k_conditional(k: int, theta: np.ndarray, cross: np.ndarray,
+                        hyper: HyperState, bank: RegressorBank,
                         kernel: StableSplineKernel) -> GaussianBlockPosterior:
     """Gaussian conditional of channel k's coefficients given everything else.
 
     Precision is ``lambda_k**-1 Kinv + sigma**-2 G_k'G_k``; the mean solves it
-    against ``sigma**-2 G_k'(y - sum_{j != k} G_j theta_j)``.
+    against ``sigma**-2 G_k'(y - sum_{j != k} G_j theta_j)``.  ``cross`` is
+    G'G theta for the current ``theta``.
     """
     lam = hyper.lambda_for(k)
     inv_s2 = 1.0 / hyper.sigma2
     precision = kernel.Kinv / lam + inv_s2 * bank.gram(k, k)
-    rhs = inv_s2 * bank.partial_projection((k,), theta)
-    return _posterior_from_precision(precision, rhs)
+    rhs = inv_s2 * bank.partial_projection((k,), theta, cross)
+    return GaussianBlockPosterior.from_precision(precision, rhs)
 
 
 def theta_block_conditional(i: int, j: int, theta: np.ndarray,
-                            hyper: HyperState, bank: RegressorBank,
+                            cross: np.ndarray, hyper: HyperState,
+                            bank: RegressorBank,
                             kernel: StableSplineKernel) -> GaussianBlockPosterior:
     """Joint Gaussian conditional of the (theta_i, theta_j) pair.
 
@@ -189,12 +189,13 @@ def theta_block_conditional(i: int, j: int, theta: np.ndarray,
     precision[:p, p:] = inv_s2 * bank.gram(i, j)
     precision[p:, :p] = precision[:p, p:].T
     precision[p:, p:] += inv_s2 * bank.gram(j, j)
-    rhs = inv_s2 * bank.partial_projection((i, j), theta)
-    return _posterior_from_precision(precision, rhs)
+    rhs = inv_s2 * bank.partial_projection((i, j), theta, cross)
+    return GaussianBlockPosterior.from_precision(precision, rhs)
 
 
 def draw_gaussian(post: GaussianBlockPosterior,
                   rng: np.random.Generator) -> np.ndarray:
-    """mean + L z for standard normal z, L the covariance's lower factor."""
-    z = rng.standard_normal(post.mean.size)
-    return post.mean + post.chol @ z
+    """L^-T (w + z) = mean + L^-T z for standard normal z."""
+    z = rng.standard_normal(post.whitened.size)
+    return solve_triangular(post.factor, post.whitened + z, lower=True,
+                            trans="T", check_finite=False)

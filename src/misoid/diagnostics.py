@@ -25,7 +25,7 @@ from . import conditionals
 from .conditionals import HyperState, _chol_lower
 from .errors import SizeGuardError
 from .kernel import StableSplineKernel
-from .regression import RegressorBank
+from .regression import Dataset, RegressorBank
 
 ORACLE_MAX_COEFFICIENTS = 2000
 
@@ -241,12 +241,13 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     Freezes the hyperparameters, verifies both Gaussian conditionals against
     Schur extractions of the joint posterior, then runs each sampler variant
     and compares chain means against the analytic means coordinatewise, with
-    Monte Carlo standard errors widened by each coordinate's IACT.
+    Monte Carlo standard errors widened by each coordinate's IACT.  At the
+    end of each chain its running G'G theta must still match the product.
 
-    ``corrupt_mean`` flips the sign of every conditional mean for the
-    duration of the run -- a mutation hook proving the checks can fail.
+    ``corrupt_mean`` runs the chains on the negated output, so their means
+    converge to minus the analytic ones -- a mutation proving the chain
+    checks can fail.
     """
-    from .regression import Dataset, build_regressors
     from .kernel import build_kernel
     from .sampler import Problem, SamplerConfig, VARIANTS, init_chain, sweep
     from .blocks import compute_correlations, compute_block_probabilities
@@ -260,21 +261,25 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
         for _ in range(m)
     ])
     data0 = Dataset(y=np.zeros(n), inputs=inputs)
-    bank0 = build_regressors(data0, p)
+    bank0 = RegressorBank(data0, p)
     y = bank0.predict(theta_true) + np.sqrt(sigma2_true) * rng.standard_normal(n)
     data = Dataset(y=y, inputs=inputs)
-    bank = build_regressors(data, p)
-    problem = Problem(data=data, bank=bank, kernel=kernel)
+    bank = RegressorBank(data, p)
+    chain_data = Dataset(y=-y, inputs=inputs) if corrupt_mean else data
+    problem = Problem(data=chain_data, bank=RegressorBank(chain_data, p),
+                      kernel=kernel)
 
     post = analytic_posterior(bank, kernel, lam_true, sigma2_true)
     checks: list = []
 
     # conditionals against Schur extractions at a random anchor state
     anchor = post.mean + 0.3 * rng.standard_normal(m * p)
+    cross = bank.gtg @ anchor
     hyper_c = HyperState(mode="common", lam=lam_true, sigma2=sigma2_true)
     worst = 0.0
     for k in range(m):
-        cond = conditionals.theta_k_conditional(k, anchor, hyper_c, bank, kernel)
+        cond = conditionals.theta_k_conditional(k, anchor, cross, hyper_c,
+                                                bank, kernel)
         idx = np.arange(k * p, (k + 1) * p)
         mean_ref, cov_ref = joint_conditional(post, idx, anchor)
         worst = max(worst,
@@ -287,7 +292,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     for i in range(m):
         for j in range(i + 1, m):
             cond = conditionals.theta_block_conditional(
-                i, j, anchor, hyper_c, bank, kernel)
+                i, j, anchor, cross, hyper_c, bank, kernel)
             idx = np.concatenate([np.arange(i * p, (i + 1) * p),
                                   np.arange(j * p, (j + 1) * p)])
             mean_ref, cov_ref = joint_conditional(post, idx, anchor)
@@ -299,35 +304,35 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
 
     sd = np.sqrt(np.diag(post.covariance))
     schedule = compute_block_probabilities(compute_correlations(data), 20.0)
-    if corrupt_mean:
-        conditionals.set_mean_corruption(True)
-    try:
-        for variant in VARIANTS:
-            common = variant in ("GS", "GSOB")
-            frozen = HyperState(
-                mode="common" if common else "per-response",
-                lam=lam_true if common else np.full(m, lam_true),
-                sigma2=sigma2_true,
-            )
-            config = SamplerConfig(
-                variant=variant, n_mc=n_sweeps, alpha=0.9, p=p,
-                beta=20.0, n_ob=2, burn_in=0, seed=seed + 1,
-                frozen_hyper=frozen,
-            )
-            chain_rng = np.random.default_rng(config.seed)
-            state = init_chain(problem, config, chain_rng)
-            draws = np.empty((n_sweeps, m * p))
-            for t in range(n_sweeps):
-                state, _ = sweep(state, problem, schedule, config, chain_rng)
-                draws[t] = state.theta
-            zmax = 0.0
-            for c in range(m * p):
-                tau = iact(draws[:, c])
-                se = sd[c] * np.sqrt(tau / n_sweeps)
-                zmax = max(zmax, abs(draws[:, c].mean() - post.mean[c]) / se)
-            checks.append(OracleCheck(
-                f"{variant} frozen-hyper chain mean vs analytic", zmax, 3.0))
-    finally:
-        conditionals.set_mean_corruption(False)
-
+    drift = 0.0
+    for variant in VARIANTS:
+        common = variant in ("GS", "GSOB")
+        frozen = HyperState(
+            mode="common" if common else "per-response",
+            lam=lam_true if common else np.full(m, lam_true),
+            sigma2=sigma2_true,
+        )
+        config = SamplerConfig(
+            variant=variant, n_mc=n_sweeps, alpha=0.9, p=p,
+            beta=20.0, n_ob=2, burn_in=0, seed=seed + 1,
+            frozen_hyper=frozen,
+        )
+        chain_rng = np.random.default_rng(config.seed)
+        state = init_chain(problem, config, chain_rng)
+        draws = np.empty((n_sweeps, m * p))
+        for t in range(n_sweeps):
+            state, _ = sweep(state, problem, schedule, config, chain_rng)
+            draws[t] = state.theta
+        zmax = 0.0
+        for c in range(m * p):
+            tau = iact(draws[:, c])
+            se = sd[c] * np.sqrt(tau / n_sweeps)
+            zmax = max(zmax, abs(draws[:, c].mean() - post.mean[c]) / se)
+        checks.append(OracleCheck(
+            f"{variant} frozen-hyper chain mean vs analytic", zmax, 3.0))
+        exact = problem.bank.gtg @ state.theta
+        drift = max(drift, float(np.max(np.abs(state.cross - exact))
+                                 / np.max(np.abs(exact))))
+    checks.append(OracleCheck("running cross-product vs G'G theta", drift,
+                              1e-9))
     return OracleCheckReport(checks=checks)

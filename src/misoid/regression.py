@@ -13,6 +13,11 @@ themselves are never formed.  The grid comes from the lag correlations of
 all channel pairs, p BLAS products of the m-by-n inputs with their shifted
 transposes, plus an O(m^2 p^2) correction for the samples that fall past
 the end of the record; the projections are p matrix-vector products.
+
+A chain also keeps the running product ``cross = G'G theta`` of its current
+coefficients (the sampler updates it by one p-row slab of the grid per
+changed channel).  Given it, a block's projection is slice arithmetic plus
+the block's own p-by-p grams, and the residual sum of squares is O(mp).
 """
 
 from __future__ import annotations
@@ -130,23 +135,23 @@ class RegressorBank:
                 self.data.inputs[k], theta_block(theta, k, self.p))[:self.n]
         return out
 
-    def residual_sumsq(self, theta: np.ndarray) -> float:
-        """||y - G theta||^2 from the cached products (no data pass)."""
-        val = (self.yty - 2.0 * float(self.gty @ theta)
-               + float(theta @ (self.gtg @ theta)))
+    def residual_sumsq(self, theta: np.ndarray, cross: np.ndarray) -> float:
+        """||y - G theta||^2 given ``cross = G'G theta`` (no data pass)."""
+        val = self.yty - 2.0 * float(self.gty @ theta) + float(theta @ cross)
         return max(val, 0.0)
 
-    def partial_projection(self, channels: tuple[int, ...],
-                           theta: np.ndarray) -> np.ndarray:
-        """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in channels."""
+    def partial_projection(self, channels: tuple[int, ...], theta: np.ndarray,
+                           cross: np.ndarray) -> np.ndarray:
+        """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
+        channels, given ``cross = G'G theta``."""
         p = self.p
-        rows = np.concatenate([np.arange(k * p, (k + 1) * p) for k in channels])
-        out = self.gty[rows] - self.gtg[rows] @ theta
-        for pos, k in enumerate(channels):
-            for qos, j in enumerate(channels):
-                out[pos * p:(pos + 1) * p] += (
-                    self.gram(k, j) @ theta_block(theta, j, p))
-        return out
+        out = []
+        for k in channels:
+            part = self.xty(k) - theta_block(cross, k, p)
+            for j in channels:
+                part += self.gram(k, j) @ theta_block(theta, j, p)
+            out.append(part)
+        return np.concatenate(out)
 
 
 def _lagged_cross_products(inputs: np.ndarray, p: int) -> np.ndarray:
@@ -194,13 +199,3 @@ def _lagged_projections(inputs: np.ndarray, y: np.ndarray,
     for a in range(min(p, n)):
         gty[:, a] = inputs[:, :n - a] @ y[a:]
     return gty.reshape(-1)
-
-
-def build_regressors(data: Dataset, p: int) -> RegressorBank:
-    """Assemble the regressor bank and its cached cross-products."""
-    return RegressorBank(data, p)
-
-
-def predict(bank: RegressorBank, theta: np.ndarray) -> np.ndarray:
-    """Model output G theta for a stacked coefficient vector."""
-    return bank.predict(theta)

@@ -14,6 +14,10 @@ variants -- ``n_ob`` jointly updated channel pairs drawn from the
 collinearity-based selection distribution.  The coefficient sample recorded
 for an iteration is the state after the pair updates.
 
+A chain also carries ``cross = G'G theta``: each block draw adds the change
+of a channel times its p rows of the (exactly symmetric) grid, so nothing in
+a sweep multiplies by the whole mp-by-mp grid.
+
 Chains are deterministic given (data, config, seed).  Replicates use seeds
 derived from the master seed by a splitmix64-style mix of the replicate
 index, so any number of replicates can run concurrently and reproducibly.
@@ -36,7 +40,7 @@ from .conditionals import (HyperState, _chol_lower, draw_gaussian,
                            sample_sigma2_from_sumsq, theta_block_conditional,
                            theta_k_conditional)
 from .kernel import StableSplineKernel, build_kernel
-from .regression import Dataset, RegressorBank, build_regressors, theta_block
+from .regression import Dataset, RegressorBank, theta_block
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
 
@@ -98,15 +102,25 @@ class Problem:
 
 def build_problem(data: Dataset, config: SamplerConfig) -> Problem:
     kernel = build_kernel(config.alpha, config.p)
-    bank = build_regressors(data, config.p)
+    bank = RegressorBank(data, config.p)
     return Problem(data=data, bank=bank, kernel=kernel)
 
 
 @dataclass
 class ChainState:
     theta: np.ndarray
+    cross: np.ndarray                # G'G theta
     hyper: HyperState
     iteration: int
+
+
+def _set_channel(theta: np.ndarray, cross: np.ndarray, gtg: np.ndarray,
+                 k: int, p: int, value: np.ndarray) -> None:
+    """Write channel k's coefficients and move ``cross`` by the change
+    times the grid's rows of channel k (its columns: the grid is symmetric)."""
+    rows = slice(k * p, (k + 1) * p)
+    cross += (value - theta[rows]) @ gtg[rows]
+    theta[rows] = value
 
 
 @dataclass
@@ -172,14 +186,16 @@ def init_chain(problem: Problem, config: SamplerConfig,
     bank, kernel = problem.bank, problem.kernel
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
+    cross = np.zeros(m * p)
     trace_kinv = float(np.trace(kernel.Kinv))
     for k in range(m):
         data_term = bank.gram(k, k) / sigma2_0
         eps = INIT_RIDGE_EPSILON * float(np.trace(data_term)) / trace_kinv
         precision = data_term + eps * kernel.Kinv
-        rhs = bank.partial_projection((k,), theta0) / sigma2_0
+        rhs = bank.partial_projection((k,), theta0, cross) / sigma2_0
         L = _chol_lower(precision, "initialization least squares")
-        theta0[k * p:(k + 1) * p] = cho_solve((L, True), rhs)
+        _set_channel(theta0, cross, bank.gtg, k, p,
+                     cho_solve((L, True), rhs))
 
     if config.frozen_hyper is not None:
         hyper = config.frozen_hyper
@@ -193,7 +209,7 @@ def init_chain(problem: Problem, config: SamplerConfig,
     else:
         hyper = HyperState(mode="per-response", lam=np.ones(m),
                            sigma2=sigma2_0)
-    return ChainState(theta=theta0, hyper=hyper, iteration=0)
+    return ChainState(theta=theta0, cross=cross, hyper=hyper, iteration=0)
 
 
 def sweep(state: ChainState, problem: Problem,
@@ -203,7 +219,7 @@ def sweep(state: ChainState, problem: Problem,
     selections made (empty for the non-block variants)."""
     bank, kernel = problem.bank, problem.kernel
     m, p, n = bank.m, kernel.p, problem.data.n
-    theta = state.theta.copy()
+    theta, cross = state.theta.copy(), state.cross.copy()
 
     if config.frozen_hyper is not None:
         hyper = state.hyper
@@ -218,23 +234,25 @@ def sweep(state: ChainState, problem: Problem,
                 for k in range(m)
             ])
             mode = "per-response"
-        sigma2 = sample_sigma2_from_sumsq(bank.residual_sumsq(theta), n, rng)
+        sigma2 = sample_sigma2_from_sumsq(
+            bank.residual_sumsq(theta, cross), n, rng)
         hyper = HyperState(mode=mode, lam=lam, sigma2=sigma2)
 
     for k in range(m):
-        post = theta_k_conditional(k, theta, hyper, bank, kernel)
-        theta[k * p:(k + 1) * p] = draw_gaussian(post, rng)
+        post = theta_k_conditional(k, theta, cross, hyper, bank, kernel)
+        _set_channel(theta, cross, bank.gtg, k, p, draw_gaussian(post, rng))
 
     selected: list = []
     if config.uses_blocks:
         for _ in range(config.n_ob):
             i, j = select_block(schedule, rng)
-            post = theta_block_conditional(i, j, theta, hyper, bank, kernel)
+            post = theta_block_conditional(i, j, theta, cross, hyper, bank,
+                                           kernel)
             z = draw_gaussian(post, rng)
-            theta[i * p:(i + 1) * p] = z[:p]
-            theta[j * p:(j + 1) * p] = z[p:]
+            _set_channel(theta, cross, bank.gtg, i, p, z[:p])
+            _set_channel(theta, cross, bank.gtg, j, p, z[p:])
             selected.append((i, j))
-    return ChainState(theta=theta, hyper=hyper,
+    return ChainState(theta=theta, cross=cross, hyper=hyper,
                       iteration=state.iteration + 1), selected
 
 

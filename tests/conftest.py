@@ -42,10 +42,10 @@ def make_small_problem(seed=0, m=2, p=3, n=50, lam=0.8, sigma2=0.3):
     inputs = rng.standard_normal((m, n))
     theta_true = np.concatenate(
         [np.sqrt(lam) * kernel.chol @ rng.standard_normal(p) for _ in range(m)])
-    shell = mi.build_regressors(mi.Dataset(y=np.zeros(n), inputs=inputs), p)
+    shell = mi.RegressorBank(mi.Dataset(y=np.zeros(n), inputs=inputs), p)
     y = shell.predict(theta_true) + np.sqrt(sigma2) * rng.standard_normal(n)
     data = mi.Dataset(y=y, inputs=inputs)
-    bank = mi.build_regressors(data, p)
+    bank = mi.RegressorBank(data, p)
     return data, bank, kernel, theta_true
 
 

@@ -142,7 +142,7 @@ def test_oracle_check_cli(tmp_path, capsys):
     cfg.write_text("[oracle]\nsweeps = 400\nseed = 1\n")
     code = main(["oracle-check", str(cfg)])
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
     assert code in (0, 1)  # short run; algebra checks must pass
     assert lines[0].startswith("PASS") and lines[1].startswith("PASS")
@@ -169,11 +169,11 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
     calls = {"count": 0}
     real = sp.theta_k_conditional
 
-    def explode_later(k, theta, hyper, bank, kernel):
+    def explode_later(k, theta, cross, hyper, bank, kernel):
         calls["count"] += 1
         if calls["count"] > 30:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, hyper, bank, kernel)
+        return real(k, theta, cross, hyper, bank, kernel)
 
     monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
     assert main(["identify", cfg]) == 1

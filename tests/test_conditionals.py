@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 import misoid as mi
 from misoid.conditionals import (_chol_lower, sample_inverse_gamma,
@@ -143,12 +145,13 @@ def test_theta_conditional_zero_input_recovers_prior():
     n, p = 40, 4
     inputs = np.vstack([rng.standard_normal(n), np.zeros(n)])
     data = mi.Dataset(y=rng.standard_normal(n), inputs=inputs)
-    bank = mi.build_regressors(data, p)
+    bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
     hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 2.5]),
                           sigma2=0.5)
-    post = mi.theta_k_conditional(1, rng.standard_normal(2 * p), hyper,
-                                  bank, kernel)
+    theta = rng.standard_normal(2 * p)
+    post = mi.theta_k_conditional(1, theta, bank.gtg @ theta, hyper, bank,
+                                  kernel)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -156,8 +159,8 @@ def test_theta_conditional_zero_input_recovers_prior():
 def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
     hyper = mi.HyperState(mode="common", lam=1.7, sigma2=1e12)
-    post = mi.theta_k_conditional(0, np.zeros(bank.m * bank.p), hyper,
-                                  bank, kernel)
+    zero = np.zeros(bank.m * bank.p)
+    post = mi.theta_k_conditional(0, zero, zero, hyper, bank, kernel)
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -166,11 +169,12 @@ def test_theta_conditional_generalized_ridge_oracle():
     n, p = 20, 3
     u = rng.standard_normal(n)
     data = mi.Dataset(y=rng.standard_normal(n), inputs=u[None, :])
-    bank = mi.build_regressors(data, p)
+    bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
-    post = mi.theta_k_conditional(0, np.zeros(p), hyper, bank, kernel)
+    post = mi.theta_k_conditional(0, np.zeros(p), np.zeros(p), hyper, bank,
+                                  kernel)
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -182,15 +186,15 @@ def test_block_conditional_orthogonal_inputs_decouple():
     u2 = np.zeros(n); u2[10] = 1.0
     data = mi.Dataset(y=np.arange(n, dtype=float),
                       inputs=np.vstack([u1, u2]))
-    bank = mi.build_regressors(data, p)
+    bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.8, p)
     hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 3.0]),
                           sigma2=0.7)
     theta = np.zeros(2 * p)
-    pair = mi.theta_block_conditional(0, 1, theta, hyper, bank, kernel)
+    pair = mi.theta_block_conditional(0, 1, theta, theta, hyper, bank, kernel)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.theta_k_conditional(0, theta, hyper, bank, kernel)
-    single1 = mi.theta_k_conditional(1, theta, hyper, bank, kernel)
+    single0 = mi.theta_k_conditional(0, theta, theta, hyper, bank, kernel)
+    single1 = mi.theta_k_conditional(1, theta, theta, hyper, bank, kernel)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -206,7 +210,8 @@ def test_block_conditional_matches_joint_schur():
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
     rng = np.random.default_rng(12)
     anchor = joint.mean + 0.4 * rng.standard_normal(6)
-    pair = mi.theta_block_conditional(0, 2, anchor, hyper, bank, kernel)
+    pair = mi.theta_block_conditional(0, 2, anchor, bank.gtg @ anchor, hyper,
+                                      bank, kernel)
     idx = np.array([0, 1, 4, 5])
     mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
     np.testing.assert_allclose(pair.mean, mean_ref, atol=1e-8)
@@ -218,12 +223,12 @@ def test_block_conditional_identical_inputs_null_direction():
     n, p = 200, 5
     u = rng.standard_normal(n)
     data = mi.Dataset(y=rng.standard_normal(n), inputs=np.vstack([u, u]))
-    bank = mi.build_regressors(data, p)
+    bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
     lam = 1.3
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=0.3)
-    pair = mi.theta_block_conditional(0, 1, np.zeros(2 * p), hyper, bank,
-                                      kernel)
+    zero = np.zeros(2 * p)
+    pair = mi.theta_block_conditional(0, 1, zero, zero, hyper, bank, kernel)
     evals, evecs = np.linalg.eigh(kernel.K)
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
@@ -237,9 +242,9 @@ def test_block_conditional_identical_inputs_null_direction():
 def test_block_conditional_rejects_same_channel():
     data, bank, kernel, _ = make_small_problem(seed=14)
     hyper = mi.HyperState(mode="common", lam=1.0, sigma2=1.0)
+    zero = np.zeros(bank.m * bank.p)
     with pytest.raises(ValueError):
-        mi.theta_block_conditional(1, 1, np.zeros(bank.m * bank.p), hyper,
-                                   bank, kernel)
+        mi.theta_block_conditional(1, 1, zero, zero, hyper, bank, kernel)
 
 
 def test_scale_consistency():
@@ -250,23 +255,28 @@ def test_scale_consistency():
     y = rng.standard_normal(n)
     kernel = mi.build_kernel(0.9, p)
     theta = rng.standard_normal(2 * p)
-    base = mi.build_regressors(mi.Dataset(y=y, inputs=u), p)
-    scaled = mi.build_regressors(mi.Dataset(y=c * y, inputs=c * u), p)
+    base = mi.RegressorBank(mi.Dataset(y=y, inputs=u), p)
+    scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
     h1 = mi.HyperState(mode="common", lam=0.8, sigma2=0.4)
     h2 = mi.HyperState(mode="common", lam=0.8, sigma2=c ** 2 * 0.4)
-    p1 = mi.theta_k_conditional(0, theta, h1, base, kernel)
-    p2 = mi.theta_k_conditional(0, theta, h2, scaled, kernel)
+    p1 = mi.theta_k_conditional(0, theta, base.gtg @ theta, h1, base, kernel)
+    p2 = mi.theta_k_conditional(0, theta, scaled.gtg @ theta, h2, scaled,
+                                kernel)
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
 # -- drawing -----------------------------------------------------------------
 
+_posterior = mi.GaussianBlockPosterior.from_precision
+
+
 def test_draw_gaussian_collapsed_covariance():
     mean = np.array([1.0, -2.0])
-    post = mi.GaussianBlockPosterior(mean=mean, covariance=np.zeros((2, 2)),
-                                     chol=np.zeros((2, 2)))
-    out = mi.draw_gaussian(post, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, mean)
+    precision = 1e12 * np.eye(2)
+    post = _posterior(precision, precision @ mean)
+    rng = np.random.default_rng(0)
+    draws = np.array([mi.draw_gaussian(post, rng) for _ in range(1000)])
+    assert np.max(np.abs(draws - mean)) < 1e-5
 
 
 def test_draw_gaussian_moments():
@@ -274,8 +284,7 @@ def test_draw_gaussian_moments():
     p = 5
     A = rng.standard_normal((p, p))
     cov = A @ A.T + np.eye(p)
-    post = mi.GaussianBlockPosterior(mean=np.zeros(p), covariance=cov,
-                                     chol=np.linalg.cholesky(cov))
+    post = _posterior(np.linalg.inv(cov), np.zeros(p))
     draws = np.array([mi.draw_gaussian(post, rng) for _ in range(100_000)])
     emp = np.cov(draws.T)
     err = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
@@ -283,21 +292,59 @@ def test_draw_gaussian_moments():
 
 
 def test_draw_gaussian_deterministic():
-    post = mi.GaussianBlockPosterior(mean=np.zeros(3),
-                                     covariance=np.eye(3),
-                                     chol=np.eye(3))
+    post = _posterior(np.eye(3), np.zeros(3))
     a = mi.draw_gaussian(post, np.random.default_rng(99))
     b = mi.draw_gaussian(post, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
 def test_posterior_covariance_symmetric():
-    data, bank, kernel, _ = make_small_problem(seed=17)
-    hyper = mi.HyperState(mode="common", lam=1.0, sigma2=0.5)
-    post = mi.theta_k_conditional(0, np.zeros(bank.m * bank.p), hyper, bank,
-                                  kernel)
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((6, 6))
+    post = _posterior(A @ A.T + 0.1 * np.eye(6), rng.standard_normal(6))
     assert np.max(np.abs(post.covariance - post.covariance.T)) < 1e-12
     assert np.linalg.eigvalsh(post.covariance).min() > 0.0
+
+
+@st.composite
+def spd_systems(draw):
+    """(precision, rhs, condition number): p in 1..12, condition number
+    from 1 to 1e8, eigenvalues scaled by 1e-3, 1 or 1e3."""
+    p = draw(st.integers(1, 12))
+    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    evals = (np.geomspace(1.0, cond, p)
+             * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    precision = (basis * evals) @ basis.T
+    precision = 0.5 * (precision + precision.T)
+    return precision, rng.standard_normal(p), cond
+
+
+@settings(max_examples=200, deadline=None)
+@given(spd_systems(), st.integers(0, 2 ** 32 - 1))
+@example((np.diag(np.geomspace(1.0, 1e8, 12)), np.ones(12), 1e8), 0)
+@example((np.array([[1e-3]]), np.array([2.0]), 1.0), 1)
+def test_posterior_from_precision_property(system, seed):
+    precision, rhs, cond = system
+    p = rhs.size
+    post = _posterior(precision, rhs)
+    mean = post.mean
+    # normwise backward error of the solve Q mean = b
+    assert (np.linalg.norm(precision @ mean - rhs)
+            <= 1e-9 * (np.linalg.norm(precision) * np.linalg.norm(mean)
+                       + np.linalg.norm(rhs)))
+    # 1e-8, or the p eps cond(Q) that rounding alone leaves in any
+    # computed inverse once cond(Q) passes about 1e6 (8x headroom)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(post.covariance @ precision, np.eye(p),
+                               rtol=0, atol=max(1e-8, 8 * p * eps * cond))
+    z = np.random.default_rng(seed).standard_normal(p)
+    expected = mean + solve_triangular(post.factor, z, lower=True,
+                                       trans="T")
+    draw = mi.draw_gaussian(post, np.random.default_rng(seed))
+    np.testing.assert_allclose(draw, expected, rtol=0,
+                               atol=1e-10 * np.abs(expected).max())
 
 
 # -- gibbs stationarity (one composed sweep of coefficient updates) ---------
@@ -314,7 +361,8 @@ def test_theta_updates_preserve_exact_posterior():
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
-            post = mi.theta_k_conditional(k, theta, hyper, bank, kernel)
+            post = mi.theta_k_conditional(k, theta, bank.gtg @ theta, hyper,
+                                          bank, kernel)
             theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))

@@ -13,7 +13,7 @@ def test_unit_impulse_block():
     # G = [[1, 0], [0, 1], [0, 0]]: G'G = I and G'y = y[:2]
     y = np.array([0.7, -1.2, 3.0])
     d = mi.Dataset(y=y, inputs=np.array([[1.0, 0.0, 0.0]]))
-    bank = mi.build_regressors(d, 2)
+    bank = mi.RegressorBank(d, 2)
     np.testing.assert_array_equal(bank.gram(0, 0), np.eye(2))
     np.testing.assert_array_equal(bank.xty(0), y[:2])
 
@@ -23,7 +23,7 @@ def test_toeplitz_layout():
     a, b, c = 1.5, -2.0, 0.3
     y = np.array([0.5, 2.0, -1.0])
     d = mi.Dataset(y=y, inputs=np.array([[a, b, c]]))
-    bank = mi.build_regressors(d, 2)
+    bank = mi.RegressorBank(d, 2)
     G = np.array([[a, 0], [b, a], [c, b]])
     np.testing.assert_allclose(bank.gram(0, 0), G.T @ G, rtol=1e-15)
     np.testing.assert_allclose(bank.xty(0), G.T @ y, rtol=1e-15)
@@ -34,7 +34,7 @@ def test_prediction_matches_direct_convolution():
     u = rng.standard_normal(100)
     theta = rng.standard_normal(10)
     d = mi.Dataset(y=np.zeros(100), inputs=u[None, :])
-    bank = mi.build_regressors(d, 10)
+    bank = mi.RegressorBank(d, 10)
     direct = np.array([
         sum(theta[j] * (u[i - j] if i - j >= 0 else 0.0) for j in range(10))
         for i in range(100)
@@ -46,7 +46,7 @@ def test_predict_zero_and_impulse():
     rng = np.random.default_rng(1)
     d = mi.Dataset(y=np.zeros(30),
                    inputs=np.r_[1.0, np.zeros(29)][None, :])
-    bank = mi.build_regressors(d, 5)
+    bank = mi.RegressorBank(d, 5)
     assert np.all(bank.predict(np.zeros(5)) == 0.0)
     theta = rng.standard_normal(5)
     np.testing.assert_allclose(bank.predict(theta)[:5], theta, atol=1e-14)
@@ -55,7 +55,7 @@ def test_predict_zero_and_impulse():
 def test_predict_linear():
     rng = np.random.default_rng(2)
     d = mi.Dataset(y=np.zeros(40), inputs=rng.standard_normal((2, 40)))
-    bank = mi.build_regressors(d, 4)
+    bank = mi.RegressorBank(d, 4)
     t1, t2 = rng.standard_normal(8), rng.standard_normal(8)
     np.testing.assert_allclose(bank.predict(t1 + t2),
                                bank.predict(t1) + bank.predict(t2),
@@ -66,7 +66,7 @@ def test_column_norms_match_truncated_input():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(25)
     d = mi.Dataset(y=np.zeros(25), inputs=u[None, :])
-    bank = mi.build_regressors(d, 6)
+    bank = mi.RegressorBank(d, 6)
     norms = np.sqrt(np.diag(bank.gram(0, 0)))
     for j in range(6):
         assert norms[j] == pytest.approx(np.linalg.norm(u[:25 - j]))
@@ -74,7 +74,7 @@ def test_column_norms_match_truncated_input():
 
 def test_true_theta_residual_variance():
     data, system = make_example1(data_seed=11)
-    bank = mi.build_regressors(data, 50)
+    bank = mi.RegressorBank(data, 50)
     resid = data.y - bank.predict(system.responses.ravel())
     assert np.var(resid) == pytest.approx(0.3, abs=0.06)
 
@@ -84,7 +84,7 @@ def test_lagged_path_matches_dense():
     n, m, p = 150, 3, 6
     d = mi.Dataset(y=rng.standard_normal(n),
                    inputs=rng.standard_normal((m, n)))
-    bank = mi.build_regressors(d, p)
+    bank = mi.RegressorBank(d, p)
     G = stacked_regressors(d.inputs, p)
     np.testing.assert_allclose(bank.gtg, G.T @ G, atol=1e-10)
     np.testing.assert_allclose(bank.gty, G.T @ d.y, atol=1e-10)
@@ -121,7 +121,7 @@ def test_cross_products_match_toeplitz_products(instance):
     m, n = inputs.shape
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bank = mi.build_regressors(mi.Dataset(y=y, inputs=inputs), p)
+        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     assert any(issubclass(w.category, UserWarning) for w in caught) == (p > n)
 
     G = stacked_regressors(inputs, p)
@@ -146,23 +146,25 @@ def test_partial_projection():
     n, m, p = 50, 3, 4
     d = mi.Dataset(y=rng.standard_normal(n),
                    inputs=rng.standard_normal((m, n)))
-    bank = mi.build_regressors(d, p)
+    bank = mi.RegressorBank(d, p)
     theta = rng.standard_normal(m * p)
     G0, G1, G2 = (toeplitz_block(u, p) for u in d.inputs)
     others = G0 @ theta[:p] + G2 @ theta[2 * p:]
     expected = G1.T @ (d.y - others)
-    np.testing.assert_allclose(bank.partial_projection((1,), theta),
-                               expected, atol=1e-10)
+    np.testing.assert_allclose(
+        bank.partial_projection((1,), theta, bank.gtg @ theta), expected,
+        atol=1e-10)
 
 
 def test_residual_sumsq_matches_direct():
     rng = np.random.default_rng(7)
     d = mi.Dataset(y=rng.standard_normal(80),
                    inputs=rng.standard_normal((2, 80)))
-    bank = mi.build_regressors(d, 5)
+    bank = mi.RegressorBank(d, 5)
     theta = rng.standard_normal(10)
     direct = float(np.sum((d.y - bank.predict(theta)) ** 2))
-    assert bank.residual_sumsq(theta) == pytest.approx(direct, rel=1e-12)
+    assert bank.residual_sumsq(theta, bank.gtg @ theta) == pytest.approx(
+        direct, rel=1e-12)
 
 
 def test_dataset_validation():
@@ -175,7 +177,7 @@ def test_dataset_validation():
 def test_order_exceeding_samples_warns():
     d = mi.Dataset(y=np.ones(3), inputs=np.ones((1, 3)))
     with pytest.warns(UserWarning):
-        mi.build_regressors(d, 4)
+        mi.RegressorBank(d, 4)
 
 
 def test_csv_round_trip(tmp_path):

@@ -104,12 +104,40 @@ def test_sweep_composes_single_conditionals():
     assert selected == []
 
     rng_b = np.random.default_rng(7)
-    theta = state.theta.copy()
+    gtg = problem.bank.gtg
+    theta, cross = state.theta.copy(), state.cross.copy()
     for k in range(2):
-        post = mi.theta_k_conditional(k, theta, frozen, problem.bank,
+        post = mi.theta_k_conditional(k, theta, cross, frozen, problem.bank,
                                       problem.kernel)
-        theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng_b)
+        value = mi.draw_gaussian(post, rng_b)
+        rows = slice(k * 3, (k + 1) * 3)
+        cross += (value - theta[rows]) @ gtg[rows]
+        theta[rows] = value
     np.testing.assert_array_equal(new_state.theta, theta)
+    np.testing.assert_array_equal(new_state.cross, cross)
+
+
+def test_running_cross_product_stays_exact():
+    # six collinear channels, 2000 GSOB sweeps with sampled hyperparameters:
+    # the running G'G theta must not drift from the product
+    rng = np.random.default_rng(20)
+    m, p, n = 6, 10, 400
+    common = rng.standard_normal(n)
+    inputs = common + 0.05 * rng.standard_normal((m, n))
+    y = inputs.sum(axis=0) + 0.3 * rng.standard_normal(n)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, alpha=0.9, p=p,
+                           beta=20.0, n_ob=3, seed=1)
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), cfg)
+    schedule = mi.compute_block_probabilities(
+        mi.compute_correlations(problem.data), cfg.beta)
+    chain_rng = np.random.default_rng(cfg.seed)
+    state = mi.init_chain(problem, cfg, chain_rng)
+    exact = problem.bank.gtg @ state.theta
+    assert np.max(np.abs(state.cross - exact)) <= 1e-12 * np.max(np.abs(exact))
+    for _ in range(cfg.n_mc):
+        state, _ = mi.sweep(state, problem, schedule, cfg, chain_rng)
+    exact = problem.bank.gtg @ state.theta
+    assert np.max(np.abs(state.cross - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
 def test_sweep_block_selections_logged():
@@ -217,11 +245,11 @@ def test_partial_record_attached_on_abort(monkeypatch):
     calls = {"count": 0}
     real = sp.theta_k_conditional
 
-    def explode_later(k, theta, hyper, bank, kernel):
+    def explode_later(k, theta, cross, hyper, bank, kernel):
         calls["count"] += 1
         if calls["count"] > 20:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, hyper, bank, kernel)
+        return real(k, theta, cross, hyper, bank, kernel)
 
     monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
     with pytest.raises(FactorizationError) as info:
