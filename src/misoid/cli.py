@@ -179,39 +179,54 @@ def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
 def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
-    aborted = False
     try:
         record, summary = run(problem, config)
     except NUMERICAL_ERRORS as exc:
-        aborted = True
         partial = getattr(exc, "partial_record", None)
         if partial is not None:
             save_record(partial, None, outdir, aborted=True)
             _write_manifest(outdir, config, data_hash,
-                            time.perf_counter() - started, aborted=True,
-                            error=str(exc))
+                            time.perf_counter() - started, partial.seconds,
+                            aborted=True, error=str(exc))
         raise
+    phases = dict(record.seconds)
+    mark = time.perf_counter()
     save_record(record, summary, outdir)
+    phases["save"] = time.perf_counter() - mark
+    mark = time.perf_counter()
     truth_resp = truth["responses"] if truth is not None else None
     report = build_report(record, summary, truth_resp)
     report.to_json(os.path.join(outdir, "diagnostics.json"))
+    phases["report"] = time.perf_counter() - mark
     _write_manifest(outdir, config, data_hash,
-                    time.perf_counter() - started, aborted=aborted)
+                    time.perf_counter() - started, phases)
     if emit_figures and config.uses_blocks:
-        schedule = compute_block_probabilities(
-            compute_correlations(problem.data), config.beta)
+        schedule = compute_block_probabilities(problem.correlations,
+                                               config.beta)
         export_probabilities_csv(schedule,
                                  os.path.join(outdir, "pmatrix.csv"))
 
 
-def _write_manifest(outdir, config, data_hash, seconds, aborted=False,
-                    error=None) -> None:
+# environment variables that set the BLAS thread count, recorded as found
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                         "VECLIB_MAXIMUM_THREADS")
+
+
+def _write_manifest(outdir, config, data_hash, seconds, phases,
+                    aborted=False, error=None) -> None:
     doc = {
         "config": config_as_dict(config),
         "seed": config.seed,
         "data_sha256": data_hash,
         "version": __version__,
         "seconds": round(seconds, 3),
+        "phase_seconds": {name: round(value, 4)
+                          for name, value in phases.items()},
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        },
         "aborted": aborted,
     }
     if error:

@@ -250,7 +250,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     """
     from .kernel import build_kernel
     from .sampler import Problem, SamplerConfig, VARIANTS, init_chain, sweep
-    from .blocks import compute_correlations, compute_block_probabilities
+    from .blocks import compute_block_probabilities
 
     rng = np.random.default_rng(seed)
     kernel = build_kernel(0.9, p)
@@ -303,7 +303,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
                               worst, 1e-8))
 
     sd = np.sqrt(np.diag(post.covariance))
-    schedule = compute_block_probabilities(compute_correlations(data), 20.0)
+    schedule = compute_block_probabilities(problem.correlations, 20.0)
     drift = 0.0
     for variant in VARIANTS:
         common = variant in ("GS", "GSOB")

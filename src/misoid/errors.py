@@ -10,7 +10,8 @@ class DegenerateRateError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """Cholesky factorization failed even after the jitter retry."""
+    """Cholesky factorization failed even after the jitter retry, or gave
+    a non-finite factor."""
 
 
 class SizeGuardError(ValueError):

@@ -117,6 +117,16 @@ class RegressorBank:
         p = self.p
         return self.gtg[i * p:(i + 1) * p, j * p:(j + 1) * p]
 
+    def block_gram(self, channels: tuple[int, ...]) -> np.ndarray:
+        """The grams G_a' G_b of every a, b in ``channels``, stacked in
+        channel order into one new C-contiguous matrix."""
+        p, c = self.p, len(channels)
+        out = np.empty((c * p, c * p))
+        for r, a in enumerate(channels):
+            for s, b in enumerate(channels):
+                out[r * p:(r + 1) * p, s * p:(s + 1) * p] = self.gram(a, b)
+        return out
+
     def xty(self, k: int) -> np.ndarray:
         """Cached projection G_k' y."""
         return self.gty[k * self.p:(k + 1) * self.p]
@@ -145,6 +155,10 @@ class RegressorBank:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, given ``cross = G'G theta``."""
         p = self.p
+        if len(channels) == 1:
+            rows = slice(channels[0] * p, (channels[0] + 1) * p)
+            return (self.gty[rows] - cross[rows]
+                    + self.gtg[rows, rows] @ theta[rows])
         out = []
         for k in channels:
             part = self.xty(k) - theta_block(cross, k, p)

@@ -28,7 +28,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -99,6 +101,14 @@ class Problem:
     bank: RegressorBank
     kernel: StableSplineKernel
 
+    @cached_property
+    def correlations(self) -> np.ndarray:
+        """Absolute input correlations (read-only), computed on first use
+        and shared by every block-variant chain of the problem."""
+        c = compute_correlations(self.data)
+        c.setflags(write=False)
+        return c
+
 
 def build_problem(data: Dataset, config: SamplerConfig) -> Problem:
     kernel = build_kernel(config.alpha, config.p)
@@ -140,6 +150,8 @@ class ChainRecord:
     sigma2_trace: np.ndarray         # (n_mc,)
     selected_blocks: np.ndarray      # (n_selected, 3): iteration, i, j
     completed: int                   # iterations actually swept
+    # wall seconds of the run that made it: "init" and "sweeps"
+    seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -278,6 +290,7 @@ def run(problem: Problem, config: SamplerConfig,
 
     On a numerical abort the partial record is attached to the raised
     exception as ``exc.partial_record`` so callers can flush it to disk.
+    Either record times chain initialization and the sweeps.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -286,10 +299,12 @@ def run(problem: Problem, config: SamplerConfig,
 
     schedule = None
     if config.uses_blocks:
-        schedule = compute_block_probabilities(
-            compute_correlations(problem.data), config.beta)
+        schedule = compute_block_probabilities(problem.correlations,
+                                               config.beta)
 
+    started = time.perf_counter()
     state = init_chain(problem, config, rng)
+    seconds = {"init": time.perf_counter() - started}
     n_stored = config.n_mc // config.thin
     theta_samples = np.empty((n_stored, m * p))
     stored_iterations = np.empty(n_stored, dtype=np.int64)
@@ -300,6 +315,21 @@ def run(problem: Problem, config: SamplerConfig,
 
     stored = 0
     completed = 0
+
+    def record_so_far() -> ChainRecord:
+        seconds["sweeps"] = time.perf_counter() - sweeps_started
+        return ChainRecord(
+            variant=config.variant, m=m, p=p, n_mc=config.n_mc,
+            burn_in=config.burn_in, thin=config.thin, seed=config.seed,
+            theta_samples=theta_samples[:stored],
+            stored_iterations=stored_iterations[:stored],
+            lambda_trace=lambda_trace[:completed],
+            sigma2_trace=sigma2_trace[:completed],
+            selected_blocks=_block_array(block_log),
+            completed=completed, seconds=seconds,
+        )
+
+    sweeps_started = time.perf_counter()
     try:
         for t in range(1, config.n_mc + 1):
             state, selected = sweep(state, problem, schedule, config, rng)
@@ -312,27 +342,9 @@ def run(problem: Problem, config: SamplerConfig,
                 stored += 1
             completed = t
     except Exception as exc:
-        partial = ChainRecord(
-            variant=config.variant, m=m, p=p, n_mc=config.n_mc,
-            burn_in=config.burn_in, thin=config.thin, seed=config.seed,
-            theta_samples=theta_samples[:stored],
-            stored_iterations=stored_iterations[:stored],
-            lambda_trace=lambda_trace[:completed],
-            sigma2_trace=sigma2_trace[:completed],
-            selected_blocks=_block_array(block_log),
-            completed=completed,
-        )
-        exc.partial_record = partial
+        exc.partial_record = record_so_far()
         raise
-
-    record = ChainRecord(
-        variant=config.variant, m=m, p=p, n_mc=config.n_mc,
-        burn_in=config.burn_in, thin=config.thin, seed=config.seed,
-        theta_samples=theta_samples[:stored],
-        stored_iterations=stored_iterations[:stored],
-        lambda_trace=lambda_trace, sigma2_trace=sigma2_trace,
-        selected_blocks=_block_array(block_log), completed=completed,
-    )
+    record = record_so_far()
     return record, summarize(record)
 
 

@@ -65,6 +65,13 @@ def test_simulate_then_identify_then_diagnose(tiny_config):
     assert manifest["config"]["variant"] == "GSOB"
     assert len(manifest["data_sha256"]) == 64
     assert manifest["aborted"] is False
+    phases = manifest["phase_seconds"]
+    assert set(phases) == {"init", "sweeps", "save", "report"}
+    assert all(value >= 0.0 for value in phases.values())
+    env = manifest["environment"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
 
     assert main(["diagnose", rundir, "--truth", f"{out}/truth.json"]) == 0
     report = json.load(open(f"{rundir}/diagnostics.json"))
@@ -181,8 +188,56 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
     manifest = json.load(open(f"{rundir}/manifest.json"))
     assert manifest["aborted"] is True
     assert "error" in manifest
+    assert set(manifest["phase_seconds"]) == {"init", "sweeps"}
     partial = np.load(f"{rundir}/theta_samples.npy")
     assert 0 < partial.shape[0] < 40
+
+
+def test_vanishing_scale_factor_aborts_with_partial_chain(tiny_config,
+                                                          monkeypatch):
+    # a scale factor draw near the rate floor gives an infinite prior
+    # precision; the chain must stop with exit 1, not record NaN
+    from misoid import sampler as sp
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    calls = {"count": 0}
+    real = sp.sample_lambda_common
+
+    def collapse_later(*args, **kwargs):
+        calls["count"] += 1
+        return 5e-324 if calls["count"] > 10 else real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "sample_lambda_common", collapse_later)
+    with np.errstate(over="ignore"):
+        assert main(["identify", cfg]) == 1
+    rundir = f"{out}/GSOB/rep000"
+    assert json.load(open(f"{rundir}/manifest.json"))["aborted"] is True
+    partial = np.load(f"{rundir}/theta_samples.npy")
+    assert partial.shape[0] == 10
+    assert np.all(np.isfinite(partial))
+
+
+def test_identify_computes_correlations_once(tiny_config, monkeypatch):
+    from misoid import sampler as sp
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    calls = {"count": 0}
+    real = sp.compute_correlations
+
+    def counted(data):
+        calls["count"] += 1
+        return real(data)
+
+    monkeypatch.setattr(sp, "compute_correlations", counted)
+    assert main(["identify", cfg, "--variant", "GS,GSd",
+                 "--output", f"{out}/plain"]) == 0
+    assert calls["count"] == 0
+    assert main(["identify", cfg, "--variant", "GSOB,GSOBd",
+                 "--replicates", "2", "--output", f"{out}/blocks"]) == 0
+    assert calls["count"] == 1
+    assert os.path.exists(f"{out}/blocks/GSOBd/rep001/pmatrix.csv")
 
 
 def test_bundled_configs_parse():

@@ -383,6 +383,61 @@ def test_chol_jitter_retry_and_failure():
     assert fixed.shape == (3, 3)
     with pytest.raises(FactorizationError):
         _chol_lower(np.diag([1.0, 1.0, -1.0]), "test")
+    # LAPACK factors NaN without an error code; the finite check catches it
+    nan = np.nan
+    for bad in (np.array([[1.0, nan], [nan, 1.0]]), np.array([[nan]]),
+                np.diag([1.0, np.inf]),
+                np.array([[np.inf, -np.inf], [-np.inf, np.inf]])):
+        with pytest.raises(FactorizationError):
+            _chol_lower(bad, "test")
+
+
+def test_vanishing_scale_factor_raises_instead_of_nan():
+    # lambda near the rate floor makes Kinv / lambda infinite
+    _, bank, kernel, _ = make_small_problem(seed=20)
+    hyper = mi.HyperState(mode="common", lam=5e-324, sigma2=0.5)
+    theta = np.ones(bank.m * bank.p)
+    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
+        mi.theta_k_conditional(0, theta, bank.gtg @ theta, hyper, bank,
+                               kernel)
+    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
+        mi.theta_block_conditional(0, 1, theta, bank.gtg @ theta, hyper,
+                                   bank, kernel)
+
+
+def test_lapack_factor_and_draw():
+    _, bank, kernel, _ = make_small_problem(seed=21, m=3, p=6, n=60)
+    gram = bank.gram(1, 1)                 # read-only, non-contiguous view
+    assert not gram.flags.writeable and not gram.flags.c_contiguous
+    before = gram.copy()
+    L = _chol_lower(gram, "test")
+    np.testing.assert_array_equal(gram, before)
+    np.testing.assert_array_equal(np.triu(L, 1), 0.0)
+    ref = np.linalg.cholesky(before)
+    assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    hyper = mi.HyperState(mode="per-response", lam=np.array([0.5, 1.5, 2.0]),
+                          sigma2=0.4)
+    rng = np.random.default_rng(22)
+    theta = rng.standard_normal(bank.m * bank.p)
+    cross = bank.gtg @ theta
+    precision = 0.3 * np.eye(bank.p) + bank.gram(2, 2)
+    saved = precision.copy()
+    post = _posterior(precision, np.ones(bank.p))
+    np.testing.assert_array_equal(precision, saved)
+    posts = [post,
+             mi.theta_k_conditional(2, theta, cross, hyper, bank, kernel),
+             mi.theta_block_conditional(0, 2, theta, cross, hyper, bank,
+                                        kernel)]
+    for post in posts:
+        L = post.factor
+        np.testing.assert_array_equal(np.triu(L, 1), 0.0)
+        z = np.random.default_rng(23).standard_normal(L.shape[0])
+        expected = post.mean + solve_triangular(L, z, lower=True, trans="T")
+        draw = mi.draw_gaussian(post, np.random.default_rng(23))
+        np.testing.assert_allclose(draw, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+    np.testing.assert_array_equal(bank.gtg @ theta, cross)
 
 
 def test_hyper_state_validation():

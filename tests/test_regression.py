@@ -154,6 +154,16 @@ def test_partial_projection():
     np.testing.assert_allclose(
         bank.partial_projection((1,), theta, bank.gtg @ theta), expected,
         atol=1e-10)
+    # a pair, in the order given: (G_2, G_0)'(y - G_1 theta_1)
+    pair = np.hstack([G2, G0])
+    expected = pair.T @ (d.y - G1 @ theta[p:2 * p])
+    np.testing.assert_allclose(
+        bank.partial_projection((2, 0), theta, bank.gtg @ theta), expected,
+        atol=1e-10)
+    grams = bank.block_gram((2, 0))
+    assert grams.flags.c_contiguous and grams.flags.writeable
+    np.testing.assert_allclose(grams, pair.T @ pair, rtol=1e-12, atol=1e-10)
+    np.testing.assert_array_equal(grams, grams.T)
 
 
 def test_residual_sumsq_matches_direct():
