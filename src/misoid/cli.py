@@ -236,6 +236,20 @@ def _write_manifest(outdir, config, data_hash, seconds, phases,
         fh.write("\n")
 
 
+def _load_identifiable(path):
+    """The dataset at ``path``.  A malformed file, or an input column that
+    never changes (no variant can identify its response), is a data error."""
+    try:
+        data = load_dataset_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    constant = np.flatnonzero(np.ptp(data.inputs, axis=1) == 0.0)
+    if constant.size:
+        raise ConfigError(f"{path}: input column u{constant[0] + 1} is "
+                          "constant; its response cannot be identified")
+    return data
+
+
 def cmd_identify(args) -> int:
     cfg = _read_config(args.config)
     datasec = _section(cfg, "data")
@@ -266,7 +280,7 @@ def cmd_identify(args) -> int:
 
     master_seed = (args.seed if args.seed is not None
                    else _get(_section(cfg, "sampler"), "seed", int, default=0))
-    data = load_dataset_csv(data_path)
+    data = _load_identifiable(data_path)
     data_hash = _sha256(data_path)
 
     base = _sampler_config(cfg, args, variants[0], master_seed)

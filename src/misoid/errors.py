@@ -11,7 +11,8 @@ class DegenerateRateError(ValueError):
 
 class FactorizationError(RuntimeError):
     """Cholesky factorization failed even after the jitter retry, or gave
-    a non-finite factor."""
+    a non-finite factor; or a block's spectral scales were not finite and
+    positive, or its eigendecomposition failed."""
 
 
 class SizeGuardError(ValueError):

@@ -85,18 +85,23 @@ def _closed_form_inverse_bands(alpha: float, p: int) -> tuple[np.ndarray, np.nda
     return diag, offdiag
 
 
-def quad_form(kernel: StableSplineKernel, v: np.ndarray) -> float:
+def quad_form(kernel: StableSplineKernel,
+              v: np.ndarray) -> float | np.ndarray:
     """Quadratic form v' Kinv v, evaluated in O(p) via the tridiagonal bands.
 
     Returns a nonnegative float; exactly zero only for the zero vector.
+    Given an (m, p) array, returns the m forms of its rows, each clamped
+    at zero the same way, from one banded expression.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (kernel.p,):
+    if v.ndim not in (1, 2) or v.shape[-1] != kernel.p:
         raise ValueError(
-            f"vector of length {kernel.p} expected, got shape {v.shape}"
+            f"vector of length {kernel.p}, or rows of that length, "
+            f"expected, got shape {v.shape}"
         )
-    out = float(np.dot(v * kernel.inv_diag, v))
+    out = (v * v) @ kernel.inv_diag
     if kernel.p > 1:
-        out += 2.0 * float(np.dot(v[:-1] * kernel.inv_offdiag, v[1:]))
+        out += 2.0 * ((v[..., :-1] * v[..., 1:]) @ kernel.inv_offdiag)
     # analytically >= 0; guard against roundoff for near-null vectors
-    return max(out, 0.0)
+    out = np.maximum(out, 0.0)
+    return float(out) if v.ndim == 1 else out

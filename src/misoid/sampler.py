@@ -37,12 +37,12 @@ from scipy.linalg import cho_solve
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (HyperState, _chol_lower, draw_gaussian,
-                           sample_lambda_common, sample_lambda_k,
-                           sample_sigma2_from_sumsq, theta_block_conditional,
-                           theta_k_conditional)
+from .conditionals import (BlockSpectra, HyperState, _chol_lower,
+                           draw_gaussian, sample_lambda_common,
+                           sample_lambda_k, sample_sigma2_from_sumsq,
+                           theta_block_conditional, theta_k_conditional)
 from .kernel import StableSplineKernel, build_kernel
-from .regression import Dataset, RegressorBank, theta_block
+from .regression import Dataset, RegressorBank
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
 
@@ -100,6 +100,11 @@ class Problem:
     data: Dataset
     bank: RegressorBank
     kernel: StableSplineKernel
+    # block spectra, each built on its block's first use by any chain
+    spectra: BlockSpectra = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.spectra = BlockSpectra(self.bank, self.kernel)
 
     @cached_property
     def correlations(self) -> np.ndarray:
@@ -241,17 +246,15 @@ def sweep(state: ChainState, problem: Problem,
             lam = sample_lambda_common(theta, kernel, rng, shape=shape)
             mode = "common"
         else:
-            lam = np.array([
-                sample_lambda_k(theta_block(theta, k, p), kernel, rng)
-                for k in range(m)
-            ])
+            lam = sample_lambda_k(theta.reshape(m, p), kernel, rng)
             mode = "per-response"
         sigma2 = sample_sigma2_from_sumsq(
             bank.residual_sumsq(theta, cross), n, rng)
         hyper = HyperState(mode=mode, lam=lam, sigma2=sigma2)
 
     for k in range(m):
-        post = theta_k_conditional(k, theta, cross, hyper, bank, kernel)
+        post = theta_k_conditional(k, theta, cross, hyper, bank, kernel,
+                                   spectra=problem.spectra)
         _set_channel(theta, cross, bank.gtg, k, p, draw_gaussian(post, rng))
 
     selected: list = []
@@ -259,7 +262,7 @@ def sweep(state: ChainState, problem: Problem,
         for _ in range(config.n_ob):
             i, j = select_block(schedule, rng)
             post = theta_block_conditional(i, j, theta, cross, hyper, bank,
-                                           kernel)
+                                           kernel, spectra=problem.spectra)
             z = draw_gaussian(post, rng)
             _set_channel(theta, cross, bank.gtg, i, p, z[:p])
             _set_channel(theta, cross, bank.gtg, j, p, z[p:])

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,34 @@ def test_unwritable_output_exits_2(tiny_config, tmp_path, capsys, threads):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("variant", ["GS", "GSOB"])
+def test_constant_input_exits_2(tiny_config, capsys, variant):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    data = mi.load_dataset_csv(f"{out}/dataset.csv")
+    inputs = data.inputs.copy()
+    inputs[1] = 0.0
+    mi.save_dataset_csv(mi.Dataset(y=data.y, inputs=inputs),
+                        f"{out}/dataset.csv")
+    capsys.readouterr()
+    code = main(["identify", cfg, "--variant", variant])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "u2" in captured.err
+    assert "chain written" not in captured.out
+    assert not os.path.exists(f"{out}/{variant}")
+
+
+def test_malformed_dataset_exits_2(tiny_config, capsys):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    dataset = Path(out) / "dataset.csv"
+    dataset.write_text(dataset.read_text().replace("y,u1,u2", "y,u1,u3", 1))
+    capsys.readouterr()
+    assert main(["identify", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_value_error_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "nobeta.cfg"
@@ -176,11 +205,11 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
     calls = {"count": 0}
     real = sp.theta_k_conditional
 
-    def explode_later(k, theta, cross, hyper, bank, kernel):
+    def explode_later(k, theta, cross, hyper, bank, kernel, **kwargs):
         calls["count"] += 1
         if calls["count"] > 30:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, cross, hyper, bank, kernel)
+        return real(k, theta, cross, hyper, bank, kernel, **kwargs)
 
     monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
     assert main(["identify", cfg]) == 1
@@ -238,6 +267,40 @@ def test_identify_computes_correlations_once(tiny_config, monkeypatch):
                  "--replicates", "2", "--output", f"{out}/blocks"]) == 0
     assert calls["count"] == 1
     assert os.path.exists(f"{out}/blocks/GSOBd/rep001/pmatrix.csv")
+
+
+def test_block_spectra_built_once_and_threads_identical(tiny_config,
+                                                       monkeypatch):
+    # every chain of a problem shares its block spectra: the two single
+    # channels and the one pair are each decomposed once per identify run,
+    # serially or on two threads, and the chains come out byte-identical
+    from misoid import conditionals
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    sizes = []
+    real = conditionals.block_spectrum
+
+    def counted(gram, chol):
+        sizes.append(gram.shape[0] // chol.shape[0])
+        return real(gram, chol)
+
+    monkeypatch.setattr(conditionals, "block_spectrum", counted)
+    for threads in ("1", "2"):
+        sizes.clear()
+        assert main(["identify", cfg, "--variant", "GS,GSOB",
+                     "--replicates", "2", "--threads", threads,
+                     "--output", f"{out}/threads{threads}"]) == 0
+        assert sorted(sizes) == [1, 1, 2]
+    for variant in ("GS", "GSOB"):
+        for rep in ("rep000", "rep001"):
+            for name in ("lambda.csv", "sigma2.csv", "theta_samples.npy",
+                         "blocks.csv", "summary.csv"):
+                with open(f"{out}/threads1/{variant}/{rep}/{name}",
+                          "rb") as fa, \
+                     open(f"{out}/threads2/{variant}/{rep}/{name}",
+                          "rb") as fb:
+                    assert fa.read() == fb.read(), (variant, rep, name)
 
 
 def test_bundled_configs_parse():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +8,8 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 import misoid as mi
-from misoid.conditionals import (_chol_lower, sample_inverse_gamma,
+from misoid.conditionals import (BlockSpectra, _chol_lower, block_spectrum,
+                                 sample_inverse_gamma,
                                  sample_sigma2_from_sumsq)
 from misoid.errors import DegenerateRateError, FactorizationError
 
@@ -425,11 +429,10 @@ def test_lapack_factor_and_draw():
     saved = precision.copy()
     post = _posterior(precision, np.ones(bank.p))
     np.testing.assert_array_equal(precision, saved)
-    posts = [post,
-             mi.theta_k_conditional(2, theta, cross, hyper, bank, kernel),
-             mi.theta_block_conditional(0, 2, theta, cross, hyper, bank,
-                                        kernel)]
-    for post in posts:
+    # a plain posterior and a pair with two scale factors: Cholesky form
+    for post in (post, mi.theta_block_conditional(0, 2, theta, cross, hyper,
+                                                  bank, kernel)):
+        assert post.scale is None
         L = post.factor
         np.testing.assert_array_equal(np.triu(L, 1), 0.0)
         z = np.random.default_rng(23).standard_normal(L.shape[0])
@@ -437,7 +440,185 @@ def test_lapack_factor_and_draw():
         draw = mi.draw_gaussian(post, np.random.default_rng(23))
         np.testing.assert_allclose(draw, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+    # a single channel and a common-scale pair: spectral form, whose root
+    # T = W diag(scale) whitens the precision assembled here, T'QT = I
+    common = mi.HyperState(mode="common", lam=0.7, sigma2=0.4)
+    p = bank.p
+    pair_precision = bank.block_gram((0, 2)) / 0.4
+    pair_precision[:p, :p] += kernel.Kinv / 0.7
+    pair_precision[p:, p:] += kernel.Kinv / 0.7
+    spectral = [
+        (mi.theta_k_conditional(2, theta, cross, hyper, bank, kernel),
+         kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
+        (mi.theta_block_conditional(0, 2, theta, cross, common, bank,
+                                    kernel), pair_precision),
+    ]
+    for post, precision in spectral:
+        root = post.factor * post.scale
+        np.testing.assert_allclose(root.T @ precision @ root,
+                                   np.eye(root.shape[0]), rtol=0, atol=1e-12)
+        z = np.random.default_rng(23).standard_normal(root.shape[0])
+        expected = post.mean + root @ z
+        draw = mi.draw_gaussian(post, np.random.default_rng(23))
+        np.testing.assert_allclose(draw, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
     np.testing.assert_array_equal(bank.gtg @ theta, cross)
+
+
+@st.composite
+def spectral_systems(draw):
+    """(gram, chol, Kinv, lam, rhs): a data gram for a p-channel block,
+    p in 1..12, with condition number 1 to 1e8 and scale 1e-3, 1 or 1e3;
+    or the rank-deficient 2p gram of a duplicated channel.  The prior has
+    decay alpha in [0.5, 0.99]."""
+    p = draw(st.integers(1, 12))
+    kernel = mi.build_kernel(draw(st.floats(0.5, 0.99)), p)
+    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    evals = (np.geomspace(1.0, cond, p)
+             * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    gram = (basis * evals) @ basis.T
+    gram = 0.5 * (gram + gram.T)
+    kinv = kernel.Kinv
+    if draw(st.booleans()):
+        gram = np.block([[gram, gram], [gram, gram]])
+        kinv = np.kron(np.eye(2), kinv)
+    lam = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return gram, kernel.chol, kinv, lam, rng.standard_normal(gram.shape[0])
+
+
+_EDGE = mi.build_kernel(0.99, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral_systems(), st.integers(0, 2 ** 32 - 1))
+@example((np.diag(np.geomspace(1.0, 1e8, 12)), _EDGE.chol, _EDGE.Kinv, 0.1,
+          np.ones(12)), 0)
+@example((np.kron(np.ones((2, 2)), np.diag(np.geomspace(1e-3, 1e5, 12))),
+          _EDGE.chol, np.kron(np.eye(2), _EDGE.Kinv), 10.0, np.ones(24)), 1)
+def test_spectral_posterior_matches_cholesky(system, seed):
+    gram, chol, kinv, lam, rhs = system
+    size = rhs.size
+    precision = kinv / lam + gram
+    cond = np.linalg.cond(precision)
+    bound = max(1e-8, 8 * size * np.finfo(float).eps * cond)
+    spectral = mi.GaussianBlockPosterior.from_spectrum(
+        block_spectrum(gram, chol), lam, 1.0, rhs)
+    ref = _posterior(precision, rhs)
+    mean, ref_mean = spectral.mean, ref.mean
+    assert (np.linalg.norm(precision @ mean - rhs)
+            <= 1e-9 * (np.linalg.norm(precision) * np.linalg.norm(mean)
+                       + np.linalg.norm(rhs)))
+    np.testing.assert_allclose(mean, ref_mean, rtol=0,
+                               atol=bound * np.abs(ref_mean).max())
+    cov = spectral.covariance
+    np.testing.assert_allclose(cov @ precision, np.eye(size), rtol=0,
+                               atol=bound)
+    np.testing.assert_allclose(cov, ref.covariance, rtol=0,
+                               atol=bound * np.abs(ref.covariance).max())
+    # fixed z: the draw is mean + T z, and the Cholesky factor of the
+    # precision whitens T z back to a vector of the same length as z
+    z = np.random.default_rng(seed).standard_normal(size)
+    draw = mi.draw_gaussian(spectral, np.random.default_rng(seed))
+    step = spectral.factor @ (spectral.scale * z)
+    np.testing.assert_allclose(draw, mean + step, rtol=0,
+                               atol=1e-12 * np.abs(draw).max())
+    whitened = ref.factor.T @ step
+    assert abs(np.linalg.norm(whitened) - np.linalg.norm(z)) <= (
+        bound * np.linalg.norm(z))
+
+
+def test_spectra_built_once_under_threads(monkeypatch):
+    # eight threads on two cores ask for the same blocks at once, with a
+    # short switch interval and a build that sleeps to widen the race:
+    # each block is still decomposed once, and every thread gets that one
+    # result
+    import time
+
+    import misoid.conditionals as conditionals
+
+    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
+    built = []
+    real = conditionals.block_spectrum
+
+    def counted(gram, chol):
+        built.append(gram.shape[0])
+        time.sleep(0.001)
+        return real(gram, chol)
+
+    monkeypatch.setattr(conditionals, "block_spectrum", counted)
+    spectra = BlockSpectra(bank, kernel)
+    keys = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    seen = [[] for _ in range(8)]
+    start = threading.Barrier(len(seen))
+
+    def ask(out):
+        start.wait(timeout=60)
+        for _ in range(20):
+            out.extend(spectra(key) for key in keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(out,)) for out in seen]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(built) == [4, 4, 4, 8, 8, 8]
+    for out in seen:
+        assert len(out) == 20 * len(keys)
+        assert all(got is spectra(key)
+                   for got, key in zip(out, keys * 20))
+    basis, evals = spectra((0, 2))
+    assert basis.shape == (8, 8) and not basis.flags.writeable
+    assert evals.min() >= 0.0 and np.all(np.diff(evals) >= 0.0)
+
+
+def test_spectral_scales_must_be_finite_and_positive():
+    # a pair of all-zero inputs gives e = 0; an infinite scale factor then
+    # leaves s = 0, an infinite 1/sigma2 gives NaN, a vanishing scale
+    # factor gives s = inf: each raises instead of returning zeros
+    rng = np.random.default_rng(26)
+    kernel = mi.build_kernel(0.9, 3)
+    spectrum = block_spectrum(np.zeros((6, 6)), kernel.chol)
+    np.testing.assert_array_equal(spectrum[1], 0.0)
+    rhs = rng.standard_normal(6)
+    for lam, inv_s2 in ((np.inf, 1.0), (1.0, np.inf), (5e-324, 1.0)):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FactorizationError):
+            mi.GaussianBlockPosterior.from_spectrum(spectrum, lam, inv_s2,
+                                                    rhs)
+
+
+def test_lambda_rates_are_banded_sums():
+    rng = np.random.default_rng(25)
+    kernel = mi.build_kernel(0.95, 50)
+    theta = rng.standard_normal(20 * 50) * np.repeat(
+        10.0 ** rng.uniform(-3, 3, 20), 50)
+    theta[100:150] = 0.0                      # one all-zero channel
+    blocks = theta.reshape(20, 50)
+    forms = [mi.quad_form(kernel, row) for row in blocks]
+    np.testing.assert_allclose(mi.quad_form(kernel, blocks), forms,
+                               rtol=1e-12, atol=0)
+    assert mi.quad_form(kernel, blocks)[2] == 0.0
+    # the common rate: draw x gamma(shape) recovers it from the same stream
+    shape = 0.5 * theta.size
+    draw = mi.sample_lambda_common(theta, kernel, np.random.default_rng(3))
+    rate = draw * np.random.default_rng(3).gamma(shape)
+    assert rate == pytest.approx(0.5 * sum(forms), rel=1e-12)
+    # per channel: m gamma draws in channel order, as m separate calls make
+    nonzero = np.delete(blocks, 2, axis=0)
+    together = mi.sample_lambda_k(nonzero, kernel, np.random.default_rng(4))
+    stream = np.random.default_rng(4)
+    apart = [mi.sample_lambda_k(row, kernel, stream) for row in nonzero]
+    np.testing.assert_allclose(together, apart, rtol=1e-12)
+    with pytest.raises(DegenerateRateError):
+        mi.sample_lambda_k(blocks, kernel, np.random.default_rng(4))
 
 
 def test_hyper_state_validation():

@@ -245,11 +245,11 @@ def test_partial_record_attached_on_abort(monkeypatch):
     calls = {"count": 0}
     real = sp.theta_k_conditional
 
-    def explode_later(k, theta, cross, hyper, bank, kernel):
+    def explode_later(k, theta, cross, hyper, bank, kernel, **kwargs):
         calls["count"] += 1
         if calls["count"] > 20:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, cross, hyper, bank, kernel)
+        return real(k, theta, cross, hyper, bank, kernel, **kwargs)
 
     monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
     with pytest.raises(FactorizationError) as info:
