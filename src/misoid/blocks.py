@@ -40,6 +40,11 @@ class BlockSchedule:
     active: np.ndarray = field(repr=False)      # indices into pairs
     cumulative: np.ndarray = field(repr=False)  # cumsum over active pairs
 
+    def prob(self, i: int, j: int) -> float:
+        """Selection probability of the pair (i, j), i < j."""
+        m = self.c.shape[0]
+        return float(self.probs[i * (2 * m - i - 1) // 2 + j - i - 1])
+
 
 def compute_correlations(data: Dataset) -> np.ndarray:
     """Absolute sample correlation of every input pair.

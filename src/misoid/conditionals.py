@@ -14,30 +14,35 @@ A Gaussian block is held as a square root T of its covariance and the
 whitened right-hand side w = T'b: the mean is T w and a draw T (w + z) for
 standard normal z.  Two forms of T serve the two kinds of block.
 
-* Spectral (every single channel, and every pair under a common scale
-  factor).  With K = C C' (``kernel.chol``, block diagonal for a pair) and
-  C'G'GC = V diag(e) V', the precision is C^-T V diag(s) V' C^-1 with
-  s = 1/lambda + e/sigma**2, so T = W diag(s**-1/2) for W = C V.  Only
-  lambda and sigma**2 change between sweeps, so one eigendecomposition per
-  block (:class:`BlockSpectra`, built on the block's first use) serves every
-  draw: a draw costs two matrix-vector products and no factorization, the
-  way one decomposition serves every ridge parameter in generalized
-  cross-validation (Golub, Heath & Wahba 1979).  A scale vector s that is
-  not finite and positive (lambda or sigma**2 collapsed towards 0) is a
-  failure.
-* Cholesky (pairs with two scale factors, which no single spectrum covers).
-  T = L^-T for the lower Cholesky factor L of the precision, applied by
-  triangular solves (Rue 2001).  The factor and the solves call LAPACK's
-  ``dpotrf`` and ``dtrtrs`` directly, without the generic wrappers' checks.
-  A failed factorization gets one jitter retry of 1e-10 times the mean
-  diagonal; a factor with a non-finite diagonal is a failure too.
+* Spectral (every single channel, and a pair under a common scale factor
+  that its chain draws often).  With K = C C' (``kernel.chol``, block
+  diagonal for a pair) and C'G'GC = V diag(e) V', the precision is
+  C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
+  T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
+  sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
+  on the block's first use) serves every draw: a draw costs two
+  matrix-vector products and no factorization, the way one decomposition
+  serves every ridge parameter in generalized cross-validation (Golub,
+  Heath & Wahba 1979).  A scale vector s that is not finite and positive
+  (lambda or sigma**2 collapsed towards 0) is a failure.
+* Cholesky (pairs with two scale factors, which no single spectrum covers,
+  and pairs drawn too rarely to repay a spectrum).  T = L^-T for the lower
+  Cholesky factor L of the precision, applied by triangular solves
+  (Rue 2001).  The factor and the solves call LAPACK's ``dpotrf`` and
+  ``dtrtrs`` directly, without the generic wrappers' checks.  A failed
+  factorization gets one jitter retry of 1e-10 times the mean diagonal; a
+  factor with a non-finite diagonal is a failure too.
 
 At p = 50 (m = 20, n = 1e4, one core, BLAS on one thread) a
 single-channel conditional and its draw cost about 23 us against 51 us
-with a p-by-p factor, a common-scale pair about 50 us against 120 us; a
-single spectrum costs about 0.4 ms to build and a pair spectrum about
-1 ms.  The mean and covariance are computed only when read (oracle and
-tests).
+with a p-by-p factor, a common-scale pair 30 to 45 us against 105 to
+140 us; a single spectrum costs about 0.4 ms to build and a pair spectrum
+1.1 to 1.4 ms, as much as 8 to 15 factored pair draws at p = 20, 50 and
+100.  A pair therefore gets a spectrum only if its chain is expected to
+draw it at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that
+break-even which also bounds a chain's pair spectra (4p**2 + 2p floats
+each) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.  The mean and covariance
+are computed only when read (oracle and tests).
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ from .kernel import StableSplineKernel, quad_form
 from .regression import RegressorBank
 
 RATE_FLOOR = 1e-300
+
+# expected draws of a pair, in one chain, that repay building its spectrum
+PAIR_SPECTRUM_DRAWS = 20
 
 
 @dataclass
@@ -230,17 +238,15 @@ def sample_inverse_gamma(shape: float, rate: float,
     return rate / rng.gamma(shape)
 
 
-def sample_lambda_k(theta_k: np.ndarray, kernel: StableSplineKernel,
-                    rng: np.random.Generator) -> float | np.ndarray:
-    """Scale factor conditional for one channel: IG(p/2, theta'Kinv theta / 2).
-
-    Given an (m, p) array of channels, one draw per channel, in channel
-    order.
-    """
-    rates = 0.5 * np.atleast_1d(quad_form(kernel, theta_k))
-    draws = np.array([sample_inverse_gamma(0.5 * kernel.p, rate, rng)
-                      for rate in rates])
-    return float(draws[0]) if np.ndim(theta_k) == 1 else draws
+def sample_lambda_k(theta: np.ndarray, kernel: StableSplineKernel,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Per-channel scale factor conditionals IG(p/2, theta_k'Kinv theta_k / 2),
+    one draw per row of the (m, p) coefficient array, in channel order."""
+    if np.ndim(theta) != 2:
+        raise ValueError("per-channel scale factors need an (m, p) array")
+    rates = 0.5 * quad_form(kernel, theta)
+    return np.array([sample_inverse_gamma(0.5 * kernel.p, rate, rng)
+                     for rate in rates])
 
 
 def sample_lambda_common(theta: np.ndarray, kernel: StableSplineKernel,
@@ -278,18 +284,14 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
 
 def theta_k_conditional(k: int, theta: np.ndarray, cross: np.ndarray,
                         hyper: HyperState, bank: RegressorBank,
-                        kernel: StableSplineKernel,
-                        spectra: BlockSpectra | None = None
-                        ) -> GaussianBlockPosterior:
+                        spectra: BlockSpectra) -> GaussianBlockPosterior:
     """Gaussian conditional of channel k's coefficients given everything else.
 
     Precision is ``lambda_k**-1 Kinv + sigma**-2 G_k'G_k``; the mean solves it
     against ``sigma**-2 G_k'(y - sum_{j != k} G_j theta_j)``.  ``cross`` is
-    G'G theta for the current ``theta``.  The posterior is spectral; its
-    spectrum comes from ``spectra``, or is built for this call alone.
+    G'G theta for the current ``theta``.  The posterior is spectral, from
+    the channel's spectrum in ``spectra``.
     """
-    if spectra is None:
-        spectra = BlockSpectra(bank, kernel)
     inv_s2 = 1.0 / hyper.sigma2
     rhs = inv_s2 * bank.partial_projection((k,), theta, cross)
     return GaussianBlockPosterior.from_spectrum(
@@ -300,23 +302,22 @@ def theta_block_conditional(i: int, j: int, theta: np.ndarray,
                             cross: np.ndarray, hyper: HyperState,
                             bank: RegressorBank,
                             kernel: StableSplineKernel,
-                            spectra: BlockSpectra | None = None
+                            spectra: BlockSpectra | None
                             ) -> GaussianBlockPosterior:
     """Joint Gaussian conditional of the (theta_i, theta_j) pair.
 
     The prior precision is block diagonal in the two channels; the data part
     couples them through the cached cross-product G_i'G_j.  Draws from this
     conditional are always accepted (it is an exact Gibbs block).  Under a
-    common scale factor the posterior is spectral, as for a single channel;
-    with two scale factors it comes from a Cholesky factor of the precision.
+    common scale factor, given ``spectra``, the posterior is spectral, as
+    for a single channel; with two scale factors, or ``spectra`` None, it
+    comes from a Cholesky factor of the precision.
     """
     if i == j:
         raise ValueError("pair update needs two distinct channels")
     inv_s2 = 1.0 / hyper.sigma2
     rhs = inv_s2 * bank.partial_projection((i, j), theta, cross)
-    if hyper.mode == "common":
-        if spectra is None:
-            spectra = BlockSpectra(bank, kernel)
+    if spectra is not None and hyper.mode == "common":
         return GaussianBlockPosterior.from_spectrum(
             spectra((i, j)), hyper.lam, inv_s2, rhs)
     p = kernel.p

@@ -276,10 +276,11 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     anchor = post.mean + 0.3 * rng.standard_normal(m * p)
     cross = bank.gtg @ anchor
     hyper_c = HyperState(mode="common", lam=lam_true, sigma2=sigma2_true)
+    spectra = conditionals.BlockSpectra(bank, kernel)
     worst = 0.0
     for k in range(m):
         cond = conditionals.theta_k_conditional(k, anchor, cross, hyper_c,
-                                                bank, kernel)
+                                                bank, spectra)
         idx = np.arange(k * p, (k + 1) * p)
         mean_ref, cov_ref = joint_conditional(post, idx, anchor)
         worst = max(worst,
@@ -288,17 +289,19 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     checks.append(OracleCheck("single-block conditional vs joint posterior",
                               worst, 1e-8))
 
+    # both routes of a pair: its spectrum, and a factor of its precision
     worst = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            cond = conditionals.theta_block_conditional(
-                i, j, anchor, cross, hyper_c, bank, kernel)
             idx = np.concatenate([np.arange(i * p, (i + 1) * p),
                                   np.arange(j * p, (j + 1) * p)])
             mean_ref, cov_ref = joint_conditional(post, idx, anchor)
-            worst = max(worst,
-                        float(np.max(np.abs(cond.mean - mean_ref))),
-                        float(np.max(np.abs(cond.covariance - cov_ref))))
+            for route in (spectra, None):
+                cond = conditionals.theta_block_conditional(
+                    i, j, anchor, cross, hyper_c, bank, kernel, route)
+                worst = max(worst,
+                            float(np.max(np.abs(cond.mean - mean_ref))),
+                            float(np.max(np.abs(cond.covariance - cov_ref))))
     checks.append(OracleCheck("pair-block conditional vs joint posterior",
                               worst, 1e-8))
 

@@ -86,22 +86,20 @@ def _closed_form_inverse_bands(alpha: float, p: int) -> tuple[np.ndarray, np.nda
 
 
 def quad_form(kernel: StableSplineKernel,
-              v: np.ndarray) -> float | np.ndarray:
-    """Quadratic form v' Kinv v, evaluated in O(p) via the tridiagonal bands.
+              v: np.ndarray) -> np.float64 | np.ndarray:
+    """Quadratic form v' Kinv v over the last axis, evaluated in O(p) via the
+    tridiagonal bands; the result has shape ``v.shape[:-1]`` (a NumPy scalar
+    for one vector, one form per row of an (m, p) array).
 
-    Returns a nonnegative float; exactly zero only for the zero vector.
-    Given an (m, p) array, returns the m forms of its rows, each clamped
-    at zero the same way, from one banded expression.
+    Each form is nonnegative; exactly zero only for the zero vector.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != kernel.p:
+    if v.ndim == 0 or v.shape[-1] != kernel.p:
         raise ValueError(
-            f"vector of length {kernel.p}, or rows of that length, "
-            f"expected, got shape {v.shape}"
+            f"vectors of length {kernel.p} expected, got shape {v.shape}"
         )
     out = (v * v) @ kernel.inv_diag
     if kernel.p > 1:
         out += 2.0 * ((v[..., :-1] * v[..., 1:]) @ kernel.inv_offdiag)
     # analytically >= 0; guard against roundoff for near-null vectors
-    out = np.maximum(out, 0.0)
-    return float(out) if v.ndim == 1 else out
+    return np.maximum(out, 0.0)

@@ -37,8 +37,8 @@ from scipy.linalg import cho_solve
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (BlockSpectra, HyperState, _chol_lower,
-                           draw_gaussian, sample_lambda_common,
+from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
+                           _chol_lower, draw_gaussian, sample_lambda_common,
                            sample_lambda_k, sample_sigma2_from_sumsq,
                            theta_block_conditional, theta_k_conditional)
 from .kernel import StableSplineKernel, build_kernel
@@ -253,16 +253,21 @@ def sweep(state: ChainState, problem: Problem,
         hyper = HyperState(mode=mode, lam=lam, sigma2=sigma2)
 
     for k in range(m):
-        post = theta_k_conditional(k, theta, cross, hyper, bank, kernel,
-                                   spectra=problem.spectra)
+        post = theta_k_conditional(k, theta, cross, hyper, bank,
+                                   problem.spectra)
         _set_channel(theta, cross, bank.gtg, k, p, draw_gaussian(post, rng))
 
     selected: list = []
     if config.uses_blocks:
+        pair_draws = config.n_ob * config.n_mc
         for _ in range(config.n_ob):
             i, j = select_block(schedule, rng)
+            # a pair spectrum repays its build only on a pair the chain is
+            # expected to draw often; the others factor their precision
+            often = schedule.prob(i, j) * pair_draws >= PAIR_SPECTRUM_DRAWS
             post = theta_block_conditional(i, j, theta, cross, hyper, bank,
-                                           kernel, spectra=problem.spectra)
+                                           kernel,
+                                           problem.spectra if often else None)
             z = draw_gaussian(post, rng)
             _set_channel(theta, cross, bank.gtg, i, p, z[:p])
             _set_channel(theta, cross, bank.gtg, j, p, z[p:])

@@ -76,7 +76,7 @@ def test_criterion_3_inverse_gamma_moments():
         kernel = mi.build_kernel(0.9, p)
         theta = kernel.chol @ rng.standard_normal(p)
         q = mi.quad_form(kernel, theta)
-        draws = np.array([mi.sample_lambda_k(theta, kernel, rng)
+        draws = np.array([mi.sample_lambda_k(theta[None], kernel, rng)[0]
                           for _ in range(n_draws)])
         a, b = p / 2, q / 2
         se = b / ((a - 1) * np.sqrt(a - 2)) / np.sqrt(n_draws)

@@ -65,6 +65,9 @@ def test_normalization_and_monotonicity():
     cvals = np.array([c[i, j] for i, j in sched.pairs])
     order = np.argsort(cvals)
     assert np.all(np.diff(sched.probs[order]) > 0.0)
+    # the per-pair lookup reads the same probabilities
+    assert [sched.prob(int(i), int(j)) for i, j in sched.pairs] \
+        == sched.probs.tolist()
 
 
 def test_small_beta_limit_proportional_to_c():

@@ -25,7 +25,7 @@ def test_lambda_k_shape_is_half_p():
     theta = kernel.chol @ rng.standard_normal(50)
     q = mi.quad_form(kernel, theta)
     a, b = 25.0, q / 2.0
-    draws = np.array([mi.sample_lambda_k(theta, kernel, rng)
+    draws = np.array([mi.sample_lambda_k(theta[None], kernel, rng)[0]
                       for _ in range(100_000)])
     se = (b / ((a - 1) * np.sqrt(a - 2))) / np.sqrt(draws.size)
     assert abs(draws.mean() - b / (a - 1)) < 3 * se
@@ -36,11 +36,11 @@ def test_lambda_k_scale_family():
     rng = np.random.default_rng(1)
     theta = kernel.chol @ rng.standard_normal(50)
     c = 3.7
-    d1 = np.array([mi.sample_lambda_k(theta, kernel,
-                                      np.random.default_rng(s))
+    d1 = np.array([mi.sample_lambda_k(theta[None], kernel,
+                                      np.random.default_rng(s))[0]
                    for s in range(500)])
-    d2 = np.array([mi.sample_lambda_k(c * theta, kernel,
-                                      np.random.default_rng(s))
+    d2 = np.array([mi.sample_lambda_k(c * theta[None], kernel,
+                                      np.random.default_rng(s))[0]
                    for s in range(500)])
     np.testing.assert_allclose(d2, c ** 2 * d1, rtol=1e-10)
 
@@ -49,7 +49,7 @@ def test_lambda_common_reduces_to_lambda_k_for_one_channel():
     kernel = mi.build_kernel(0.8, 7)
     rng = np.random.default_rng(2)
     theta = rng.standard_normal(7)
-    a = mi.sample_lambda_k(theta, kernel, np.random.default_rng(11))
+    a, = mi.sample_lambda_k(theta[None], kernel, np.random.default_rng(11))
     b = mi.sample_lambda_common(theta, kernel, np.random.default_rng(11))
     assert a == pytest.approx(b, rel=1e-14)
 
@@ -96,7 +96,7 @@ def test_lambda_degenerate_rate():
     kernel = mi.build_kernel(0.9, 4)
     rng = np.random.default_rng(4)
     with pytest.raises(DegenerateRateError):
-        mi.sample_lambda_k(np.zeros(4), kernel, rng)
+        mi.sample_lambda_k(np.zeros((1, 4)), kernel, rng)
     with pytest.raises(DegenerateRateError):
         mi.sample_lambda_common(np.zeros(8), kernel, rng)
 
@@ -155,7 +155,7 @@ def test_theta_conditional_zero_input_recovers_prior():
                           sigma2=0.5)
     theta = rng.standard_normal(2 * p)
     post = mi.theta_k_conditional(1, theta, bank.gtg @ theta, hyper, bank,
-                                  kernel)
+                                  BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -164,7 +164,8 @@ def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
     hyper = mi.HyperState(mode="common", lam=1.7, sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
-    post = mi.theta_k_conditional(0, zero, zero, hyper, bank, kernel)
+    post = mi.theta_k_conditional(0, zero, zero, hyper, bank,
+                                  BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -178,7 +179,7 @@ def test_theta_conditional_generalized_ridge_oracle():
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
     post = mi.theta_k_conditional(0, np.zeros(p), np.zeros(p), hyper, bank,
-                                  kernel)
+                                  BlockSpectra(bank, kernel))
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -195,10 +196,12 @@ def test_block_conditional_orthogonal_inputs_decouple():
     hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 3.0]),
                           sigma2=0.7)
     theta = np.zeros(2 * p)
-    pair = mi.theta_block_conditional(0, 1, theta, theta, hyper, bank, kernel)
+    spectra = BlockSpectra(bank, kernel)
+    pair = mi.theta_block_conditional(0, 1, theta, theta, hyper, bank, kernel,
+                                      spectra)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.theta_k_conditional(0, theta, theta, hyper, bank, kernel)
-    single1 = mi.theta_k_conditional(1, theta, theta, hyper, bank, kernel)
+    single0 = mi.theta_k_conditional(0, theta, theta, hyper, bank, spectra)
+    single1 = mi.theta_k_conditional(1, theta, theta, hyper, bank, spectra)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -214,12 +217,14 @@ def test_block_conditional_matches_joint_schur():
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
     rng = np.random.default_rng(12)
     anchor = joint.mean + 0.4 * rng.standard_normal(6)
-    pair = mi.theta_block_conditional(0, 2, anchor, bank.gtg @ anchor, hyper,
-                                      bank, kernel)
     idx = np.array([0, 1, 4, 5])
     mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
-    np.testing.assert_allclose(pair.mean, mean_ref, atol=1e-8)
-    np.testing.assert_allclose(pair.covariance, cov_ref, atol=1e-8)
+    # spectral and factored routes alike
+    for spectra in (BlockSpectra(bank, kernel), None):
+        pair = mi.theta_block_conditional(0, 2, anchor, bank.gtg @ anchor,
+                                          hyper, bank, kernel, spectra)
+        np.testing.assert_allclose(pair.mean, mean_ref, atol=1e-8)
+        np.testing.assert_allclose(pair.covariance, cov_ref, atol=1e-8)
 
 
 def test_block_conditional_identical_inputs_null_direction():
@@ -232,15 +237,18 @@ def test_block_conditional_identical_inputs_null_direction():
     lam = 1.3
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=0.3)
     zero = np.zeros(2 * p)
-    pair = mi.theta_block_conditional(0, 1, zero, zero, hyper, bank, kernel)
     evals, evecs = np.linalg.eigh(kernel.K)
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
-    # (v, -v) is invisible to identical inputs: its variance is prior scale
-    np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
-                               atol=1e-8)
-    assert w @ pair.covariance @ w == pytest.approx(lam * evals[-1],
-                                                    rel=1e-8)
+    for spectra in (BlockSpectra(bank, kernel), None):
+        pair = mi.theta_block_conditional(0, 1, zero, zero, hyper, bank,
+                                          kernel, spectra)
+        # (v, -v) is invisible to identical inputs: its variance is prior
+        # scale
+        np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
+                                   atol=1e-8)
+        assert w @ pair.covariance @ w == pytest.approx(lam * evals[-1],
+                                                        rel=1e-8)
 
 
 def test_block_conditional_rejects_same_channel():
@@ -248,7 +256,8 @@ def test_block_conditional_rejects_same_channel():
     hyper = mi.HyperState(mode="common", lam=1.0, sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
     with pytest.raises(ValueError):
-        mi.theta_block_conditional(1, 1, zero, zero, hyper, bank, kernel)
+        mi.theta_block_conditional(1, 1, zero, zero, hyper, bank, kernel,
+                                   BlockSpectra(bank, kernel))
 
 
 def test_scale_consistency():
@@ -263,9 +272,10 @@ def test_scale_consistency():
     scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
     h1 = mi.HyperState(mode="common", lam=0.8, sigma2=0.4)
     h2 = mi.HyperState(mode="common", lam=0.8, sigma2=c ** 2 * 0.4)
-    p1 = mi.theta_k_conditional(0, theta, base.gtg @ theta, h1, base, kernel)
+    p1 = mi.theta_k_conditional(0, theta, base.gtg @ theta, h1, base,
+                                BlockSpectra(base, kernel))
     p2 = mi.theta_k_conditional(0, theta, scaled.gtg @ theta, h2, scaled,
-                                kernel)
+                                BlockSpectra(scaled, kernel))
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
@@ -362,11 +372,12 @@ def test_theta_updates_preserve_exact_posterior():
     rng = np.random.default_rng(19)
     n_rep, dim = 10_000, 6
     out = np.empty((n_rep, dim))
+    spectra = BlockSpectra(bank, kernel)
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
             post = mi.theta_k_conditional(k, theta, bank.gtg @ theta, hyper,
-                                          bank, kernel)
+                                          bank, spectra)
             theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
@@ -401,12 +412,14 @@ def test_vanishing_scale_factor_raises_instead_of_nan():
     _, bank, kernel, _ = make_small_problem(seed=20)
     hyper = mi.HyperState(mode="common", lam=5e-324, sigma2=0.5)
     theta = np.ones(bank.m * bank.p)
+    spectra = BlockSpectra(bank, kernel)
     with np.errstate(over="ignore"), pytest.raises(FactorizationError):
         mi.theta_k_conditional(0, theta, bank.gtg @ theta, hyper, bank,
-                               kernel)
-    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
-        mi.theta_block_conditional(0, 1, theta, bank.gtg @ theta, hyper,
-                                   bank, kernel)
+                               spectra)
+    for route in (spectra, None):
+        with np.errstate(over="ignore"), pytest.raises(FactorizationError):
+            mi.theta_block_conditional(0, 1, theta, bank.gtg @ theta, hyper,
+                                       bank, kernel, route)
 
 
 def test_lapack_factor_and_draw():
@@ -429,9 +442,15 @@ def test_lapack_factor_and_draw():
     saved = precision.copy()
     post = _posterior(precision, np.ones(bank.p))
     np.testing.assert_array_equal(precision, saved)
-    # a plain posterior and a pair with two scale factors: Cholesky form
-    for post in (post, mi.theta_block_conditional(0, 2, theta, cross, hyper,
-                                                  bank, kernel)):
+    # a plain posterior, a pair with two scale factors and a common-scale
+    # pair given no spectra: Cholesky form
+    spectra = BlockSpectra(bank, kernel)
+    common = mi.HyperState(mode="common", lam=0.7, sigma2=0.4)
+    for post in (post,
+                 mi.theta_block_conditional(0, 2, theta, cross, hyper, bank,
+                                            kernel, spectra),
+                 mi.theta_block_conditional(0, 2, theta, cross, common, bank,
+                                            kernel, None)):
         assert post.scale is None
         L = post.factor
         np.testing.assert_array_equal(np.triu(L, 1), 0.0)
@@ -442,16 +461,15 @@ def test_lapack_factor_and_draw():
                                    atol=1e-12 * np.abs(expected).max())
     # a single channel and a common-scale pair: spectral form, whose root
     # T = W diag(scale) whitens the precision assembled here, T'QT = I
-    common = mi.HyperState(mode="common", lam=0.7, sigma2=0.4)
     p = bank.p
     pair_precision = bank.block_gram((0, 2)) / 0.4
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
     spectral = [
-        (mi.theta_k_conditional(2, theta, cross, hyper, bank, kernel),
+        (mi.theta_k_conditional(2, theta, cross, hyper, bank, spectra),
          kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
         (mi.theta_block_conditional(0, 2, theta, cross, common, bank,
-                                    kernel), pair_precision),
+                                    kernel, spectra), pair_precision),
     ]
     for post, precision in spectral:
         root = post.factor * post.scale
@@ -611,14 +629,17 @@ def test_lambda_rates_are_banded_sums():
     draw = mi.sample_lambda_common(theta, kernel, np.random.default_rng(3))
     rate = draw * np.random.default_rng(3).gamma(shape)
     assert rate == pytest.approx(0.5 * sum(forms), rel=1e-12)
-    # per channel: m gamma draws in channel order, as m separate calls make
+    # per channel: m gamma draws in channel order, as m one-row calls make
     nonzero = np.delete(blocks, 2, axis=0)
     together = mi.sample_lambda_k(nonzero, kernel, np.random.default_rng(4))
     stream = np.random.default_rng(4)
-    apart = [mi.sample_lambda_k(row, kernel, stream) for row in nonzero]
+    apart = [mi.sample_lambda_k(row[None], kernel, stream)[0]
+             for row in nonzero]
     np.testing.assert_allclose(together, apart, rtol=1e-12)
     with pytest.raises(DegenerateRateError):
         mi.sample_lambda_k(blocks, kernel, np.random.default_rng(4))
+    with pytest.raises(ValueError):
+        mi.sample_lambda_k(theta, kernel, np.random.default_rng(4))
 
 
 def test_hyper_state_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import misoid as mi
+from misoid.conditionals import BlockSpectra
 from misoid.errors import SizeGuardError
 
 from conftest import make_small_problem, stacked_regressors
@@ -27,7 +28,7 @@ def test_matches_single_channel_conditional():
     post = mi.analytic_posterior(bank, kernel, 0.8, 0.3)
     hyper = mi.HyperState(mode="common", lam=0.8, sigma2=0.3)
     cond = mi.theta_k_conditional(0, np.zeros(3), np.zeros(3), hyper, bank,
-                                  kernel)
+                                  BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, cond.mean, atol=1e-10)
     np.testing.assert_allclose(post.covariance, cond.covariance, atol=1e-10)
 

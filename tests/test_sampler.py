@@ -108,7 +108,7 @@ def test_sweep_composes_single_conditionals():
     theta, cross = state.theta.copy(), state.cross.copy()
     for k in range(2):
         post = mi.theta_k_conditional(k, theta, cross, frozen, problem.bank,
-                                      problem.kernel)
+                                      problem.spectra)
         value = mi.draw_gaussian(post, rng_b)
         rows = slice(k * 3, (k + 1) * 3)
         cross += (value - theta[rows]) @ gtg[rows]
@@ -153,6 +153,30 @@ def test_sweep_block_selections_logged():
     assert np.all(counts[1:] == 2)
 
 
+def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
+    # two channels: the one pair is drawn n_ob * n_mc times, so it gets a
+    # spectrum at PAIR_SPECTRUM_DRAWS draws and factors its precision below
+    from misoid import conditionals
+
+    limit = conditionals.PAIR_SPECTRUM_DRAWS
+    sizes = []
+    real = conditionals.block_spectrum
+
+    def counted(gram, chol):
+        sizes.append(gram.shape[0] // chol.shape[0])
+        return real(gram, chol)
+
+    monkeypatch.setattr(conditionals, "block_spectrum", counted)
+    for n_mc in (limit - 1, limit):
+        problem, _ = _problem(seed=8)
+        sizes.clear()
+        cfg = mi.SamplerConfig(variant="GSOB", n_mc=n_mc, alpha=0.9, p=3,
+                               beta=20.0, n_ob=1, seed=4)
+        record, _ = mi.run(problem, cfg)
+        assert record.completed == n_mc
+        assert sorted(sizes) == ([1, 1] if n_mc < limit else [1, 1, 2])
+
+
 def test_hyper_updates_condition_on_previous_theta():
     # the scale/noise draws for iteration t are functions of theta^(t-1):
     # replaying them from the recorded previous state must reproduce traces
@@ -164,11 +188,8 @@ def test_hyper_updates_condition_on_previous_theta():
     new_state, _ = mi.sweep(state, problem, None, cfg, rng)
     replay = np.random.default_rng(cfg.seed)
     mi.init_chain(problem, cfg, replay)  # no rng consumption in init
-    lam = np.array([
-        mi.sample_lambda_k(prev_theta[k * 3:(k + 1) * 3], problem.kernel,
-                           replay)
-        for k in range(2)
-    ])
+    lam = mi.sample_lambda_k(prev_theta.reshape(2, 3), problem.kernel,
+                             replay)
     np.testing.assert_array_equal(new_state.hyper.lam, lam)
 
 
