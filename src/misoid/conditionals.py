@@ -23,15 +23,19 @@ standard normal z.  Two forms of T serve the two kinds of block.
   on the block's first use) serves every draw: a draw costs two
   matrix-vector products and no factorization, the way one decomposition
   serves every ridge parameter in generalized cross-validation (Golub,
-  Heath & Wahba 1979).  A scale vector s that is not finite and positive
-  (lambda or sigma**2 collapsed towards 0) is a failure.
+  Heath & Wahba 1979).  The spectrum keeps the block's data gram beside
+  it, for the block's right-hand side.  A scale vector s that is not
+  finite and positive (lambda or sigma**2 collapsed towards 0) is a
+  failure.
 * Cholesky (pairs with two scale factors, which no single spectrum covers,
   and pairs drawn too rarely to repay a spectrum).  T = L^-T for the lower
   Cholesky factor L of the precision, applied by triangular solves
   (Rue 2001).  The factor and the solves call LAPACK's ``dpotrf`` and
   ``dtrtrs`` directly, without the generic wrappers' checks.  A failed
   factorization gets one jitter retry of 1e-10 times the mean diagonal; a
-  factor with a non-finite diagonal is a failure too.
+  factor with a non-finite diagonal is a failure too.  The pair's gram is
+  built once per draw and serves the right-hand side before it becomes
+  the precision.
 
 At p = 50 (m = 20, n = 1e4, one core, BLAS on one thread) a
 single-channel conditional and its draw cost about 23 us against 51 us
@@ -40,15 +44,16 @@ with a p-by-p factor, a common-scale pair 30 to 45 us against 105 to
 1.1 to 1.4 ms, as much as 8 to 15 factored pair draws at p = 20, 50 and
 100.  A pair therefore gets a spectrum only if its chain is expected to
 draw it at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that
-break-even which also bounds a chain's pair spectra (4p**2 + 2p floats
-each) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.  The mean and covariance
-are computed only when read (oracle and tests).
+break-even which also bounds a chain's pair spectra (8p**2 + 2p floats
+each, the pair's gram included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.
+The mean and covariance are computed only when read (oracle and tests).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -116,8 +121,8 @@ class GaussianBlockPosterior:
         return cls(factor=L, whitened=_solve_lower(L, rhs))
 
     @classmethod
-    def from_spectrum(cls, spectrum: tuple[np.ndarray, np.ndarray],
-                      lam: float, inv_s2: float,
+    def from_spectrum(cls, spectrum: BlockSpectrum, lam: float,
+                      inv_s2: float,
                       rhs: np.ndarray) -> GaussianBlockPosterior:
         """Posterior of precision C^-T V diag(1/lam + e inv_s2) V' C^-1 and
         right-hand side ``rhs``, from the block's spectrum (W = C V, e).
@@ -125,7 +130,7 @@ class GaussianBlockPosterior:
         e ascends, so the ends of s are its extremes; a NaN (an infinite
         inv_s2 times e = 0) can only sit at the low end.
         """
-        basis, evals = spectrum
+        basis, evals = spectrum.basis, spectrum.evals
         s = 1.0 / lam + inv_s2 * evals
         if not (s[0] > 0.0 and s[-1] < np.inf):
             raise FactorizationError(
@@ -155,21 +160,29 @@ class GaussianBlockPosterior:
         return 0.5 * (cov + cov.T)
 
 
-def block_spectrum(gram: np.ndarray,
-                   chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W, e) with B'(gram)B = V diag(e) V' and W = B V, where B is the
-    block-diagonal repeat of the prior factor ``chol`` (K = C C') that
-    matches ``gram``'s size; e ascends and is clipped at 0, and both arrays
-    are read-only."""
+class BlockSpectrum(NamedTuple):
+    """A block's spectrum, W = C V and e ascending, beside the block's data
+    gram that it decomposes; all three arrays are read-only."""
+
+    basis: np.ndarray
+    evals: np.ndarray
+    gram: np.ndarray
+
+
+def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
+    """(W, e, gram) with B'(gram)B = V diag(e) V' and W = B V, where B is
+    the block-diagonal repeat of the prior factor ``chol`` (K = C C') that
+    matches ``gram``'s size; e ascends and is clipped at 0.  ``gram`` is
+    kept, made read-only, for the block's projections."""
     blocks = np.kron(np.eye(gram.shape[0] // chol.shape[0]), chol)
     evals, vecs, info = dsyevd(blocks.T @ gram @ blocks, lower=1)
     if info != 0:
         raise FactorizationError(f"block spectrum: dsyevd info {info}")
     basis = blocks @ vecs
     evals = np.maximum(evals, 0.0)
-    basis.setflags(write=False)
-    evals.setflags(write=False)
-    return basis, evals
+    for arr in (basis, evals, gram):
+        arr.setflags(write=False)
+    return BlockSpectrum(basis, evals, gram)
 
 
 class BlockSpectra:
@@ -185,8 +198,7 @@ class BlockSpectra:
         self._built: dict = {}
         self._lock = threading.Lock()
 
-    def __call__(self, channels: tuple[int, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
         if found is None:
             with self._lock:
@@ -289,13 +301,16 @@ def theta_k_conditional(k: int, theta: np.ndarray, cross: np.ndarray,
 
     Precision is ``lambda_k**-1 Kinv + sigma**-2 G_k'G_k``; the mean solves it
     against ``sigma**-2 G_k'(y - sum_{j != k} G_j theta_j)``.  ``cross`` is
-    G'G theta for the current ``theta``.  The posterior is spectral, from
+    the running state of the current ``theta``
+    (:meth:`RegressorBank.cross_state`).  The posterior is spectral, from
     the channel's spectrum in ``spectra``.
     """
     inv_s2 = 1.0 / hyper.sigma2
-    rhs = inv_s2 * bank.partial_projection((k,), theta, cross)
+    spectrum = spectra((k,))
+    rhs = inv_s2 * bank.partial_projection((k,), theta, cross,
+                                           spectrum.gram)
     return GaussianBlockPosterior.from_spectrum(
-        spectra((k,)), hyper.lambda_for(k), inv_s2, rhs)
+        spectrum, hyper.lambda_for(k), inv_s2, rhs)
 
 
 def theta_block_conditional(i: int, j: int, theta: np.ndarray,
@@ -307,7 +322,7 @@ def theta_block_conditional(i: int, j: int, theta: np.ndarray,
     """Joint Gaussian conditional of the (theta_i, theta_j) pair.
 
     The prior precision is block diagonal in the two channels; the data part
-    couples them through the cached cross-product G_i'G_j.  Draws from this
+    couples them through the cross-product G_i'G_j.  Draws from this
     conditional are always accepted (it is an exact Gibbs block).  Under a
     common scale factor, given ``spectra``, the posterior is spectral, as
     for a single channel; with two scale factors, or ``spectra`` None, it
@@ -316,12 +331,16 @@ def theta_block_conditional(i: int, j: int, theta: np.ndarray,
     if i == j:
         raise ValueError("pair update needs two distinct channels")
     inv_s2 = 1.0 / hyper.sigma2
-    rhs = inv_s2 * bank.partial_projection((i, j), theta, cross)
     if spectra is not None and hyper.mode == "common":
+        spectrum = spectra((i, j))
+        rhs = inv_s2 * bank.partial_projection((i, j), theta, cross,
+                                               spectrum.gram)
         return GaussianBlockPosterior.from_spectrum(
-            spectra((i, j)), hyper.lam, inv_s2, rhs)
+            spectrum, hyper.lam, inv_s2, rhs)
     p = kernel.p
+    # one gram serves the right-hand side, then becomes the precision
     precision = bank.block_gram((i, j))
+    rhs = inv_s2 * bank.partial_projection((i, j), theta, cross, precision)
     precision *= inv_s2
     precision[:p, :p] += kernel.Kinv / hyper.lambda_for(i)
     precision[p:, p:] += kernel.Kinv / hyper.lambda_for(j)

@@ -23,11 +23,8 @@ from scipy.linalg import cho_solve
 
 from . import conditionals
 from .conditionals import HyperState, _chol_lower
-from .errors import SizeGuardError
 from .kernel import StableSplineKernel
 from .regression import Dataset, RegressorBank
-
-ORACLE_MAX_COEFFICIENTS = 2000
 
 
 @dataclass
@@ -45,18 +42,15 @@ def analytic_posterior(bank: RegressorBank, kernel: StableSplineKernel,
     """Exact posterior N(mean, covariance) of the stacked coefficients.
 
     ``lam`` may be a scalar (common scale) or one value per channel.
-    Refuses instances with more than ``ORACLE_MAX_COEFFICIENTS`` unknowns.
+    Refuses, through :meth:`RegressorBank.dense_gram`, instances with more
+    than ``regression.ORACLE_MAX_COEFFICIENTS`` unknowns.
     """
     m, p = bank.m, kernel.p
-    if m * p > ORACLE_MAX_COEFFICIENTS:
-        raise SizeGuardError(
-            f"dense oracle refused: {m * p} coefficients exceed the "
-            f"{ORACLE_MAX_COEFFICIENTS} guard"
-        )
+    precision = bank.dense_gram()
     lam_vec = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
     if not np.all(lam_vec > 0.0) or not sigma2 > 0.0:
         raise ValueError("scale factors and noise variance must be positive")
-    precision = bank.gtg / sigma2
+    precision /= sigma2
     for k in range(m):
         sl = slice(k * p, (k + 1) * p)
         precision[sl, sl] += kernel.Kinv / lam_vec[k]
@@ -242,7 +236,8 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     Schur extractions of the joint posterior, then runs each sampler variant
     and compares chain means against the analytic means coordinatewise, with
     Monte Carlo standard errors widened by each coordinate's IACT.  At the
-    end of each chain its running G'G theta must still match the product.
+    end of each chain, and at the anchor state, the running state must
+    still read back as the dense product G'G theta.
 
     ``corrupt_mean`` runs the chains on the negated output, so their means
     converge to minus the analytic ones -- a mutation proving the chain
@@ -272,9 +267,14 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     post = analytic_posterior(bank, kernel, lam_true, sigma2_true)
     checks: list = []
 
-    # conditionals against Schur extractions at a random anchor state
+    # conditionals against Schur extractions at a random anchor state;
+    # every bank here has the same inputs, so one dense grid serves all
     anchor = post.mean + 0.3 * rng.standard_normal(m * p)
-    cross = bank.gtg @ anchor
+    cross = bank.cross_state(anchor)
+    dense = bank.dense_gram()
+    exact = dense @ anchor
+    drift = float(np.max(np.abs(bank.gram_product(cross) - exact))
+                  / np.max(np.abs(exact)))
     hyper_c = HyperState(mode="common", lam=lam_true, sigma2=sigma2_true)
     spectra = conditionals.BlockSpectra(bank, kernel)
     worst = 0.0
@@ -307,7 +307,6 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
 
     sd = np.sqrt(np.diag(post.covariance))
     schedule = compute_block_probabilities(problem.correlations, 20.0)
-    drift = 0.0
     for variant in VARIANTS:
         common = variant in ("GS", "GSOB")
         frozen = HyperState(
@@ -333,9 +332,10 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
             zmax = max(zmax, abs(draws[:, c].mean() - post.mean[c]) / se)
         checks.append(OracleCheck(
             f"{variant} frozen-hyper chain mean vs analytic", zmax, 3.0))
-        exact = problem.bank.gtg @ state.theta
-        drift = max(drift, float(np.max(np.abs(state.cross - exact))
-                                 / np.max(np.abs(exact))))
+        exact = dense @ state.theta
+        drift = max(drift, float(np.max(np.abs(
+            problem.bank.gram_product(state.cross) - exact))
+            / np.max(np.abs(exact))))
     checks.append(OracleCheck("running cross-product vs G'G theta", drift,
                               1e-9))
     return OracleCheckReport(checks=checks)

@@ -6,18 +6,33 @@ the first sample (systems start at rest).  The stacked coefficient vector
 ``theta`` concatenates the per-channel blocks in channel order.
 
 A :class:`RegressorBank` caches, once per run, everything the conditional
-samplers touch repeatedly: the full cross-product grid ``{G_i' G_j}``, the
-projections ``{G_k' y}`` and ``y'y``.  Every Gibbs update is then a small
-dense-matrix operation that never rescans the n samples.  The blocks
-themselves are never formed.  The grid comes from the lag correlations of
-all channel pairs, p BLAS products of the m-by-n inputs with their shifted
-transposes, plus an O(m^2 p^2) correction for the samples that fall past
-the end of the record; the projections are p matrix-vector products.
+samplers touch repeatedly, without ever forming the blocks or rescanning
+the n samples.  It keeps the structure of the cross-products rather than
+the mp-by-mp grid ``{G_i' G_j}``:
 
-A chain also keeps the running product ``cross = G'G theta`` of its current
-coefficients (the sampler updates it by one p-row slab of the grid per
-changed channel).  Given it, a block's projection is slice arithmetic plus
-the block's own p-by-p grams, and the residual sum of squares is O(mp).
+    G_i' G_j = Toep(lag_ij) - T_i' T_j,
+
+where lag_ij holds the 2p - 1 lag correlations of the pair over the whole
+record (p BLAS products of the m-by-n inputs with their shifted
+transposes) and T_i is the p-by-p upper-triangular Toeplitz matrix of
+u_i's last p - 1 samples, which corrects for the products that fall past
+the end of the record.  Per channel k it stores an (m+1)-by-(2p-1) panel
+(the lags of every channel against k, plus a row holding T_k), T_k, and
+the diagonal gram G_k'G_k, besides the projections ``{G_k' y}`` and
+``y'y``: m(m+1)(2p-1) + 2mp^2 floats, 12 MB at m = 100 and p = 50,
+where the grid takes 200 MB.  Off-diagonal grams are built on demand;
+only the dense oracle and tests build the whole grid
+(:meth:`RegressorBank.dense_gram`).
+
+A chain keeps the running state of its coefficients in the same
+structure, an (m+1)-by-p array: row k < m holds sum_j Toep(lag_kj)
+theta_j and row m the tail sum s = sum_j T_j theta_j, so that
+G_k'G theta = row k - T_k' s and theta'G'G theta = theta . rows - s . s.
+Changing channel k by d moves the state by channel k's panel times the
+(2p-1)-by-p Hankel matrix of d, one small product
+(:meth:`RegressorBank.set_channel`).  Given the state, a block's
+projection is one product with the block's gram plus O(p^2) per channel,
+and the residual sum of squares is O(mp).
 """
 
 from __future__ import annotations
@@ -26,6 +41,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import SizeGuardError
+
+# unknowns up to which the dense grid, and the oracle on it, may be built
+ORACLE_MAX_COEFFICIENTS = 2000
 
 
 @dataclass(frozen=True)
@@ -90,8 +110,11 @@ def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
 class RegressorBank:
     """Cached cross-products of the regressor blocks of one dataset.
 
-    Immutable after construction: ``gtg`` and ``gty`` are read-only, and
-    ``gtg`` is exactly symmetric.
+    Immutable after construction: every cached array is read-only, so
+    concurrent chains may share one bank.  Nothing here is m*p by m*p:
+    a gram G_i'G_j is built on demand from the stored lag correlations and
+    tails (``gram``, ``block_gram``), and only the dense oracle asks for
+    the whole grid (``dense_gram``).
     """
 
     def __init__(self, data: Dataset, p: int):
@@ -107,24 +130,49 @@ class RegressorBank:
         self.n = data.n
         self.m = data.m
         self.yty = float(np.dot(data.y, data.y))
-        self.gtg = _lagged_cross_products(data.inputs, self.p)
+        self._panels, self._tails = _lag_panels(data.inputs, self.p)
         self.gty = _lagged_projections(data.inputs, data.y, self.p)
-        self.gtg.setflags(write=False)
-        self.gty.setflags(write=False)
+        self._diagonal = np.stack([self._pair_gram(k, k)
+                                   for k in range(self.m)])
+        for arr in (self._panels, self._tails, self.gty, self._diagonal):
+            arr.setflags(write=False)
+
+    def _pair_gram(self, i: int, j: int) -> np.ndarray:
+        """Toep(lag_ij) - T_i'T_j, a new array; exactly symmetric for
+        i == j.  Toep(lag_ij)[a, b] = lag_ij[p - 1 + b - a] is a strided
+        view of lag_ij, row i of channel j's panel."""
+        p, panels, tails = self.p, self._panels, self._tails
+        s0, s1, s2 = panels.strides
+        toeplitz = np.ndarray((p, p), buffer=panels,
+                              offset=j * s0 + i * s1 + (p - 1) * s2,
+                              strides=(-s2, s2))
+        product = tails[i].T @ tails[j]
+        return np.subtract(toeplitz, product, out=product)
 
     def gram(self, i: int, j: int) -> np.ndarray:
-        """Cached p-by-p cross-product G_i' G_j."""
-        p = self.p
-        return self.gtg[i * p:(i + 1) * p, j * p:(j + 1) * p]
+        """The p-by-p cross-product G_i' G_j (the cached read-only one for
+        i == j).  Built from the pair's lag correlations taken with
+        i < j, so that ``gram(j, i)`` is exactly ``gram(i, j).T``."""
+        if i == j:
+            return self._diagonal[i]
+        if i > j:
+            return self._pair_gram(j, i).T
+        return self._pair_gram(i, j)
 
     def block_gram(self, channels: tuple[int, ...]) -> np.ndarray:
         """The grams G_a' G_b of every a, b in ``channels``, stacked in
-        channel order into one new C-contiguous matrix."""
+        channel order: one channel's is its cached read-only gram, more
+        channels' a new, exactly symmetric C-contiguous matrix."""
+        if len(channels) == 1:
+            return self._diagonal[channels[0]]
         p, c = self.p, len(channels)
         out = np.empty((c * p, c * p))
         for r, a in enumerate(channels):
-            for s, b in enumerate(channels):
-                out[r * p:(r + 1) * p, s * p:(s + 1) * p] = self.gram(a, b)
+            out[r * p:(r + 1) * p, r * p:(r + 1) * p] = self._diagonal[a]
+            for q in range(r + 1, c):
+                block = self.gram(a, channels[q])
+                out[r * p:(r + 1) * p, q * p:(q + 1) * p] = block
+                out[q * p:(q + 1) * p, r * p:(r + 1) * p] = block.T
         return out
 
     def xty(self, k: int) -> np.ndarray:
@@ -145,64 +193,126 @@ class RegressorBank:
                 self.data.inputs[k], theta_block(theta, k, self.p))[:self.n]
         return out
 
+    def set_channel(self, theta: np.ndarray, cross: np.ndarray, k: int,
+                    value: np.ndarray) -> None:
+        """Write channel k's coefficients into ``theta`` and move the
+        running state ``cross`` (see :meth:`cross_state`) by the change.
+
+        The change d enters every lag product as the Hankel matrix
+        H[l, a] = d[l - p + 1 + a] (zero outside 0..p-1), one strided copy
+        of d padded by p - 1 zeros on each side; channel k's panel times H
+        is the whole update, a single (m+1)-by-(2p-1)-by-p product.
+        """
+        p = self.p
+        rows = slice(k * p, (k + 1) * p)
+        padded = np.zeros(3 * p - 2)
+        np.subtract(value, theta[rows], out=padded[p - 1:2 * p - 1])
+        step = padded.itemsize
+        hankel = np.ndarray((2 * p - 1, p), buffer=padded,
+                            strides=(step, step)).copy()
+        cross += self._panels[k] @ hankel
+        theta[rows] = value
+
+    def cross_state(self, theta: np.ndarray) -> np.ndarray:
+        """The running state of ``theta``, built from zero one channel at a
+        time: an (m+1)-by-p array whose row k < m is
+        sum_j Toep(lag_kj) theta_j and whose row m is the tail sum
+        s = sum_j T_j theta_j."""
+        cross = np.zeros((self.m + 1, self.p))
+        work = np.zeros(self.m * self.p)
+        for k in range(self.m):
+            self.set_channel(work, cross, k, theta_block(theta, k, self.p))
+        return cross
+
+    def gram_product(self, cross: np.ndarray) -> np.ndarray:
+        """G'G theta read back from the running state of theta: block k is
+        row k minus T_k' s."""
+        return (cross[:-1] - cross[-1] @ self._tails).reshape(-1)
+
     def residual_sumsq(self, theta: np.ndarray, cross: np.ndarray) -> float:
-        """||y - G theta||^2 given ``cross = G'G theta`` (no data pass)."""
-        val = self.yty - 2.0 * float(self.gty @ theta) + float(theta @ cross)
+        """||y - G theta||^2 from the running state of theta (no data
+        pass): theta'G'G theta is theta . rows - s . s."""
+        tail = cross[-1]
+        val = (self.yty - 2.0 * float(self.gty @ theta)
+               + float(np.vdot(theta, cross[:-1])) - float(tail @ tail))
         return max(val, 0.0)
 
-    def partial_projection(self, channels: tuple[int, ...], theta: np.ndarray,
-                           cross: np.ndarray) -> np.ndarray:
+    def partial_projection(self, channels: tuple[int, ...],
+                           theta: np.ndarray, cross: np.ndarray,
+                           gram: np.ndarray | None = None) -> np.ndarray:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
-        channels, given ``cross = G'G theta``."""
+        channels, from the running state of theta: G_k'y - G_k'G theta
+        plus the block's gram (``block_gram(channels)``, built here unless
+        given) times the block's coefficients."""
         p = self.p
+        if gram is None:
+            gram = self.block_gram(channels)
         if len(channels) == 1:
-            rows = slice(channels[0] * p, (channels[0] + 1) * p)
-            return (self.gty[rows] - cross[rows]
-                    + self.gtg[rows, rows] @ theta[rows])
-        out = []
-        for k in channels:
-            part = self.xty(k) - theta_block(cross, k, p)
-            for j in channels:
-                part += self.gram(k, j) @ theta_block(theta, j, p)
-            out.append(part)
-        return np.concatenate(out)
+            coefficients = theta_block(theta, channels[0], p)
+        else:
+            coefficients = np.concatenate([theta_block(theta, k, p)
+                                           for k in channels])
+        out = gram @ coefficients
+        tail = cross[-1]
+        for r, k in enumerate(channels):
+            out[r * p:(r + 1) * p] += (self.gty[k * p:(k + 1) * p] - cross[k]
+                                       + tail @ self._tails[k])
+        return out
+
+    def dense_gram(self) -> np.ndarray:
+        """The whole mp-by-mp grid {G_i' G_j}, exactly symmetric, for the
+        dense oracle and tests; refused above ``ORACLE_MAX_COEFFICIENTS``
+        unknowns.  No sweep uses it."""
+        m, p = self.m, self.p
+        if m * p > ORACLE_MAX_COEFFICIENTS:
+            raise SizeGuardError(
+                f"dense oracle refused: {m * p} coefficients exceed the "
+                f"{ORACLE_MAX_COEFFICIENTS} guard")
+        grid = np.empty((m, p, m, p))
+        for i in range(m):
+            grid[i, :, i] = self._diagonal[i]
+            for j in range(i + 1, m):
+                grid[i, :, j] = self.gram(i, j)
+                grid[j, :, i] = grid[i, :, j].T
+        return grid.reshape(m * p, m * p)
 
 
-def _lagged_cross_products(inputs: np.ndarray, p: int) -> np.ndarray:
-    """The mp-by-mp grid {G_i' G_j} from p lagged products of the inputs.
+def _lag_panels(inputs: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel lag panels and end-of-record tail matrices.
 
     Entry (a, b) of G_i' G_j is sum_t u_i[t - a] u_j[t - b] over the n
-    rows t.  The lag-(b - a) correlation of the pair over the whole record,
-    found for every pair at once by one matrix product per lag, also counts
-    the rows t >= n; their sum obeys the diagonal recurrence
-    past[a, b] = past[a-1, b-1] + u_i[n-a] u_j[n-b] and is subtracted.
-    Samples before the first one are zeros, so p >= n stays exact.  Both
-    terms are formed the same way for (i, a, j, b) and (j, b, i, a), which
-    keeps the grid exactly symmetric.
+    rows t.  Over the whole record, rows t >= n included, that sum is
+    lag_ij[p - 1 + b - a], where lag_ij[p - 1 + tau] = sum_t u_i[t]
+    u_j[t - tau] for |tau| < p; one matrix product per lag finds it for
+    every pair at once.  The rows t >= n add (T_i' T_j)[a, b], where T_k
+    is the p-by-p upper-triangular Toeplitz matrix with T_k[s, a] =
+    u_k[n - a + s] for a > s (its last p - 1 samples), so
+    G_i' G_j = Toep(lag_ij) - T_i' T_j.  Samples before the first one are
+    zeros, so p >= n stays exact.
+
+    ``panels[k]`` is (m+1)-by-(2p-1): row j < m is lag_jk, and row m is
+    p - 1 zeros followed by T_k's first row.  ``tails[k]`` is T_k.  Pairs
+    (i, j) and (j, i) read the same products, transposed exactly.
     """
     m, n = inputs.shape
-    # lags[i, j, p - 1 + tau] = sum_t u_i[t] u_j[t - tau], for |tau| < p
-    lags = np.zeros((m, m, 2 * p - 1))
+    panels = np.zeros((m, m + 1, 2 * p - 1))
     for tau in range(min(p, n)):
+        # corr[i, j] = sum_t u_i[t] u_j[t - tau] = lag_ij[p - 1 + tau]
         corr = inputs[:, tau:] @ inputs[:, :n - tau].T
         if tau == 0:
             corr = np.triu(corr) + np.triu(corr, 1).T
-        lags[:, :, p - 1 + tau] = corr
-        lags[:, :, p - 1 - tau] = corr.T
+        panels[:, :m, p - 1 + tau] = corr.T
+        panels[:, :m, p - 1 - tau] = corr
     # last[:, r] = u[n - r] for r = 1 .. p - 1, zero before the record
     last = np.zeros((m, p))
     k = min(p - 1, n)
     last[:, 1:k + 1] = inputs[:, n - k:][:, ::-1]
-    gtg = np.empty((m * p, m * p))
-    grid = gtg.reshape(m, p, m, p)          # grid[i, a, j, b] = G_i'G_j[a, b]
-    past_end = np.zeros((m, m, p))
-    for a in range(p):
-        if a:
-            past_end[:, :, 1:] = (past_end[:, :, :-1]
-                                  + last[:, a, None, None] * last[:, 1:])
-        np.subtract(lags[:, :, p - 1 - a:2 * p - 1 - a], past_end,
-                    out=grid[:, a])
-    return gtg
+    panels[:, m, p - 1:] = last
+    tails = np.zeros((m, p, p))
+    for s in range(p):
+        tails[:, s, s:] = last[:, :p - s]
+    return panels, tails
 
 
 def _lagged_projections(inputs: np.ndarray, y: np.ndarray,

@@ -14,9 +14,10 @@ variants -- ``n_ob`` jointly updated channel pairs drawn from the
 collinearity-based selection distribution.  The coefficient sample recorded
 for an iteration is the state after the pair updates.
 
-A chain also carries ``cross = G'G theta``: each block draw adds the change
-of a channel times its p rows of the (exactly symmetric) grid, so nothing in
-a sweep multiplies by the whole mp-by-mp grid.
+A chain also carries a running state of G'G theta in the bank's lag
+structure (:class:`ChainState`): a block draw moves it by one small product
+of the changed channel's lag panel with the change, so no sweep reads an
+mp-by-mp grid and none exists.
 
 Chains are deterministic given (data, config, seed).  Replicates use seeds
 derived from the master seed by a splitmix64-style mix of the replicate
@@ -123,19 +124,19 @@ def build_problem(data: Dataset, config: SamplerConfig) -> Problem:
 
 @dataclass
 class ChainState:
+    """One chain's current values.
+
+    ``cross`` is the (m+1)-by-p running state of theta
+    (:meth:`RegressorBank.cross_state`): row k < m holds
+    sum_j Toep(lag_kj) theta_j and row m the tail sum s = sum_j T_j theta_j,
+    so G_k'G theta is row k minus T_k' s, and theta'G'G theta is
+    theta . rows - s . s.  Only the bank's ``set_channel`` changes it.
+    """
+
     theta: np.ndarray
-    cross: np.ndarray                # G'G theta
+    cross: np.ndarray
     hyper: HyperState
     iteration: int
-
-
-def _set_channel(theta: np.ndarray, cross: np.ndarray, gtg: np.ndarray,
-                 k: int, p: int, value: np.ndarray) -> None:
-    """Write channel k's coefficients and move ``cross`` by the change
-    times the grid's rows of channel k (its columns: the grid is symmetric)."""
-    rows = slice(k * p, (k + 1) * p)
-    cross += (value - theta[rows]) @ gtg[rows]
-    theta[rows] = value
 
 
 @dataclass
@@ -203,7 +204,7 @@ def init_chain(problem: Problem, config: SamplerConfig,
     bank, kernel = problem.bank, problem.kernel
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
-    cross = np.zeros(m * p)
+    cross = np.zeros((m + 1, p))
     trace_kinv = float(np.trace(kernel.Kinv))
     for k in range(m):
         data_term = bank.gram(k, k) / sigma2_0
@@ -211,8 +212,7 @@ def init_chain(problem: Problem, config: SamplerConfig,
         precision = data_term + eps * kernel.Kinv
         rhs = bank.partial_projection((k,), theta0, cross) / sigma2_0
         L = _chol_lower(precision, "initialization least squares")
-        _set_channel(theta0, cross, bank.gtg, k, p,
-                     cho_solve((L, True), rhs))
+        bank.set_channel(theta0, cross, k, cho_solve((L, True), rhs))
 
     if config.frozen_hyper is not None:
         hyper = config.frozen_hyper
@@ -255,7 +255,7 @@ def sweep(state: ChainState, problem: Problem,
     for k in range(m):
         post = theta_k_conditional(k, theta, cross, hyper, bank,
                                    problem.spectra)
-        _set_channel(theta, cross, bank.gtg, k, p, draw_gaussian(post, rng))
+        bank.set_channel(theta, cross, k, draw_gaussian(post, rng))
 
     selected: list = []
     if config.uses_blocks:
@@ -269,8 +269,8 @@ def sweep(state: ChainState, problem: Problem,
                                            kernel,
                                            problem.spectra if often else None)
             z = draw_gaussian(post, rng)
-            _set_channel(theta, cross, bank.gtg, i, p, z[:p])
-            _set_channel(theta, cross, bank.gtg, j, p, z[p:])
+            bank.set_channel(theta, cross, i, z[:p])
+            bank.set_channel(theta, cross, j, z[p:])
             selected.append((i, j))
     return ChainState(theta=theta, cross=cross, hyper=hyper,
                       iteration=state.iteration + 1), selected

@@ -154,8 +154,8 @@ def test_theta_conditional_zero_input_recovers_prior():
     hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 2.5]),
                           sigma2=0.5)
     theta = rng.standard_normal(2 * p)
-    post = mi.theta_k_conditional(1, theta, bank.gtg @ theta, hyper, bank,
-                                  BlockSpectra(bank, kernel))
+    post = mi.theta_k_conditional(1, theta, bank.cross_state(theta), hyper,
+                                  bank, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -164,8 +164,8 @@ def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
     hyper = mi.HyperState(mode="common", lam=1.7, sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
-    post = mi.theta_k_conditional(0, zero, zero, hyper, bank,
-                                  BlockSpectra(bank, kernel))
+    post = mi.theta_k_conditional(0, zero, bank.cross_state(zero), hyper,
+                                  bank, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -178,8 +178,8 @@ def test_theta_conditional_generalized_ridge_oracle():
     kernel = mi.build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
-    post = mi.theta_k_conditional(0, np.zeros(p), np.zeros(p), hyper, bank,
-                                  BlockSpectra(bank, kernel))
+    post = mi.theta_k_conditional(0, np.zeros(p), np.zeros((2, p)), hyper,
+                                  bank, BlockSpectra(bank, kernel))
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -196,12 +196,13 @@ def test_block_conditional_orthogonal_inputs_decouple():
     hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 3.0]),
                           sigma2=0.7)
     theta = np.zeros(2 * p)
+    cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
-    pair = mi.theta_block_conditional(0, 1, theta, theta, hyper, bank, kernel,
+    pair = mi.theta_block_conditional(0, 1, theta, cross, hyper, bank, kernel,
                                       spectra)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.theta_k_conditional(0, theta, theta, hyper, bank, spectra)
-    single1 = mi.theta_k_conditional(1, theta, theta, hyper, bank, spectra)
+    single0 = mi.theta_k_conditional(0, theta, cross, hyper, bank, spectra)
+    single1 = mi.theta_k_conditional(1, theta, cross, hyper, bank, spectra)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -221,8 +222,9 @@ def test_block_conditional_matches_joint_schur():
     mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
     # spectral and factored routes alike
     for spectra in (BlockSpectra(bank, kernel), None):
-        pair = mi.theta_block_conditional(0, 2, anchor, bank.gtg @ anchor,
-                                          hyper, bank, kernel, spectra)
+        pair = mi.theta_block_conditional(0, 2, anchor,
+                                          bank.cross_state(anchor), hyper,
+                                          bank, kernel, spectra)
         np.testing.assert_allclose(pair.mean, mean_ref, atol=1e-8)
         np.testing.assert_allclose(pair.covariance, cov_ref, atol=1e-8)
 
@@ -241,8 +243,8 @@ def test_block_conditional_identical_inputs_null_direction():
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
     for spectra in (BlockSpectra(bank, kernel), None):
-        pair = mi.theta_block_conditional(0, 1, zero, zero, hyper, bank,
-                                          kernel, spectra)
+        pair = mi.theta_block_conditional(0, 1, zero, bank.cross_state(zero),
+                                          hyper, bank, kernel, spectra)
         # (v, -v) is invisible to identical inputs: its variance is prior
         # scale
         np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
@@ -256,8 +258,8 @@ def test_block_conditional_rejects_same_channel():
     hyper = mi.HyperState(mode="common", lam=1.0, sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
     with pytest.raises(ValueError):
-        mi.theta_block_conditional(1, 1, zero, zero, hyper, bank, kernel,
-                                   BlockSpectra(bank, kernel))
+        mi.theta_block_conditional(1, 1, zero, bank.cross_state(zero), hyper,
+                                   bank, kernel, BlockSpectra(bank, kernel))
 
 
 def test_scale_consistency():
@@ -272,10 +274,10 @@ def test_scale_consistency():
     scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
     h1 = mi.HyperState(mode="common", lam=0.8, sigma2=0.4)
     h2 = mi.HyperState(mode="common", lam=0.8, sigma2=c ** 2 * 0.4)
-    p1 = mi.theta_k_conditional(0, theta, base.gtg @ theta, h1, base,
-                                BlockSpectra(base, kernel))
-    p2 = mi.theta_k_conditional(0, theta, scaled.gtg @ theta, h2, scaled,
-                                BlockSpectra(scaled, kernel))
+    p1 = mi.theta_k_conditional(0, theta, base.cross_state(theta), h1,
+                                base, BlockSpectra(base, kernel))
+    p2 = mi.theta_k_conditional(0, theta, scaled.cross_state(theta), h2,
+                                scaled, BlockSpectra(scaled, kernel))
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
@@ -376,8 +378,8 @@ def test_theta_updates_preserve_exact_posterior():
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
-            post = mi.theta_k_conditional(k, theta, bank.gtg @ theta, hyper,
-                                          bank, spectra)
+            post = mi.theta_k_conditional(k, theta, bank.cross_state(theta),
+                                          hyper, bank, spectra)
             theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
@@ -412,19 +414,21 @@ def test_vanishing_scale_factor_raises_instead_of_nan():
     _, bank, kernel, _ = make_small_problem(seed=20)
     hyper = mi.HyperState(mode="common", lam=5e-324, sigma2=0.5)
     theta = np.ones(bank.m * bank.p)
+    cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
     with np.errstate(over="ignore"), pytest.raises(FactorizationError):
-        mi.theta_k_conditional(0, theta, bank.gtg @ theta, hyper, bank,
-                               spectra)
+        mi.theta_k_conditional(0, theta, cross, hyper, bank, spectra)
     for route in (spectra, None):
         with np.errstate(over="ignore"), pytest.raises(FactorizationError):
-            mi.theta_block_conditional(0, 1, theta, bank.gtg @ theta, hyper,
-                                       bank, kernel, route)
+            mi.theta_block_conditional(0, 1, theta, cross, hyper, bank,
+                                       kernel, route)
 
 
 def test_lapack_factor_and_draw():
     _, bank, kernel, _ = make_small_problem(seed=21, m=3, p=6, n=60)
-    gram = bank.gram(1, 1)                 # read-only, non-contiguous view
+    p = bank.p
+    gram = bank.dense_gram()[p:2 * p, p:2 * p]    # non-contiguous view
+    gram.setflags(write=False)
     assert not gram.flags.writeable and not gram.flags.c_contiguous
     before = gram.copy()
     L = _chol_lower(gram, "test")
@@ -437,7 +441,7 @@ def test_lapack_factor_and_draw():
                           sigma2=0.4)
     rng = np.random.default_rng(22)
     theta = rng.standard_normal(bank.m * bank.p)
-    cross = bank.gtg @ theta
+    cross = bank.cross_state(theta)
     precision = 0.3 * np.eye(bank.p) + bank.gram(2, 2)
     saved = precision.copy()
     post = _posterior(precision, np.ones(bank.p))
@@ -461,7 +465,6 @@ def test_lapack_factor_and_draw():
                                    atol=1e-12 * np.abs(expected).max())
     # a single channel and a common-scale pair: spectral form, whose root
     # T = W diag(scale) whitens the precision assembled here, T'QT = I
-    p = bank.p
     pair_precision = bank.block_gram((0, 2)) / 0.4
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
@@ -480,7 +483,7 @@ def test_lapack_factor_and_draw():
         draw = mi.draw_gaussian(post, np.random.default_rng(23))
         np.testing.assert_allclose(draw, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
-    np.testing.assert_array_equal(bank.gtg @ theta, cross)
+    np.testing.assert_array_equal(bank.cross_state(theta), cross)
 
 
 @st.composite
@@ -592,8 +595,10 @@ def test_spectra_built_once_under_threads(monkeypatch):
         assert len(out) == 20 * len(keys)
         assert all(got is spectra(key)
                    for got, key in zip(out, keys * 20))
-    basis, evals = spectra((0, 2))
+    basis, evals, gram = spectra((0, 2))
     assert basis.shape == (8, 8) and not basis.flags.writeable
+    assert not gram.flags.writeable
+    np.testing.assert_array_equal(gram, bank.block_gram((0, 2)))
     assert evals.min() >= 0.0 and np.all(np.diff(evals) >= 0.0)
 
 

@@ -27,8 +27,8 @@ def test_matches_single_channel_conditional():
     data, bank, kernel, _ = make_small_problem(seed=0, m=1, p=3, n=50)
     post = mi.analytic_posterior(bank, kernel, 0.8, 0.3)
     hyper = mi.HyperState(mode="common", lam=0.8, sigma2=0.3)
-    cond = mi.theta_k_conditional(0, np.zeros(3), np.zeros(3), hyper, bank,
-                                  BlockSpectra(bank, kernel))
+    cond = mi.theta_k_conditional(0, np.zeros(3), np.zeros((2, 3)), hyper,
+                                  bank, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, cond.mean, atol=1e-10)
     np.testing.assert_allclose(post.covariance, cond.covariance, atol=1e-10)
 

@@ -86,7 +86,7 @@ def test_lagged_path_matches_dense():
                    inputs=rng.standard_normal((m, n)))
     bank = mi.RegressorBank(d, p)
     G = stacked_regressors(d.inputs, p)
-    np.testing.assert_allclose(bank.gtg, G.T @ G, atol=1e-10)
+    np.testing.assert_allclose(bank.dense_gram(), G.T @ G, atol=1e-10)
     np.testing.assert_allclose(bank.gty, G.T @ d.y, atol=1e-10)
 
 
@@ -126,19 +126,78 @@ def test_cross_products_match_toeplitz_products(instance):
 
     G = stacked_regressors(inputs, p)
     gtg, gty = G.T @ G, G.T @ y
-    np.testing.assert_allclose(bank.gtg, gtg, rtol=0,
+    dense = bank.dense_gram()
+    np.testing.assert_allclose(dense, gtg, rtol=0,
                                atol=1e-10 * np.abs(gtg).max())
     np.testing.assert_allclose(bank.gty, gty, rtol=0,
                                atol=1e-10 * np.abs(gty).max())
-    assert np.array_equal(bank.gtg, bank.gtg.T)
-    assert bank.gtg.flags.c_contiguous
-    assert not bank.gtg.flags.writeable
+    assert np.array_equal(dense, dense.T)
+    assert dense.flags.c_contiguous
     assert not bank.gty.flags.writeable
     for i in range(m):
+        assert not bank.gram(i, i).flags.writeable
         for j in range(m):
             np.testing.assert_array_equal(
                 bank.gram(i, j),
-                bank.gtg[i * p:(i + 1) * p, j * p:(j + 1) * p])
+                dense[i * p:(i + 1) * p, j * p:(j + 1) * p])
+            np.testing.assert_array_equal(bank.gram(j, i),
+                                          bank.gram(i, j).T)
+
+
+def _duplicated(m, p, n, seed):
+    inputs, y, p = _instance(m, p, n, seed)
+    inputs[-1] = inputs[0]
+    return inputs, y, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(lagged_instances(), st.integers(0, 2 ** 32 - 1))
+@example(_instance(2, 6, 3, 0), 0)     # p > n
+@example(_instance(3, 6, 6, 1), 1)     # p = n
+@example(_instance(3, 1, 20, 2), 2)    # p = 1
+@example(_instance(1, 5, 30, 3), 3)    # m = 1
+@example(_duplicated(3, 8, 40, 4), 4)  # a duplicated input
+def test_structured_update_matches_dense_product(instance, seed):
+    # random channel writes move the (m+1)-by-p running state; after each,
+    # the G'G theta rows read back from it and the block projections match
+    # the dense grid's, relative to the product's natural scale
+    inputs, y, p = instance
+    m = inputs.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+    dense = bank.dense_gram()
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(m * p)
+    cross = np.zeros((m + 1, p))
+    for k in rng.integers(0, m, size=3 * m):
+        bank.set_channel(theta, cross, int(k), rng.standard_normal(p))
+        exact = dense @ theta
+        bound = 1e-12 * max((np.abs(dense) @ np.abs(theta)).max(),
+                            np.abs(bank.gty).max())
+        assert np.max(np.abs(bank.gram_product(cross) - exact)) <= bound
+        channels = tuple(int(c) for c in rng.choice(m, min(m, 2),
+                                                    replace=False))
+        idx = np.concatenate([np.arange(c * p, (c + 1) * p)
+                              for c in channels])
+        expected = (bank.gty[idx] - exact[idx]
+                    + dense[np.ix_(idx, idx)] @ theta[idx])
+        got = bank.partial_projection(channels, theta, cross)
+        assert np.max(np.abs(got - expected)) <= bound
+    rebuilt = bank.cross_state(theta)
+    assert np.max(np.abs(bank.gram_product(rebuilt) - dense @ theta)) <= bound
+    G = stacked_regressors(inputs, p)
+    direct = float(np.sum((y - G @ theta) ** 2))
+    assert bank.residual_sumsq(theta, cross) == pytest.approx(
+        direct, rel=1e-9, abs=1e-9 * float(y @ y))
+
+
+def test_dense_gram_refused_above_oracle_limit():
+    p = 50
+    m = mi.regression.ORACLE_MAX_COEFFICIENTS // p + 1
+    d = mi.Dataset(y=np.ones(60), inputs=np.ones((m, 60)))
+    with pytest.raises(mi.SizeGuardError):
+        mi.RegressorBank(d, p).dense_gram()
 
 
 def test_partial_projection():
@@ -152,13 +211,15 @@ def test_partial_projection():
     others = G0 @ theta[:p] + G2 @ theta[2 * p:]
     expected = G1.T @ (d.y - others)
     np.testing.assert_allclose(
-        bank.partial_projection((1,), theta, bank.gtg @ theta), expected,
+        bank.partial_projection((1,), theta, bank.cross_state(theta)),
+        expected,
         atol=1e-10)
     # a pair, in the order given: (G_2, G_0)'(y - G_1 theta_1)
     pair = np.hstack([G2, G0])
     expected = pair.T @ (d.y - G1 @ theta[p:2 * p])
     np.testing.assert_allclose(
-        bank.partial_projection((2, 0), theta, bank.gtg @ theta), expected,
+        bank.partial_projection((2, 0), theta, bank.cross_state(theta)),
+        expected,
         atol=1e-10)
     grams = bank.block_gram((2, 0))
     assert grams.flags.c_contiguous and grams.flags.writeable
@@ -173,7 +234,8 @@ def test_residual_sumsq_matches_direct():
     bank = mi.RegressorBank(d, 5)
     theta = rng.standard_normal(10)
     direct = float(np.sum((d.y - bank.predict(theta)) ** 2))
-    assert bank.residual_sumsq(theta, bank.gtg @ theta) == pytest.approx(
+    cross = bank.cross_state(theta)
+    assert bank.residual_sumsq(theta, cross) == pytest.approx(
         direct, rel=1e-12)
 
 

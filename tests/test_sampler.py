@@ -104,15 +104,12 @@ def test_sweep_composes_single_conditionals():
     assert selected == []
 
     rng_b = np.random.default_rng(7)
-    gtg = problem.bank.gtg
     theta, cross = state.theta.copy(), state.cross.copy()
     for k in range(2):
         post = mi.theta_k_conditional(k, theta, cross, frozen, problem.bank,
                                       problem.spectra)
         value = mi.draw_gaussian(post, rng_b)
-        rows = slice(k * 3, (k + 1) * 3)
-        cross += (value - theta[rows]) @ gtg[rows]
-        theta[rows] = value
+        problem.bank.set_channel(theta, cross, k, value)
     np.testing.assert_array_equal(new_state.theta, theta)
     np.testing.assert_array_equal(new_state.cross, cross)
 
@@ -132,12 +129,43 @@ def test_running_cross_product_stays_exact():
         mi.compute_correlations(problem.data), cfg.beta)
     chain_rng = np.random.default_rng(cfg.seed)
     state = mi.init_chain(problem, cfg, chain_rng)
-    exact = problem.bank.gtg @ state.theta
-    assert np.max(np.abs(state.cross - exact)) <= 1e-12 * np.max(np.abs(exact))
+    dense = problem.bank.dense_gram()
+    exact = dense @ state.theta
+    got = problem.bank.gram_product(state.cross)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
     for _ in range(cfg.n_mc):
         state, _ = mi.sweep(state, problem, schedule, cfg, chain_rng)
-    exact = problem.bank.gtg @ state.theta
-    assert np.max(np.abs(state.cross - exact)) <= 1e-9 * np.max(np.abs(exact))
+    exact = dense @ state.theta
+    got = problem.bank.gram_product(state.cross)
+    assert np.max(np.abs(got - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
+    # 41 channels x 50 lags: more unknowns than the dense grid is allowed;
+    # a GSOB chain runs without asking for it, and no array the bank holds
+    # is as large as that grid
+    from misoid.regression import ORACLE_MAX_COEFFICIENTS
+
+    m, p, n = 41, 50, 200
+    assert m * p > ORACLE_MAX_COEFFICIENTS
+    rng = np.random.default_rng(30)
+    inputs = rng.standard_normal((m, n))
+    inputs[1] = inputs[0] + 0.05 * inputs[1]
+    y = inputs[0] + 0.3 * rng.standard_normal(n)
+
+    def refuse(bank):
+        raise AssertionError("dense grid built during a chain")
+
+    monkeypatch.setattr(mi.RegressorBank, "dense_gram", refuse)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=4, alpha=0.9, p=p,
+                           beta=20.0, n_ob=2, seed=2)
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), cfg)
+    record, _ = mi.run(problem, cfg)
+    assert record.completed == cfg.n_mc
+    assert record.selected_blocks.shape == (cfg.n_mc * cfg.n_ob, 3)
+    arrays = [v for v in vars(problem.bank).values()
+              if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < (m * p) ** 2 for a in arrays)
 
 
 def test_sweep_block_selections_logged():
