@@ -9,8 +9,7 @@ from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
 from .conditionals import (GaussianBlockPosterior, HyperState, draw_gaussian,
                            sample_lambda_common, sample_lambda_k,
-                           sample_sigma2, theta_block_conditional,
-                           theta_k_conditional)
+                           theta_block_conditional, theta_k_conditional)
 from .diagnostics import (AnalyticPosterior, DiagnosticsReport,
                           analytic_posterior, build_report,
                           effective_sample_size, fit_metric, iact,

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -152,25 +151,29 @@ def cmd_simulate(args) -> int:
 # identify
 # --------------------------------------------------------------------------
 
+def _flag_or(value, section, key, cast, **kwargs):
+    """A command-line value when given (zero included), else the config's."""
+    return value if value is not None else _get(section, key, cast, **kwargs)
+
+
 def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
     sec = _section(cfg, "sampler")
     try:
         return SamplerConfig(
             variant=variant,
-            n_mc=args.iterations or _get(sec, "iterations", int,
-                                         required=True),
-            alpha=args.alpha or _get(sec, "alpha", float, required=True),
-            p=args.fir_order or _get(sec, "fir_order", int, required=True),
-            beta=args.beta or _get(sec, "beta", float),
-            n_ob=args.n_ob or _get(sec, "overlapping_blocks", int,
-                                   default=1),
-            burn_in=(args.burn_in if args.burn_in is not None
-                     else _get(sec, "burn_in", int)),
+            n_mc=_flag_or(args.iterations, sec, "iterations", int,
+                          required=True),
+            alpha=_flag_or(args.alpha, sec, "alpha", float, required=True),
+            p=_flag_or(args.fir_order, sec, "fir_order", int, required=True),
+            beta=_flag_or(args.beta, sec, "beta", float),
+            n_ob=_flag_or(args.n_ob, sec, "overlapping_blocks", int,
+                          default=1),
+            burn_in=_flag_or(args.burn_in, sec, "burn_in", int),
             seed=seed,
             literal_paper_shape=(args.literal_paper_shape
                                  or _get(sec, "literal_paper_shape", bool,
                                          default=False)),
-            thin=args.thin or _get(sec, "thin", int, default=1),
+            thin=_flag_or(args.thin, sec, "thin", int, default=1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -273,13 +276,15 @@ def cmd_identify(args) -> int:
             raise ConfigError(f"unknown variant {v!r}; choose from {VARIANTS}")
 
     outroot = args.output or _get(runsec, "output", str, required=True)
-    replicates = args.replicates or _get(runsec, "replicates", int, default=1)
-    threads = args.threads or _get(runsec, "threads", int, default=1)
+    replicates = _flag_or(args.replicates, runsec, "replicates", int,
+                          default=1)
+    if replicates < 1:
+        raise ConfigError(f"need at least one replicate, got {replicates}")
     emit = args.emit_figures or _get(runsec, "emit_figures", bool,
                                      default=False)
 
-    master_seed = (args.seed if args.seed is not None
-                   else _get(_section(cfg, "sampler"), "seed", int, default=0))
+    master_seed = _flag_or(args.seed, _section(cfg, "sampler"), "seed", int,
+                           default=0)
     data = _load_identifiable(data_path)
     data_hash = _sha256(data_path)
 
@@ -294,20 +299,16 @@ def cmd_identify(args) -> int:
             outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
             jobs.append((config, outdir))
 
-    def attempt(job):
-        """Run one chain; the error that stopped it, or None once written."""
-        config, outdir = job
+    # every chain runs before any is reported; the error that stopped a
+    # chain, or None once it is written
+    errors = []
+    for config, outdir in jobs:
         try:
             _run_one(problem, config, outdir, truth, data_hash, emit)
-        except Exception as exc:  # every chain runs; failures reported below
-            return exc
-        return None
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(attempt, jobs))
-    else:
-        errors = [attempt(job) for job in jobs]
+        except Exception as exc:
+            errors.append(exc)
+        else:
+            errors.append(None)
 
     failed = []
     for (_, outdir), exc in zip(jobs, errors):
@@ -406,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--seed", type=int)
     ident.add_argument("--thin", type=int)
     ident.add_argument("--replicates", type=int)
-    ident.add_argument("--threads", type=int)
     ident.add_argument("--literal-paper-shape", action="store_true",
                        default=False)
     ident.add_argument("--emit-figures", action="store_true", default=False)

@@ -51,7 +51,6 @@ The mean and covariance are computed only when read (oracle and tests).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,27 +185,20 @@ def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
 
 
 class BlockSpectra:
-    """The spectra of one problem's blocks, each built on its first use.
-
-    Keyed by the channel tuple; concurrent chains share one instance and a
-    lock makes every block's spectrum be built once.
-    """
+    """The spectra of one problem's blocks, keyed by the channel tuple and
+    each built on its first use; every chain of the problem shares them."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
         self.kernel = kernel
         self._built: dict = {}
-        self._lock = threading.Lock()
 
     def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
         if found is None:
-            with self._lock:
-                found = self._built.get(channels)
-                if found is None:
-                    found = block_spectrum(self.bank.block_gram(channels),
-                                           self.kernel.chol)
-                    self._built[channels] = found
+            found = block_spectrum(self.bank.block_gram(channels),
+                                   self.kernel.chol)
+            self._built[channels] = found
         return found
 
 
@@ -279,16 +271,10 @@ def sample_lambda_common(theta: np.ndarray, kernel: StableSplineKernel,
     return sample_inverse_gamma(shape, 0.5 * total, rng)
 
 
-def sample_sigma2(residual: np.ndarray, rng: np.random.Generator) -> float:
-    """Noise variance conditional: IG(n/2, ||residual||^2 / 2)."""
-    residual = np.asarray(residual, dtype=float)
-    return sample_sigma2_from_sumsq(
-        float(np.dot(residual, residual)), residual.size, rng)
-
-
 def sample_sigma2_from_sumsq(rss: float, n: int,
                              rng: np.random.Generator) -> float:
-    """Same conditional, from a precomputed residual sum of squares."""
+    """Noise variance conditional IG(n/2, rss/2), from the residual sum of
+    squares ``rss`` of ``n`` samples."""
     if n < 1:
         raise ValueError("need at least one residual sample")
     return sample_inverse_gamma(0.5 * n, 0.5 * rss, rng)

@@ -17,6 +17,7 @@ large p, where dense inversion of ``K`` starts to lose digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,7 @@ import numpy as np
 class StableSplineKernel:
     """Prior covariance, its tridiagonal inverse and Cholesky factor.
 
-    All arrays are marked read-only after construction; instances can be
-    shared freely across concurrent chains.
+    All arrays are marked read-only after construction.
     """
 
     alpha: float
@@ -39,18 +39,30 @@ class StableSplineKernel:
     inv_offdiag: np.ndarray = field(repr=False)
 
 
-def build_kernel(alpha: float, p: int) -> StableSplineKernel:
-    """Construct the stable spline kernel of decay ``alpha`` and order ``p``.
+def check_kernel_settings(alpha: float, p: int) -> None:
+    """Refuse a decay rate and order the kernel cannot be built from.
 
     Raises
     ------
     ValueError
-        If ``alpha`` is outside (0, 1) or ``p < 1``.
+        If ``alpha`` is outside (0, 1), ``p < 1``, or alpha**p (1 - alpha)
+        is below the smallest normal double: every entry of the inverse
+        is at most 3 / (alpha**p (1 - alpha)), which must stay finite.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {alpha}")
     if p < 1:
         raise ValueError(f"FIR order must be a positive integer, got {p}")
+    smallest = p * math.log(alpha) + math.log1p(-alpha)
+    if smallest < math.log(np.finfo(float).tiny):
+        raise ValueError(f"decay rate {alpha} at FIR order {p}: alpha**p "
+                         "underflows double precision")
+
+
+def build_kernel(alpha: float, p: int) -> StableSplineKernel:
+    """Construct the stable spline kernel of decay ``alpha`` and order ``p``,
+    once :func:`check_kernel_settings` accepts them (ValueError if not)."""
+    check_kernel_settings(alpha, p)
     p = int(p)
 
     idx = np.arange(1, p + 1)

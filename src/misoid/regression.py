@@ -111,7 +111,7 @@ class RegressorBank:
     """Cached cross-products of the regressor blocks of one dataset.
 
     Immutable after construction: every cached array is read-only, so
-    concurrent chains may share one bank.  Nothing here is m*p by m*p:
+    every chain of a problem shares one bank.  Nothing here is m*p by m*p:
     a gram G_i'G_j is built on demand from the stored lag correlations and
     tails (``gram``, ``block_gram``), and only the dense oracle asks for
     the whole grid (``dense_gram``).
@@ -239,14 +239,12 @@ class RegressorBank:
 
     def partial_projection(self, channels: tuple[int, ...],
                            theta: np.ndarray, cross: np.ndarray,
-                           gram: np.ndarray | None = None) -> np.ndarray:
+                           gram: np.ndarray) -> np.ndarray:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
-        plus the block's gram (``block_gram(channels)``, built here unless
-        given) times the block's coefficients."""
+        plus the block's gram (``block_gram(channels)``) times the block's
+        coefficients."""
         p = self.p
-        if gram is None:
-            gram = self.block_gram(channels)
         if len(channels) == 1:
             coefficients = theta_block(theta, channels[0], p)
         else:

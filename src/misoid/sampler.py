@@ -21,7 +21,7 @@ mp-by-mp grid and none exists.
 
 Chains are deterministic given (data, config, seed).  Replicates use seeds
 derived from the master seed by a splitmix64-style mix of the replicate
-index, so any number of replicates can run concurrently and reproducibly.
+index, so a replicate's chain does not depend on how many others run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
                            _chol_lower, draw_gaussian, sample_lambda_common,
                            sample_lambda_k, sample_sigma2_from_sumsq,
                            theta_block_conditional, theta_k_conditional)
-from .kernel import StableSplineKernel, build_kernel
+from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
 from .regression import Dataset, RegressorBank
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
@@ -68,6 +68,7 @@ class SamplerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {VARIANTS}")
+        check_kernel_settings(self.alpha, self.p)
         if self.n_mc < 1:
             raise ValueError("need at least one iteration")
         if self.thin < 1:
@@ -101,7 +102,7 @@ class Problem:
     data: Dataset
     bank: RegressorBank
     kernel: StableSplineKernel
-    # block spectra, each built on its block's first use by any chain
+    # block spectra, built on first use and shared by the problem's chains
     spectra: BlockSpectra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,10 +208,11 @@ def init_chain(problem: Problem, config: SamplerConfig,
     cross = np.zeros((m + 1, p))
     trace_kinv = float(np.trace(kernel.Kinv))
     for k in range(m):
-        data_term = bank.gram(k, k) / sigma2_0
+        gram = bank.gram(k, k)
+        data_term = gram / sigma2_0
         eps = INIT_RIDGE_EPSILON * float(np.trace(data_term)) / trace_kinv
         precision = data_term + eps * kernel.Kinv
-        rhs = bank.partial_projection((k,), theta0, cross) / sigma2_0
+        rhs = bank.partial_projection((k,), theta0, cross, gram) / sigma2_0
         L = _chol_lower(precision, "initialization least squares")
         bank.set_channel(theta0, cross, k, cho_solve((L, True), rhs))
 

@@ -14,6 +14,7 @@ import pytest
 
 import misoid as mi
 from misoid.cli import main as cli_main
+from misoid.conditionals import sample_sigma2_from_sumsq
 
 from conftest import make_example1
 
@@ -85,7 +86,7 @@ def test_criterion_3_inverse_gamma_moments():
         n = 500
         resid = rng.standard_normal(n)
         rss = float(resid @ resid)
-        draws = np.array([mi.sample_sigma2(resid, rng)
+        draws = np.array([sample_sigma2_from_sumsq(rss, n, rng)
                           for _ in range(n_draws)])
         a, b = n / 2, rss / 2
         se = b / ((a - 1) * np.sqrt(a - 2)) / np.sqrt(n_draws)

@@ -67,6 +67,15 @@ def test_domain_errors():
         build_kernel(0.9, 0)
 
 
+def test_underflowing_order_refused():
+    # alpha**p (1 - alpha) bounds the inverse: at alpha = 0.01 it is a
+    # normal double up to p = 153, and the inverse stays finite there
+    assert np.isfinite(build_kernel(0.01, 153).Kinv).all()
+    for alpha, p in ((0.01, 154), (0.01, 200), (0.9, 6720)):
+        with pytest.raises(ValueError, match="underflows"):
+            build_kernel(alpha, p)
+
+
 def test_quad_form_zero_vector():
     k = build_kernel(0.7, 6)
     assert quad_form(k, np.zeros(6)) == 0.0

@@ -182,7 +182,8 @@ def test_structured_update_matches_dense_product(instance, seed):
                               for c in channels])
         expected = (bank.gty[idx] - exact[idx]
                     + dense[np.ix_(idx, idx)] @ theta[idx])
-        got = bank.partial_projection(channels, theta, cross)
+        got = bank.partial_projection(channels, theta, cross,
+                                      bank.block_gram(channels))
         assert np.max(np.abs(got - expected)) <= bound
     rebuilt = bank.cross_state(theta)
     assert np.max(np.abs(bank.gram_product(rebuilt) - dense @ theta)) <= bound
@@ -211,14 +212,16 @@ def test_partial_projection():
     others = G0 @ theta[:p] + G2 @ theta[2 * p:]
     expected = G1.T @ (d.y - others)
     np.testing.assert_allclose(
-        bank.partial_projection((1,), theta, bank.cross_state(theta)),
+        bank.partial_projection((1,), theta, bank.cross_state(theta),
+                                bank.block_gram((1,))),
         expected,
         atol=1e-10)
     # a pair, in the order given: (G_2, G_0)'(y - G_1 theta_1)
     pair = np.hstack([G2, G0])
     expected = pair.T @ (d.y - G1 @ theta[p:2 * p])
     np.testing.assert_allclose(
-        bank.partial_projection((2, 0), theta, bank.cross_state(theta)),
+        bank.partial_projection((2, 0), theta, bank.cross_state(theta),
+                                bank.block_gram((2, 0))),
         expected,
         atol=1e-10)
     grams = bank.block_gram((2, 0))
