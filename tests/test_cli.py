@@ -120,14 +120,15 @@ def test_bad_variant_exits_2(tiny_config):
     assert main(["identify", cfg, "--variant", "XX"]) == 2
 
 
-def test_unwritable_output_exits_2(tiny_config, tmp_path, capsys):
+@pytest.mark.parametrize("replicates", ["1", "2"])
+def test_unwritable_output_exits_2(tiny_config, tmp_path, capsys, replicates):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
     blocker = tmp_path / "regular-file"
     blocker.write_text("")
     capsys.readouterr()
     code = main(["identify", cfg, "--variant", "GS,GSOB", "--replicates",
-                 "2", "--output", f"{blocker}/runs"])
+                 replicates, "--output", f"{blocker}/runs"])
     captured = capsys.readouterr()
     assert code == 2
     assert "chain written" not in captured.out
