@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,9 +30,10 @@ from .blocks import (compute_block_probabilities, compute_correlations,
                      export_correlations_csv, export_probabilities_csv)
 from .diagnostics import build_report, run_oracle_checks
 from .errors import DegenerateRateError, FactorizationError, SizeGuardError
+from .kernel import check_kernel_settings
 from .regression import load_dataset_csv, save_dataset_csv
-from .sampler import (SamplerConfig, VARIANTS, build_problem, config_as_dict,
-                      derive_seed, load_record, run, save_record, summarize)
+from .sampler import (SamplerConfig, VARIANTS, build_problem, derive_seed,
+                      load_record, run, save_record, summarize)
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
                      generate_inputs, generate_system, load_truth_json,
                      synthesize_dataset, write_truth_json)
@@ -111,25 +113,32 @@ def cmd_simulate(args) -> int:
     outdir = args.output or _get(runsec, "output", str, required=True)
     emit = (args.emit_figures
             or _get(runsec, "emit_figures", bool, default=False))
-    os.makedirs(outdir, exist_ok=True)
 
-    rng = np.random.default_rng(seed)
-    system = generate_system(
-        RandomSystemSpec(m=m, fir_order=p, denominator_degree=degree,
-                         pole_radius_max=rmax, pole_radius_min=rmin), rng)
-    inp_spec = CollinearInputSpec(
-        m=m, n=n,
-        correlated_prefix=prefix if mode == "chain" else 0,
-        target_c=target_c, ma_coefficient=ma,
-        duplicate=(mode == "duplicate"),
-    )
+    try:
+        sys_spec = RandomSystemSpec(
+            m=m, fir_order=p, denominator_degree=degree,
+            pole_radius_max=rmax, pole_radius_min=rmin)
+        inp_spec = CollinearInputSpec(
+            m=m, n=n,
+            correlated_prefix=prefix if mode == "chain" else 0,
+            target_c=target_c, ma_coefficient=ma,
+            duplicate=(mode == "duplicate"),
+        )
+        gamma = (gamma_for_target_c(target_c, ma, 1.0)
+                 if mode == "chain" and prefix > 1 else None)
+        if not noise_var >= 0.0:
+            raise ValueError(f"noise variance must be >= 0, got {noise_var}")
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+    os.makedirs(outdir, exist_ok=True)
+    system = generate_system(sys_spec, rng)
     inputs = generate_inputs(inp_spec, rng)
     data = synthesize_dataset(system, inputs, noise_var, rng)
     cmat = compute_correlations(data)
 
     save_dataset_csv(data, os.path.join(outdir, "dataset.csv"))
-    gamma = (gamma_for_target_c(target_c, ma, 1.0)
-             if mode == "chain" and prefix > 1 else None)
     write_truth_json(os.path.join(outdir, "truth.json"), system, noise_var,
                      gamma=gamma, achieved_correlations=cmat)
     if emit:
@@ -219,7 +228,7 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 def _write_manifest(outdir, config, data_hash, seconds, phases,
                     aborted=False, error=None) -> None:
     doc = {
-        "config": config_as_dict(config),
+        "config": dataclasses.asdict(config),
         "seed": config.seed,
         "data_sha256": data_hash,
         "version": __version__,
@@ -288,9 +297,6 @@ def cmd_identify(args) -> int:
     data = _load_identifiable(data_path)
     data_hash = _sha256(data_path)
 
-    base = _sampler_config(cfg, args, variants[0], master_seed)
-    problem = build_problem(data, base)
-
     jobs = []
     for variant in variants:
         for rep in range(replicates):
@@ -298,27 +304,19 @@ def cmd_identify(args) -> int:
                                      derive_seed(master_seed, rep))
             outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
             jobs.append((config, outdir))
+    problem = build_problem(data, jobs[0][0])
 
-    # every chain runs before any is reported; the error that stopped a
-    # chain, or None once it is written
-    errors = []
+    failed = []
     for config, outdir in jobs:
         try:
             _run_one(problem, config, outdir, truth, data_hash, emit)
         except Exception as exc:
-            errors.append(exc)
+            kind = ("numerical abort" if isinstance(exc, NUMERICAL_ERRORS)
+                    else "error")
+            print(f"{kind} in {outdir}: {exc}", file=sys.stderr)
+            failed.append(exc)
         else:
-            errors.append(None)
-
-    failed = []
-    for (_, outdir), exc in zip(jobs, errors):
-        if exc is None:
             print(f"chain written: {outdir}")
-            continue
-        kind = ("numerical abort" if isinstance(exc, NUMERICAL_ERRORS)
-                else "error")
-        print(f"{kind} in {outdir}: {exc}", file=sys.stderr)
-        failed.append(exc)
     for exc in failed:
         if not isinstance(exc, NUMERICAL_ERRORS):
             raise exc
@@ -339,6 +337,14 @@ def cmd_oracle_check(args) -> int:
         m = _get(sec, "channels", int, default=m)
         p = _get(sec, "fir_order", int, default=p)
         n = _get(sec, "samples", int, default=n)
+    if m < 2 or n < 1 or sweeps < 50 or seed < 0:
+        raise ConfigError(
+            "oracle needs channels >= 2 (for pairs), samples >= 1, sweeps >= "
+            f"50 (for the IACT) and seed >= 0; got {m}, {n}, {sweeps}, {seed}")
+    try:
+        check_kernel_settings(0.9, p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         report = run_oracle_checks(seed=seed, n_sweeps=sweeps, m=m, p=p, n=n,
                                    corrupt_mean=args.corrupt_mean)

@@ -232,14 +232,16 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def sample_inverse_gamma(shape: float, rate: float,
-                         rng: np.random.Generator) -> float:
-    """One draw from InvGamma(shape, rate), density ~ x**(-a-1) exp(-b/x)."""
-    if not rate > RATE_FLOOR:
+def sample_inverse_gamma(shape: float, rate: float | np.ndarray,
+                         rng: np.random.Generator) -> float | np.ndarray:
+    """Draws from InvGamma(shape, rate), density ~ x**(-a-1) exp(-b/x), one
+    per entry of ``rate`` (a float gives a float).  The gamma variates come
+    from one call, the same stream as one draw per entry in order."""
+    if not np.all(rate > RATE_FLOOR):
         raise DegenerateRateError(
             f"inverse-gamma rate {rate} is numerically degenerate"
         )
-    return rate / rng.gamma(shape)
+    return rate / rng.gamma(shape, size=np.shape(rate))
 
 
 def sample_lambda_k(theta: np.ndarray, kernel: StableSplineKernel,
@@ -248,9 +250,8 @@ def sample_lambda_k(theta: np.ndarray, kernel: StableSplineKernel,
     one draw per row of the (m, p) coefficient array, in channel order."""
     if np.ndim(theta) != 2:
         raise ValueError("per-channel scale factors need an (m, p) array")
-    rates = 0.5 * quad_form(kernel, theta)
-    return np.array([sample_inverse_gamma(0.5 * kernel.p, rate, rng)
-                     for rate in rates])
+    return sample_inverse_gamma(0.5 * kernel.p,
+                                0.5 * quad_form(kernel, theta), rng)
 
 
 def sample_lambda_common(theta: np.ndarray, kernel: StableSplineKernel,

@@ -22,9 +22,12 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import conditionals
+from .blocks import compute_block_probabilities
 from .conditionals import HyperState, _chol_lower
-from .kernel import StableSplineKernel
+from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
+from .sampler import (Problem, SamplerConfig, VARIANTS, draw_coefficients,
+                      init_chain)
 
 
 @dataclass
@@ -243,10 +246,6 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     converge to minus the analytic ones -- a mutation proving the chain
     checks can fail.
     """
-    from .kernel import build_kernel
-    from .sampler import Problem, SamplerConfig, VARIANTS, init_chain, sweep
-    from .blocks import compute_block_probabilities
-
     rng = np.random.default_rng(seed)
     kernel = build_kernel(0.9, p)
     lam_true, sigma2_true = 0.8, 0.3
@@ -308,22 +307,21 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     sd = np.sqrt(np.diag(post.covariance))
     schedule = compute_block_probabilities(problem.correlations, 20.0)
     for variant in VARIANTS:
-        common = variant in ("GS", "GSOB")
-        frozen = HyperState(
-            mode="common" if common else "per-response",
-            lam=lam_true if common else np.full(m, lam_true),
-            sigma2=sigma2_true,
-        )
         config = SamplerConfig(
             variant=variant, n_mc=n_sweeps, alpha=0.9, p=p,
             beta=20.0, n_ob=2, burn_in=0, seed=seed + 1,
-            frozen_hyper=frozen,
+        )
+        frozen = HyperState(
+            mode="common" if config.common_scale else "per-response",
+            lam=lam_true if config.common_scale else np.full(m, lam_true),
+            sigma2=sigma2_true,
         )
         chain_rng = np.random.default_rng(config.seed)
-        state = init_chain(problem, config, chain_rng)
+        state = init_chain(problem, config)
         draws = np.empty((n_sweeps, m * p))
         for t in range(n_sweeps):
-            state, _ = sweep(state, problem, schedule, config, chain_rng)
+            draw_coefficients(state.theta, state.cross, frozen, problem,
+                              schedule, config, chain_rng)
             draws[t] = state.theta
         zmax = 0.0
         for c in range(m * p):

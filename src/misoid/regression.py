@@ -266,13 +266,9 @@ class RegressorBank:
             raise SizeGuardError(
                 f"dense oracle refused: {m * p} coefficients exceed the "
                 f"{ORACLE_MAX_COEFFICIENTS} guard")
-        grid = np.empty((m, p, m, p))
-        for i in range(m):
-            grid[i, :, i] = self._diagonal[i]
-            for j in range(i + 1, m):
-                grid[i, :, j] = self.gram(i, j)
-                grid[j, :, i] = grid[i, :, j].T
-        return grid.reshape(m * p, m * p)
+        grid = self.block_gram(tuple(range(m)))
+        # one channel's block gram is the cached read-only diagonal
+        return grid if grid.flags.writeable else grid.copy()
 
 
 def _lag_panels(inputs: np.ndarray,

@@ -14,6 +14,10 @@ variants -- ``n_ob`` jointly updated channel pairs drawn from the
 collinearity-based selection distribution.  The coefficient sample recorded
 for an iteration is the state after the pair updates.
 
+A sweep is :func:`draw_hyper` then :func:`draw_coefficients`; to sample
+the coefficients at fixed hyperparameters, call :func:`draw_coefficients`
+from an :func:`init_chain` state with a fixed :class:`HyperState`.
+
 A chain also carries a running state of G'G theta in the bank's lag
 structure (:class:`ChainState`): a block draw moves it by one small product
 of the changed channel's lag panel with the change, so no sweep reads an
@@ -26,7 +30,6 @@ index, so a replicate's chain does not depend on how many others run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -34,14 +37,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
-                           _chol_lower, draw_gaussian, sample_lambda_common,
-                           sample_lambda_k, sample_sigma2_from_sumsq,
-                           theta_block_conditional, theta_k_conditional)
+from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
+                           GaussianBlockPosterior, HyperState, draw_gaussian,
+                           sample_lambda_common, sample_lambda_k,
+                           sample_sigma2_from_sumsq, theta_block_conditional,
+                           theta_k_conditional)
+from .errors import FactorizationError
 from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
 from .regression import Dataset, RegressorBank
 
@@ -62,7 +66,6 @@ class SamplerConfig:
     seed: int = 0
     literal_paper_shape: bool = False
     thin: int = 1
-    frozen_hyper: HyperState | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -137,7 +140,6 @@ class ChainState:
     theta: np.ndarray
     cross: np.ndarray
     hyper: HyperState
-    iteration: int
 
 
 @dataclass
@@ -186,8 +188,7 @@ def derive_seed(master: int, index: int) -> int:
 INIT_RIDGE_EPSILON = 1e-8
 
 
-def init_chain(problem: Problem, config: SamplerConfig,
-               rng: np.random.Generator) -> ChainState:
+def init_chain(problem: Problem, config: SamplerConfig) -> ChainState:
     """Starting state: unit scale factors, output-variance noise level, and
     sequential per-channel least-squares coefficients, each channel fitted
     to the residual its predecessors leave behind (with a vanishing
@@ -197,7 +198,8 @@ def init_chain(problem: Problem, config: SamplerConfig,
     scale-factor draws, and it resolves duplicated inputs greedily: the
     first channel absorbs the shared signal, later near-copies start close
     to zero -- the regime in which the per-channel-scale samplers are known
-    to pin them."""
+    to pin them.  Each fit is the mean of the channel's spectral posterior
+    at scale factor 1/eps and noise variance sigma2_0."""
     y = problem.data.y
     sigma2_0 = float(np.var(y))
     if not sigma2_0 > 0.0:
@@ -206,55 +208,53 @@ def init_chain(problem: Problem, config: SamplerConfig,
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
     cross = np.zeros((m + 1, p))
-    trace_kinv = float(np.trace(kernel.Kinv))
+    ridge = INIT_RIDGE_EPSILON / (sigma2_0 * float(np.trace(kernel.Kinv)))
     for k in range(m):
-        gram = bank.gram(k, k)
-        data_term = gram / sigma2_0
-        eps = INIT_RIDGE_EPSILON * float(np.trace(data_term)) / trace_kinv
-        precision = data_term + eps * kernel.Kinv
-        rhs = bank.partial_projection((k,), theta0, cross, gram) / sigma2_0
-        L = _chol_lower(precision, "initialization least squares")
-        bank.set_channel(theta0, cross, k, cho_solve((L, True), rhs))
+        spectrum = problem.spectra((k,))
+        eps = ridge * float(np.trace(spectrum.gram))
+        if not eps > 0.0:
+            raise FactorizationError(f"initialization: channel {k} has no data")
+        rhs = bank.partial_projection((k,), theta0, cross, spectrum.gram)
+        fit = GaussianBlockPosterior.from_spectrum(
+            spectrum, 1.0 / eps, 1.0 / sigma2_0, rhs / sigma2_0).mean
+        bank.set_channel(theta0, cross, k, fit)
 
-    if config.frozen_hyper is not None:
-        hyper = config.frozen_hyper
-        want = "common" if config.common_scale else "per-response"
-        if hyper.mode != want:
-            raise ValueError(
-                f"frozen hyperparameters use mode {hyper.mode!r} but variant "
-                f"{config.variant} needs {want!r}")
-    elif config.common_scale:
+    if config.common_scale:
         hyper = HyperState(mode="common", lam=1.0, sigma2=sigma2_0)
     else:
         hyper = HyperState(mode="per-response", lam=np.ones(m),
                            sigma2=sigma2_0)
-    return ChainState(theta=theta0, cross=cross, hyper=hyper, iteration=0)
+    return ChainState(theta=theta0, cross=cross, hyper=hyper)
 
 
-def sweep(state: ChainState, problem: Problem,
-          schedule: BlockSchedule | None, config: SamplerConfig,
-          rng: np.random.Generator) -> tuple[ChainState, list]:
-    """One full Gibbs iteration; returns the new state and the pair
-    selections made (empty for the non-block variants)."""
+def draw_hyper(theta: np.ndarray, cross: np.ndarray, problem: Problem,
+               config: SamplerConfig, rng: np.random.Generator) -> HyperState:
+    """First Gibbs step: the scale factor(s), then the noise variance, each
+    given the coefficients ``theta`` (with running state ``cross``)."""
     bank, kernel = problem.bank, problem.kernel
     m, p, n = bank.m, kernel.p, problem.data.n
-    theta, cross = state.theta.copy(), state.cross.copy()
-
-    if config.frozen_hyper is not None:
-        hyper = state.hyper
+    if config.common_scale:
+        shape = 0.5 * n * p if config.literal_paper_shape else None
+        lam = sample_lambda_common(theta, kernel, rng, shape=shape)
+        mode = "common"
     else:
-        if config.common_scale:
-            shape = 0.5 * n * p if config.literal_paper_shape else None
-            lam = sample_lambda_common(theta, kernel, rng, shape=shape)
-            mode = "common"
-        else:
-            lam = sample_lambda_k(theta.reshape(m, p), kernel, rng)
-            mode = "per-response"
-        sigma2 = sample_sigma2_from_sumsq(
-            bank.residual_sumsq(theta, cross), n, rng)
-        hyper = HyperState(mode=mode, lam=lam, sigma2=sigma2)
+        lam = sample_lambda_k(theta.reshape(m, p), kernel, rng)
+        mode = "per-response"
+    sigma2 = sample_sigma2_from_sumsq(bank.residual_sumsq(theta, cross), n,
+                                      rng)
+    return HyperState(mode=mode, lam=lam, sigma2=sigma2)
 
-    for k in range(m):
+
+def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
+                      hyper: HyperState, problem: Problem,
+                      schedule: BlockSchedule | None, config: SamplerConfig,
+                      rng: np.random.Generator) -> list:
+    """Second Gibbs step, given ``hyper``: the m channel blocks in order,
+    then ``n_ob`` pairs from ``schedule`` for the block variants.  Updates
+    ``theta`` and ``cross`` in place; returns the pairs drawn."""
+    bank, kernel = problem.bank, problem.kernel
+    p = kernel.p
+    for k in range(bank.m):
         post = theta_k_conditional(k, theta, cross, hyper, bank,
                                    problem.spectra)
         bank.set_channel(theta, cross, k, draw_gaussian(post, rng))
@@ -274,8 +274,19 @@ def sweep(state: ChainState, problem: Problem,
             bank.set_channel(theta, cross, i, z[:p])
             bank.set_channel(theta, cross, j, z[p:])
             selected.append((i, j))
-    return ChainState(theta=theta, cross=cross, hyper=hyper,
-                      iteration=state.iteration + 1), selected
+    return selected
+
+
+def sweep(state: ChainState, problem: Problem,
+          schedule: BlockSchedule | None, config: SamplerConfig,
+          rng: np.random.Generator) -> tuple[ChainState, list]:
+    """One Gibbs iteration on a copy of ``state``: the new state and the
+    pairs drawn."""
+    theta, cross = state.theta.copy(), state.cross.copy()
+    hyper = draw_hyper(theta, cross, problem, config, rng)
+    selected = draw_coefficients(theta, cross, hyper, problem, schedule,
+                                 config, rng)
+    return ChainState(theta=theta, cross=cross, hyper=hyper), selected
 
 
 def summarize(record: ChainRecord) -> PosteriorSummary:
@@ -293,17 +304,15 @@ def summarize(record: ChainRecord) -> PosteriorSummary:
     )
 
 
-def run(problem: Problem, config: SamplerConfig,
-        rng: np.random.Generator | None = None
-        ) -> tuple[ChainRecord, PosteriorSummary]:
+def run(problem: Problem,
+        config: SamplerConfig) -> tuple[ChainRecord, PosteriorSummary]:
     """Run one chain to completion.
 
     On a numerical abort the partial record is attached to the raised
     exception as ``exc.partial_record`` so callers can flush it to disk.
     Either record times chain initialization and the sweeps.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     bank = problem.bank
     m, p = bank.m, problem.kernel.p
 
@@ -313,7 +322,7 @@ def run(problem: Problem, config: SamplerConfig,
                                                config.beta)
 
     started = time.perf_counter()
-    state = init_chain(problem, config, rng)
+    state = init_chain(problem, config)
     seconds = {"init": time.perf_counter() - started}
     n_stored = config.n_mc // config.thin
     theta_samples = np.empty((n_stored, m * p))
@@ -335,7 +344,8 @@ def run(problem: Problem, config: SamplerConfig,
             stored_iterations=stored_iterations[:stored],
             lambda_trace=lambda_trace[:completed],
             sigma2_trace=sigma2_trace[:completed],
-            selected_blocks=_block_array(block_log),
+            selected_blocks=np.array(block_log,
+                                     dtype=np.int64).reshape(-1, 3),
             completed=completed, seconds=seconds,
         )
 
@@ -356,12 +366,6 @@ def run(problem: Problem, config: SamplerConfig,
         raise
     record = record_so_far()
     return record, summarize(record)
-
-
-def _block_array(block_log: list) -> np.ndarray:
-    if not block_log:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.asarray(block_log, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -445,9 +449,3 @@ def load_record(outdir) -> ChainRecord:
         completed=meta["completed"],
     )
 
-
-def config_as_dict(config: SamplerConfig) -> dict:
-    """JSON-ready view of a config (frozen hyperparameters excluded)."""
-    doc = dataclasses.asdict(config)
-    doc.pop("frozen_hyper", None)
-    return doc

@@ -200,6 +200,45 @@ def test_config_value_error_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "beta" in err
 
 
+# valid settings of each command; a case below replaces one of them
+BASE_SETTINGS = {
+    "simulate": ("generator", {"channels": "3", "samples": "50",
+                               "noise_variance": "0.1", "fir_order": "4",
+                               "mode": "chain", "correlated_prefix": "2"}),
+    "oracle-check": ("oracle", {"sweeps": "50"}),
+}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "fir_order", "0"),
+    ("simulate", "noise_variance", "-1"),
+    ("simulate", "ma_coefficient", "1.5"),
+    ("simulate", "seed", "-1"),
+    ("oracle-check", "sweeps", "0"),
+    ("oracle-check", "sweeps", "10"),
+    ("oracle-check", "channels", "0"),
+    ("oracle-check", "channels", "1"),
+    ("oracle-check", "fir_order", "0"),
+    ("oracle-check", "fir_order", "100000"),
+    ("oracle-check", "samples", "0"),
+    ("oracle-check", "seed", "-1"),
+])
+def test_out_of_range_setting_exits_2(tmp_path, capsys, command, key,
+                                      value):
+    section, settings = BASE_SETTINGS[command]
+    settings = {**settings, key: value}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n" + "".join(
+        f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out)]
+                if command == "simulate" else [command, str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_oracle_check_cli(tmp_path, capsys):
     cfg = tmp_path / "oracle.cfg"
     cfg.write_text("[oracle]\nsweeps = 400\nseed = 1\n")

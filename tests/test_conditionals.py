@@ -42,6 +42,20 @@ def test_lambda_k_scale_family():
     np.testing.assert_allclose(d2, c ** 2 * d1, rtol=1e-10)
 
 
+def test_lambda_k_equals_sequential_inverse_gamma_draws():
+    # one vectorised gamma call gives the stream of m sequential draws, and
+    # leaves the generator where they would
+    kernel = mi.build_kernel(0.9, 6)
+    theta = np.random.default_rng(12).standard_normal((5, 6))
+    rates = 0.5 * mi.quad_form(kernel, theta)
+    rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+    got = mi.sample_lambda_k(theta, kernel, rng_a)
+    want = np.array([sample_inverse_gamma(3.0, rate, rng_b)
+                     for rate in rates])
+    np.testing.assert_array_equal(got, want)
+    assert rng_a.random() == rng_b.random()
+
+
 def test_lambda_common_reduces_to_lambda_k_for_one_channel():
     kernel = mi.build_kernel(0.8, 7)
     rng = np.random.default_rng(2)
@@ -94,6 +108,8 @@ def test_lambda_degenerate_rate():
     rng = np.random.default_rng(4)
     with pytest.raises(DegenerateRateError):
         mi.sample_lambda_k(np.zeros((1, 4)), kernel, rng)
+    with pytest.raises(DegenerateRateError):
+        mi.sample_lambda_k(np.vstack([np.ones(4), np.zeros(4)]), kernel, rng)
     with pytest.raises(DegenerateRateError):
         mi.sample_lambda_common(np.zeros(8), kernel, rng)
 

@@ -80,14 +80,21 @@ def test_true_theta_residual_variance():
 
 
 def test_lagged_path_matches_dense():
+    # one channel too: its grid is the cached gram, returned as a fresh
+    # writable copy because the dense oracle scales it in place
     rng = np.random.default_rng(4)
-    n, m, p = 150, 3, 6
-    d = mi.Dataset(y=rng.standard_normal(n),
-                   inputs=rng.standard_normal((m, n)))
-    bank = mi.RegressorBank(d, p)
-    G = stacked_regressors(d.inputs, p)
-    np.testing.assert_allclose(bank.dense_gram(), G.T @ G, atol=1e-10)
-    np.testing.assert_allclose(bank.gty, G.T @ d.y, atol=1e-10)
+    n, p = 150, 6
+    for m in (3, 1):
+        d = mi.Dataset(y=rng.standard_normal(n),
+                       inputs=rng.standard_normal((m, n)))
+        bank = mi.RegressorBank(d, p)
+        G = stacked_regressors(d.inputs, p)
+        dense = bank.dense_gram()
+        np.testing.assert_allclose(dense, G.T @ G, atol=1e-10)
+        np.testing.assert_allclose(bank.gty, G.T @ d.y, atol=1e-10)
+        assert dense.flags.writeable
+        dense *= 2.0
+        np.testing.assert_allclose(bank.dense_gram(), G.T @ G, atol=1e-10)
 
 
 @st.composite

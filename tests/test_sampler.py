@@ -47,14 +47,14 @@ def test_init_degenerate_output():
     cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=2)
     problem = mi.build_problem(data, cfg)
     with pytest.raises(ValueError):
-        mi.init_chain(problem, cfg, np.random.default_rng(0))
+        mi.init_chain(problem, cfg)
 
 
 def test_init_deterministic():
     problem, _ = _problem(seed=1)
     cfg = mi.SamplerConfig(variant="GSd", n_mc=10, alpha=0.9, p=3)
-    s1 = mi.init_chain(problem, cfg, np.random.default_rng(0))
-    s2 = mi.init_chain(problem, cfg, np.random.default_rng(1))
+    s1 = mi.init_chain(problem, cfg)
+    s2 = mi.init_chain(problem, cfg)
     np.testing.assert_array_equal(s1.theta, s2.theta)
     assert s1.hyper.sigma2 == np.var(problem.data.y)
     np.testing.assert_array_equal(s1.hyper.lam, np.ones(2))
@@ -67,7 +67,7 @@ def test_init_recovers_strong_signal():
     data = mi.synthesize_dataset(system, inputs, 0.05, rng)
     cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=40)
     problem = mi.build_problem(data, cfg)
-    state = mi.init_chain(problem, cfg, np.random.default_rng(0))
+    state = mi.init_chain(problem, cfg)
     truth = system.responses.ravel()
     err = np.linalg.norm(state.theta - truth) / np.linalg.norm(truth)
     assert err < 0.10
@@ -76,42 +76,47 @@ def test_init_recovers_strong_signal():
 def test_init_nonzero_quadratic_forms():
     problem, _ = _problem(seed=3)
     cfg = mi.SamplerConfig(variant="GSd", n_mc=10, alpha=0.9, p=3)
-    state = mi.init_chain(problem, cfg, np.random.default_rng(0))
+    state = mi.init_chain(problem, cfg)
     for k in range(2):
         assert mi.quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
-
-
-def test_init_frozen_hyper_mode_mismatch():
-    problem, _ = _problem(seed=4)
-    frozen = mi.HyperState(mode="common", lam=1.0, sigma2=1.0)
-    cfg = mi.SamplerConfig(variant="GSd", n_mc=10, alpha=0.9, p=3,
-                           frozen_hyper=frozen)
-    with pytest.raises(ValueError):
-        mi.init_chain(problem, cfg, np.random.default_rng(0))
 
 
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_composes_single_conditionals():
     problem, _ = _problem(seed=5)
-    frozen = mi.HyperState(mode="common", lam=0.9, sigma2=0.4)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=3,
-                           frozen_hyper=frozen)
-    state = mi.init_chain(problem, cfg, np.random.default_rng(0))
+    cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=3)
+    state = mi.init_chain(problem, cfg)
 
+    # a sweep is draw_hyper then draw_coefficients on one generator
     rng_a = np.random.default_rng(7)
     new_state, selected = mi.sweep(state, problem, None, cfg, rng_a)
     assert selected == []
-
     rng_b = np.random.default_rng(7)
     theta, cross = state.theta.copy(), state.cross.copy()
+    hyper = sp.draw_hyper(theta, cross, problem, cfg, rng_b)
+    assert sp.draw_coefficients(theta, cross, hyper, problem, None, cfg,
+                                rng_b) == []
+    assert hyper == new_state.hyper
+    np.testing.assert_array_equal(new_state.theta, theta)
+    np.testing.assert_array_equal(new_state.cross, cross)
+    assert rng_a.random() == rng_b.random()
+
+    # at fixed hyperparameters the coefficient step is the loop of single
+    # conditionals
+    fixed = mi.HyperState(mode="common", lam=0.9, sigma2=0.4)
+    rng_a = np.random.default_rng(8)
+    theta_a, cross_a = state.theta.copy(), state.cross.copy()
+    sp.draw_coefficients(theta_a, cross_a, fixed, problem, None, cfg, rng_a)
+    rng_b = np.random.default_rng(8)
+    theta, cross = state.theta.copy(), state.cross.copy()
     for k in range(2):
-        post = mi.theta_k_conditional(k, theta, cross, frozen, problem.bank,
+        post = mi.theta_k_conditional(k, theta, cross, fixed, problem.bank,
                                       problem.spectra)
         value = mi.draw_gaussian(post, rng_b)
         problem.bank.set_channel(theta, cross, k, value)
-    np.testing.assert_array_equal(new_state.theta, theta)
-    np.testing.assert_array_equal(new_state.cross, cross)
+    np.testing.assert_array_equal(theta_a, theta)
+    np.testing.assert_array_equal(cross_a, cross)
 
 
 def test_running_cross_product_stays_exact():
@@ -128,7 +133,7 @@ def test_running_cross_product_stays_exact():
     schedule = mi.compute_block_probabilities(
         mi.compute_correlations(problem.data), cfg.beta)
     chain_rng = np.random.default_rng(cfg.seed)
-    state = mi.init_chain(problem, cfg, chain_rng)
+    state = mi.init_chain(problem, cfg)
     dense = problem.bank.dense_gram()
     exact = dense @ state.theta
     got = problem.bank.gram_product(state.cross)
@@ -211,11 +216,10 @@ def test_hyper_updates_condition_on_previous_theta():
     problem, _ = _problem(seed=7)
     cfg = mi.SamplerConfig(variant="GSd", n_mc=5, alpha=0.9, p=3, seed=3)
     rng = np.random.default_rng(cfg.seed)
-    state = mi.init_chain(problem, cfg, rng)
+    state = mi.init_chain(problem, cfg)
     prev_theta = state.theta.copy()
     new_state, _ = mi.sweep(state, problem, None, cfg, rng)
     replay = np.random.default_rng(cfg.seed)
-    mi.init_chain(problem, cfg, replay)  # no rng consumption in init
     lam = mi.sample_lambda_k(prev_theta.reshape(2, 3), problem.kernel,
                              replay)
     np.testing.assert_array_equal(new_state.hyper.lam, lam)
@@ -277,11 +281,17 @@ def test_posterior_mean_matches_analytic_when_frozen():
     problem, theta_true = _problem(seed=12)
     frozen = mi.HyperState(mode="common", lam=0.8, sigma2=0.3)
     cfg = mi.SamplerConfig(variant="GS", n_mc=4000, burn_in=100, alpha=0.9,
-                           p=3, seed=5, frozen_hyper=frozen)
-    record, summary = mi.run(problem, cfg)
+                           p=3, seed=5)
+    rng = np.random.default_rng(cfg.seed)
+    state = mi.init_chain(problem, cfg)
+    draws = np.empty((cfg.n_mc, 6))
+    for t in range(cfg.n_mc):
+        sp.draw_coefficients(state.theta, state.cross, frozen, problem, None,
+                             cfg, rng)
+        draws[t] = state.theta
     post = mi.analytic_posterior(problem.bank, problem.kernel, 0.8, 0.3)
     sd = np.sqrt(np.diag(post.covariance))
-    retained = record.theta_samples[record.stored_iterations > 100]
+    retained = draws[cfg.burn_in:]
     for c in range(6):
         tau = mi.iact(retained[:, c])
         se = sd[c] * np.sqrt(tau / retained.shape[0])
