@@ -248,6 +248,20 @@ def _write_manifest(outdir, config, data_hash, seconds, phases,
         fh.write("\n")
 
 
+def _load_truth(path, m: int, p: int) -> dict:
+    """The truth file at ``path``, whose responses must be (m, p).  A file
+    that is not one is a data error."""
+    try:
+        truth = load_truth_json(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a truth file ({exc})") from None
+    shape = truth["responses"].shape
+    if shape != (m, p):
+        raise ConfigError(f"{path}: responses have shape {shape}, "
+                          f"expected ({m}, {p})")
+    return truth
+
+
 def _load_identifiable(path):
     """The dataset at ``path``.  A malformed file, or an input column that
     never changes (no variant can identify its response), is a data error."""
@@ -273,9 +287,6 @@ def cmd_identify(args) -> int:
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path}")
     truth_path = args.truth or _get(datasec, "truth", str)
-    truth = None
-    if truth_path and os.path.exists(truth_path):
-        truth = load_truth_json(truth_path)
 
     variants_raw = args.variant or _get(_section(cfg, "sampler"), "variant",
                                         str, required=True)
@@ -304,6 +315,9 @@ def cmd_identify(args) -> int:
                                      derive_seed(master_seed, rep))
             outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
             jobs.append((config, outdir))
+    truth = None
+    if truth_path and os.path.exists(truth_path):
+        truth = _load_truth(truth_path, data.m, jobs[0][0].p)
     problem = build_problem(data, jobs[0][0])
 
     failed = []
@@ -361,11 +375,14 @@ def cmd_oracle_check(args) -> int:
 def cmd_diagnose(args) -> int:
     if not os.path.isdir(args.run_dir):
         raise ConfigError(f"run directory not found: {args.run_dir}")
-    record = load_record(args.run_dir)
-    summary = summarize(record)
+    try:
+        record = load_record(args.run_dir)
+        summary = summarize(record)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{args.run_dir}: {exc}") from None
     truth = None
     if args.truth:
-        truth = load_truth_json(args.truth)
+        truth = _load_truth(args.truth, record.m, record.p)
     report = build_report(record, summary,
                           truth["responses"] if truth else None)
     out = os.path.join(args.run_dir, "diagnostics.json")

@@ -14,9 +14,9 @@ A Gaussian block is held as a square root T of its covariance and the
 whitened right-hand side w = T'b: the mean is T w and a draw T (w + z) for
 standard normal z.  Two forms of T serve the two kinds of block.
 
-* Spectral (every single channel, and a pair under a common scale factor
-  that its chain draws often).  With K = C C' (``kernel.chol``, block
-  diagonal for a pair) and C'G'GC = V diag(e) V', the precision is
+* Spectral (every single channel, and a pair whose two scale factors are
+  equal and that its chain draws often).  With K = C C' (``kernel.chol``,
+  block diagonal for a pair) and C'G'GC = V diag(e) V', the precision is
   C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
   T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
   sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
@@ -27,19 +27,19 @@ standard normal z.  Two forms of T serve the two kinds of block.
   it, for the block's right-hand side.  A scale vector s that is not
   finite and positive (lambda or sigma**2 collapsed towards 0) is a
   failure.
-* Cholesky (pairs with two scale factors, which no single spectrum covers,
-  and pairs drawn too rarely to repay a spectrum).  T = L^-T for the lower
-  Cholesky factor L of the precision, applied by triangular solves
-  (Rue 2001).  The factor and the solves call LAPACK's ``dpotrf`` and
-  ``dtrtrs`` directly, without the generic wrappers' checks.  A failed
-  factorization gets one jitter retry of 1e-10 times the mean diagonal; a
-  factor with a non-finite diagonal is a failure too.  The pair's gram is
-  built once per draw and serves the right-hand side before it becomes
-  the precision.
+* Cholesky (pairs with two different scale factors, which no single
+  spectrum covers, and pairs drawn too rarely to repay a spectrum).
+  T = L^-T for the lower Cholesky factor L of the precision, applied by
+  triangular solves (Rue 2001).  The factor and the solves call LAPACK's
+  ``dpotrf`` and ``dtrtrs`` directly, without the generic wrappers'
+  checks.  A failed factorization gets one jitter retry of 1e-10 times
+  the mean diagonal; a factor with a non-finite diagonal is a failure
+  too.  The pair's gram is built once per draw and serves the right-hand
+  side before it becomes the precision.
 
 At p = 50 (m = 20, n = 1e4, one core, BLAS on one thread) a
 single-channel conditional and its draw cost about 23 us against 51 us
-with a p-by-p factor, a common-scale pair 30 to 45 us against 105 to
+with a p-by-p factor, a spectral pair 30 to 45 us against 105 to
 140 us; a single spectrum costs about 0.4 ms to build and a pair spectrum
 1.1 to 1.4 ms, as much as 8 to 15 factored pair draws at p = 20, 50 and
 100.  A pair therefore gets a spectrum only if its chain is expected to
@@ -70,33 +70,23 @@ PAIR_SPECTRUM_DRAWS = 20
 
 @dataclass
 class HyperState:
-    """Scale factor(s) and noise variance of one chain state.
+    """Scale factors and noise variance of one chain state.
 
-    ``mode`` is ``"common"`` (one scalar ``lam``) or ``"per-response"``
-    (``lam`` holds m positive reals).
+    ``lam`` holds one positive scale factor per channel; a common scale
+    factor (GS, GSOB) is m equal entries.
     """
 
-    mode: str
-    lam: float | np.ndarray
+    lam: np.ndarray
     sigma2: float
 
     def __post_init__(self):
-        if self.mode not in ("common", "per-response"):
-            raise ValueError(f"unknown scale mode {self.mode!r}")
-        if self.mode == "common":
-            self.lam = float(self.lam)
-            if not self.lam > 0.0:
-                raise ValueError("scale factor must be positive")
-        else:
-            self.lam = np.asarray(self.lam, dtype=float)
-            if self.lam.ndim != 1 or not np.all(self.lam > 0.0):
-                raise ValueError("per-response scale factors must be positive")
+        self.lam = np.asarray(self.lam, dtype=float)
+        if self.lam.ndim != 1 or not np.all(self.lam > 0.0):
+            raise ValueError("scale factors must be a 1-d array of positive "
+                             "reals, one per channel")
         self.sigma2 = float(self.sigma2)
         if not self.sigma2 > 0.0:
             raise ValueError("noise variance must be positive")
-
-    def lambda_for(self, k: int) -> float:
-        return self.lam if self.mode == "common" else float(self.lam[k])
 
 
 @dataclass
@@ -297,7 +287,7 @@ def theta_k_conditional(k: int, theta: np.ndarray, cross: np.ndarray,
     rhs = inv_s2 * bank.partial_projection((k,), theta, cross,
                                            spectrum.gram)
     return GaussianBlockPosterior.from_spectrum(
-        spectrum, hyper.lambda_for(k), inv_s2, rhs)
+        spectrum, hyper.lam[k], inv_s2, rhs)
 
 
 def theta_block_conditional(i: int, j: int, theta: np.ndarray,
@@ -310,27 +300,29 @@ def theta_block_conditional(i: int, j: int, theta: np.ndarray,
 
     The prior precision is block diagonal in the two channels; the data part
     couples them through the cross-product G_i'G_j.  Draws from this
-    conditional are always accepted (it is an exact Gibbs block).  Under a
-    common scale factor, given ``spectra``, the posterior is spectral, as
-    for a single channel; with two scale factors, or ``spectra`` None, it
-    comes from a Cholesky factor of the precision.
+    conditional are always accepted (it is an exact Gibbs block).  For a
+    pair whose two scale factors are equal, given ``spectra``, the
+    posterior is spectral, as for a single channel; with two different
+    scale factors, or ``spectra`` None, it comes from a Cholesky factor of
+    the precision.
     """
     if i == j:
         raise ValueError("pair update needs two distinct channels")
     inv_s2 = 1.0 / hyper.sigma2
-    if spectra is not None and hyper.mode == "common":
+    lam_i, lam_j = hyper.lam[i], hyper.lam[j]
+    if spectra is not None and lam_i == lam_j:
         spectrum = spectra((i, j))
         rhs = inv_s2 * bank.partial_projection((i, j), theta, cross,
                                                spectrum.gram)
         return GaussianBlockPosterior.from_spectrum(
-            spectrum, hyper.lam, inv_s2, rhs)
+            spectrum, lam_i, inv_s2, rhs)
     p = kernel.p
     # one gram serves the right-hand side, then becomes the precision
     precision = bank.block_gram((i, j))
     rhs = inv_s2 * bank.partial_projection((i, j), theta, cross, precision)
     precision *= inv_s2
-    precision[:p, :p] += kernel.Kinv / hyper.lambda_for(i)
-    precision[p:, p:] += kernel.Kinv / hyper.lambda_for(j)
+    precision[:p, :p] += kernel.Kinv / lam_i
+    precision[p:, p:] += kernel.Kinv / lam_j
     return GaussianBlockPosterior.from_precision(precision, rhs)
 
 

@@ -235,12 +235,14 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
                       corrupt_mean: bool = False) -> OracleCheckReport:
     """Check the sampler against the dense posterior on a small instance.
 
-    Freezes the hyperparameters, verifies both Gaussian conditionals against
-    Schur extractions of the joint posterior, then runs each sampler variant
-    and compares chain means against the analytic means coordinatewise, with
-    Monte Carlo standard errors widened by each coordinate's IACT.  At the
-    end of each chain, and at the anchor state, the running state must
-    still read back as the dense product G'G theta.
+    Freezes the hyperparameters twice, at one common scale factor and at m
+    distinct ones, verifies both Gaussian conditionals against Schur
+    extractions of each joint posterior, then runs each sampler variant
+    (GSd and GSOBd at the distinct scales) and compares chain means against
+    the analytic means coordinatewise, with Monte Carlo standard errors
+    widened by each coordinate's IACT.  At the end of each chain, and at
+    the anchor state, the running state must still read back as the dense
+    product G'G theta.
 
     ``corrupt_mean`` runs the chains on the negated output, so their means
     converge to minus the analytic ones -- a mutation proving the chain
@@ -263,71 +265,76 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     problem = Problem(data=chain_data, bank=RegressorBank(chain_data, p),
                       kernel=kernel)
 
-    post = analytic_posterior(bank, kernel, lam_true, sigma2_true)
+    # GS/GSOB freeze one common scale factor, GSd/GSOBd m distinct ones,
+    # so that a channel read with another channel's scale shows
+    frozen = {}
+    for common in (True, False):
+        lam = lam_true * (np.ones(m) if common else np.linspace(0.5, 1.5, m))
+        frozen[common] = (HyperState(lam=lam, sigma2=sigma2_true),
+                          analytic_posterior(bank, kernel, lam, sigma2_true))
     checks: list = []
 
     # conditionals against Schur extractions at a random anchor state;
     # every bank here has the same inputs, so one dense grid serves all
-    anchor = post.mean + 0.3 * rng.standard_normal(m * p)
+    anchor = frozen[True][1].mean + 0.3 * rng.standard_normal(m * p)
     cross = bank.cross_state(anchor)
     dense = bank.dense_gram()
     exact = dense @ anchor
     drift = float(np.max(np.abs(bank.gram_product(cross) - exact))
                   / np.max(np.abs(exact)))
-    hyper_c = HyperState(mode="common", lam=lam_true, sigma2=sigma2_true)
     spectra = conditionals.BlockSpectra(bank, kernel)
     worst = 0.0
-    for k in range(m):
-        cond = conditionals.theta_k_conditional(k, anchor, cross, hyper_c,
-                                                bank, spectra)
-        idx = np.arange(k * p, (k + 1) * p)
-        mean_ref, cov_ref = joint_conditional(post, idx, anchor)
-        worst = max(worst,
-                    float(np.max(np.abs(cond.mean - mean_ref))),
-                    float(np.max(np.abs(cond.covariance - cov_ref))))
+    for hyper, joint in frozen.values():
+        for k in range(m):
+            cond = conditionals.theta_k_conditional(k, anchor, cross, hyper,
+                                                    bank, spectra)
+            idx = np.arange(k * p, (k + 1) * p)
+            mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
+            worst = max(worst,
+                        float(np.max(np.abs(cond.mean - mean_ref))),
+                        float(np.max(np.abs(cond.covariance - cov_ref))))
     checks.append(OracleCheck("single-block conditional vs joint posterior",
                               worst, 1e-8))
 
-    # both routes of a pair: its spectrum, and a factor of its precision
+    # both routes of a pair: its spectrum (at equal scales only), and a
+    # factor of its precision
     worst = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            idx = np.concatenate([np.arange(i * p, (i + 1) * p),
-                                  np.arange(j * p, (j + 1) * p)])
-            mean_ref, cov_ref = joint_conditional(post, idx, anchor)
-            for route in (spectra, None):
-                cond = conditionals.theta_block_conditional(
-                    i, j, anchor, cross, hyper_c, bank, kernel, route)
-                worst = max(worst,
-                            float(np.max(np.abs(cond.mean - mean_ref))),
-                            float(np.max(np.abs(cond.covariance - cov_ref))))
+    for hyper, joint in frozen.values():
+        for i in range(m):
+            for j in range(i + 1, m):
+                idx = np.concatenate([np.arange(i * p, (i + 1) * p),
+                                      np.arange(j * p, (j + 1) * p)])
+                mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
+                for route in (spectra, None):
+                    cond = conditionals.theta_block_conditional(
+                        i, j, anchor, cross, hyper, bank, kernel, route)
+                    worst = max(
+                        worst,
+                        float(np.max(np.abs(cond.mean - mean_ref))),
+                        float(np.max(np.abs(cond.covariance - cov_ref))))
     checks.append(OracleCheck("pair-block conditional vs joint posterior",
                               worst, 1e-8))
 
-    sd = np.sqrt(np.diag(post.covariance))
     schedule = compute_block_probabilities(problem.correlations, 20.0)
     for variant in VARIANTS:
         config = SamplerConfig(
             variant=variant, n_mc=n_sweeps, alpha=0.9, p=p,
             beta=20.0, n_ob=2, burn_in=0, seed=seed + 1,
         )
-        frozen = HyperState(
-            mode="common" if config.common_scale else "per-response",
-            lam=lam_true if config.common_scale else np.full(m, lam_true),
-            sigma2=sigma2_true,
-        )
+        hyper, joint = frozen[config.common_scale]
+        sd = np.sqrt(np.diag(joint.covariance))
         chain_rng = np.random.default_rng(config.seed)
         state = init_chain(problem, config)
         draws = np.empty((n_sweeps, m * p))
         for t in range(n_sweeps):
-            draw_coefficients(state.theta, state.cross, frozen, problem,
+            draw_coefficients(state.theta, state.cross, hyper, problem,
                               schedule, config, chain_rng)
             draws[t] = state.theta
         zmax = 0.0
         for c in range(m * p):
             tau = iact(draws[:, c])
             se = sd[c] * np.sqrt(tau / n_sweeps)
-            zmax = max(zmax, abs(draws[:, c].mean() - post.mean[c]) / se)
+            zmax = max(zmax, abs(draws[:, c].mean() - joint.mean[c]) / se)
         checks.append(OracleCheck(
             f"{variant} frozen-hyper chain mean vs analytic", zmax, 3.0))
         exact = dense @ state.theta

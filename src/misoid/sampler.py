@@ -81,6 +81,10 @@ class SamplerConfig:
         if not 0 <= self.burn_in < self.n_mc:
             raise ValueError(
                 f"burn-in must lie in [0, n_mc), got {self.burn_in}")
+        if (self.n_mc // self.thin) * self.thin <= self.burn_in:
+            raise ValueError(
+                f"thinning by {self.thin} stores no iteration after the "
+                f"burn-in ({self.burn_in} of {self.n_mc})")
         if self.uses_blocks:
             if self.n_ob < 1:
                 raise ValueError("overlapping-block variants need n_ob >= 1")
@@ -218,31 +222,26 @@ def init_chain(problem: Problem, config: SamplerConfig) -> ChainState:
         fit = GaussianBlockPosterior.from_spectrum(
             spectrum, 1.0 / eps, 1.0 / sigma2_0, rhs / sigma2_0).mean
         bank.set_channel(theta0, cross, k, fit)
-
-    if config.common_scale:
-        hyper = HyperState(mode="common", lam=1.0, sigma2=sigma2_0)
-    else:
-        hyper = HyperState(mode="per-response", lam=np.ones(m),
-                           sigma2=sigma2_0)
-    return ChainState(theta=theta0, cross=cross, hyper=hyper)
+    return ChainState(theta=theta0, cross=cross,
+                      hyper=HyperState(lam=np.ones(m), sigma2=sigma2_0))
 
 
 def draw_hyper(theta: np.ndarray, cross: np.ndarray, problem: Problem,
                config: SamplerConfig, rng: np.random.Generator) -> HyperState:
     """First Gibbs step: the scale factor(s), then the noise variance, each
-    given the coefficients ``theta`` (with running state ``cross``)."""
+    given the coefficients ``theta`` (with running state ``cross``).  A
+    common scale factor fills all m entries of ``lam``."""
     bank, kernel = problem.bank, problem.kernel
     m, p, n = bank.m, kernel.p, problem.data.n
     if config.common_scale:
         shape = 0.5 * n * p if config.literal_paper_shape else None
-        lam = sample_lambda_common(theta, kernel, rng, shape=shape)
-        mode = "common"
+        lam = np.full(m, sample_lambda_common(theta, kernel, rng,
+                                              shape=shape))
     else:
         lam = sample_lambda_k(theta.reshape(m, p), kernel, rng)
-        mode = "per-response"
     sigma2 = sample_sigma2_from_sumsq(bank.residual_sumsq(theta, cross), n,
                                       rng)
-    return HyperState(mode=mode, lam=lam, sigma2=sigma2)
+    return HyperState(lam=lam, sigma2=sigma2)
 
 
 def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
@@ -254,6 +253,9 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
     ``theta`` and ``cross`` in place; returns the pairs drawn."""
     bank, kernel = problem.bank, problem.kernel
     p = kernel.p
+    if hyper.lam.shape != (bank.m,):
+        raise ValueError(f"need {bank.m} scale factors, got an array of "
+                         f"shape {hyper.lam.shape}")
     for k in range(bank.m):
         post = theta_k_conditional(k, theta, cross, hyper, bank,
                                    problem.spectra)
@@ -265,7 +267,8 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
         for _ in range(config.n_ob):
             i, j = select_block(schedule, rng)
             # a pair spectrum repays its build only on a pair the chain is
-            # expected to draw often; the others factor their precision
+            # expected to draw often; the others factor their precision, as
+            # does a pair whose two scale factors differ
             often = schedule.prob(i, j) * pair_draws >= PAIR_SPECTRUM_DRAWS
             post = theta_block_conditional(i, j, theta, cross, hyper, bank,
                                            kernel,
@@ -353,7 +356,8 @@ def run(problem: Problem,
     try:
         for t in range(1, config.n_mc + 1):
             state, selected = sweep(state, problem, schedule, config, rng)
-            lambda_trace[t - 1] = state.hyper.lam
+            lambda_trace[t - 1] = (state.hyper.lam[0] if config.common_scale
+                                   else state.hyper.lam)
             sigma2_trace[t - 1] = state.hyper.sigma2
             block_log.extend((t, i, j) for i, j in selected)
             if t % config.thin == 0:

@@ -147,18 +147,26 @@ def test_threads_flag_is_a_usage_error(tiny_config, capsys):
 @pytest.mark.parametrize("flags", [
     "--iterations=0", "--thin=0", "--beta=0", "--n-ob=0", "--alpha=0",
     "--fir-order=0", "--replicates=0", "--replicates=-1", "--alpha=1.5",
-    "--alpha=0.01 --fir-order=200",
+    "--alpha=0.01 --fir-order=200", "--thin=100 --iterations=60",
+    "--thin=7 --iterations=40 --burn-in=35",
+    "--truth={out}/not-json.json", "--truth={out}/wrong-shape.json",
 ])
 def test_out_of_range_flag_exits_2(tiny_config, capsys, flags):
     # a zero flag overrides the config like any other value, and then is
-    # refused; so is a kernel setting outside its domain
+    # refused; so is a kernel setting outside its domain, thinning that
+    # stores no iteration past the burn-in, and a truth file that is not
+    # JSON or whose responses are not (m, p) -- all before any chain runs
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
+    Path(out, "not-json.json").write_text("{")
+    Path(out, "wrong-shape.json").write_text(
+        json.dumps({"responses": [[0.0] * 7] * 2}))
     capsys.readouterr()
-    assert main(["identify", cfg, *flags.split()]) == 2
+    assert main(["identify", cfg, *flags.format(out=out).split()]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "chain written" not in captured.out
+    assert not os.path.exists(f"{out}/GSOB")
 
 
 @pytest.mark.parametrize("variant", ["GS", "GSOB"])
@@ -262,12 +270,11 @@ def test_oracle_check_size_guard(tmp_path):
     assert main(["oracle-check", str(cfg)]) == 2
 
 
-def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
+def _abort_after_30_single_draws(monkeypatch):
+    """Make every chain fail at its 31st single-channel conditional."""
     from misoid import sampler as sp
     from misoid.errors import FactorizationError
 
-    cfg, out = tiny_config
-    assert main(["simulate", cfg]) == 0
     calls = {"count": 0}
     real = sp.theta_k_conditional
 
@@ -278,6 +285,12 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
         return real(k, theta, cross, hyper, bank, kernel, **kwargs)
 
     monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
+
+
+def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    _abort_after_30_single_draws(monkeypatch)
     assert main(["identify", cfg]) == 1
     rundir = f"{out}/GSOB/rep000"
     manifest = json.load(open(f"{rundir}/manifest.json"))
@@ -286,6 +299,38 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
     assert set(manifest["phase_seconds"]) == {"init", "sweeps"}
     partial = np.load(f"{rundir}/theta_samples.npy")
     assert 0 < partial.shape[0] < 40
+
+
+def test_diagnose_aborted_chain_exits_2(tiny_config, monkeypatch, capsys):
+    # the flushed chain ends at iteration 15, before its burn-in of 20
+    # does: no sample to summarize is a data error, not a traceback
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    _abort_after_30_single_draws(monkeypatch)
+    assert main(["identify", cfg]) == 1
+    rundir = f"{out}/GSOB/rep000"
+    assert json.load(open(f"{rundir}/record.json"))["aborted"] is True
+    capsys.readouterr()
+    assert main(["diagnose", rundir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no retained samples" in err
+    assert not os.path.exists(f"{rundir}/diagnostics.json")
+
+
+@pytest.mark.parametrize("broken", ["record", "truth"])
+def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg]) == 0
+    rundir = f"{out}/GSOB/rep000"
+    truth = Path(out, "truth.json")
+    if broken == "record":
+        Path(rundir, "record.json").write_text("{")
+    else:
+        truth.write_text(json.dumps({"responses": [[0.0] * 7] * 2}))
+    capsys.readouterr()
+    assert main(["diagnose", rundir, "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_vanishing_scale_factor_aborts_with_partial_chain(tiny_config,

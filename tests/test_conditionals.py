@@ -168,8 +168,7 @@ def test_theta_conditional_zero_input_recovers_prior():
     data = mi.Dataset(y=rng.standard_normal(n), inputs=inputs)
     bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
-    hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 2.5]),
-                          sigma2=0.5)
+    hyper = mi.HyperState(lam=np.array([1.0, 2.5]), sigma2=0.5)
     theta = rng.standard_normal(2 * p)
     post = mi.theta_k_conditional(1, theta, bank.cross_state(theta), hyper,
                                   bank, BlockSpectra(bank, kernel))
@@ -179,7 +178,7 @@ def test_theta_conditional_zero_input_recovers_prior():
 
 def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
-    hyper = mi.HyperState(mode="common", lam=1.7, sigma2=1e12)
+    hyper = mi.HyperState(lam=np.full(bank.m, 1.7), sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
     post = mi.theta_k_conditional(0, zero, bank.cross_state(zero), hyper,
                                   bank, BlockSpectra(bank, kernel))
@@ -194,7 +193,7 @@ def test_theta_conditional_generalized_ridge_oracle():
     bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
-    hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
+    hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
     post = mi.theta_k_conditional(0, np.zeros(p), np.zeros((2, p)), hyper,
                                   bank, BlockSpectra(bank, kernel))
     G = toeplitz_block(u, p)
@@ -210,8 +209,7 @@ def test_block_conditional_orthogonal_inputs_decouple():
                       inputs=np.vstack([u1, u2]))
     bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.8, p)
-    hyper = mi.HyperState(mode="per-response", lam=np.array([1.0, 3.0]),
-                          sigma2=0.7)
+    hyper = mi.HyperState(lam=np.array([1.0, 3.0]), sigma2=0.7)
     theta = np.zeros(2 * p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
@@ -232,7 +230,7 @@ def test_block_conditional_matches_joint_schur():
     data, bank, kernel, _ = make_small_problem(seed=11, m=3, p=2, n=30)
     lam, sigma2 = 0.8, 0.3
     joint = mi.analytic_posterior(bank, kernel, lam, sigma2)
-    hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
+    hyper = mi.HyperState(lam=np.full(3, lam), sigma2=sigma2)
     rng = np.random.default_rng(12)
     anchor = joint.mean + 0.4 * rng.standard_normal(6)
     idx = np.array([0, 1, 4, 5])
@@ -254,7 +252,7 @@ def test_block_conditional_identical_inputs_null_direction():
     bank = mi.RegressorBank(data, p)
     kernel = mi.build_kernel(0.9, p)
     lam = 1.3
-    hyper = mi.HyperState(mode="common", lam=lam, sigma2=0.3)
+    hyper = mi.HyperState(lam=np.full(2, lam), sigma2=0.3)
     zero = np.zeros(2 * p)
     evals, evecs = np.linalg.eigh(kernel.K)
     v = evecs[:, -1]
@@ -272,7 +270,7 @@ def test_block_conditional_identical_inputs_null_direction():
 
 def test_block_conditional_rejects_same_channel():
     data, bank, kernel, _ = make_small_problem(seed=14)
-    hyper = mi.HyperState(mode="common", lam=1.0, sigma2=1.0)
+    hyper = mi.HyperState(lam=np.ones(bank.m), sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
     with pytest.raises(ValueError):
         mi.theta_block_conditional(1, 1, zero, bank.cross_state(zero), hyper,
@@ -289,8 +287,8 @@ def test_scale_consistency():
     theta = rng.standard_normal(2 * p)
     base = mi.RegressorBank(mi.Dataset(y=y, inputs=u), p)
     scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
-    h1 = mi.HyperState(mode="common", lam=0.8, sigma2=0.4)
-    h2 = mi.HyperState(mode="common", lam=0.8, sigma2=c ** 2 * 0.4)
+    h1 = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.4)
+    h2 = mi.HyperState(lam=np.full(2, 0.8), sigma2=c ** 2 * 0.4)
     p1 = mi.theta_k_conditional(0, theta, base.cross_state(theta), h1,
                                 base, BlockSpectra(base, kernel))
     p2 = mi.theta_k_conditional(0, theta, scaled.cross_state(theta), h2,
@@ -386,7 +384,7 @@ def test_theta_updates_preserve_exact_posterior():
     data, bank, kernel, _ = make_small_problem(seed=18, m=2, p=3, n=50)
     lam, sigma2 = 0.8, 0.3
     joint = mi.analytic_posterior(bank, kernel, lam, sigma2)
-    hyper = mi.HyperState(mode="common", lam=lam, sigma2=sigma2)
+    hyper = mi.HyperState(lam=np.full(2, lam), sigma2=sigma2)
     L = np.linalg.cholesky(joint.covariance)
     rng = np.random.default_rng(19)
     n_rep, dim = 10_000, 6
@@ -429,7 +427,7 @@ def test_chol_jitter_retry_and_failure():
 def test_vanishing_scale_factor_raises_instead_of_nan():
     # lambda near the rate floor makes Kinv / lambda infinite
     _, bank, kernel, _ = make_small_problem(seed=20)
-    hyper = mi.HyperState(mode="common", lam=5e-324, sigma2=0.5)
+    hyper = mi.HyperState(lam=np.full(bank.m, 5e-324), sigma2=0.5)
     theta = np.ones(bank.m * bank.p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
@@ -454,8 +452,7 @@ def test_lapack_factor_and_draw():
     ref = np.linalg.cholesky(before)
     assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    hyper = mi.HyperState(mode="per-response", lam=np.array([0.5, 1.5, 2.0]),
-                          sigma2=0.4)
+    hyper = mi.HyperState(lam=np.array([0.5, 1.5, 2.0]), sigma2=0.4)
     rng = np.random.default_rng(22)
     theta = rng.standard_normal(bank.m * bank.p)
     cross = bank.cross_state(theta)
@@ -466,7 +463,7 @@ def test_lapack_factor_and_draw():
     # a plain posterior, a pair with two scale factors and a common-scale
     # pair given no spectra: Cholesky form
     spectra = BlockSpectra(bank, kernel)
-    common = mi.HyperState(mode="common", lam=0.7, sigma2=0.4)
+    common = mi.HyperState(lam=np.full(3, 0.7), sigma2=0.4)
     for post in (post,
                  mi.theta_block_conditional(0, 2, theta, cross, hyper, bank,
                                             kernel, spectra),
@@ -567,6 +564,32 @@ def test_spectral_posterior_matches_cholesky(system, seed):
         bound * np.linalg.norm(z))
 
 
+def test_pair_route_follows_its_two_scale_factors():
+    # a pair is spectral exactly when it is given spectra and its own two
+    # scale factors are equal, whatever the other channels' scales
+    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=60)
+    hyper = mi.HyperState(lam=np.array([0.5, 0.5, 2.0]), sigma2=0.4)
+    theta = np.random.default_rng(25).standard_normal(bank.m * bank.p)
+    cross = bank.cross_state(theta)
+    spectra = BlockSpectra(bank, kernel)
+    spectral = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for given in (spectra, None):
+            post = mi.theta_block_conditional(i, j, theta, cross, hyper,
+                                              bank, kernel, given)
+            spectral[i, j, given is not None] = post.scale is not None
+    assert spectral == {(0, 1, True): True, (0, 2, True): False,
+                        (1, 2, True): False, (0, 1, False): False,
+                        (0, 2, False): False, (1, 2, False): False}
+    # both routes of the equal-scale pair are the same posterior
+    routes = [mi.theta_block_conditional(0, 1, theta, cross, hyper, bank,
+                                         kernel, given)
+              for given in (spectra, None)]
+    np.testing.assert_allclose(routes[0].mean, routes[1].mean, atol=1e-10)
+    np.testing.assert_allclose(routes[0].covariance, routes[1].covariance,
+                               atol=1e-10)
+
+
 def test_spectra_built_once_and_shared(monkeypatch):
     # asked for the same blocks again and again, the spectra decompose each
     # block once and hand back that one result every time
@@ -640,11 +663,13 @@ def test_lambda_rates_are_banded_sums():
 
 def test_hyper_state_validation():
     with pytest.raises(ValueError):
-        mi.HyperState(mode="common", lam=-1.0, sigma2=1.0)
+        mi.HyperState(lam=np.array([-1.0, 1.0]), sigma2=1.0)
     with pytest.raises(ValueError):
-        mi.HyperState(mode="per-response", lam=np.array([1.0, 0.0]),
-                      sigma2=1.0)
+        mi.HyperState(lam=np.array([1.0, 0.0]), sigma2=1.0)
     with pytest.raises(ValueError):
-        mi.HyperState(mode="common", lam=1.0, sigma2=0.0)
+        mi.HyperState(lam=np.ones(2), sigma2=0.0)
+    # one scale factor per channel: a scalar or a 2-d array is refused
     with pytest.raises(ValueError):
-        mi.HyperState(mode="weird", lam=1.0, sigma2=1.0)
+        mi.HyperState(lam=1.0, sigma2=1.0)
+    with pytest.raises(ValueError):
+        mi.HyperState(lam=np.ones((2, 1)), sigma2=1.0)

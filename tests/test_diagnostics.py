@@ -26,7 +26,7 @@ def test_zero_inputs_recover_prior():
 def test_matches_single_channel_conditional():
     data, bank, kernel, _ = make_small_problem(seed=0, m=1, p=3, n=50)
     post = mi.analytic_posterior(bank, kernel, 0.8, 0.3)
-    hyper = mi.HyperState(mode="common", lam=0.8, sigma2=0.3)
+    hyper = mi.HyperState(lam=np.array([0.8]), sigma2=0.3)
     cond = mi.theta_k_conditional(0, np.zeros(3), np.zeros((2, 3)), hyper,
                                   bank, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, cond.mean, atol=1e-10)
@@ -166,3 +166,21 @@ def test_oracle_checks_pass_and_mutation_fails():
     # the mutation must not leak into later calls
     report = mi.run_oracle_checks(seed=0, n_sweeps=2000)
     assert report.passed
+
+
+def test_oracle_catches_a_channel_read_with_another_channels_scale(
+        monkeypatch):
+    # the chains' single-channel draws read the scales in reverse order:
+    # a no-op at a common scale, wrong at the oracle's distinct GSd scales
+    from misoid import sampler as sp
+    real = sp.theta_k_conditional
+
+    def reversed_scales(k, theta, cross, hyper, bank, spectra):
+        flipped = mi.HyperState(lam=hyper.lam[::-1], sigma2=hyper.sigma2)
+        return real(k, theta, cross, flipped, bank, spectra)
+
+    monkeypatch.setattr(sp, "theta_k_conditional", reversed_scales)
+    report = mi.run_oracle_checks(seed=0, n_sweeps=500)
+    passed = {check.name.split()[0]: check.passed for check in report.checks}
+    assert not passed["GSd"]
+    assert passed["GS"]

@@ -97,14 +97,15 @@ def test_sweep_composes_single_conditionals():
     hyper = sp.draw_hyper(theta, cross, problem, cfg, rng_b)
     assert sp.draw_coefficients(theta, cross, hyper, problem, None, cfg,
                                 rng_b) == []
-    assert hyper == new_state.hyper
+    np.testing.assert_array_equal(hyper.lam, new_state.hyper.lam)
+    assert hyper.sigma2 == new_state.hyper.sigma2
     np.testing.assert_array_equal(new_state.theta, theta)
     np.testing.assert_array_equal(new_state.cross, cross)
     assert rng_a.random() == rng_b.random()
 
     # at fixed hyperparameters the coefficient step is the loop of single
     # conditionals
-    fixed = mi.HyperState(mode="common", lam=0.9, sigma2=0.4)
+    fixed = mi.HyperState(lam=np.full(2, 0.9), sigma2=0.4)
     rng_a = np.random.default_rng(8)
     theta_a, cross_a = state.theta.copy(), state.cross.copy()
     sp.draw_coefficients(theta_a, cross_a, fixed, problem, None, cfg, rng_a)
@@ -117,6 +118,24 @@ def test_sweep_composes_single_conditionals():
         problem.bank.set_channel(theta, cross, k, value)
     np.testing.assert_array_equal(theta_a, theta)
     np.testing.assert_array_equal(cross_a, cross)
+
+
+def test_draw_coefficients_refuses_wrong_scale_count():
+    # a fixed HyperState comes from the caller: a wrong length is refused
+    # before any block is drawn
+    problem, _ = _problem(seed=6)
+    cfg = mi.SamplerConfig(variant="GSOBd", n_mc=10, alpha=0.9, p=3,
+                           beta=20.0)
+    schedule = mi.compute_block_probabilities(problem.correlations, cfg.beta)
+    state = mi.init_chain(problem, cfg)
+    theta, cross = state.theta.copy(), state.cross.copy()
+    for lam in (np.ones(1), np.ones(3)):
+        hyper = mi.HyperState(lam=lam, sigma2=0.4)
+        with pytest.raises(ValueError, match="2 scale factors"):
+            sp.draw_coefficients(theta, cross, hyper, problem, schedule, cfg,
+                                 np.random.default_rng(0))
+        np.testing.assert_array_equal(theta, state.theta)
+        np.testing.assert_array_equal(cross, state.cross)
 
 
 def test_running_cross_product_stays_exact():
@@ -279,7 +298,7 @@ def test_thinning():
 
 def test_posterior_mean_matches_analytic_when_frozen():
     problem, theta_true = _problem(seed=12)
-    frozen = mi.HyperState(mode="common", lam=0.8, sigma2=0.3)
+    frozen = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.3)
     cfg = mi.SamplerConfig(variant="GS", n_mc=4000, burn_in=100, alpha=0.9,
                            p=3, seed=5)
     rng = np.random.default_rng(cfg.seed)
