@@ -316,7 +316,7 @@ def cmd_identify(args) -> int:
             outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
             jobs.append((config, outdir))
     truth = None
-    if truth_path and os.path.exists(truth_path):
+    if truth_path:
         truth = _load_truth(truth_path, data.m, jobs[0][0].p)
     problem = build_problem(data, jobs[0][0])
 

@@ -429,10 +429,13 @@ def load_record(outdir) -> ChainRecord:
     """Reload a persisted chain (for diagnostics runs)."""
     with open(os.path.join(outdir, "record.json")) as fh:
         meta = json.load(fh)
-    lam = np.loadtxt(os.path.join(outdir, "lambda.csv"), delimiter=",",
-                     skiprows=1, ndmin=2)[:, 1:]
-    if lam.shape[1] == 1:
-        lam = lam[:, 0]
+    # the header, not the column count, tells a common-scale trace from a
+    # per-channel one: a one-channel GSd chain has a single lambda_0 column
+    with open(os.path.join(outdir, "lambda.csv")) as fh:
+        common_scale = fh.readline().strip() == "iteration,lambda"
+        lam = np.loadtxt(fh, delimiter=",", ndmin=2)[:, 1:]
+    if common_scale:
+        lam = lam.reshape(-1)
     sig = np.loadtxt(os.path.join(outdir, "sigma2.csv"), delimiter=",",
                      skiprows=1, ndmin=2)[:, 1]
     theta = np.load(os.path.join(outdir, "theta_samples.npy"))

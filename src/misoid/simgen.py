@@ -13,6 +13,9 @@ link correlation ``c`` against a unit-variance source follows
 
 and the realized noise is scaled so that each link's correlation matches
 this relation exactly (see gamma_for_target_c / generate_inputs).
+
+``scipy.signal`` loads on the first filter, not on import, so the commands
+that never generate data do not pay for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .regression import Dataset
 
@@ -102,6 +104,10 @@ def _draw_stable_poles(spec: RandomSystemSpec,
 
 def _impulse_response(num: np.ndarray, den: np.ndarray,
                       horizon: int) -> np.ndarray:
+    # imported here, not at module level: scipy.signal takes about a second
+    # to import (2-vCPU machine), and only the data generator filters
+    from scipy.signal import lfilter
+
     pulse = np.zeros(horizon)
     pulse[0] = 1.0
     return lfilter(num, den, pulse)
@@ -203,6 +209,8 @@ def synthesize_dataset(system: SyntheticSystem, inputs: np.ndarray,
         )
     if noise_variance < 0.0:
         raise ValueError("noise variance must be nonnegative")
+    from scipy.signal import lfilter  # see _impulse_response
+
     n = inputs.shape[1]
     y = np.zeros(n)
     for k in range(system.m):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import misoid as mi
 
@@ -68,6 +72,61 @@ def test_normalization_and_monotonicity():
     # the per-pair lookup reads the same probabilities
     assert [sched.prob(int(i), int(j)) for i, j in sched.pairs] \
         == sched.probs.tolist()
+
+
+@st.composite
+def correlation_problems(draw):
+    """A symmetric (m, m) matrix of correlations in [0, 1] with a unit
+    diagonal, a selection rate, one pair (i, j) and a larger c_ij."""
+    m = draw(st.integers(2, 12))
+    entries = draw(arrays(float, (m, m), elements=st.floats(0.0, 1.0)))
+    c = np.triu(entries, 1)
+    c = c + c.T
+    np.fill_diagonal(c, 1.0)
+    beta = draw(st.floats(1e-3, 1e6))
+    i, j = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                max_size=2, unique=True)))
+    raised = draw(st.floats(c[i, j], 1.0))
+    return c, beta, i, j, raised
+
+
+def _schedule(c, beta):
+    with warnings.catch_warnings():
+        # all-zero correlations fall back to uniform selection, with a warning
+        warnings.simplefilter("ignore")
+        return mi.compute_block_probabilities(c, beta)
+
+
+# raising c(1, 2) by one ulp lowers the computed P(1, 2) by one ulp
+_ONE_ULP_DOWN = np.array([[1.0, 0.04, 0.02],
+                          [0.04, 1.0, 0.61],
+                          [0.02, 0.61, 1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlation_problems())
+@example((_ONE_ULP_DOWN, 1.834, 1, 2, np.nextafter(0.61, 1.0)))
+@example((np.eye(3), 10.0, 0, 2, 0.0))     # uniform fallback, kept
+@example((np.eye(3), 10.0, 0, 2, 0.5))     # uniform fallback, left
+def test_pair_probability_properties(problem):
+    c, beta, i, j, raised = problem
+    sched = _schedule(c, beta)
+    assert np.all(np.isfinite(sched.probs)) and np.all(sched.probs >= 0.0)
+    assert abs(sched.probs.sum() - 1.0) <= 1e-12
+    assert [sched.prob(int(a), int(b)) for a, b in sched.pairs] \
+        == sched.probs.tolist()
+
+    # raising c_ij alone at fixed beta does not lower P_ij.  Allowed slack:
+    # the weights exp(beta (c - cmax)) - exp(-beta cmax) are differences of
+    # two numbers at most 1, so each carries an absolute error of a few
+    # ulps of 1; relative to their total (at least the largest weight) that
+    # is the tolerance below
+    higher = c.copy()
+    higher[i, j] = higher[j, i] = raised
+    after = _schedule(higher, beta)
+    largest = -np.expm1(-beta * c[np.triu_indices_from(c, 1)].max())
+    slack = 8 * np.finfo(float).eps / largest if largest > 0.0 else 0.0
+    assert after.prob(i, j) >= sched.prob(i, j) * (1.0 - slack) - slack
 
 
 def test_small_beta_limit_proportional_to_c():

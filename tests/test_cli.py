@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +152,14 @@ def test_threads_flag_is_a_usage_error(tiny_config, capsys):
     "--alpha=0.01 --fir-order=200", "--thin=100 --iterations=60",
     "--thin=7 --iterations=40 --burn-in=35",
     "--truth={out}/not-json.json", "--truth={out}/wrong-shape.json",
+    "--truth={out}/no-such.json",
 ])
 def test_out_of_range_flag_exits_2(tiny_config, capsys, flags):
     # a zero flag overrides the config like any other value, and then is
     # refused; so is a kernel setting outside its domain, thinning that
-    # stores no iteration past the burn-in, and a truth file that is not
-    # JSON or whose responses are not (m, p) -- all before any chain runs
+    # stores no iteration past the burn-in, and a truth file that is
+    # missing, not JSON or whose responses are not (m, p) -- all before
+    # any chain runs
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
     Path(out, "not-json.json").write_text("{")
@@ -398,6 +402,69 @@ def test_block_spectra_built_once_per_run(tiny_config, monkeypatch):
     assert main(["identify", cfg, "--variant", "GS,GSOB",
                  "--replicates", "2"]) == 0
     assert sorted(sizes) == [1, 1, 2]
+
+
+# modules that scipy.signal drags in; no command but simulate needs them
+SIGNAL_MODULES = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                  "scipy.optimize", "scipy.sparse")
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that finds this misoid package.
+    The test process itself cannot tell: other tests import scipy.signal."""
+    package_root = str(Path(mi.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_only_simulate_loads_scipy_signal(tiny_config):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    lean = _fresh_python(
+        "import sys\n"
+        "import misoid\n"
+        "from misoid import cli\n"
+        f"assert cli.main(['identify', {cfg!r}, '--variant', 'GS,GSOB']) == 0\n"
+        f"assert cli.main(['diagnose', {out + '/GS/rep000'!r}]) == 0\n"
+        f"print(sorted(set({SIGNAL_MODULES!r}) & set(sys.modules)))\n")
+    assert lean.returncode == 0, lean.stderr
+    assert lean.stdout.splitlines()[-1] == "[]"
+
+    simulate = _fresh_python(
+        "import sys\n"
+        "from misoid import cli\n"
+        f"assert cli.main(['simulate', {cfg!r}, '--output', "
+        f"{out + '/again'!r}]) == 0\n"
+        "assert 'scipy.signal' in sys.modules\n")
+    assert simulate.returncode == 0, simulate.stderr
+    assert Path(out, "again", "dataset.csv").read_bytes() \
+        == Path(out, "dataset.csv").read_bytes()
+
+
+ONE_CHANNEL_CFG = TINY_CFG.replace("channels = 2", "channels = 1").replace(
+    "mode = duplicate", "mode = independent")
+
+
+def test_diagnose_keeps_one_channel_trace_keys(tmp_path):
+    # a one-channel GSd chain has one lambda_0 column, not a common lambda
+    out = tmp_path / "run"
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(ONE_CHANNEL_CFG.format(out=out))
+    assert main(["simulate", str(cfg)]) == 0
+    # at least 50 draws past the burn-in, so that the traces are reported
+    assert main(["identify", str(cfg), "--variant", "GS,GSd",
+                 "--iterations", "120"]) == 0
+    for variant, scale in (("GS", "lambda"), ("GSd", "lambda_0")):
+        rundir = out / variant / "rep000"
+        written = json.loads((rundir / "diagnostics.json").read_text())
+        assert scale in written["iact"]
+        assert main(["diagnose", str(rundir)]) == 0
+        rewritten = json.loads((rundir / "diagnostics.json").read_text())
+        for name in ("iact", "ess"):
+            assert rewritten[name].keys() == written[name].keys()
 
 
 def test_bundled_configs_parse():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from misoid import build_kernel, quad_form
+from misoid.kernel import check_kernel_settings
 
 
 def test_single_entry():
@@ -57,6 +59,40 @@ def test_cholesky_reconstructs(alpha, p):
     k = build_kernel(alpha, p)
     err = np.linalg.norm(k.chol @ k.chol.T - k.K) / np.linalg.norm(k.K)
     assert err < 1e-10
+
+
+def _accepted(alpha, p):
+    try:
+        check_kernel_settings(alpha, p)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 0.99), st.integers(1, 200))
+@example(0.05, 200)      # the widest dynamic range the domain allows
+@example(0.99, 200)      # slowest decay: the largest |Kinv| |K|
+@example(0.05, 1)
+def test_kernel_inverse_and_factor_properties(alpha, p):
+    # Kinv @ K = I entrywise within 16 eps (|Kinv| |K|): every entry of
+    # both matrices carries a few ulps of error and each product entry sums
+    # three nonzero terms.  The row sums of |Kinv| |K| are Skeel's condition
+    # number of K, so the normwise form of this bound is 16 eps cond(K);
+    # here |Kinv| |K| stays below 4 / (1 - alpha) while the normwise
+    # cond(K) reaches alpha**-p.
+    assume(_accepted(alpha, p))
+    k = build_kernel(alpha, p)
+    abs_product = np.abs(k.Kinv) @ np.abs(k.K)
+    residual = np.abs(k.Kinv @ k.K - np.eye(p))
+    eps = np.finfo(float).eps
+    assert np.all(residual <= 16 * eps * abs_product)
+    assert abs_product.max() <= 4.0 / (1.0 - alpha)
+    # K and its factor have positive entries, so chol @ chol.T has no
+    # cancellation and matches K entrywise
+    np.testing.assert_allclose(k.chol @ k.chol.T, k.K, rtol=1e-12, atol=0)
+    assert np.array_equal(k.Kinv, k.Kinv.T)
+    assert not np.triu(k.Kinv, 2).any() and not np.tril(k.Kinv, -2).any()
 
 
 def test_domain_errors():

@@ -355,6 +355,20 @@ def test_save_and_load_record(tmp_path):
     np.testing.assert_allclose(summary2.mean, summary.mean)
 
 
+@pytest.mark.parametrize("variant,shape", [("GS", (30,)), ("GSd", (30, 1))])
+def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
+    # one channel gives one lambda column either way; the header says
+    # whether it is the common scale or channel 0's own
+    problem, _ = _problem(seed=17, m=1)
+    cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=3, seed=3)
+    record, summary = mi.run(problem, cfg)
+    assert record.lambda_trace.shape == shape
+    mi.save_record(record, summary, tmp_path)
+    back = mi.load_record(tmp_path)
+    assert back.lambda_trace.shape == shape
+    np.testing.assert_array_equal(back.lambda_trace, record.lambda_trace)
+
+
 def test_recorded_selection_frequencies_match_schedule():
     problem, _ = _problem(seed=16, m=3, p=2, n=60)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, alpha=0.9, p=2,
