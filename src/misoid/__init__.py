@@ -7,9 +7,9 @@ channel pairs chosen by input collinearity (the GSOB family of samplers).
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (GaussianBlockPosterior, HyperState, draw_gaussian,
-                           sample_lambda_common, sample_lambda_k,
-                           theta_block_conditional, theta_k_conditional)
+from .conditionals import (GaussianBlockPosterior, HyperState,
+                           block_conditional, draw_gaussian,
+                           sample_lambda_common, sample_lambda_k)
 from .diagnostics import (AnalyticPosterior, DiagnosticsReport,
                           analytic_posterior, build_report,
                           effective_sample_size, fit_metric, iact,

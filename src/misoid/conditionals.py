@@ -7,45 +7,44 @@ variance, and Gaussian measurement noise.  All conditionals are conjugate:
 * scale factors and noise variance are inverse gamma.  The shape/rate
   parameterization is fixed throughout as density ~ x**(-a-1) * exp(-b/x),
   so the posterior mean is b / (a - 1);
-* coefficient blocks (single channel, or a channel pair updated jointly) are
-  Gaussian with precision  lambda**-1 Kinv + sigma**-2 G'G.
+* a coefficient block, any tuple of distinct channels, is Gaussian with
+  precision sigma**-2 G'G + blkdiag(Kinv / lambda_c).
 
 A Gaussian block is held as a square root T of its covariance and the
 whitened right-hand side w = T'b: the mean is T w and a draw T (w + z) for
-standard normal z.  Two forms of T serve the two kinds of block.
+standard normal z.  :func:`block_conditional` takes one of two routes.
 
-* Spectral (every single channel, and a pair whose two scale factors are
-  equal and that its chain draws often).  With K = C C' (``kernel.chol``,
-  block diagonal for a pair) and C'G'GC = V diag(e) V', the precision is
+* Spectral, for a block with one scale factor for the whole block, given
+  its spectrum.  With K = C C' (``kernel.chol``, repeated over the block's
+  channels) and C'G'GC = V diag(e) V', the precision is
   C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
   T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
   sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
-  on the block's first use) serves every draw: a draw costs two
-  matrix-vector products and no factorization, the way one decomposition
-  serves every ridge parameter in generalized cross-validation (Golub,
-  Heath & Wahba 1979).  The spectrum keeps the block's data gram beside
-  it, for the block's right-hand side.  A scale vector s that is not
-  finite and positive (lambda or sigma**2 collapsed towards 0) is a
+  on first use) serves every draw at two matrix-vector products, the way
+  one decomposition serves every ridge parameter in generalized
+  cross-validation (Golub, Heath & Wahba 1979).  The spectrum keeps the
+  block's data gram, for its right-hand side.  A scale vector s that is
+  not finite and positive (lambda or sigma**2 collapsed towards 0) is a
   failure.
-* Cholesky (pairs with two different scale factors, which no single
-  spectrum covers, and pairs drawn too rarely to repay a spectrum).
-  T = L^-T for the lower Cholesky factor L of the precision, applied by
-  triangular solves (Rue 2001).  The factor and the solves call LAPACK's
-  ``dpotrf`` and ``dtrtrs`` directly, without the generic wrappers'
-  checks.  A failed factorization gets one jitter retry of 1e-10 times
-  the mean diagonal; a factor with a non-finite diagonal is a failure
-  too.  The pair's gram is built once per draw and serves the right-hand
-  side before it becomes the precision.
+* Factored, for every other block: channels with different scale
+  factors, which no single spectrum covers, or a block drawn too rarely to
+  repay a spectrum.  T = L^-T for the lower Cholesky factor L of the
+  precision, applied by triangular solves (Rue 2001), with LAPACK's
+  ``dpotrf`` and ``dtrtrs`` called directly.  A failed factorization gets
+  one jitter retry of 1e-10 times the mean diagonal; a factor with a
+  non-finite diagonal is a failure too.  The block's gram serves the
+  right-hand side before it is scaled into the precision.
 
-At p = 50 (m = 20, n = 1e4, one core, BLAS on one thread) a
-single-channel conditional and its draw cost about 23 us against 51 us
-with a p-by-p factor, a spectral pair 30 to 45 us against 105 to
-140 us; a single spectrum costs about 0.4 ms to build and a pair spectrum
-1.1 to 1.4 ms, as much as 8 to 15 factored pair draws at p = 20, 50 and
-100.  A pair therefore gets a spectrum only if its chain is expected to
-draw it at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that
-break-even which also bounds a chain's pair spectra (8p**2 + 2p floats
-each, the pair's gram included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.
+The sampler gives every single channel its spectrum.  At p = 50 (m = 20,
+n = 1e4, one core, BLAS on one thread) a single-channel conditional and
+its draw cost about 23 us against 51 us with a p-by-p factor, a spectral
+pair 30 to 45 us against 105 to 140 us; a single spectrum costs about
+0.4 ms to build and a pair spectrum 1.1 to 1.4 ms, as much as 8 to 15
+factored pair draws at p = 20, 50 and 100.  A pair therefore gets a
+spectrum only if its chain is expected to draw it at least
+``PAIR_SPECTRUM_DRAWS`` times, a margin over that break-even which also
+bounds a chain's pair spectra (8p**2 + 2p floats each, the pair's gram
+included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.
 The mean and covariance are computed only when read (oracle and tests).
 """
 
@@ -271,58 +270,37 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
     return sample_inverse_gamma(0.5 * n, 0.5 * rss, rng)
 
 
-def theta_k_conditional(k: int, theta: np.ndarray, cross: np.ndarray,
-                        hyper: HyperState, bank: RegressorBank,
-                        spectra: BlockSpectra) -> GaussianBlockPosterior:
-    """Gaussian conditional of channel k's coefficients given everything else.
+def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
+                      cross: np.ndarray, hyper: HyperState,
+                      bank: RegressorBank, kernel: StableSplineKernel,
+                      spectra: BlockSpectra | None
+                      ) -> GaussianBlockPosterior:
+    """Gaussian conditional of the coefficients of ``channels``, a tuple of
+    distinct channels, given everything else.
 
-    Precision is ``lambda_k**-1 Kinv + sigma**-2 G_k'G_k``; the mean solves it
-    against ``sigma**-2 G_k'(y - sum_{j != k} G_j theta_j)``.  ``cross`` is
-    the running state of the current ``theta``
-    (:meth:`RegressorBank.cross_state`).  The posterior is spectral, from
-    the channel's spectrum in ``spectra``.
+    Precision ``sigma**-2 G_c'G_c + blkdiag(Kinv / lambda_c)``; the mean
+    solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
+    from ``cross``, the running state of ``theta``.  Spectral given
+    ``spectra`` and one scale factor for the whole block, else factored.
     """
+    if len(set(channels)) != len(channels):
+        raise ValueError(f"a block needs distinct channels, got {channels}")
     inv_s2 = 1.0 / hyper.sigma2
-    spectrum = spectra((k,))
-    rhs = inv_s2 * bank.partial_projection((k,), theta, cross,
-                                           spectrum.gram)
-    return GaussianBlockPosterior.from_spectrum(
-        spectrum, hyper.lam[k], inv_s2, rhs)
-
-
-def theta_block_conditional(i: int, j: int, theta: np.ndarray,
-                            cross: np.ndarray, hyper: HyperState,
-                            bank: RegressorBank,
-                            kernel: StableSplineKernel,
-                            spectra: BlockSpectra | None
-                            ) -> GaussianBlockPosterior:
-    """Joint Gaussian conditional of the (theta_i, theta_j) pair.
-
-    The prior precision is block diagonal in the two channels; the data part
-    couples them through the cross-product G_i'G_j.  Draws from this
-    conditional are always accepted (it is an exact Gibbs block).  For a
-    pair whose two scale factors are equal, given ``spectra``, the
-    posterior is spectral, as for a single channel; with two different
-    scale factors, or ``spectra`` None, it comes from a Cholesky factor of
-    the precision.
-    """
-    if i == j:
-        raise ValueError("pair update needs two distinct channels")
-    inv_s2 = 1.0 / hyper.sigma2
-    lam_i, lam_j = hyper.lam[i], hyper.lam[j]
-    if spectra is not None and lam_i == lam_j:
-        spectrum = spectra((i, j))
-        rhs = inv_s2 * bank.partial_projection((i, j), theta, cross,
+    # a list of scalars, not fancy indexing: this runs once per block draw
+    lam = [hyper.lam[k] for k in channels]
+    if spectra is not None and lam.count(lam[0]) == len(lam):
+        spectrum = spectra(channels)
+        rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
                                                spectrum.gram)
         return GaussianBlockPosterior.from_spectrum(
-            spectrum, lam_i, inv_s2, rhs)
+            spectrum, lam[0], inv_s2, rhs)
+    gram = bank.block_gram(channels)
+    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram)
+    # a new array: a single channel's gram is the bank's read-only cache
+    precision = inv_s2 * gram
     p = kernel.p
-    # one gram serves the right-hand side, then becomes the precision
-    precision = bank.block_gram((i, j))
-    rhs = inv_s2 * bank.partial_projection((i, j), theta, cross, precision)
-    precision *= inv_s2
-    precision[:p, :p] += kernel.Kinv / lam_i
-    precision[p:, p:] += kernel.Kinv / lam_j
+    for r, lam_c in enumerate(lam):
+        precision[r * p:(r + 1) * p, r * p:(r + 1) * p] += kernel.Kinv / lam_c
     return GaussianBlockPosterior.from_precision(precision, rhs)
 
 

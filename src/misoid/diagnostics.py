@@ -2,8 +2,8 @@
 
 For fixed scale factors and noise variance the coefficient posterior is one
 big Gaussian; on small instances it is computed densely and used as an
-independent check of every sampler code path (single-block and pair-block
-conditionals are Schur-complement extractions of it, and frozen-hyper chains
+independent check of every sampler code path (the conditional of a block of
+channels is a Schur-complement extraction of it, and frozen-hyper chains
 must reproduce its mean).  The guard on the dense path is deliberate: this
 oracle is for test-sized problems only.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -236,11 +237,12 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     """Check the sampler against the dense posterior on a small instance.
 
     Freezes the hyperparameters twice, at one common scale factor and at m
-    distinct ones, verifies both Gaussian conditionals against Schur
-    extractions of each joint posterior, then runs each sampler variant
-    (GSd and GSOBd at the distinct scales) and compares chain means against
-    the analytic means coordinatewise, with Monte Carlo standard errors
-    widened by each coordinate's IACT.  At the end of each chain, and at
+    distinct ones, verifies the conditional of every single channel and
+    every pair, by both routes, against Schur extractions of each joint
+    posterior, then runs each sampler variant (GSd and GSOBd at the
+    distinct scales) and compares chain means against the analytic means
+    coordinatewise, with Monte Carlo standard errors widened by each
+    coordinate's IACT.  At the end of each chain, and at
     the anchor state, the running state must still read back as the dense
     product G'G theta.
 
@@ -282,38 +284,25 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     exact = dense @ anchor
     drift = float(np.max(np.abs(bank.gram_product(cross) - exact))
                   / np.max(np.abs(exact)))
+    # every single channel and pair, by its spectrum (at one scale factor
+    # for the whole block only) and by a factor of its precision
     spectra = conditionals.BlockSpectra(bank, kernel)
-    worst = 0.0
+    blocks = [*combinations(range(m), 1), *combinations(range(m), 2)]
+    worst = {1: 0.0, 2: 0.0}
     for hyper, joint in frozen.values():
-        for k in range(m):
-            cond = conditionals.theta_k_conditional(k, anchor, cross, hyper,
-                                                    bank, spectra)
-            idx = np.arange(k * p, (k + 1) * p)
+        for channels in blocks:
+            idx = (p * np.array(channels)[:, None] + np.arange(p)).ravel()
             mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
-            worst = max(worst,
-                        float(np.max(np.abs(cond.mean - mean_ref))),
-                        float(np.max(np.abs(cond.covariance - cov_ref))))
-    checks.append(OracleCheck("single-block conditional vs joint posterior",
-                              worst, 1e-8))
-
-    # both routes of a pair: its spectrum (at equal scales only), and a
-    # factor of its precision
-    worst = 0.0
-    for hyper, joint in frozen.values():
-        for i in range(m):
-            for j in range(i + 1, m):
-                idx = np.concatenate([np.arange(i * p, (i + 1) * p),
-                                      np.arange(j * p, (j + 1) * p)])
-                mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
-                for route in (spectra, None):
-                    cond = conditionals.theta_block_conditional(
-                        i, j, anchor, cross, hyper, bank, kernel, route)
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(cond.mean - mean_ref))),
-                        float(np.max(np.abs(cond.covariance - cov_ref))))
-    checks.append(OracleCheck("pair-block conditional vs joint posterior",
-                              worst, 1e-8))
+            for route in (spectra, None):
+                cond = conditionals.block_conditional(
+                    channels, anchor, cross, hyper, bank, kernel, route)
+                worst[len(channels)] = max(
+                    worst[len(channels)],
+                    float(np.max(np.abs(cond.mean - mean_ref))),
+                    float(np.max(np.abs(cond.covariance - cov_ref))))
+    for size, kind in ((1, "single"), (2, "pair")):
+        checks.append(OracleCheck(
+            f"{kind}-block conditional vs joint posterior", worst[size], 1e-8))
 
     schedule = compute_block_probabilities(problem.correlations, 20.0)
     for variant in VARIANTS:

@@ -41,10 +41,10 @@ import numpy as np
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
 from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
-                           GaussianBlockPosterior, HyperState, draw_gaussian,
+                           GaussianBlockPosterior, HyperState,
+                           block_conditional, draw_gaussian,
                            sample_lambda_common, sample_lambda_k,
-                           sample_sigma2_from_sumsq, theta_block_conditional,
-                           theta_k_conditional)
+                           sample_sigma2_from_sumsq)
 from .errors import FactorizationError
 from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
 from .regression import Dataset, RegressorBank
@@ -256,10 +256,16 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
     if hyper.lam.shape != (bank.m,):
         raise ValueError(f"need {bank.m} scale factors, got an array of "
                          f"shape {hyper.lam.shape}")
+
+    def draw_block(channels, spectra: BlockSpectra | None) -> None:
+        post = block_conditional(channels, theta, cross, hyper, bank, kernel,
+                                 spectra)
+        z = draw_gaussian(post, rng)
+        for r, k in enumerate(channels):
+            bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
+
     for k in range(bank.m):
-        post = theta_k_conditional(k, theta, cross, hyper, bank,
-                                   problem.spectra)
-        bank.set_channel(theta, cross, k, draw_gaussian(post, rng))
+        draw_block((k,), problem.spectra)
 
     selected: list = []
     if config.uses_blocks:
@@ -270,12 +276,7 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
             # expected to draw often; the others factor their precision, as
             # does a pair whose two scale factors differ
             often = schedule.prob(i, j) * pair_draws >= PAIR_SPECTRUM_DRAWS
-            post = theta_block_conditional(i, j, theta, cross, hyper, bank,
-                                           kernel,
-                                           problem.spectra if often else None)
-            z = draw_gaussian(post, rng)
-            bank.set_channel(theta, cross, i, z[:p])
-            bank.set_channel(theta, cross, j, z[p:])
+            draw_block((i, j), problem.spectra if often else None)
             selected.append((i, j))
     return selected
 

@@ -280,15 +280,15 @@ def _abort_after_30_single_draws(monkeypatch):
     from misoid.errors import FactorizationError
 
     calls = {"count": 0}
-    real = sp.theta_k_conditional
+    real = sp.block_conditional
 
-    def explode_later(k, theta, cross, hyper, bank, kernel, **kwargs):
-        calls["count"] += 1
+    def explode_later(channels, *args):
+        calls["count"] += len(channels) == 1
         if calls["count"] > 30:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, cross, hyper, bank, kernel, **kwargs)
+        return real(channels, *args)
 
-    monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
+    monkeypatch.setattr(sp, "block_conditional", explode_later)
 
 
 def test_abort_flushes_partial_chain(tiny_config, monkeypatch):

@@ -170,8 +170,8 @@ def test_theta_conditional_zero_input_recovers_prior():
     kernel = mi.build_kernel(0.9, p)
     hyper = mi.HyperState(lam=np.array([1.0, 2.5]), sigma2=0.5)
     theta = rng.standard_normal(2 * p)
-    post = mi.theta_k_conditional(1, theta, bank.cross_state(theta), hyper,
-                                  bank, BlockSpectra(bank, kernel))
+    post = mi.block_conditional((1,), theta, bank.cross_state(theta), hyper,
+                                bank, kernel, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -180,8 +180,8 @@ def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
     hyper = mi.HyperState(lam=np.full(bank.m, 1.7), sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
-    post = mi.theta_k_conditional(0, zero, bank.cross_state(zero), hyper,
-                                  bank, BlockSpectra(bank, kernel))
+    post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
+                                bank, kernel, BlockSpectra(bank, kernel))
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -194,8 +194,8 @@ def test_theta_conditional_generalized_ridge_oracle():
     kernel = mi.build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
-    post = mi.theta_k_conditional(0, np.zeros(p), np.zeros((2, p)), hyper,
-                                  bank, BlockSpectra(bank, kernel))
+    post = mi.block_conditional((0,), np.zeros(p), np.zeros((2, p)), hyper,
+                                bank, kernel, BlockSpectra(bank, kernel))
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -213,11 +213,13 @@ def test_block_conditional_orthogonal_inputs_decouple():
     theta = np.zeros(2 * p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
-    pair = mi.theta_block_conditional(0, 1, theta, cross, hyper, bank, kernel,
-                                      spectra)
+    pair = mi.block_conditional((0, 1), theta, cross, hyper, bank, kernel,
+                                spectra)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.theta_k_conditional(0, theta, cross, hyper, bank, spectra)
-    single1 = mi.theta_k_conditional(1, theta, cross, hyper, bank, spectra)
+    single0 = mi.block_conditional((0,), theta, cross, hyper, bank, kernel,
+                                   spectra)
+    single1 = mi.block_conditional((1,), theta, cross, hyper, bank, kernel,
+                                   spectra)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -226,22 +228,32 @@ def test_block_conditional_orthogonal_inputs_decouple():
                                atol=1e-12)
 
 
-def test_block_conditional_matches_joint_schur():
+@pytest.mark.parametrize("common", [True, False],
+                         ids=["common", "distinct"])
+@pytest.mark.parametrize("given", [True, False], ids=["spectra", "factor"])
+@pytest.mark.parametrize("channels", [(1,), (0, 2), (2, 0, 1)],
+                         ids=["single", "pair", "triple"])
+def test_block_conditional_matches_joint_schur(channels, given, common):
+    # any tuple of channels, in the order given, against the Schur
+    # extraction of the joint posterior; the three-channel tuple is the
+    # whole problem, the joint posterior itself.  The spectral route is
+    # taken only given spectra and one scale factor for the whole block.
     data, bank, kernel, _ = make_small_problem(seed=11, m=3, p=2, n=30)
-    lam, sigma2 = 0.8, 0.3
+    lam = 0.8 * (np.ones(3) if common else np.array([0.5, 1.0, 1.5]))
+    sigma2 = 0.3
     joint = mi.analytic_posterior(bank, kernel, lam, sigma2)
-    hyper = mi.HyperState(lam=np.full(3, lam), sigma2=sigma2)
+    hyper = mi.HyperState(lam=lam, sigma2=sigma2)
     rng = np.random.default_rng(12)
     anchor = joint.mean + 0.4 * rng.standard_normal(6)
-    idx = np.array([0, 1, 4, 5])
+    idx = np.concatenate([[2 * k, 2 * k + 1] for k in channels])
     mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
-    # spectral and factored routes alike
-    for spectra in (BlockSpectra(bank, kernel), None):
-        pair = mi.theta_block_conditional(0, 2, anchor,
-                                          bank.cross_state(anchor), hyper,
-                                          bank, kernel, spectra)
-        np.testing.assert_allclose(pair.mean, mean_ref, atol=1e-8)
-        np.testing.assert_allclose(pair.covariance, cov_ref, atol=1e-8)
+    post = mi.block_conditional(channels, anchor, bank.cross_state(anchor),
+                                hyper, bank, kernel,
+                                BlockSpectra(bank, kernel) if given else None)
+    spectral = given and (common or len(channels) == 1)
+    assert (post.scale is not None) == spectral
+    np.testing.assert_allclose(post.mean, mean_ref, atol=1e-8)
+    np.testing.assert_allclose(post.covariance, cov_ref, atol=1e-8)
 
 
 def test_block_conditional_identical_inputs_null_direction():
@@ -258,8 +270,8 @@ def test_block_conditional_identical_inputs_null_direction():
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
     for spectra in (BlockSpectra(bank, kernel), None):
-        pair = mi.theta_block_conditional(0, 1, zero, bank.cross_state(zero),
-                                          hyper, bank, kernel, spectra)
+        pair = mi.block_conditional((0, 1), zero, bank.cross_state(zero),
+                                    hyper, bank, kernel, spectra)
         # (v, -v) is invisible to identical inputs: its variance is prior
         # scale
         np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
@@ -269,12 +281,15 @@ def test_block_conditional_identical_inputs_null_direction():
 
 
 def test_block_conditional_rejects_same_channel():
-    data, bank, kernel, _ = make_small_problem(seed=14)
+    # a channel repeated in a tuple is refused on either route
+    data, bank, kernel, _ = make_small_problem(seed=14, m=3)
     hyper = mi.HyperState(lam=np.ones(bank.m), sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
-    with pytest.raises(ValueError):
-        mi.theta_block_conditional(1, 1, zero, bank.cross_state(zero), hyper,
-                                   bank, kernel, BlockSpectra(bank, kernel))
+    for channels in ((1, 1), (0, 2, 0)):
+        for spectra in (BlockSpectra(bank, kernel), None):
+            with pytest.raises(ValueError, match="distinct"):
+                mi.block_conditional(channels, zero, bank.cross_state(zero),
+                                     hyper, bank, kernel, spectra)
 
 
 def test_scale_consistency():
@@ -289,10 +304,10 @@ def test_scale_consistency():
     scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
     h1 = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.4)
     h2 = mi.HyperState(lam=np.full(2, 0.8), sigma2=c ** 2 * 0.4)
-    p1 = mi.theta_k_conditional(0, theta, base.cross_state(theta), h1,
-                                base, BlockSpectra(base, kernel))
-    p2 = mi.theta_k_conditional(0, theta, scaled.cross_state(theta), h2,
-                                scaled, BlockSpectra(scaled, kernel))
+    p1 = mi.block_conditional((0,), theta, base.cross_state(theta), h1,
+                              base, kernel, BlockSpectra(base, kernel))
+    p2 = mi.block_conditional((0,), theta, scaled.cross_state(theta), h2,
+                              scaled, kernel, BlockSpectra(scaled, kernel))
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
@@ -393,8 +408,8 @@ def test_theta_updates_preserve_exact_posterior():
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
-            post = mi.theta_k_conditional(k, theta, bank.cross_state(theta),
-                                          hyper, bank, spectra)
+            post = mi.block_conditional((k,), theta, bank.cross_state(theta),
+                                        hyper, bank, kernel, spectra)
             theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
@@ -431,12 +446,12 @@ def test_vanishing_scale_factor_raises_instead_of_nan():
     theta = np.ones(bank.m * bank.p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
-    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
-        mi.theta_k_conditional(0, theta, cross, hyper, bank, spectra)
-    for route in (spectra, None):
-        with np.errstate(over="ignore"), pytest.raises(FactorizationError):
-            mi.theta_block_conditional(0, 1, theta, cross, hyper, bank,
-                                       kernel, route)
+    for channels in ((0,), (0, 1)):
+        for route in (spectra, None):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(FactorizationError):
+                mi.block_conditional(channels, theta, cross, hyper, bank,
+                                     kernel, route)
 
 
 def test_lapack_factor_and_draw():
@@ -460,15 +475,17 @@ def test_lapack_factor_and_draw():
     saved = precision.copy()
     post = _posterior(precision, np.ones(bank.p))
     np.testing.assert_array_equal(precision, saved)
-    # a plain posterior, a pair with two scale factors and a common-scale
-    # pair given no spectra: Cholesky form
+    # a plain posterior, a pair with two scale factors, and a single
+    # channel and a common-scale pair given no spectra: Cholesky form
     spectra = BlockSpectra(bank, kernel)
     common = mi.HyperState(lam=np.full(3, 0.7), sigma2=0.4)
     for post in (post,
-                 mi.theta_block_conditional(0, 2, theta, cross, hyper, bank,
-                                            kernel, spectra),
-                 mi.theta_block_conditional(0, 2, theta, cross, common, bank,
-                                            kernel, None)):
+                 mi.block_conditional((0, 2), theta, cross, hyper, bank,
+                                      kernel, spectra),
+                 mi.block_conditional((2,), theta, cross, hyper, bank,
+                                      kernel, None),
+                 mi.block_conditional((0, 2), theta, cross, common, bank,
+                                      kernel, None)):
         assert post.scale is None
         L = post.factor
         np.testing.assert_array_equal(np.triu(L, 1), 0.0)
@@ -483,10 +500,11 @@ def test_lapack_factor_and_draw():
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
     spectral = [
-        (mi.theta_k_conditional(2, theta, cross, hyper, bank, spectra),
+        (mi.block_conditional((2,), theta, cross, hyper, bank, kernel,
+                              spectra),
          kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
-        (mi.theta_block_conditional(0, 2, theta, cross, common, bank,
-                                    kernel, spectra), pair_precision),
+        (mi.block_conditional((0, 2), theta, cross, common, bank, kernel,
+                              spectra), pair_precision),
     ]
     for post, precision in spectral:
         root = post.factor * post.scale
@@ -575,15 +593,15 @@ def test_pair_route_follows_its_two_scale_factors():
     spectral = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         for given in (spectra, None):
-            post = mi.theta_block_conditional(i, j, theta, cross, hyper,
-                                              bank, kernel, given)
+            post = mi.block_conditional((i, j), theta, cross, hyper, bank,
+                                        kernel, given)
             spectral[i, j, given is not None] = post.scale is not None
     assert spectral == {(0, 1, True): True, (0, 2, True): False,
                         (1, 2, True): False, (0, 1, False): False,
                         (0, 2, False): False, (1, 2, False): False}
     # both routes of the equal-scale pair are the same posterior
-    routes = [mi.theta_block_conditional(0, 1, theta, cross, hyper, bank,
-                                         kernel, given)
+    routes = [mi.block_conditional((0, 1), theta, cross, hyper, bank,
+                                   kernel, given)
               for given in (spectra, None)]
     np.testing.assert_allclose(routes[0].mean, routes[1].mean, atol=1e-10)
     np.testing.assert_allclose(routes[0].covariance, routes[1].covariance,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import misoid as mi
-from misoid.conditionals import BlockSpectra
 from misoid.errors import SizeGuardError
 
 from conftest import make_small_problem, stacked_regressors
@@ -21,16 +20,6 @@ def test_zero_inputs_recover_prior():
         sl = slice(k * p, (k + 1) * p)
         np.testing.assert_allclose(post.covariance[sl, sl], 2.0 * kernel.K,
                                    rtol=1e-9)
-
-
-def test_matches_single_channel_conditional():
-    data, bank, kernel, _ = make_small_problem(seed=0, m=1, p=3, n=50)
-    post = mi.analytic_posterior(bank, kernel, 0.8, 0.3)
-    hyper = mi.HyperState(lam=np.array([0.8]), sigma2=0.3)
-    cond = mi.theta_k_conditional(0, np.zeros(3), np.zeros((2, 3)), hyper,
-                                  bank, BlockSpectra(bank, kernel))
-    np.testing.assert_allclose(post.mean, cond.mean, atol=1e-10)
-    np.testing.assert_allclose(post.covariance, cond.covariance, atol=1e-10)
 
 
 def test_mean_is_regularized_objective_minimum():
@@ -173,13 +162,14 @@ def test_oracle_catches_a_channel_read_with_another_channels_scale(
     # the chains' single-channel draws read the scales in reverse order:
     # a no-op at a common scale, wrong at the oracle's distinct GSd scales
     from misoid import sampler as sp
-    real = sp.theta_k_conditional
+    real = sp.block_conditional
 
-    def reversed_scales(k, theta, cross, hyper, bank, spectra):
-        flipped = mi.HyperState(lam=hyper.lam[::-1], sigma2=hyper.sigma2)
-        return real(k, theta, cross, flipped, bank, spectra)
+    def reversed_scales(channels, theta, cross, hyper, *args):
+        if len(channels) == 1:
+            hyper = mi.HyperState(lam=hyper.lam[::-1], sigma2=hyper.sigma2)
+        return real(channels, theta, cross, hyper, *args)
 
-    monkeypatch.setattr(sp, "theta_k_conditional", reversed_scales)
+    monkeypatch.setattr(sp, "block_conditional", reversed_scales)
     report = mi.run_oracle_checks(seed=0, n_sweeps=500)
     passed = {check.name.split()[0]: check.passed for check in report.checks}
     assert not passed["GSd"]

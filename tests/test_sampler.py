@@ -112,8 +112,8 @@ def test_sweep_composes_single_conditionals():
     rng_b = np.random.default_rng(8)
     theta, cross = state.theta.copy(), state.cross.copy()
     for k in range(2):
-        post = mi.theta_k_conditional(k, theta, cross, fixed, problem.bank,
-                                      problem.spectra)
+        post = mi.block_conditional((k,), theta, cross, fixed, problem.bank,
+                                    problem.kernel, problem.spectra)
         value = mi.draw_gaussian(post, rng_b)
         problem.bank.set_channel(theta, cross, k, value)
     np.testing.assert_array_equal(theta_a, theta)
@@ -321,15 +321,16 @@ def test_partial_record_attached_on_abort(monkeypatch):
     problem, _ = _problem(seed=13)
     cfg = mi.SamplerConfig(variant="GS", n_mc=50, alpha=0.9, p=3, seed=0)
     calls = {"count": 0}
-    real = sp.theta_k_conditional
+    real = sp.block_conditional
 
-    def explode_later(k, theta, cross, hyper, bank, kernel, **kwargs):
-        calls["count"] += 1
+    def explode_later(channels, *args):
+        # single channels only: the chain fails in its 11th sweep
+        calls["count"] += len(channels) == 1
         if calls["count"] > 20:
             raise FactorizationError("synthetic failure")
-        return real(k, theta, cross, hyper, bank, kernel, **kwargs)
+        return real(channels, *args)
 
-    monkeypatch.setattr(sp, "theta_k_conditional", explode_later)
+    monkeypatch.setattr(sp, "block_conditional", explode_later)
     with pytest.raises(FactorizationError) as info:
         mi.run(problem, cfg)
     partial = info.value.partial_record
