@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -189,7 +190,37 @@ def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
 
 
 def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
-    os.makedirs(outdir, exist_ok=True)
+    """Run one chain into a temporary sibling of ``outdir``, which then
+    replaces ``outdir`` whole, the partial chain of a numerical abort
+    included; on any other error the sibling is removed."""
+    parent, name = os.path.split(outdir)
+    staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
+    os.makedirs(staging)
+    try:
+        _write_chain(problem, config, staging, truth, data_hash,
+                     emit_figures)
+    except NUMERICAL_ERRORS:
+        _move_into_place(staging, outdir)
+        raise
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
+    _move_into_place(staging, outdir)
+
+
+def _move_into_place(staging, outdir) -> None:
+    """Rename ``staging`` to ``outdir``, removing an earlier ``outdir``."""
+    if os.path.exists(outdir):
+        stale = f"{staging}.old"
+        os.rename(outdir, stale)
+        os.rename(staging, outdir)
+        shutil.rmtree(stale)
+    else:
+        os.rename(staging, outdir)
+
+
+def _write_chain(problem, config, outdir, truth, data_hash,
+                 emit_figures) -> None:
     started = time.perf_counter()
     try:
         record, summary = run(problem, config)

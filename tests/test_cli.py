@@ -321,6 +321,45 @@ def test_diagnose_aborted_chain_exits_2(tiny_config, monkeypatch, capsys):
     assert not os.path.exists(f"{rundir}/diagnostics.json")
 
 
+def test_aborted_rerun_replaces_previous_chain(tiny_config, monkeypatch):
+    # the rerun's flushed chain replaces the whole directory: nothing of
+    # the first run's summary, diagnostics or probabilities stays beside it
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg]) == 0
+    rundir = f"{out}/GSOB/rep000"
+    assert {"summary.csv", "diagnostics.json",
+            "pmatrix.csv"} <= set(os.listdir(rundir))
+    _abort_after_30_single_draws(monkeypatch)
+    assert main(["identify", cfg]) == 1
+    assert os.listdir(f"{out}/GSOB") == ["rep000"]
+    assert sorted(os.listdir(rundir)) == [
+        "blocks.csv", "lambda.csv", "manifest.json", "record.json",
+        "sigma2.csv", "theta_samples.npy"]
+    assert json.load(open(f"{rundir}/record.json"))["aborted"] is True
+
+
+def test_write_error_leaves_no_chain_directory(tiny_config, monkeypatch,
+                                               capsys):
+    # a write that fails after the traces are on disk leaves neither the
+    # chain directory nor its temporary sibling
+    from misoid import sampler as sp
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sp.np, "save", disk_full)
+    capsys.readouterr()
+    assert main(["identify", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "chain written" not in captured.out
+    assert "No space left on device" in captured.err
+    assert os.listdir(f"{out}/GSOB") == []
+
+
 @pytest.mark.parametrize("broken", ["record", "truth"])
 def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
     cfg, out = tiny_config
