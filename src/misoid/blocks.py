@@ -8,8 +8,8 @@ rule
     P_ij  proportional to  exp(beta * c_ij) - 1,
 
 which concentrates mass on correlations close to one as the rate ``beta``
-grows.  Probabilities are evaluated in a shifted form that stays finite for
-large ``beta * c``.
+grows.  Probabilities are evaluated in a shifted, factored form that stays
+finite for large ``beta * c`` and keeps its digits for small ``beta * c``.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
     pairs = np.column_stack([iu, ju])
     cvals = c[iu, ju]
     cmax = float(cvals.max())
-    # exp(beta c) - 1 rescaled by exp(-beta cmax) to avoid overflow
-    weights = np.exp(beta * (cvals - cmax)) - np.exp(-beta * cmax)
+    # exp(beta c) - 1 times exp(-beta cmax): no overflow, and no cancellation
+    weights = np.exp(beta * (cvals - cmax)) * -np.expm1(-beta * cvals)
     total = weights.sum()
     if cmax <= 0.0 or total <= 0.0:
         warnings.warn(

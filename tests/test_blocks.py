@@ -98,14 +98,20 @@ def _schedule(c, beta):
 
 
 # raising c(1, 2) by one ulp lowers the computed P(1, 2) by one ulp
-_ONE_ULP_DOWN = np.array([[1.0, 0.04, 0.02],
-                          [0.04, 1.0, 0.61],
-                          [0.02, 0.61, 1.0]])
+_ONE_ULP_DOWN = np.array([[1.0, 0.06, 0.28],
+                          [0.06, 1.0, 0.23],
+                          [0.28, 0.23, 1.0]])
+# at small beta c a weight formed as a difference of exponentials loses
+# digits to cancellation: there, such an ulp raise lowered P(1, 2) by 7 eps
+_CANCELLING = np.array([[1.0, 0.013, 0.101],
+                        [0.013, 1.0, 0.683],
+                        [0.101, 0.683, 1.0]])
 
 
 @settings(max_examples=300, deadline=None)
 @given(correlation_problems())
-@example((_ONE_ULP_DOWN, 1.834, 1, 2, np.nextafter(0.61, 1.0)))
+@example((_ONE_ULP_DOWN, 0.133, 1, 2, np.nextafter(0.23, 1.0)))
+@example((_CANCELLING, 0.1918, 1, 2, np.nextafter(0.683, 1.0)))
 @example((np.eye(3), 10.0, 0, 2, 0.0))     # uniform fallback, kept
 @example((np.eye(3), 10.0, 0, 2, 0.5))     # uniform fallback, left
 def test_pair_probability_properties(problem):
@@ -116,17 +122,14 @@ def test_pair_probability_properties(problem):
     assert [sched.prob(int(a), int(b)) for a, b in sched.pairs] \
         == sched.probs.tolist()
 
-    # raising c_ij alone at fixed beta does not lower P_ij.  Allowed slack:
-    # the weights exp(beta (c - cmax)) - exp(-beta cmax) are differences of
-    # two numbers at most 1, so each carries an absolute error of a few
-    # ulps of 1; relative to their total (at least the largest weight) that
-    # is the tolerance below
+    # raising c_ij alone at fixed beta does not lower P_ij beyond rounding:
+    # each weight exp(beta (c - cmax)) * -expm1(-beta c) is a product with
+    # no cancellation, good to a few ulps relative, and so is P_ij
     higher = c.copy()
     higher[i, j] = higher[j, i] = raised
     after = _schedule(higher, beta)
-    largest = -np.expm1(-beta * c[np.triu_indices_from(c, 1)].max())
-    slack = 8 * np.finfo(float).eps / largest if largest > 0.0 else 0.0
-    assert after.prob(i, j) >= sched.prob(i, j) * (1.0 - slack) - slack
+    eps = np.finfo(float).eps
+    assert after.prob(i, j) >= sched.prob(i, j) * (1.0 - 4 * eps)
 
 
 def test_small_beta_limit_proportional_to_c():
@@ -137,6 +140,18 @@ def test_small_beta_limit_proportional_to_c():
     cvals = np.array([c[i, j] for i, j in sched.pairs])
     linear = cvals / cvals.sum()
     np.testing.assert_allclose(sched.probs, linear, rtol=1e-4)
+
+
+def test_small_beta_keeps_every_digit():
+    # at beta = 1e-3 no weight needs the overflow shift, so expm1(beta c)
+    # is an exact-to-rounding reference for each one
+    c = np.array([[1.0, 1e-6, 0.5],
+                  [1e-6, 1.0, 0.3],
+                  [0.5, 0.3, 1.0]])
+    sched = mi.compute_block_probabilities(c, 1e-3)
+    weights = np.expm1(1e-3 * c[sched.pairs[:, 0], sched.pairs[:, 1]])
+    np.testing.assert_allclose(sched.probs, weights / weights.sum(),
+                               rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_large_beta_does_not_overflow():
