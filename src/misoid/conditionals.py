@@ -283,7 +283,7 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     from ``cross``, the running state of ``theta``.  Spectral given
     ``spectra`` and one scale factor for the whole block, else factored.
     """
-    if len(set(channels)) != len(channels):
+    if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
     inv_s2 = 1.0 / hyper.sigma2
     # a list of scalars, not fancy indexing: this runs once per block draw

@@ -261,8 +261,10 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
         post = block_conditional(channels, theta, cross, hyper, bank, kernel,
                                  spectra)
         z = draw_gaussian(post, rng)
-        for r, k in enumerate(channels):
-            bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
+        start = 0
+        for k in channels:
+            bank.set_channel(theta, cross, k, z[start:start + p])
+            start += p
 
     for k in range(bank.m):
         draw_block((k,), problem.spectra)
