@@ -209,14 +209,12 @@ def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
 
 
 def _move_into_place(staging, outdir) -> None:
-    """Rename ``staging`` to ``outdir``, removing an earlier ``outdir``."""
+    """Rename ``staging`` over ``outdir``, then try to remove the old one."""
+    stale = f"{staging}.old"
     if os.path.exists(outdir):
-        stale = f"{staging}.old"
         os.rename(outdir, stale)
-        os.rename(staging, outdir)
-        shutil.rmtree(stale)
-    else:
-        os.rename(staging, outdir)
+    os.rename(staging, outdir)
+    shutil.rmtree(stale, ignore_errors=True)
 
 
 def _write_chain(problem, config, outdir, truth, data_hash,
