@@ -195,6 +195,9 @@ def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
     included; on any other error the sibling is removed."""
     parent, name = os.path.split(outdir)
     staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
+    # a sibling under this process id is left over from an earlier run
+    for leftover in (staging, f"{staging}.old"):
+        shutil.rmtree(leftover, ignore_errors=True)
     os.makedirs(staging)
     try:
         _write_chain(problem, config, staging, truth, data_hash,

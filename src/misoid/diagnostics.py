@@ -189,14 +189,10 @@ def build_report(record, summary, truth_responses: np.ndarray | None = None
         if constant:
             degenerate.append(name)
 
-    start = record.burn_in
-    lt = record.lambda_trace
-    if lt.ndim == 1:
-        add("lambda", lt[start:])
-    else:
-        for k in range(lt.shape[1]):
-            add(f"lambda_{k}", lt[start:, k])
-    add("sigma2", record.sigma2_trace[start:])
+    for name, trace in zip(record.scale_names,
+                           record.lambda_trace[record.burn_in:].T):
+        add(name, trace)
+    add("sigma2", record.sigma2_trace[record.burn_in:])
 
     fit = None
     if truth_responses is not None:

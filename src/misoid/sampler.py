@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,6 +51,12 @@ from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
 from .regression import Dataset, RegressorBank
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
+
+
+def scale_names(variant: str, m: int) -> list:
+    """Scale-factor trace columns: one common scale, or one per channel."""
+    return (["lambda"] if variant in ("GS", "GSOB")
+            else [f"lambda_{k}" for k in range(m)])
 
 
 @dataclass
@@ -158,13 +165,25 @@ class ChainRecord:
     thin: int
     seed: int
     theta_samples: np.ndarray        # (n_stored, m*p)
-    stored_iterations: np.ndarray    # (n_stored,), 1-based iteration index
-    lambda_trace: np.ndarray         # (n_mc,) or (n_mc, m)
-    sigma2_trace: np.ndarray         # (n_mc,)
+    lambda_trace: np.ndarray         # (completed, len(scale_names))
+    sigma2_trace: np.ndarray         # (completed,)
     selected_blocks: np.ndarray      # (n_selected, 3): iteration, i, j
-    completed: int                   # iterations actually swept
     # wall seconds of the run that made it: "init" and "sweeps"
     seconds: dict = field(default_factory=dict)
+
+    @property
+    def scale_names(self) -> list:
+        return scale_names(self.variant, self.m)
+
+    @property
+    def completed(self) -> int:
+        """Iterations actually swept."""
+        return self.lambda_trace.shape[0]
+
+    @property
+    def stored_iterations(self) -> np.ndarray:
+        """1-based iteration index of each stored draw."""
+        return np.arange(1, self.theta_samples.shape[0] + 1) * self.thin
 
 
 @dataclass
@@ -330,15 +349,12 @@ def run(problem: Problem,
     started = time.perf_counter()
     state = init_chain(problem, config)
     seconds = {"init": time.perf_counter() - started}
-    n_stored = config.n_mc // config.thin
-    theta_samples = np.empty((n_stored, m * p))
-    stored_iterations = np.empty(n_stored, dtype=np.int64)
-    lambda_trace = (np.empty(config.n_mc) if config.common_scale
-                    else np.empty((config.n_mc, m)))
+    theta_samples = np.empty((config.n_mc // config.thin, m * p))
+    # a common scale fills all m entries of lam, so its first is the trace
+    n_scales = len(scale_names(config.variant, m))
+    lambda_trace = np.empty((config.n_mc, n_scales))
     sigma2_trace = np.empty(config.n_mc)
     block_log: list = []
-
-    stored = 0
     completed = 0
 
     def record_so_far() -> ChainRecord:
@@ -346,27 +362,23 @@ def run(problem: Problem,
         return ChainRecord(
             variant=config.variant, m=m, p=p, n_mc=config.n_mc,
             burn_in=config.burn_in, thin=config.thin, seed=config.seed,
-            theta_samples=theta_samples[:stored],
-            stored_iterations=stored_iterations[:stored],
+            theta_samples=theta_samples[:completed // config.thin],
             lambda_trace=lambda_trace[:completed],
             sigma2_trace=sigma2_trace[:completed],
             selected_blocks=np.array(block_log,
                                      dtype=np.int64).reshape(-1, 3),
-            completed=completed, seconds=seconds,
+            seconds=seconds,
         )
 
     sweeps_started = time.perf_counter()
     try:
         for t in range(1, config.n_mc + 1):
             state, selected = sweep(state, problem, schedule, config, rng)
-            lambda_trace[t - 1] = (state.hyper.lam[0] if config.common_scale
-                                   else state.hyper.lam)
+            lambda_trace[t - 1] = state.hyper.lam[:n_scales]
             sigma2_trace[t - 1] = state.hyper.sigma2
             block_log.extend((t, i, j) for i, j in selected)
             if t % config.thin == 0:
-                theta_samples[stored] = state.theta
-                stored_iterations[stored] = t
-                stored += 1
+                theta_samples[t // config.thin - 1] = state.theta
             completed = t
     except Exception as exc:
         exc.partial_record = record_so_far()
@@ -379,44 +391,55 @@ def run(problem: Problem,
 # Chain persistence
 # --------------------------------------------------------------------------
 
+def _write_table(outdir, name: str, columns: list, rows: np.ndarray,
+                 int_columns: int) -> None:
+    """Write ``rows`` as ``outdir/name`` under a header of ``columns``: the
+    first ``int_columns`` as integers, the rest to 17 significant digits."""
+    fmt = ["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)
+    np.savetxt(os.path.join(outdir, name), rows, fmt=fmt, delimiter=",",
+               header=",".join(columns), comments="")
+
+
+def _read_table(outdir, name: str, columns: list, dtype=float) -> np.ndarray:
+    """The rows of a table :func:`_write_table` wrote, once its header is
+    checked against ``columns``; a table without rows reads as empty."""
+    with open(os.path.join(outdir, name)) as fh:
+        header = fh.readline().strip()
+        if header != ",".join(columns):
+            raise ValueError(f"{name} has header {header!r}, expected "
+                             f"{','.join(columns)!r}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            return np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2,
+                              usecols=range(len(columns)))
+
+
 def save_record(record: ChainRecord, summary: PosteriorSummary,
                 outdir, aborted: bool = False) -> None:
     """Write the chain artifacts into ``outdir``.
 
-    lambda.csv / sigma2.csv   scalar traces, one row per iteration
+    lambda.csv / sigma2.csv   lambda and sigma2 traces, one row per iteration
     theta_samples.npy         stored coefficient draws, row per iteration
     blocks.csv                pair-update log (iteration, i, j), 0-based
     summary.csv               per-coefficient posterior summaries
     record.json               layout metadata (variant, sizes, burn-in, ...)
     """
     os.makedirs(outdir, exist_ok=True)
-    lt = record.lambda_trace
-    with open(os.path.join(outdir, "lambda.csv"), "w") as fh:
-        if lt.ndim == 1:
-            fh.write("iteration,lambda\n")
-            for t, val in enumerate(lt, start=1):
-                fh.write(f"{t},{val:.17g}\n")
-        else:
-            fh.write("iteration," +
-                     ",".join(f"lambda_{k}" for k in range(lt.shape[1])) + "\n")
-            for t, row in enumerate(lt, start=1):
-                fh.write(f"{t}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    with open(os.path.join(outdir, "sigma2.csv"), "w") as fh:
-        fh.write("iteration,sigma2\n")
-        for t, val in enumerate(record.sigma2_trace, start=1):
-            fh.write(f"{t},{val:.17g}\n")
+    iterations = np.arange(1, record.completed + 1)
+    _write_table(outdir, "lambda.csv", ["iteration", *record.scale_names],
+                 np.column_stack([iterations, record.lambda_trace]), 1)
+    _write_table(outdir, "sigma2.csv", ["iteration", "sigma2"],
+                 np.column_stack([iterations, record.sigma2_trace]), 1)
     np.save(os.path.join(outdir, "theta_samples.npy"), record.theta_samples)
-    with open(os.path.join(outdir, "blocks.csv"), "w") as fh:
-        fh.write("iteration,i,j\n")
-        for t, i, j in record.selected_blocks:
-            fh.write(f"{t},{i},{j}\n")
+    _write_table(outdir, "blocks.csv", ["iteration", "i", "j"],
+                 record.selected_blocks, 3)
     if summary is not None:
-        with open(os.path.join(outdir, "summary.csv"), "w") as fh:
-            fh.write("coefficient,channel,lag,mean,sd,q025,q975\n")
-            for c in range(summary.mean.size):
-                fh.write(f"{c},{c // record.p},{c % record.p},"
-                         f"{summary.mean[c]:.17g},{summary.sd[c]:.17g},"
-                         f"{summary.q025[c]:.17g},{summary.q975[c]:.17g}\n")
+        c = np.arange(summary.mean.size)
+        rows = np.column_stack([c, *np.divmod(c, record.p), summary.mean,
+                                summary.sd, summary.q025, summary.q975])
+        _write_table(outdir, "summary.csv", ["coefficient", "channel", "lag",
+                                             "mean", "sd", "q025", "q975"],
+                     rows, 3)
     meta = {
         "variant": record.variant, "m": record.m, "p": record.p,
         "n_mc": record.n_mc, "burn_in": record.burn_in, "thin": record.thin,
@@ -432,30 +455,18 @@ def load_record(outdir) -> ChainRecord:
     """Reload a persisted chain (for diagnostics runs)."""
     with open(os.path.join(outdir, "record.json")) as fh:
         meta = json.load(fh)
-    # the header, not the column count, tells a common-scale trace from a
-    # per-channel one: a one-channel GSd chain has a single lambda_0 column
-    with open(os.path.join(outdir, "lambda.csv")) as fh:
-        common_scale = fh.readline().strip() == "iteration,lambda"
-        lam = np.loadtxt(fh, delimiter=",", ndmin=2)[:, 1:]
-    if common_scale:
-        lam = lam.reshape(-1)
-    sig = np.loadtxt(os.path.join(outdir, "sigma2.csv"), delimiter=",",
-                     skiprows=1, ndmin=2)[:, 1]
-    theta = np.load(os.path.join(outdir, "theta_samples.npy"))
-    with open(os.path.join(outdir, "blocks.csv")) as fh:
-        block_rows = fh.read().strip().splitlines()[1:]
-    if block_rows:
-        blocks = np.array([[int(v) for v in row.split(",")]
-                           for row in block_rows], dtype=np.int64)
-    else:
-        blocks = np.empty((0, 3), dtype=np.int64)
-    thin = meta["thin"]
-    stored_iterations = np.arange(1, theta.shape[0] + 1) * thin
+    lam = _read_table(outdir, "lambda.csv",
+                      ["iteration", *scale_names(meta["variant"], meta["m"])])
+    sig = _read_table(outdir, "sigma2.csv", ["iteration", "sigma2"])
+    for name, table in (("lambda.csv", lam), ("sigma2.csv", sig)):
+        if table.shape[0] != meta["completed"]:
+            raise ValueError(f"{name} has {table.shape[0]} rows for "
+                             f"{meta['completed']} completed iterations")
     return ChainRecord(
         variant=meta["variant"], m=meta["m"], p=meta["p"], n_mc=meta["n_mc"],
-        burn_in=meta["burn_in"], thin=thin, seed=meta["seed"],
-        theta_samples=theta, stored_iterations=stored_iterations,
-        lambda_trace=lam, sigma2_trace=sig, selected_blocks=blocks,
-        completed=meta["completed"],
+        burn_in=meta["burn_in"], thin=meta["thin"], seed=meta["seed"],
+        theta_samples=np.load(os.path.join(outdir, "theta_samples.npy")),
+        lambda_trace=lam[:, 1:], sigma2_trace=sig[:, 1],
+        selected_blocks=_read_table(outdir, "blocks.csv",
+                                    ["iteration", "i", "j"], np.int64),
     )
-

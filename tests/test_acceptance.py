@@ -207,7 +207,7 @@ def test_criterion_7_mixing_ordering():
                                        burn_in=1000, alpha=0.9, p=50,
                                        beta=20.0, n_ob=2, seed=seed)
                 record, _ = mi.run(problem, cfg)
-                taus[variant] = mi.iact(record.lambda_trace[1000:])
+                taus[variant] = mi.iact(record.lambda_trace[1000:, 0])
             pairs.append((taus["GSOB"], taus["GS"]))
             wins += taus["GSOB"] < taus["GS"]
     ok = wins >= 4 and watch.elapsed < watch.budget_s

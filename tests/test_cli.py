@@ -360,20 +360,50 @@ def test_write_error_leaves_no_chain_directory(tiny_config, monkeypatch,
     assert os.listdir(f"{out}/GSOB") == []
 
 
-@pytest.mark.parametrize("broken", ["record", "truth"])
-def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
+@pytest.mark.parametrize("leftover", [".tmp", ".tmp.old"])
+def test_killed_run_leftover_is_replaced(tiny_config, leftover):
+    # a hidden sibling under this process id can only be left by a run that
+    # was killed; the next run removes it instead of failing on it
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
     assert main(["identify", cfg]) == 0
-    rundir = f"{out}/GSOB/rep000"
+    stale = Path(out, "GSOB", f".rep000.{os.getpid()}{leftover}")
+    stale.mkdir()
+    (stale / "lambda.csv").write_text("iteration,lambda\n")
+    assert main(["identify", cfg]) == 0
+    assert os.listdir(f"{out}/GSOB") == ["rep000"]
+    assert "diagnostics.json" in os.listdir(f"{out}/GSOB/rep000")
+
+
+@pytest.mark.parametrize("broken", ["record", "truth", "lambda header",
+                                    "truncated sigma2"])
+def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    # a GSd chain, whose lambda.csv names one column per channel
+    variant = "GSd" if broken == "lambda header" else "GSOB"
+    assert main(["identify", cfg, "--variant", variant]) == 0
+    rundir = f"{out}/{variant}/rep000"
     truth = Path(out, "truth.json")
     if broken == "record":
         Path(rundir, "record.json").write_text("{")
-    else:
+    elif broken == "truth":
         truth.write_text(json.dumps({"responses": [[0.0] * 7] * 2}))
+    elif broken == "lambda header":
+        # the common-scale header over per-channel columns
+        table = Path(rundir, "lambda.csv")
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("iteration,lambda\n" + "".join(lines[1:]))
+    else:
+        table = Path(rundir, "sigma2.csv")
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[:-1]))
     capsys.readouterr()
     assert main(["diagnose", rundir, "--truth", str(truth)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if broken in ("lambda header", "truncated sigma2"):
+        assert table.name in err
 
 
 def test_vanishing_scale_factor_aborts_with_partial_chain(tiny_config,

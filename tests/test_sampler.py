@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -260,13 +263,18 @@ def test_run_deterministic():
 
 
 def test_trace_shapes_per_variant():
+    # one lambda column for a common scale, one per channel otherwise
     problem, _ = _problem(seed=9)
-    for variant, lam_shape in (("GS", (30,)), ("GSd", (30, 2)),
-                               ("GSOB", (30,)), ("GSOBd", (30, 2))):
+    for variant, names in (("GS", ["lambda"]),
+                           ("GSd", ["lambda_0", "lambda_1"]),
+                           ("GSOB", ["lambda"]),
+                           ("GSOBd", ["lambda_0", "lambda_1"])):
         cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=3,
                                beta=10.0, n_ob=1, seed=0)
         record, _ = mi.run(problem, cfg)
-        assert record.lambda_trace.shape == lam_shape
+        assert record.scale_names == names
+        assert record.completed == 30
+        assert record.lambda_trace.shape == (30, len(names))
         assert record.sigma2_trace.shape == (30,)
         assert record.theta_samples.shape == (30, 6)
         assert np.all(record.lambda_trace > 0)
@@ -336,27 +344,63 @@ def test_partial_record_attached_on_abort(monkeypatch):
     partial = info.value.partial_record
     assert partial.completed == 10
     assert partial.theta_samples.shape == (10, 6)
-    assert partial.lambda_trace.shape == (10,)
+    np.testing.assert_array_equal(partial.stored_iterations,
+                                  np.arange(1, 11))
+    assert partial.lambda_trace.shape == (10, 1)
+    assert partial.sigma2_trace.shape == (10,)
 
 
-def test_save_and_load_record(tmp_path):
+def _tables_row_by_row(record, summary) -> dict:
+    """The chain tables formatted one row at a time: the reference for
+    save_record's layout."""
+    iterations = range(1, record.completed + 1)
+    return {
+        "lambda.csv": ",".join(["iteration", *record.scale_names]) + "\n"
+        + "".join(f"{t}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+                  for t, row in zip(iterations, record.lambda_trace)),
+        "sigma2.csv": "iteration,sigma2\n"
+        + "".join(f"{t},{v:.17g}\n"
+                  for t, v in zip(iterations, record.sigma2_trace)),
+        "blocks.csv": "iteration,i,j\n"
+        + "".join(f"{t},{i},{j}\n" for t, i, j in record.selected_blocks),
+        "summary.csv": "coefficient,channel,lag,mean,sd,q025,q975\n"
+        + "".join(f"{c},{c // record.p},{c % record.p},{summary.mean[c]:.17g},"
+                  f"{summary.sd[c]:.17g},{summary.q025[c]:.17g},"
+                  f"{summary.q975[c]:.17g}\n"
+                  for c in range(summary.mean.size)),
+    }
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("variant", sp.VARIANTS)
+def test_save_and_load_record(tmp_path, variant, thin):
     problem, _ = _problem(seed=14)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=40, alpha=0.9, p=3,
-                           beta=20.0, n_ob=2, seed=9)
+    cfg = mi.SamplerConfig(variant=variant, n_mc=40, alpha=0.9, p=3,
+                           beta=20.0, n_ob=2, seed=9, thin=thin)
     record, summary = mi.run(problem, cfg)
     outdir = tmp_path / "chain"
     mi.save_record(record, summary, outdir)
+    for name, text in _tables_row_by_row(record, summary).items():
+        assert (outdir / name).read_text() == text, name
     back = mi.load_record(outdir)
-    np.testing.assert_array_equal(back.theta_samples, record.theta_samples)
-    np.testing.assert_array_equal(back.lambda_trace, record.lambda_trace)
-    np.testing.assert_array_equal(back.selected_blocks,
-                                  record.selected_blocks)
-    assert back.variant == "GSOB" and back.burn_in == record.burn_in
+    # every stored field, and every derived one; only timings stay behind
+    for name in [f.name for f in dataclasses.fields(sp.ChainRecord)
+                 if f.name != "seconds"] + ["scale_names", "completed",
+                                            "stored_iterations"]:
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(record, name), err_msg=name)
+    assert back.lambda_trace.shape == (cfg.n_mc, len(back.scale_names))
     summary2 = mi.summarize(back)
-    np.testing.assert_allclose(summary2.mean, summary.mean)
+    np.testing.assert_array_equal(summary2.mean, summary.mean)
+    # the reloaded record writes the same bytes
+    again = tmp_path / "again"
+    mi.save_record(back, summary2, again)
+    assert sorted(os.listdir(again)) == sorted(os.listdir(outdir))
+    for name in os.listdir(outdir):
+        assert (again / name).read_bytes() == (outdir / name).read_bytes()
 
 
-@pytest.mark.parametrize("variant,shape", [("GS", (30,)), ("GSd", (30, 1))])
+@pytest.mark.parametrize("variant,shape", [("GS", (30, 1)), ("GSd", (30, 1))])
 def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
     # one channel gives one lambda column either way; the header says
     # whether it is the common scale or channel 0's own
@@ -365,7 +409,10 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
     record, summary = mi.run(problem, cfg)
     assert record.lambda_trace.shape == shape
     mi.save_record(record, summary, tmp_path)
+    header = (tmp_path / "lambda.csv").read_text().splitlines()[0]
+    assert header == "iteration," + record.scale_names[0]
     back = mi.load_record(tmp_path)
+    assert back.scale_names == record.scale_names
     assert back.lambda_trace.shape == shape
     np.testing.assert_array_equal(back.lambda_trace, record.lambda_trace)
 
