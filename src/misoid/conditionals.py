@@ -36,21 +36,25 @@ standard normal z.  :func:`block_conditional` takes one of two routes.
   right-hand side before it is scaled into the precision.
 
 The sampler gives every single channel its spectrum.  At p = 50 (m = 20,
-n = 1e4, one core, BLAS on one thread) a single-channel conditional and
-its draw cost about 23 us against 51 us with a p-by-p factor, a spectral
-pair 30 to 45 us against 105 to 140 us; a single spectrum costs about
-0.4 ms to build and a pair spectrum 1.1 to 1.4 ms, as much as 8 to 15
-factored pair draws at p = 20, 50 and 100.  A pair therefore gets a
-spectrum only if its chain is expected to draw it at least
-``PAIR_SPECTRUM_DRAWS`` times, a margin over that break-even which also
-bounds a chain's pair spectra (8p**2 + 2p floats each, the pair's gram
-included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.
+n = 1e4, one core, BLAS on one thread, medians of in-process timings) a
+single-channel conditional and its draw cost about 34 us against 66 us
+with a p-by-p factor, a spectral pair about 50 us against 170 to 190 us;
+a single spectrum costs about 0.5 ms to build and a pair spectrum 1.7 to
+1.8 ms, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.
+A pair therefore gets a spectrum only if its chain is expected to draw it
+at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that break-even
+which also bounds a chain's pair spectra (8p**2 + 2p floats each, the
+pair's gram included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.  The
+sweep's single-channel pass draws from the same formulas
+(:func:`spectral_scales`, :func:`whiten`, :func:`root_times`) without
+building a posterior per channel.
 The mean and covariance are computed only when read (oracle and tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +63,7 @@ from scipy.linalg.lapack import dpotrf, dsyevd, dtrtrs
 
 from .errors import DegenerateRateError, FactorizationError
 from .kernel import StableSplineKernel, quad_form
-from .regression import RegressorBank
+from .regression import RegressorBank, Workspace
 
 RATE_FLOOR = 1e-300
 
@@ -106,37 +110,22 @@ class GaussianBlockPosterior:
     def from_precision(cls, precision: np.ndarray,
                        rhs: np.ndarray) -> GaussianBlockPosterior:
         L = _chol_lower(precision, "posterior precision")
-        return cls(factor=L, whitened=_solve_lower(L, rhs))
+        return cls(factor=L, whitened=whiten(L, None, rhs))
 
     @classmethod
     def from_spectrum(cls, spectrum: BlockSpectrum, lam: float,
                       inv_s2: float,
                       rhs: np.ndarray) -> GaussianBlockPosterior:
         """Posterior of precision C^-T V diag(1/lam + e inv_s2) V' C^-1 and
-        right-hand side ``rhs``, from the block's spectrum (W = C V, e).
-
-        e ascends, so the ends of s are its extremes; a NaN (an infinite
-        inv_s2 times e = 0) can only sit at the low end.
-        """
-        basis, evals = spectrum.basis, spectrum.evals
-        s = 1.0 / lam + inv_s2 * evals
-        if not (s[0] > 0.0 and s[-1] < np.inf):
-            raise FactorizationError(
-                "posterior precision: spectral scales not finite and "
-                "positive (scale factor or noise variance collapsed)")
-        scale = 1.0 / np.sqrt(s)
-        return cls(factor=basis, whitened=scale * (rhs @ basis),
+        right-hand side ``rhs``, from the block's spectrum (W = C V, e)."""
+        basis = spectrum.basis
+        scale = spectral_scales(lam, inv_s2, spectrum.evals)
+        return cls(factor=basis, whitened=whiten(basis, scale, rhs),
                    scale=scale)
-
-    def root_times(self, v: np.ndarray) -> np.ndarray:
-        """T v, the covariance square root applied to a vector."""
-        if self.scale is None:
-            return _solve_lower(self.factor, v, trans=1)
-        return self.factor @ (self.scale * v)
 
     @property
     def mean(self) -> np.ndarray:
-        return self.root_times(self.whitened)
+        return root_times(self.factor, self.scale, self.whitened)
 
     @property
     def covariance(self) -> np.ndarray:
@@ -190,18 +179,69 @@ class BlockSpectra:
             self._built[channels] = found
         return found
 
+    @cached_property
+    def single_evals(self) -> np.ndarray:
+        """The m single channels' eigenvalues stacked, (m, p) and
+        read-only, so that one sweep scales every channel at once."""
+        stack = np.stack([self((k,)).evals for k in range(self.bank.m)])
+        stack.setflags(write=False)
+        return stack
+
+
+def spectral_scales(lam: float | np.ndarray, inv_s2: float,
+                    evals: np.ndarray) -> np.ndarray:
+    """The scales s**-1/2, s = 1/lam + e inv_s2, of one block's spectrum e
+    and scale factor, or of a stack of spectra and a column of factors.
+
+    Each row of e ascends, so the ends of s are its extremes; a NaN (an
+    infinite inv_s2 times e = 0) can only sit at the low end.
+    """
+    s = 1.0 / lam + inv_s2 * evals
+    low, high = s.T[0], s.T[-1]
+    if s.ndim > 1:
+        low, high = low.min(), high.max()
+    if not (low > 0.0 and high < np.inf):
+        raise FactorizationError(
+            "posterior precision: spectral scales not finite and "
+            "positive (scale factor or noise variance collapsed)")
+    return 1.0 / np.sqrt(s)
+
+
+def factored_precision(gram: np.ndarray, inv_s2: float, lam: list,
+                       kernel: StableSplineKernel,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The precision inv_s2 gram + blkdiag(Kinv / lam_c) of a block whose
+    channels have the scale factors ``lam``, in ``out`` (which may be
+    ``gram`` itself) or a new array.  Kinv / lam_c enters through its
+    three bands, as Kinv's other entries are exactly 0."""
+    precision = np.multiply(gram, inv_s2,
+                            out=np.empty(gram.shape) if out is None else out)
+    n, p = precision.shape[0], kernel.p
+    # a diagonal of a C-contiguous n-by-n matrix is every (n+1)-th entry
+    flat = precision.reshape(-1)
+    for r, lam_c in enumerate(lam):
+        first = r * p * (n + 1)
+        last = first + (p - 1) * (n + 1)
+        flat[first:last + 1:n + 1] += kernel.inv_diag / lam_c
+        band = kernel.inv_offdiag / lam_c
+        flat[first + 1:last:n + 1] += band
+        flat[first + n:last + n:n + 1] += band
+    return precision
+
 
 def _chol_lower(mat: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor (upper part zero, ``mat`` left untouched) with
-    one jitter retry (1e-10 x mean diagonal).
+    """Lower Cholesky factor (upper part zero, ``mat`` left untouched) of
+    an exactly symmetric ``mat``, with one jitter retry (1e-10 x mean
+    diagonal).  ``dpotrf`` gets ``mat.T``, the same matrix in Fortran
+    order, which it copies without transposing.
 
     ``dpotrf`` passes NaN through without complaint, so the factor's
     diagonal is also checked to be finite.
     """
-    L, info = dpotrf(mat, lower=1, clean=1)
+    L, info = dpotrf(mat.T, lower=1, clean=1)
     if info != 0:
         jitter = 1e-10 * float(np.trace(mat)) / mat.shape[0]
-        L, info = dpotrf(mat + jitter * np.eye(mat.shape[0]), lower=1,
+        L, info = dpotrf((mat + jitter * np.eye(mat.shape[0])).T, lower=1,
                          clean=1)
         if info != 0:
             raise FactorizationError(
@@ -219,6 +259,23 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
         raise FactorizationError(
             f"triangular solve failed (dtrtrs info {info})")
     return x
+
+
+def whiten(factor: np.ndarray, scale: np.ndarray | None,
+           rhs: np.ndarray) -> np.ndarray:
+    """T'rhs for the covariance square root T of a
+    :class:`GaussianBlockPosterior` with this ``factor`` and ``scale``."""
+    if scale is None:
+        return _solve_lower(factor, rhs)
+    return scale * np.dot(rhs, factor)
+
+
+def root_times(factor: np.ndarray, scale: np.ndarray | None,
+               v: np.ndarray) -> np.ndarray:
+    """T v for the square root T that :func:`whiten` transposes."""
+    if scale is None:
+        return _solve_lower(factor, v, trans=1)
+    return np.dot(factor, scale * v)
 
 
 def sample_inverse_gamma(shape: float, rate: float | np.ndarray,
@@ -273,7 +330,8 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
 def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                       cross: np.ndarray, hyper: HyperState,
                       bank: RegressorBank, kernel: StableSplineKernel,
-                      spectra: BlockSpectra | None
+                      spectra: BlockSpectra | None,
+                      work: Workspace | None = None
                       ) -> GaussianBlockPosterior:
     """Gaussian conditional of the coefficients of ``channels``, a tuple of
     distinct channels, given everything else.
@@ -282,6 +340,7 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
     from ``cross``, the running state of ``theta``.  Spectral given
     ``spectra`` and one scale factor for the whole block, else factored.
+    A pair's stacked coefficients and gram go into ``work`` if given.
     """
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
@@ -291,16 +350,16 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     if spectra is not None and lam.count(lam[0]) == len(lam):
         spectrum = spectra(channels)
         rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
-                                               spectrum.gram)
+                                               spectrum.gram, work)
         return GaussianBlockPosterior.from_spectrum(
             spectrum, lam[0], inv_s2, rhs)
-    gram = bank.block_gram(channels)
-    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram)
-    # a new array: a single channel's gram is the bank's read-only cache
-    precision = inv_s2 * gram
-    p = kernel.p
-    for r, lam_c in enumerate(lam):
-        precision[r * p:(r + 1) * p, r * p:(r + 1) * p] += kernel.Kinv / lam_c
+    gram = bank.block_gram(channels, None if work is None else work.gram)
+    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram,
+                                           work)
+    # a pair's precision overwrites its gram; a single channel's gram is
+    # the bank's read-only cache, so its precision is a new array
+    precision = factored_precision(gram, inv_s2, lam, kernel,
+                                   None if len(channels) == 1 else gram)
     return GaussianBlockPosterior.from_precision(precision, rhs)
 
 
@@ -308,4 +367,4 @@ def draw_gaussian(post: GaussianBlockPosterior,
                   rng: np.random.Generator) -> np.ndarray:
     """T (w + z) = mean + T z for standard normal z."""
     z = rng.standard_normal(post.whitened.size)
-    return post.root_times(post.whitened + z)
+    return root_times(post.factor, post.scale, post.whitened + z)

@@ -159,14 +159,17 @@ class RegressorBank:
             return self._pair_gram(j, i).T
         return self._pair_gram(i, j)
 
-    def block_gram(self, channels: tuple[int, ...]) -> np.ndarray:
+    def block_gram(self, channels: tuple[int, ...],
+                   out: np.ndarray | None = None) -> np.ndarray:
         """The grams G_a' G_b of every a, b in ``channels``, stacked in
         channel order: one channel's is its cached read-only gram, more
-        channels' a new, exactly symmetric C-contiguous matrix."""
+        channels' an exactly symmetric C-contiguous matrix, written into
+        ``out`` if given."""
         if len(channels) == 1:
             return self._diagonal[channels[0]]
         p, c = self.p, len(channels)
-        out = np.empty((c * p, c * p))
+        if out is None:
+            out = np.empty((c * p, c * p))
         for r, a in enumerate(channels):
             out[r * p:(r + 1) * p, r * p:(r + 1) * p] = self._diagonal[a]
             for q in range(r + 1, c):
@@ -194,24 +197,23 @@ class RegressorBank:
         return out
 
     def set_channel(self, theta: np.ndarray, cross: np.ndarray, k: int,
-                    value: np.ndarray) -> None:
+                    value: np.ndarray, work: Workspace | None = None) -> None:
         """Write channel k's coefficients into ``theta`` and move the
-        running state ``cross`` (see :meth:`cross_state`) by the change.
+        running state ``cross`` (see :meth:`cross_state`) by the change,
+        using the buffers of ``work`` (a new :class:`Workspace` if None).
 
         The change d enters every lag product as the Hankel matrix
         H[l, a] = d[l - p + 1 + a] (zero outside 0..p-1), one strided copy
         of d padded by p - 1 zeros on each side; channel k's panel times H
         is the whole update, a single (m+1)-by-(2p-1)-by-p product.
         """
-        p = self.p
-        rows = slice(k * p, (k + 1) * p)
-        padded = np.zeros(3 * p - 2)
-        np.subtract(value, theta[rows], out=padded[p - 1:2 * p - 1])
-        step = padded.itemsize
-        hankel = np.ndarray((2 * p - 1, p), buffer=padded,
-                            strides=(step, step)).copy()
-        cross += self._panels[k] @ hankel
-        theta[rows] = value
+        if work is None:
+            work = Workspace(self.m, self.p)
+        rows = theta_block(theta, k, self.p)
+        np.subtract(value, rows, out=work.change)
+        np.copyto(work.hankel, work.shifts)
+        cross += np.dot(self._panels[k], work.hankel, out=work.product)
+        rows[...] = value
 
     def cross_state(self, theta: np.ndarray) -> np.ndarray:
         """The running state of ``theta``, built from zero one channel at a
@@ -219,9 +221,11 @@ class RegressorBank:
         sum_j Toep(lag_kj) theta_j and whose row m is the tail sum
         s = sum_j T_j theta_j."""
         cross = np.zeros((self.m + 1, self.p))
-        work = np.zeros(self.m * self.p)
+        start = np.zeros(self.m * self.p)
+        work = Workspace(self.m, self.p)
         for k in range(self.m):
-            self.set_channel(work, cross, k, theta_block(theta, k, self.p))
+            self.set_channel(start, cross, k, theta_block(theta, k, self.p),
+                             work)
         return cross
 
     def gram_product(self, cross: np.ndarray) -> np.ndarray:
@@ -239,22 +243,25 @@ class RegressorBank:
 
     def partial_projection(self, channels: tuple[int, ...],
                            theta: np.ndarray, cross: np.ndarray,
-                           gram: np.ndarray) -> np.ndarray:
+                           gram: np.ndarray,
+                           work: Workspace | None = None) -> np.ndarray:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
         plus the block's gram (``block_gram(channels)``) times the block's
-        coefficients."""
+        coefficients, which a pair stacks in ``work`` if given."""
         p = self.p
         if len(channels) == 1:
             coefficients = theta_block(theta, channels[0], p)
         else:
-            coefficients = np.concatenate([theta_block(theta, k, p)
-                                           for k in channels])
-        out = gram @ coefficients
+            coefficients = (np.empty(len(channels) * p) if work is None
+                            else work.stacked)
+            for r, k in enumerate(channels):
+                coefficients[r * p:(r + 1) * p] = theta_block(theta, k, p)
+        out = np.dot(gram, coefficients)
         tail = cross[-1]
         for r, k in enumerate(channels):
             out[r * p:(r + 1) * p] += (self.gty[k * p:(k + 1) * p] - cross[k]
-                                       + tail @ self._tails[k])
+                                       + np.dot(tail, self._tails[k]))
         return out
 
     def dense_gram(self) -> np.ndarray:
@@ -269,6 +276,24 @@ class RegressorBank:
         grid = self.block_gram(tuple(range(m)))
         # one channel's block gram is the cached read-only diagonal
         return grid if grid.flags.writeable else grid.copy()
+
+
+class Workspace:
+    """Scratch arrays that let the bank's block updates on m channels of
+    order p run without allocating (see the methods that take one).  A
+    bank is shared by every chain of a problem; a workspace belongs to the
+    caller that made it."""
+
+    def __init__(self, m: int, p: int):
+        padded = np.zeros(3 * p - 2)
+        # d sits between the pads; H[l, a] = padded[l + a], a strided view
+        self.change = padded[p - 1:2 * p - 1]
+        self.shifts = np.ndarray((2 * p - 1, p), buffer=padded,
+                                 strides=(padded.itemsize,) * 2)
+        self.hankel = np.empty((2 * p - 1, p))
+        self.product = np.empty((m + 1, p))
+        self.stacked = np.empty(2 * p)
+        self.gram = np.empty((2 * p, 2 * p))
 
 
 def _lag_panels(inputs: np.ndarray,

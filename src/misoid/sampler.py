@@ -16,7 +16,10 @@ for an iteration is the state after the pair updates.
 
 A sweep is :func:`draw_hyper` then :func:`draw_coefficients`; to sample
 the coefficients at fixed hyperparameters, call :func:`draw_coefficients`
-from an :func:`init_chain` state with a fixed :class:`HyperState`.
+from an :func:`init_chain` state with a fixed :class:`HyperState`.  Its
+single channels are one flat pass (:func:`draw_channels`), its pairs come
+from :func:`block_conditional`; both draw exactly what that conditional,
+taken one block at a time, would.
 
 A chain also carries a running state of G'G theta in the bank's lag
 structure (:class:`ChainState`): a block draw moves it by one small product
@@ -43,12 +46,12 @@ from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
 from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
                            GaussianBlockPosterior, HyperState,
-                           block_conditional, draw_gaussian,
+                           block_conditional, draw_gaussian, root_times,
                            sample_lambda_common, sample_lambda_k,
-                           sample_sigma2_from_sumsq)
+                           sample_sigma2_from_sumsq, spectral_scales, whiten)
 from .errors import FactorizationError
 from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
-from .regression import Dataset, RegressorBank
+from .regression import Dataset, RegressorBank, Workspace
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
 
@@ -269,27 +272,18 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
                       rng: np.random.Generator) -> list:
     """Second Gibbs step, given ``hyper``: the m channel blocks in order,
     then ``n_ob`` pairs from ``schedule`` for the block variants.  Updates
-    ``theta`` and ``cross`` in place; returns the pairs drawn."""
-    bank, kernel = problem.bank, problem.kernel
-    p = kernel.p
+    ``theta`` and ``cross`` in place; returns the pairs drawn.  One
+    workspace, made here, serves every block update of the step."""
+    bank = problem.bank
     if hyper.lam.shape != (bank.m,):
         raise ValueError(f"need {bank.m} scale factors, got an array of "
                          f"shape {hyper.lam.shape}")
-
-    def draw_block(channels, spectra: BlockSpectra | None) -> None:
-        post = block_conditional(channels, theta, cross, hyper, bank, kernel,
-                                 spectra)
-        z = draw_gaussian(post, rng)
-        start = 0
-        for k in channels:
-            bank.set_channel(theta, cross, k, z[start:start + p])
-            start += p
-
-    for k in range(bank.m):
-        draw_block((k,), problem.spectra)
+    work = Workspace(bank.m, bank.p)
+    draw_channels(theta, cross, hyper, problem, rng, work)
 
     selected: list = []
     if config.uses_blocks:
+        p = bank.p
         pair_draws = config.n_ob * config.n_mc
         for _ in range(config.n_ob):
             i, j = select_block(schedule, rng)
@@ -297,9 +291,36 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
             # expected to draw often; the others factor their precision, as
             # does a pair whose two scale factors differ
             often = schedule.prob(i, j) * pair_draws >= PAIR_SPECTRUM_DRAWS
-            draw_block((i, j), problem.spectra if often else None)
+            post = block_conditional((i, j), theta, cross, hyper, bank,
+                                     problem.kernel,
+                                     problem.spectra if often else None, work)
+            z = draw_gaussian(post, rng)
+            bank.set_channel(theta, cross, i, z[:p], work)
+            bank.set_channel(theta, cross, j, z[p:], work)
             selected.append((i, j))
     return selected
+
+
+def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
+                  problem: Problem, rng: np.random.Generator,
+                  work: Workspace) -> None:
+    """The m single-channel blocks in channel order, each drawn from its
+    spectrum against the freshest values.  The pass takes the channels'
+    spectral scales as one (m, p) table and its m*p standard normals from
+    one call, the same stream as m calls of p."""
+    bank, spectra = problem.bank, problem.spectra
+    m, p = bank.m, bank.p
+    inv_s2 = 1.0 / hyper.sigma2
+    scales = spectral_scales(hyper.lam[:, None], inv_s2, spectra.single_evals)
+    noise = rng.standard_normal(m * p).reshape(m, p)
+    for k in range(m):
+        basis, _, gram = spectra((k,))
+        rhs = bank.partial_projection((k,), theta, cross, gram)
+        rhs *= inv_s2
+        scale = scales[k]
+        value = root_times(basis, scale,
+                           whiten(basis, scale, rhs) + noise[k])
+        bank.set_channel(theta, cross, k, value, work)
 
 
 def sweep(state: ChainState, problem: Problem,
@@ -462,10 +483,17 @@ def load_record(outdir) -> ChainRecord:
         if table.shape[0] != meta["completed"]:
             raise ValueError(f"{name} has {table.shape[0]} rows for "
                              f"{meta['completed']} completed iterations")
+    theta = np.load(os.path.join(outdir, "theta_samples.npy"))
+    stored = (meta["completed"] // meta["thin"], meta["m"] * meta["p"])
+    if theta.shape != stored:
+        raise ValueError(f"theta_samples.npy has shape {theta.shape}, "
+                         f"expected {stored}: {meta['completed']} completed "
+                         f"iterations thinned by {meta['thin']}, "
+                         f"{meta['m']} x {meta['p']} coefficients")
     return ChainRecord(
         variant=meta["variant"], m=meta["m"], p=meta["p"], n_mc=meta["n_mc"],
         burn_in=meta["burn_in"], thin=meta["thin"], seed=meta["seed"],
-        theta_samples=np.load(os.path.join(outdir, "theta_samples.npy")),
+        theta_samples=theta,
         lambda_trace=lam[:, 1:], sigma2_trace=sig[:, 1],
         selected_blocks=_read_table(outdir, "blocks.csv",
                                     ["iteration", "i", "j"], np.int64),

@@ -275,20 +275,21 @@ def test_oracle_check_size_guard(tmp_path):
 
 
 def _abort_after_30_single_draws(monkeypatch):
-    """Make every chain fail at its 31st single-channel conditional."""
+    """Make every chain fail in the single-channel pass that reaches its
+    31st single-channel draw."""
     from misoid import sampler as sp
     from misoid.errors import FactorizationError
 
     calls = {"count": 0}
-    real = sp.block_conditional
+    real = sp.draw_channels
 
-    def explode_later(channels, *args):
-        calls["count"] += len(channels) == 1
+    def explode_later(theta, cross, hyper, problem, *args):
+        calls["count"] += problem.bank.m
         if calls["count"] > 30:
             raise FactorizationError("synthetic failure")
-        return real(channels, *args)
+        return real(theta, cross, hyper, problem, *args)
 
-    monkeypatch.setattr(sp, "block_conditional", explode_later)
+    monkeypatch.setattr(sp, "draw_channels", explode_later)
 
 
 def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
@@ -376,7 +377,7 @@ def test_killed_run_leftover_is_replaced(tiny_config, leftover):
 
 
 @pytest.mark.parametrize("broken", ["record", "truth", "lambda header",
-                                    "truncated sigma2"])
+                                    "truncated sigma2", "truncated theta"])
 def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
@@ -394,15 +395,19 @@ def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
         table = Path(rundir, "lambda.csv")
         lines = table.read_text().splitlines(keepends=True)
         table.write_text("iteration,lambda\n" + "".join(lines[1:]))
-    else:
+    elif broken == "truncated sigma2":
         table = Path(rundir, "sigma2.csv")
         lines = table.read_text().splitlines(keepends=True)
         table.write_text("".join(lines[:-1]))
+    else:
+        # stored draws cut short: the rest would pass for the whole chain
+        table = Path(rundir, "theta_samples.npy")
+        np.save(table, np.load(table)[:30])
     capsys.readouterr()
     assert main(["diagnose", rundir, "--truth", str(truth)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    if broken in ("lambda header", "truncated sigma2"):
+    if broken not in ("record", "truth"):
         assert table.name in err
 
 

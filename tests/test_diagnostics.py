@@ -162,14 +162,13 @@ def test_oracle_catches_a_channel_read_with_another_channels_scale(
     # the chains' single-channel draws read the scales in reverse order:
     # a no-op at a common scale, wrong at the oracle's distinct GSd scales
     from misoid import sampler as sp
-    real = sp.block_conditional
+    real = sp.draw_channels
 
-    def reversed_scales(channels, theta, cross, hyper, *args):
-        if len(channels) == 1:
-            hyper = mi.HyperState(lam=hyper.lam[::-1], sigma2=hyper.sigma2)
-        return real(channels, theta, cross, hyper, *args)
+    def reversed_scales(theta, cross, hyper, *args):
+        hyper = mi.HyperState(lam=hyper.lam[::-1], sigma2=hyper.sigma2)
+        return real(theta, cross, hyper, *args)
 
-    monkeypatch.setattr(sp, "block_conditional", reversed_scales)
+    monkeypatch.setattr(sp, "draw_channels", reversed_scales)
     report = mi.run_oracle_checks(seed=0, n_sweeps=500)
     passed = {check.name.split()[0]: check.passed for check in report.checks}
     assert not passed["GSd"]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 import misoid as mi
 from misoid import sampler as sp
+from misoid.conditionals import PAIR_SPECTRUM_DRAWS
 from misoid.errors import FactorizationError
 
 from conftest import make_small_problem
@@ -106,21 +108,88 @@ def test_sweep_composes_single_conditionals():
     np.testing.assert_array_equal(new_state.cross, cross)
     assert rng_a.random() == rng_b.random()
 
-    # at fixed hyperparameters the coefficient step is the loop of single
-    # conditionals
-    fixed = mi.HyperState(lam=np.full(2, 0.9), sigma2=0.4)
-    rng_a = np.random.default_rng(8)
-    theta_a, cross_a = state.theta.copy(), state.cross.copy()
-    sp.draw_coefficients(theta_a, cross_a, fixed, problem, None, cfg, rng_a)
-    rng_b = np.random.default_rng(8)
-    theta, cross = state.theta.copy(), state.cross.copy()
-    for k in range(2):
-        post = mi.block_conditional((k,), theta, cross, fixed, problem.bank,
-                                    problem.kernel, problem.spectra)
-        value = mi.draw_gaussian(post, rng_b)
-        problem.bank.set_channel(theta, cross, k, value)
-    np.testing.assert_array_equal(theta_a, theta)
-    np.testing.assert_array_equal(cross_a, cross)
+    # at fixed hyperparameters the coefficient step is, byte for byte, the
+    # loop of block conditionals, on every variant and both pair routes
+    problem = _collinear_triple()
+    routes_seen = set()
+    for variant in sp.VARIANTS:
+        cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=4,
+                               beta=2.0, n_ob=4, seed=0)
+        schedule = (mi.compute_block_probabilities(problem.correlations,
+                                                   cfg.beta)
+                    if cfg.uses_blocks else None)
+        state = mi.init_chain(problem, cfg)
+        theta_a, cross_a = state.theta.copy(), state.cross.copy()
+        theta_b, cross_b = state.theta.copy(), state.cross.copy()
+        rng_a = np.random.default_rng(8)
+        rng_b = copy.deepcopy(rng_a)
+        for t in range(6):
+            lam = (np.full(3, 0.5 + 0.2 * t) if cfg.common_scale
+                   else np.array([0.5, 0.9, 1.3]) + 0.1 * t)
+            hyper = mi.HyperState(lam=lam, sigma2=0.3 + 0.05 * t)
+            selected = sp.draw_coefficients(theta_a, cross_a, hyper, problem,
+                                            schedule, cfg, rng_a)
+            reference, routes = _reference_coefficients(
+                theta_b, cross_b, hyper, problem, schedule, cfg, rng_b)
+            assert selected == reference
+            assert theta_a.tobytes() == theta_b.tobytes()
+            assert cross_a.tobytes() == cross_b.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            routes_seen |= {(variant, route) for route in routes}
+    # GSOB draws its frequent pair from a spectrum and the others factored;
+    # GSOBd's two scale factors always differ
+    assert routes_seen == {("GSOB", "spectral"), ("GSOB", "factored"),
+                           ("GSOBd", "factored")}
+
+
+def test_one_normal_call_is_many():
+    # the single-channel pass draws its m*p normals in one call: the same
+    # stream as one call of p per channel
+    one, many = np.random.default_rng(3), np.random.default_rng(3)
+    batch = one.standard_normal(7 * 5)
+    parts = np.concatenate([many.standard_normal(5) for _ in range(7)])
+    assert batch.tobytes() == parts.tobytes()
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+def _collinear_triple():
+    """Three channels whose pair (0, 1) takes most selection mass at
+    beta = 2: about 84 of 120 pair draws against 17 and 19 for the others,
+    so a 30-sweep, n_ob = 4 GSOB chain builds only the first's spectrum."""
+    rng = np.random.default_rng(40)
+    u = rng.standard_normal((3, 80))
+    u[1] = u[0] + 0.3 * u[1]
+    u[2] = u[1] + 1.5 * u[2]
+    y = u.sum(axis=0) + 0.3 * rng.standard_normal(80)
+    data = mi.Dataset(y=y, inputs=u)
+    return mi.Problem(data=data, bank=mi.RegressorBank(data, 4),
+                      kernel=mi.build_kernel(0.9, 4))
+
+
+def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
+                            rng):
+    """The coefficient step one block at a time, each block drawn from
+    ``block_conditional``: the pairs drawn and the route of each."""
+    bank, p = problem.bank, problem.bank.p
+
+    def draw(channels, spectra):
+        post = mi.block_conditional(channels, theta, cross, hyper, bank,
+                                    problem.kernel, spectra)
+        value = mi.draw_gaussian(post, rng)
+        for r, k in enumerate(channels):
+            bank.set_channel(theta, cross, k, value[r * p:(r + 1) * p])
+        return "factored" if post.scale is None else "spectral"
+
+    for k in range(bank.m):
+        assert draw((k,), problem.spectra) == "spectral"
+    selected, routes = [], []
+    for _ in range(config.n_ob if config.uses_blocks else 0):
+        i, j = mi.select_block(schedule, rng)
+        often = (schedule.prob(i, j) * config.n_ob * config.n_mc
+                 >= PAIR_SPECTRUM_DRAWS)
+        routes.append(draw((i, j), problem.spectra if often else None))
+        selected.append((i, j))
+    return selected, routes
 
 
 def test_draw_coefficients_refuses_wrong_scale_count():
@@ -329,16 +398,16 @@ def test_partial_record_attached_on_abort(monkeypatch):
     problem, _ = _problem(seed=13)
     cfg = mi.SamplerConfig(variant="GS", n_mc=50, alpha=0.9, p=3, seed=0)
     calls = {"count": 0}
-    real = sp.block_conditional
+    real = sp.draw_channels
 
-    def explode_later(channels, *args):
+    def explode_later(theta, cross, hyper, problem, *args):
         # single channels only: the chain fails in its 11th sweep
-        calls["count"] += len(channels) == 1
+        calls["count"] += problem.bank.m
         if calls["count"] > 20:
             raise FactorizationError("synthetic failure")
-        return real(channels, *args)
+        return real(theta, cross, hyper, problem, *args)
 
-    monkeypatch.setattr(sp, "block_conditional", explode_later)
+    monkeypatch.setattr(sp, "draw_channels", explode_later)
     with pytest.raises(FactorizationError) as info:
         mi.run(problem, cfg)
     partial = info.value.partial_record
@@ -348,6 +417,45 @@ def test_partial_record_attached_on_abort(monkeypatch):
                                   np.arange(1, 11))
     assert partial.lambda_trace.shape == (10, 1)
     assert partial.sigma2_trace.shape == (10,)
+
+
+@pytest.mark.parametrize("lam_1,sigma2", [(5e-324, 0.4), (0.9, 1e-308)],
+                         ids=["scale factor", "noise variance"])
+def test_collapsed_scale_aborts_cleanly(monkeypatch, lam_1, sigma2):
+    # one scale factor, or the noise variance, collapsed towards 0 makes the
+    # spectral scales non-finite: the coefficient step raises, and a chain
+    # that reaches it keeps the sweeps before it
+    problem, _ = _problem(seed=18)
+    cfg = mi.SamplerConfig(variant="GSd", n_mc=30, alpha=0.9, p=3, seed=2)
+    state = mi.init_chain(problem, cfg)
+    collapsed = mi.HyperState(lam=np.array([0.7, lam_1]), sigma2=sigma2)
+    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
+        sp.draw_coefficients(state.theta.copy(), state.cross.copy(),
+                             collapsed, problem, None, cfg,
+                             np.random.default_rng(0))
+    # a huge noise variance is no collapse: the prior alone is left
+    theta = state.theta.copy()
+    sp.draw_coefficients(theta, state.cross.copy(),
+                         mi.HyperState(lam=np.array([0.7, 0.9]), sigma2=1e308),
+                         problem, None, cfg, np.random.default_rng(0))
+    assert np.all(np.isfinite(theta))
+
+    calls = {"count": 0}
+    real = sp.draw_hyper
+
+    def collapse_later(*args):
+        calls["count"] += 1
+        return collapsed if calls["count"] > 10 else real(*args)
+
+    monkeypatch.setattr(sp, "draw_hyper", collapse_later)
+    with np.errstate(over="ignore"), \
+            pytest.raises(FactorizationError) as info:
+        mi.run(problem, cfg)
+    partial = info.value.partial_record
+    assert partial.completed == 10
+    assert partial.theta_samples.shape == (10, 6)
+    assert np.all(np.isfinite(partial.theta_samples))
+    assert np.all(partial.lambda_trace > 0.0)
 
 
 def _tables_row_by_row(record, summary) -> dict:
