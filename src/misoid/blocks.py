@@ -109,17 +109,14 @@ def select_block(schedule: BlockSchedule,
 
 def export_correlations_csv(c: np.ndarray, path) -> None:
     """Write the full correlation matrix as (i, j, value) triplets."""
-    m = c.shape[0]
-    with open(path, "w") as fh:
-        fh.write("i,j,value\n")
-        for i in range(m):
-            for j in range(m):
-                fh.write(f"{i},{j},{c[i, j]:.17g}\n")
+    rows, cols = np.indices(c.shape)
+    np.savetxt(path, np.column_stack([rows.ravel(), cols.ravel(), c.ravel()]),
+               fmt=["%d", "%d", "%.17g"], delimiter=",", header="i,j,value",
+               comments="")
 
 
 def export_probabilities_csv(schedule: BlockSchedule, path) -> None:
     """Write pair probabilities as (i, j, value) triplets over i < j."""
-    with open(path, "w") as fh:
-        fh.write("i,j,value\n")
-        for (i, j), prob in zip(schedule.pairs, schedule.probs):
-            fh.write(f"{i},{j},{prob:.17g}\n")
+    np.savetxt(path, np.column_stack([schedule.pairs, schedule.probs]),
+               fmt=["%d", "%d", "%.17g"], delimiter=",", header="i,j,value",
+               comments="")

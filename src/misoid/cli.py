@@ -67,9 +67,10 @@ def _get(section, key, cast, default=None, required=False):
     raw = section[key].strip()
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            # 1/yes/true/on or 0/no/false/off, in any case
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"config key '{key}': cannot parse {raw!r}") from None
 
 
@@ -167,24 +168,27 @@ def _flag_or(value, section, key, cast, **kwargs):
 
 
 def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
+    """The chain settings: each field a flag or key sets, SamplerConfig's
+    default for the rest."""
     sec = _section(cfg, "sampler")
+    if _get(sec, "literal_paper_shape", bool, default=False):
+        raise ConfigError(
+            "config key 'literal_paper_shape' is retired: the common scale "
+            "factor is drawn with shape m*p/2 only; remove the key")
+    settings = {
+        "n_mc": _flag_or(args.iterations, sec, "iterations", int,
+                         required=True),
+        "alpha": _flag_or(args.alpha, sec, "alpha", float, required=True),
+        "p": _flag_or(args.fir_order, sec, "fir_order", int, required=True),
+        "beta": _flag_or(args.beta, sec, "beta", float),
+        "n_ob": _flag_or(args.n_ob, sec, "overlapping_blocks", int),
+        "burn_in": _flag_or(args.burn_in, sec, "burn_in", int),
+        "thin": _flag_or(args.thin, sec, "thin", int),
+    }
     try:
-        return SamplerConfig(
-            variant=variant,
-            n_mc=_flag_or(args.iterations, sec, "iterations", int,
-                          required=True),
-            alpha=_flag_or(args.alpha, sec, "alpha", float, required=True),
-            p=_flag_or(args.fir_order, sec, "fir_order", int, required=True),
-            beta=_flag_or(args.beta, sec, "beta", float),
-            n_ob=_flag_or(args.n_ob, sec, "overlapping_blocks", int,
-                          default=1),
-            burn_in=_flag_or(args.burn_in, sec, "burn_in", int),
-            seed=seed,
-            literal_paper_shape=(args.literal_paper_shape
-                                 or _get(sec, "literal_paper_shape", bool,
-                                         default=False)),
-            thin=_flag_or(args.thin, sec, "thin", int, default=1),
-        )
+        return SamplerConfig(variant=variant, seed=seed,
+                             **{field: value for field, value in
+                                settings.items() if value is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -295,12 +299,16 @@ def _load_truth(path, m: int, p: int) -> dict:
 
 
 def _load_identifiable(path):
-    """The dataset at ``path``.  A malformed file, or an input column that
-    never changes (no variant can identify its response), is a data error."""
+    """The dataset at ``path``.  A malformed file, a nan or an inf, an
+    output that never changes, or an input column that never changes (no
+    variant can identify its response), is a data error."""
     try:
         data = load_dataset_csv(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if np.ptp(data.y) == 0.0:
+        raise ConfigError(f"{path}: output y is constant; there is nothing "
+                          "to identify")
     constant = np.flatnonzero(np.ptp(data.inputs, axis=1) == 0.0)
     if constant.size:
         raise ConfigError(f"{path}: input column u{constant[0] + 1} is "
@@ -462,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--seed", type=int)
     ident.add_argument("--thin", type=int)
     ident.add_argument("--replicates", type=int)
-    ident.add_argument("--literal-paper-shape", action="store_true",
-                       default=False)
     ident.add_argument("--emit-figures", action="store_true", default=False)
     ident.set_defaults(func=cmd_identify)
 

@@ -301,21 +301,15 @@ def sample_lambda_k(theta: np.ndarray, kernel: StableSplineKernel,
 
 
 def sample_lambda_common(theta: np.ndarray, kernel: StableSplineKernel,
-                         rng: np.random.Generator,
-                         shape: float | None = None) -> float:
-    """Common scale factor conditional: IG(mp/2, sum_k theta_k'Kinv theta_k / 2).
-
-    ``shape`` overrides the default m*p/2 (used to reproduce alternative
-    shape conventions; the rate is unaffected).
-    """
+                         rng: np.random.Generator) -> float:
+    """Common scale factor conditional IG(mp/2, b), with b half the sum of
+    theta_k'Kinv theta_k over the m channels."""
     p = kernel.p
     if theta.size % p:
         raise ValueError("stacked coefficient length must be a multiple of p")
     m = theta.size // p
     total = float(quad_form(kernel, theta.reshape(m, p)).sum())
-    if shape is None:
-        shape = 0.5 * m * p
-    return sample_inverse_gamma(shape, 0.5 * total, rng)
+    return sample_inverse_gamma(0.5 * m * p, 0.5 * total, rng)
 
 
 def sample_sigma2_from_sumsq(rss: float, n: int,

@@ -70,6 +70,11 @@ class Dataset:
             raise ValueError(
                 f"inputs of length {y.size} expected, got {u.shape[1]}"
             )
+        if not np.isfinite(y).all():
+            raise ValueError("output y has a nan or an inf entry")
+        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+        if bad.size:
+            raise ValueError(f"input u{bad[0] + 1} has a nan or an inf entry")
         object.__setattr__(self, "y", np.ascontiguousarray(y))
         object.__setattr__(self, "inputs", np.ascontiguousarray(u))
 

@@ -74,7 +74,6 @@ class SamplerConfig:
     n_ob: int = 1
     burn_in: int | None = None       # default: n_mc // 2
     seed: int = 0
-    literal_paper_shape: bool = False
     thin: int = 1
 
     def __post_init__(self):
@@ -256,9 +255,7 @@ def draw_hyper(theta: np.ndarray, cross: np.ndarray, problem: Problem,
     bank, kernel = problem.bank, problem.kernel
     m, p, n = bank.m, kernel.p, problem.data.n
     if config.common_scale:
-        shape = 0.5 * n * p if config.literal_paper_shape else None
-        lam = np.full(m, sample_lambda_common(theta, kernel, rng,
-                                              shape=shape))
+        lam = np.full(m, sample_lambda_common(theta, kernel, rng))
     else:
         lam = sample_lambda_k(theta.reshape(m, p), kernel, rng)
     sigma2 = sample_sigma2_from_sumsq(bank.residual_sumsq(theta, cross), n,

@@ -174,19 +174,30 @@ def test_out_of_range_flag_exits_2(tiny_config, capsys, flags):
 
 
 @pytest.mark.parametrize("variant", ["GS", "GSOB"])
-def test_constant_input_exits_2(tiny_config, capsys, variant):
+@pytest.mark.parametrize("column,rows,value,named", [
+    pytest.param(2, slice(None), 0.0, "u2", id="u2-constant"),
+    pytest.param(2, 7, np.nan, "u2", id="u2-nan"),
+    pytest.param(2, 7, np.inf, "u2", id="u2-inf"),
+    pytest.param(0, 7, np.nan, "output y", id="y-nan"),
+    pytest.param(0, slice(None), 1.0, "output y", id="y-constant"),
+])
+def test_unusable_data_exits_2(tiny_config, capsys, variant, column, rows,
+                               value, named):
+    # data no chain can use is refused before any chain runs: a nan or an
+    # inf anywhere, or an output or an input that never changes
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
-    data = mi.load_dataset_csv(f"{out}/dataset.csv")
-    inputs = data.inputs.copy()
-    inputs[1] = 0.0
-    mi.save_dataset_csv(mi.Dataset(y=data.y, inputs=inputs),
-                        f"{out}/dataset.csv")
+    dataset = Path(out) / "dataset.csv"
+    header = dataset.read_text().splitlines()[0]
+    table = np.loadtxt(dataset, delimiter=",", skiprows=1)
+    table[rows, column] = value
+    np.savetxt(dataset, table, fmt="%.17g", delimiter=",", header=header,
+               comments="")
     capsys.readouterr()
     code = main(["identify", cfg, "--variant", variant])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:") and "u2" in captured.err
+    assert captured.err.startswith("error:") and named in captured.err
     assert "chain written" not in captured.out
     assert not os.path.exists(f"{out}/{variant}")
 
@@ -210,6 +221,38 @@ def test_config_value_error_exits_2(tmp_path, capsys):
     assert main(["identify", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "beta" in err
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("emit_figures = true", "emit_figures = ture", "emit_figures"),
+    ("[sampler]", "[sampler]\nliteral_paper_shape = TRUE", "retired"),
+], ids=["misspelt-boolean", "retired-key"])
+def test_config_value_that_would_change_a_run_exits_2(tiny_config, capsys,
+                                                      old, new, named):
+    # a misspelt boolean is not read as false, and a retired option that
+    # was switched on is not silently dropped
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    Path(cfg).write_text(Path(cfg).read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["identify", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert not os.path.exists(f"{out}/GSOB")
+
+
+def test_retired_literal_shape_option(tiny_config, capsys):
+    # the flag is gone; the key switched off changes nothing
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", cfg, "--literal-paper-shape"])
+    assert exc.value.code == 2
+    assert not os.path.exists(f"{out}/GSOB")
+    text = Path(cfg).read_text()
+    Path(cfg).write_text(text.replace(
+        "[sampler]", "[sampler]\nliteral_paper_shape = false"))
+    assert main(["identify", cfg]) == 0
 
 
 # valid settings of each command; a case below replaces one of them

@@ -7,8 +7,9 @@ import pytest
 
 import misoid as mi
 from misoid import sampler as sp
-from misoid.conditionals import PAIR_SPECTRUM_DRAWS
+from misoid.conditionals import PAIR_SPECTRUM_DRAWS, sample_inverse_gamma
 from misoid.errors import FactorizationError
+from misoid.kernel import quad_form
 
 from conftest import make_small_problem
 
@@ -541,14 +542,51 @@ def test_recorded_selection_frequencies_match_schedule():
         assert abs(freq - prob) <= 3 * se
 
 
-def test_literal_paper_shape_changes_lambda_scale():
-    # with the literal shape n*p/2 the common scale factor is divided by
-    # roughly n/m relative to the default m*p/2 parameterization
-    problem, _ = _problem(seed=15)
-    base = mi.SamplerConfig(variant="GS", n_mc=200, alpha=0.9, p=3, seed=4)
-    literal = mi.SamplerConfig(variant="GS", n_mc=200, alpha=0.9, p=3,
-                               seed=4, literal_paper_shape=True)
-    r_base, _ = mi.run(problem, base)
-    r_lit, _ = mi.run(problem, literal)
-    ratio = np.median(r_base.lambda_trace) / np.median(r_lit.lambda_trace)
-    assert ratio > 5.0
+def _hyper_mean_z(problem, theta, variant, draws=20_000):
+    """Largest z score of the sample means of draw_hyper's scale factor(s)
+    and noise variance, at fixed ``theta``, against the inverse-gamma means
+    b / (a - 1) computed here from K^-1 and ||y - G theta||^2."""
+    bank, kernel = problem.bank, problem.kernel
+    m, p, n = bank.m, kernel.p, problem.data.n
+    cfg = mi.SamplerConfig(variant=variant, n_mc=10, alpha=0.9, p=p)
+    cross = bank.cross_state(theta)
+    rng = np.random.default_rng(8)
+    hypers = [sp.draw_hyper(theta, cross, problem, cfg, rng)
+              for _ in range(draws)]
+    lam = np.array([h.lam for h in hypers])
+    rates = 0.5 * np.array([t @ kernel.Kinv @ t for t in theta.reshape(m, p)])
+    if cfg.common_scale:
+        targets = [(lam[:, 0], 0.5 * m * p, rates.sum())]
+    else:
+        targets = [(lam[:, k], 0.5 * p, rates[k]) for k in range(m)]
+    rss = float(np.sum((problem.data.y - bank.predict(theta)) ** 2))
+    targets.append((np.array([h.sigma2 for h in hypers]), 0.5 * n, 0.5 * rss))
+    z = []
+    for sample, a, b in targets:
+        sd = b / ((a - 1.0) * np.sqrt(a - 2.0))
+        z.append(abs(sample.mean() - b / (a - 1.0)) * np.sqrt(draws) / sd)
+    return max(z)
+
+
+@pytest.mark.parametrize("variant", ["GS", "GSd"])
+def test_draw_hyper_means_at_fixed_coefficients(monkeypatch, variant):
+    # the hyperparameter step's moments at one fixed theta whose channels
+    # differ in norm, then under a mutation: the retired n*p/2 shape for
+    # the common scale, or the per-channel rates in reverse order; p = 8
+    # keeps GSd's shape p/2 above 2, where the variance is finite
+    problem, theta = _problem(seed=21, m=3, p=8, n=60)
+    theta = theta * np.repeat([1.0, 3.0, 9.0], 8)
+    assert _hyper_mean_z(problem, theta, variant) < 4
+    if variant == "GS":
+        n = problem.data.n
+
+        def wrong_shape(theta, kernel, rng):
+            rate = 0.5 * quad_form(kernel, theta.reshape(-1, kernel.p)).sum()
+            return sample_inverse_gamma(0.5 * n * kernel.p, rate, rng)
+        monkeypatch.setattr(sp, "sample_lambda_common", wrong_shape)
+    else:
+        real = sp.sample_lambda_k
+        monkeypatch.setattr(sp, "sample_lambda_k",
+                            lambda theta, kernel, rng:
+                            real(theta[::-1], kernel, rng))
+    assert _hyper_mean_z(problem, theta, variant) > 10
