@@ -2,7 +2,8 @@
 
 Impulse responses carry a stable spline Gaussian prior; posteriors are
 explored with Gibbs sampling, optionally augmented with jointly updated
-channel pairs chosen by input collinearity (the GSOB family of samplers).
+blocks of channels chosen by input collinearity (the GSOB family of
+samplers).
 """
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
@@ -10,21 +11,18 @@ from .blocks import (BlockSchedule, compute_block_probabilities,
 from .conditionals import (GaussianBlockPosterior, HyperState,
                            block_conditional, draw_gaussian,
                            sample_lambda_common, sample_lambda_k)
-from .diagnostics import (AnalyticPosterior, DiagnosticsReport,
-                          analytic_posterior, build_report,
+from .diagnostics import (analytic_posterior, build_report,
                           effective_sample_size, fit_metric, iact,
-                          joint_conditional, pair_sum_error,
-                          run_oracle_checks)
+                          joint_conditional, run_oracle_checks)
 from .errors import DegenerateRateError, FactorizationError, SizeGuardError
 from .kernel import StableSplineKernel, build_kernel, quad_form
 from .regression import (Dataset, RegressorBank, load_dataset_csv,
-                         save_dataset_csv, theta_block)
-from .sampler import (ChainRecord, ChainState, PosteriorSummary, Problem,
-                      SamplerConfig, VARIANTS, build_problem, derive_seed,
-                      init_chain, load_record, run, save_record, summarize,
-                      sweep)
-from .simgen import (CollinearInputSpec, RandomSystemSpec, SyntheticSystem,
-                     gamma_for_target_c, generate_inputs, generate_system,
-                     load_truth_json, synthesize_dataset, write_truth_json)
+                         save_dataset_csv)
+from .sampler import (ChainRecord, Problem, SamplerConfig, VARIANTS,
+                      build_problem, derive_seed, init_chain, load_record,
+                      run, save_record, summarize, sweep)
+from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
+                     generate_inputs, generate_system, load_truth_json,
+                     synthesize_dataset, write_truth_json)
 
 __version__ = "0.1.0"

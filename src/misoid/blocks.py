@@ -1,9 +1,9 @@
 """Input collinearity and the overlapping-block selection distribution.
 
-Pairwise collinearity is the absolute sample correlation of the input
-realizations, computed once up front.  It is mapped to selection
-probabilities over unordered channel pairs (i, j), i < j, by the exponential
-rule
+A block is a tuple of distinct channels drawn jointly.  The schedule
+weights the unordered channel pairs (i, j), i < j, by the absolute sample
+correlation c_ij of their inputs, computed once up front, with the
+exponential rule
 
     P_ij  proportional to  exp(beta * c_ij) - 1,
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,24 +27,22 @@ PRUNE_THRESHOLD = 1e-12
 
 @dataclass
 class BlockSchedule:
-    """Selection distribution over unordered channel pairs.
+    """Selection distribution over blocks of channels.
 
-    ``pairs`` lists all (i, j) with i < j; ``probs`` the matching
-    probabilities.  ``cumulative`` spans only the active (unpruned) pairs and
-    backs the categorical draw in :func:`select_block`.
+    ``blocks`` lists tuples of distinct channels; ``probs`` the matching
+    probabilities.  ``cumulative`` spans only the ``active`` (unpruned)
+    blocks, given by position, and backs the draw in :func:`select_block`.
     """
 
-    c: np.ndarray                      # (m, m) absolute correlations
-    beta: float
-    pairs: np.ndarray                  # (K, 2) int, i < j
+    blocks: list                       # tuples of distinct channels
     probs: np.ndarray                  # (K,)
-    active: np.ndarray = field(repr=False)      # indices into pairs
-    cumulative: np.ndarray = field(repr=False)  # cumsum over active pairs
+    active: np.ndarray = field(repr=False)      # positions in blocks
+    cumulative: np.ndarray = field(repr=False)  # cumsum over active blocks
 
-    def prob(self, i: int, j: int) -> float:
-        """Selection probability of the pair (i, j), i < j."""
-        m = self.c.shape[0]
-        return float(self.probs[i * (2 * m - i - 1) // 2 + j - i - 1])
+    @cached_property
+    def width(self) -> int:
+        """Channels in the widest block."""
+        return max(map(len, self.blocks))
 
 
 def compute_correlations(data: Dataset) -> np.ndarray:
@@ -65,7 +64,7 @@ def compute_correlations(data: Dataset) -> np.ndarray:
 
 
 def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
-    """Build the pair-selection distribution from a correlation matrix."""
+    """The schedule over the channel pairs (i, j), i < j, in row order."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"square correlation matrix expected, got {c.shape}")
@@ -76,7 +75,6 @@ def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
         raise ValueError("need at least two channels to form pairs")
 
     iu, ju = np.triu_indices(m, k=1)
-    pairs = np.column_stack([iu, ju])
     cvals = c[iu, ju]
     cmax = float(cvals.max())
     # exp(beta c) - 1 times exp(-beta cmax): no overflow, and no cancellation
@@ -87,24 +85,21 @@ def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
             "all pairwise correlations are zero; falling back to uniform "
             "pair selection", stacklevel=2,
         )
-        probs = np.full(pairs.shape[0], 1.0 / pairs.shape[0])
+        probs = np.full(iu.size, 1.0 / iu.size)
     else:
         probs = weights / total
 
     active = np.flatnonzero(probs >= PRUNE_THRESHOLD)
     cumulative = np.cumsum(probs[active])
     cumulative /= cumulative[-1]
-    return BlockSchedule(c=c, beta=float(beta), pairs=pairs, probs=probs,
-                         active=active, cumulative=cumulative)
+    return BlockSchedule(blocks=list(zip(iu.tolist(), ju.tolist())),
+                         probs=probs, active=active, cumulative=cumulative)
 
 
-def select_block(schedule: BlockSchedule,
-                 rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one pair (i, j), i < j, from the selection distribution."""
+def select_block(schedule: BlockSchedule, rng: np.random.Generator) -> int:
+    """Draw one block; returns its position in ``schedule.blocks``."""
     pos = int(np.searchsorted(schedule.cumulative, rng.random(), side="right"))
-    pos = min(pos, schedule.active.size - 1)
-    i, j = schedule.pairs[schedule.active[pos]]
-    return int(i), int(j)
+    return int(schedule.active[min(pos, schedule.active.size - 1)])
 
 
 def export_correlations_csv(c: np.ndarray, path) -> None:
@@ -116,7 +111,7 @@ def export_correlations_csv(c: np.ndarray, path) -> None:
 
 
 def export_probabilities_csv(schedule: BlockSchedule, path) -> None:
-    """Write pair probabilities as (i, j, value) triplets over i < j."""
-    np.savetxt(path, np.column_stack([schedule.pairs, schedule.probs]),
+    """Write a pair schedule's probabilities as (i, j, value) triplets."""
+    np.savetxt(path, np.column_stack([schedule.blocks, schedule.probs]),
                fmt=["%d", "%d", "%.17g"], delimiter=",", header="i,j,value",
                comments="")

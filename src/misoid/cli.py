@@ -51,7 +51,8 @@ NUMERICAL_ERRORS = (FactorizationError, DegenerateRateError)
 def _read_config(path) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -346,6 +347,9 @@ def cmd_identify(args) -> int:
     master_seed = _flag_or(args.seed, _section(cfg, "sampler"), "seed", int,
                            default=0)
     data = _load_identifiable(data_path)
+    if data.m < 2 and {"GSOB", "GSOBd"} & set(variants):
+        raise ConfigError(f"{data_path}: the GSOB variants update blocks of "
+                          "two or more channels; the data have one input")
     data_hash = _sha256(data_path)
 
     jobs = []

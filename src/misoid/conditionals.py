@@ -334,7 +334,7 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
     from ``cross``, the running state of ``theta``.  Spectral given
     ``spectra`` and one scale factor for the whole block, else factored.
-    A pair's stacked coefficients and gram go into ``work`` if given.
+    A block's stacked coefficients and gram go into ``work`` if given.
     """
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
@@ -347,10 +347,10 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                                                spectrum.gram, work)
         return GaussianBlockPosterior.from_spectrum(
             spectrum, lam[0], inv_s2, rhs)
-    gram = bank.block_gram(channels, None if work is None else work.gram)
+    gram = bank.block_gram(channels, work)
     rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram,
                                            work)
-    # a pair's precision overwrites its gram; a single channel's gram is
+    # a wider block's precision overwrites its gram; a single channel's is
     # the bank's read-only cache, so its precision is a new array
     precision = factored_precision(gram, inv_s2, lam, kernel,
                                    None if len(channels) == 1 else gram)

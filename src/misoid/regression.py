@@ -165,16 +165,16 @@ class RegressorBank:
         return self._pair_gram(i, j)
 
     def block_gram(self, channels: tuple[int, ...],
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   work: Workspace | None = None) -> np.ndarray:
         """The grams G_a' G_b of every a, b in ``channels``, stacked in
         channel order: one channel's is its cached read-only gram, more
         channels' an exactly symmetric C-contiguous matrix, written into
-        ``out`` if given."""
+        ``work``'s buffer if given."""
         if len(channels) == 1:
             return self._diagonal[channels[0]]
         p, c = self.p, len(channels)
-        if out is None:
-            out = np.empty((c * p, c * p))
+        out = (np.empty((c * p, c * p)) if work is None
+               else work.gram[:(c * p) ** 2].reshape(c * p, c * p))
         for r, a in enumerate(channels):
             out[r * p:(r + 1) * p, r * p:(r + 1) * p] = self._diagonal[a]
             for q in range(r + 1, c):
@@ -213,7 +213,7 @@ class RegressorBank:
         is the whole update, a single (m+1)-by-(2p-1)-by-p product.
         """
         if work is None:
-            work = Workspace(self.m, self.p)
+            work = Workspace(self.m, self.p, 1)
         rows = theta_block(theta, k, self.p)
         np.subtract(value, rows, out=work.change)
         np.copyto(work.hankel, work.shifts)
@@ -227,7 +227,7 @@ class RegressorBank:
         s = sum_j T_j theta_j."""
         cross = np.zeros((self.m + 1, self.p))
         start = np.zeros(self.m * self.p)
-        work = Workspace(self.m, self.p)
+        work = Workspace(self.m, self.p, 1)
         for k in range(self.m):
             self.set_channel(start, cross, k, theta_block(theta, k, self.p),
                              work)
@@ -253,13 +253,13 @@ class RegressorBank:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
         plus the block's gram (``block_gram(channels)``) times the block's
-        coefficients, which a pair stacks in ``work`` if given."""
+        coefficients, which a wider block stacks in ``work`` if given."""
         p = self.p
         if len(channels) == 1:
             coefficients = theta_block(theta, channels[0], p)
         else:
             coefficients = (np.empty(len(channels) * p) if work is None
-                            else work.stacked)
+                            else work.stacked[:len(channels) * p])
             for r, k in enumerate(channels):
                 coefficients[r * p:(r + 1) * p] = theta_block(theta, k, p)
         out = np.dot(gram, coefficients)
@@ -284,12 +284,12 @@ class RegressorBank:
 
 
 class Workspace:
-    """Scratch arrays that let the bank's block updates on m channels of
-    order p run without allocating (see the methods that take one).  A
-    bank is shared by every chain of a problem; a workspace belongs to the
-    caller that made it."""
+    """Scratch arrays that let the bank's updates of m channels of order p,
+    in blocks of up to ``width``, run without allocating (see the methods
+    that take one).  A bank is shared by every chain of a problem; a
+    workspace belongs to the caller that made it."""
 
-    def __init__(self, m: int, p: int):
+    def __init__(self, m: int, p: int, width: int):
         padded = np.zeros(3 * p - 2)
         # d sits between the pads; H[l, a] = padded[l + a], a strided view
         self.change = padded[p - 1:2 * p - 1]
@@ -297,8 +297,9 @@ class Workspace:
                                  strides=(padded.itemsize,) * 2)
         self.hankel = np.empty((2 * p - 1, p))
         self.product = np.empty((m + 1, p))
-        self.stacked = np.empty(2 * p)
-        self.gram = np.empty((2 * p, 2 * p))
+        self.stacked = np.empty(width * p)
+        # flat, so that a narrower block's gram is a C-contiguous prefix
+        self.gram = np.empty((width * p) ** 2)
 
 
 def _lag_panels(inputs: np.ndarray,

@@ -4,22 +4,22 @@ Four variants share one sweep structure:
 
     GS     common scale factor, single-channel updates only
     GSd    per-channel scale factors, single-channel updates only
-    GSOB   common scale factor plus n_ob pair-block updates per iteration
-    GSOBd  per-channel scale factors plus pair-block updates
+    GSOB   common scale factor plus n_ob block updates per iteration
+    GSOBd  per-channel scale factors plus block updates
 
 Each iteration samples, in order: the scale factor(s), the noise variance
 (both conditioned on the previous iteration's coefficients), the m channel
 blocks sequentially against the freshest values, and finally -- for the OB
-variants -- ``n_ob`` jointly updated channel pairs drawn from the
-collinearity-based selection distribution.  The coefficient sample recorded
-for an iteration is the state after the pair updates.
+variants -- ``n_ob`` jointly updated blocks of channels drawn from the
+:class:`BlockSchedule`.  The coefficient sample recorded for an iteration
+is the state after the block updates.
 
 A sweep is :func:`draw_hyper` then :func:`draw_coefficients`; to sample
 the coefficients at fixed hyperparameters, call :func:`draw_coefficients`
 from an :func:`init_chain` state with a fixed :class:`HyperState`.  Its
-single channels are one flat pass (:func:`draw_channels`), its pairs come
-from :func:`block_conditional`; both draw exactly what that conditional,
-taken one block at a time, would.
+single channels are one flat pass (:func:`draw_channels`), its scheduled
+blocks come from :func:`block_conditional`; both draw exactly what that
+conditional, taken one block at a time, would.
 
 A chain also carries a running state of G'G theta in the bank's lag
 structure (:class:`ChainState`): a block draw moves it by one small product
@@ -268,33 +268,34 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
                       schedule: BlockSchedule | None, config: SamplerConfig,
                       rng: np.random.Generator) -> list:
     """Second Gibbs step, given ``hyper``: the m channel blocks in order,
-    then ``n_ob`` pairs from ``schedule`` for the block variants.  Updates
-    ``theta`` and ``cross`` in place; returns the pairs drawn.  One
-    workspace, made here, serves every block update of the step."""
+    then ``n_ob`` blocks of channels from ``schedule`` for the block
+    variants.  Updates ``theta`` and ``cross`` in place; returns the
+    channel tuples drawn.  One workspace, made here as wide as the widest
+    block, serves every block update of the step."""
     bank = problem.bank
     if hyper.lam.shape != (bank.m,):
         raise ValueError(f"need {bank.m} scale factors, got an array of "
                          f"shape {hyper.lam.shape}")
-    work = Workspace(bank.m, bank.p)
+    n_ob = config.n_ob if config.uses_blocks else 0
+    p = bank.p
+    work = Workspace(bank.m, p, schedule.width if n_ob else 1)
     draw_channels(theta, cross, hyper, problem, rng, work)
 
     selected: list = []
-    if config.uses_blocks:
-        p = bank.p
-        pair_draws = config.n_ob * config.n_mc
-        for _ in range(config.n_ob):
-            i, j = select_block(schedule, rng)
-            # a pair spectrum repays its build only on a pair the chain is
-            # expected to draw often; the others factor their precision, as
-            # does a pair whose two scale factors differ
-            often = schedule.prob(i, j) * pair_draws >= PAIR_SPECTRUM_DRAWS
-            post = block_conditional((i, j), theta, cross, hyper, bank,
-                                     problem.kernel,
-                                     problem.spectra if often else None, work)
-            z = draw_gaussian(post, rng)
-            bank.set_channel(theta, cross, i, z[:p], work)
-            bank.set_channel(theta, cross, j, z[p:], work)
-            selected.append((i, j))
+    for _ in range(n_ob):
+        b = select_block(schedule, rng)
+        channels = schedule.blocks[b]
+        # a block spectrum repays its build only on a block the chain is
+        # expected to draw often; the others factor their precision, as
+        # does a block whose scale factors differ
+        often = schedule.probs[b] * (n_ob * config.n_mc) >= PAIR_SPECTRUM_DRAWS
+        post = block_conditional(channels, theta, cross, hyper, bank,
+                                 problem.kernel,
+                                 problem.spectra if often else None, work)
+        z = draw_gaussian(post, rng)
+        for r, k in enumerate(channels):
+            bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p], work)
+        selected.append(channels)
     return selected
 
 
@@ -324,7 +325,7 @@ def sweep(state: ChainState, problem: Problem,
           schedule: BlockSchedule | None, config: SamplerConfig,
           rng: np.random.Generator) -> tuple[ChainState, list]:
     """One Gibbs iteration on a copy of ``state``: the new state and the
-    pairs drawn."""
+    blocks drawn."""
     theta, cross = state.theta.copy(), state.cross.copy()
     hyper = draw_hyper(theta, cross, problem, config, rng)
     selected = draw_coefficients(theta, cross, hyper, problem, schedule,

@@ -15,6 +15,7 @@ import pytest
 import misoid as mi
 from misoid.cli import main as cli_main
 from misoid.conditionals import sample_sigma2_from_sumsq
+from misoid.diagnostics import pair_sum_error
 
 from conftest import make_example1
 
@@ -119,7 +120,7 @@ def test_criterion_4_block_probability_reproduction():
         data = mi.Dataset(y=rng.standard_normal(100_000), inputs=inputs)
         c = mi.compute_correlations(data)
         sched = mi.compute_block_probabilities(c, 100.0)
-        table = {tuple(pr): pv for pr, pv in zip(sched.pairs, sched.probs)}
+        table = dict(zip(sched.blocks, sched.probs))
         adjacent = np.array([table[(i, i + 1)] for i in range(9)])
         distant = table[(0, 9)]
         bounds_ok = (np.all(adjacent > 0.06) and np.all(adjacent < 0.08)
@@ -129,7 +130,7 @@ def test_criterion_4_block_probability_reproduction():
         n_draws = 100_000
         counts = {}
         for _ in range(n_draws):
-            ij = mi.select_block(sched, draw_rng)
+            ij = sched.blocks[mi.select_block(sched, draw_rng)]
             counts[ij] = counts.get(ij, 0) + 1
         violations = 0
         for pair, prob in table.items():
@@ -174,7 +175,7 @@ def test_criterion_6_duplicate_input_reproduction():
             _, summaries[variant] = mi.run(
                 problem, mi.SamplerConfig(variant=variant, **base))
 
-        sum_err = mi.pair_sum_error(summaries["GSOB"].mean, truth, p, 0, 1)
+        sum_err = pair_sum_error(summaries["GSOB"].mean, truth, p, 0, 1)
         sd_ratio = (summaries["GSOB"].sd[p:].mean()
                     / summaries["GSOBd"].sd[p:].mean())
         collapse = {

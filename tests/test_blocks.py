@@ -66,12 +66,11 @@ def test_normalization_and_monotonicity():
     np.fill_diagonal(c, 1.0)
     sched = mi.compute_block_probabilities(c, 12.0)
     assert abs(sched.probs.sum() - 1.0) < 1e-12
-    cvals = np.array([c[i, j] for i, j in sched.pairs])
+    cvals = np.array([c[i, j] for i, j in sched.blocks])
     order = np.argsort(cvals)
     assert np.all(np.diff(sched.probs[order]) > 0.0)
-    # the per-pair lookup reads the same probabilities
-    assert [sched.prob(int(i), int(j)) for i, j in sched.pairs] \
-        == sched.probs.tolist()
+    # the blocks are the pairs i < j in row order
+    assert sched.blocks == [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
 @st.composite
@@ -119,8 +118,8 @@ def test_pair_probability_properties(problem):
     sched = _schedule(c, beta)
     assert np.all(np.isfinite(sched.probs)) and np.all(sched.probs >= 0.0)
     assert abs(sched.probs.sum() - 1.0) <= 1e-12
-    assert [sched.prob(int(a), int(b)) for a, b in sched.pairs] \
-        == sched.probs.tolist()
+    m = c.shape[0]
+    assert sched.blocks == [(a, b) for a in range(m) for b in range(a + 1, m)]
 
     # raising c_ij alone at fixed beta does not lower P_ij beyond rounding:
     # each weight exp(beta (c - cmax)) * -expm1(-beta c) is a product with
@@ -129,7 +128,8 @@ def test_pair_probability_properties(problem):
     higher[i, j] = higher[j, i] = raised
     after = _schedule(higher, beta)
     eps = np.finfo(float).eps
-    assert after.prob(i, j) >= sched.prob(i, j) * (1.0 - 4 * eps)
+    k = sched.blocks.index((i, j))
+    assert after.probs[k] >= sched.probs[k] * (1.0 - 4 * eps)
 
 
 def test_small_beta_limit_proportional_to_c():
@@ -137,7 +137,7 @@ def test_small_beta_limit_proportional_to_c():
                   [0.3, 1.0, 0.5],
                   [0.8, 0.5, 1.0]])
     sched = mi.compute_block_probabilities(c, 1e-6)
-    cvals = np.array([c[i, j] for i, j in sched.pairs])
+    cvals = np.array([c[i, j] for i, j in sched.blocks])
     linear = cvals / cvals.sum()
     np.testing.assert_allclose(sched.probs, linear, rtol=1e-4)
 
@@ -149,7 +149,7 @@ def test_small_beta_keeps_every_digit():
                   [1e-6, 1.0, 0.3],
                   [0.5, 0.3, 1.0]])
     sched = mi.compute_block_probabilities(c, 1e-3)
-    weights = np.expm1(1e-3 * c[sched.pairs[:, 0], sched.pairs[:, 1]])
+    weights = np.expm1(1e-3 * c[tuple(np.transpose(sched.blocks))])
     np.testing.assert_allclose(sched.probs, weights / weights.sum(),
                                rtol=4 * np.finfo(float).eps, atol=0)
 
@@ -179,7 +179,7 @@ def test_select_block_single_pair():
     sched = mi.compute_block_probabilities(c, 20.0)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        assert mi.select_block(sched, rng) == (0, 1)
+        assert sched.blocks[mi.select_block(sched, rng)] == (0, 1)
 
 
 def test_select_block_deterministic_sequence():
@@ -199,10 +199,9 @@ def test_select_block_frequencies():
     sched = mi.compute_block_probabilities(c, 10.0)
     rng = np.random.default_rng(8)
     n = 50_000
-    counts = np.zeros(len(sched.pairs))
-    lookup = {tuple(pr): k for k, pr in enumerate(sched.pairs)}
+    counts = np.zeros(len(sched.blocks))
     for _ in range(n):
-        counts[lookup[mi.select_block(sched, rng)]] += 1
+        counts[mi.select_block(sched, rng)] += 1
     freqs = counts / n
     se = np.sqrt(sched.probs * (1 - sched.probs) / n)
     assert np.all(np.abs(freqs - sched.probs) <= 3 * se)
@@ -213,10 +212,10 @@ def test_pruning_keeps_negligible_pairs_out_of_draws():
                   [0.999, 1.0, 1e-15],
                   [1e-15, 1e-15, 1.0]])
     sched = mi.compute_block_probabilities(c, 100.0)
-    assert sched.active.size < sched.pairs.shape[0]
+    assert sched.active.size < len(sched.blocks)
     rng = np.random.default_rng(9)
     for _ in range(1000):
-        assert mi.select_block(sched, rng) == (0, 1)
+        assert sched.blocks[mi.select_block(sched, rng)] == (0, 1)
 
 
 def test_csv_exports(tmp_path):

@@ -584,6 +584,35 @@ def test_diagnose_keeps_one_channel_trace_keys(tmp_path):
             assert rewritten[name].keys() == written[name].keys()
 
 
+def test_block_variant_on_one_channel_exits_2(tmp_path, capsys):
+    # a block needs two channels: GSOB on one-input data is refused before
+    # any chain runs, the GS chain listed first included
+    out = tmp_path / "run"
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(ONE_CHANNEL_CFG.format(out=out))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["identify", str(cfg), "--variant", "GS,GSOB"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "GSOB" in captured.err
+    assert "chain written" not in captured.out
+    assert not (out / "GS").exists() and not (out / "GSOB").exists()
+
+
+def test_readme_config_block_parses(tmp_path):
+    # the README's annotated config, copied as it stands, reads without
+    # its ; comments
+    from misoid.cli import _get, _read_config, _section
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = _read_config(str(path))
+    assert _get(_section(cfg, "generator"), "channels", int) == 2
+    assert _get(_section(cfg, "run"), "emit_figures", bool) is True
+    assert _get(_section(cfg, "sampler"), "burn_in", int) is None
+
+
 def test_bundled_configs_parse():
     from importlib import resources
     for name in ("example1.cfg", "example2.cfg", "example2-desk.cfg"):

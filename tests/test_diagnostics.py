@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import misoid as mi
+from misoid.diagnostics import pair_sum_error
 from misoid.errors import SizeGuardError
 
 from conftest import make_small_problem, stacked_regressors
@@ -125,7 +126,7 @@ def test_pair_sum_error():
     est = truth.copy()
     est[:4] += 0.3   # shift channel 0 up...
     est[4:] -= 0.3   # ...and channel 1 down: the sum is unchanged
-    assert mi.pair_sum_error(est, truth, 4, 0, 1) == pytest.approx(0.0,
+    assert pair_sum_error(est, truth, 4, 0, 1) == pytest.approx(0.0,
                                                                    abs=1e-12)
     assert mi.fit_metric(est, truth, 4)[0] > 0.0
 

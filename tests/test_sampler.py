@@ -110,15 +110,22 @@ def test_sweep_composes_single_conditionals():
     assert rng_a.random() == rng_b.random()
 
     # at fixed hyperparameters the coefficient step is, byte for byte, the
-    # loop of block conditionals, on every variant and both pair routes
+    # loop of block conditionals, on every variant and both pair routes,
+    # and on a hand-built schedule of a triple drawn often and a rare pair
     problem = _collinear_triple()
-    routes_seen = set()
-    for variant in sp.VARIANTS:
+    wide = mi.BlockSchedule(blocks=[(0, 1, 2), (1, 2)],
+                            probs=np.array([0.9, 0.1]), active=np.arange(2),
+                            cumulative=np.array([0.9, 1.0]))
+    cases = [(variant, None) for variant in sp.VARIANTS]
+    cases += [("GSOB", wide), ("GSOBd", wide)]
+    routes_seen, wide_routes = set(), set()
+    for variant, given in cases:
         cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=4,
                                beta=2.0, n_ob=4, seed=0)
-        schedule = (mi.compute_block_probabilities(problem.correlations,
-                                                   cfg.beta)
-                    if cfg.uses_blocks else None)
+        schedule = given
+        if schedule is None and cfg.uses_blocks:
+            schedule = mi.compute_block_probabilities(problem.correlations,
+                                                      cfg.beta)
         state = mi.init_chain(problem, cfg)
         theta_a, cross_a = state.theta.copy(), state.cross.copy()
         theta_b, cross_b = state.theta.copy(), state.cross.copy()
@@ -136,11 +143,20 @@ def test_sweep_composes_single_conditionals():
             assert theta_a.tobytes() == theta_b.tobytes()
             assert cross_a.tobytes() == cross_b.tobytes()
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
-            routes_seen |= {(variant, route) for route in routes}
+            if given is None:
+                routes_seen |= {(variant, route) for route in routes}
+            else:
+                wide_routes |= {(variant, block, route)
+                                for block, route in zip(reference, routes)}
     # GSOB draws its frequent pair from a spectrum and the others factored;
     # GSOBd's two scale factors always differ
     assert routes_seen == {("GSOB", "spectral"), ("GSOB", "factored"),
                            ("GSOBd", "factored")}
+    # so too the triple: 108 expected draws earn it a spectrum under GSOB
+    assert wide_routes == {("GSOB", (0, 1, 2), "spectral"),
+                           ("GSOB", (1, 2), "factored"),
+                           ("GSOBd", (0, 1, 2), "factored"),
+                           ("GSOBd", (1, 2), "factored")}
 
 
 def test_one_normal_call_is_many():
@@ -170,7 +186,7 @@ def _collinear_triple():
 def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
                             rng):
     """The coefficient step one block at a time, each block drawn from
-    ``block_conditional``: the pairs drawn and the route of each."""
+    ``block_conditional``: the blocks drawn and the route of each."""
     bank, p = problem.bank, problem.bank.p
 
     def draw(channels, spectra):
@@ -185,11 +201,12 @@ def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
         assert draw((k,), problem.spectra) == "spectral"
     selected, routes = [], []
     for _ in range(config.n_ob if config.uses_blocks else 0):
-        i, j = mi.select_block(schedule, rng)
-        often = (schedule.prob(i, j) * config.n_ob * config.n_mc
+        b = mi.select_block(schedule, rng)
+        often = (schedule.probs[b] * config.n_ob * config.n_mc
                  >= PAIR_SPECTRUM_DRAWS)
-        routes.append(draw((i, j), problem.spectra if often else None))
-        selected.append((i, j))
+        routes.append(draw(schedule.blocks[b],
+                           problem.spectra if often else None))
+        selected.append(schedule.blocks[b])
     return selected, routes
 
 
@@ -535,7 +552,7 @@ def test_recorded_selection_frequencies_match_schedule():
         mi.compute_correlations(problem.data), cfg.beta)
     n_sel = record.selected_blocks.shape[0]
     assert n_sel == 10_000
-    for pair, prob in zip(sched.pairs, sched.probs):
+    for pair, prob in zip(sched.blocks, sched.probs):
         freq = np.mean((record.selected_blocks[:, 1] == pair[0])
                        & (record.selected_blocks[:, 2] == pair[1]))
         se = np.sqrt(prob * (1 - prob) / n_sel)
