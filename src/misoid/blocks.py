@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .regression import Dataset
-
-PRUNE_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -30,19 +27,28 @@ class BlockSchedule:
     """Selection distribution over blocks of channels.
 
     ``blocks`` lists tuples of distinct channels; ``probs`` the matching
-    probabilities.  ``cumulative`` spans only the ``active`` (unpruned)
-    blocks, given by position, and backs the draw in :func:`select_block`.
+    selection probabilities, finite, nonnegative and summing to 1 (the
+    sampler reads ``probs[b]`` times its block draws as block b's expected
+    draws).  ``cumulative``, their running sum scaled to end at exactly 1,
+    is derived from them and backs the draw in :func:`select_block`.
     """
 
     blocks: list                       # tuples of distinct channels
     probs: np.ndarray                  # (K,)
-    active: np.ndarray = field(repr=False)      # positions in blocks
-    cumulative: np.ndarray = field(repr=False)  # cumsum over active blocks
+    cumulative: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def width(self) -> int:
-        """Channels in the widest block."""
-        return max(map(len, self.blocks))
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+        if not self.blocks or self.probs.shape != (len(self.blocks),):
+            raise ValueError(
+                f"one probability per block expected: {len(self.blocks)} "
+                f"blocks, probabilities of shape {self.probs.shape}")
+        if not (np.isfinite(self.probs).all() and self.probs.min() >= 0.0
+                and abs(self.probs.sum() - 1.0) <= 1e-9):
+            raise ValueError("block probabilities must be finite, "
+                             "nonnegative and sum to 1")
+        cumulative = np.cumsum(self.probs)
+        self.cumulative = cumulative / cumulative[-1]
 
 
 def compute_correlations(data: Dataset) -> np.ndarray:
@@ -68,8 +74,9 @@ def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"square correlation matrix expected, got {c.shape}")
-    if not beta > 0.0:
-        raise ValueError(f"selection rate must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(
+            f"selection rate must be positive and finite, got {beta}")
     m = c.shape[0]
     if m < 2:
         raise ValueError("need at least two channels to form pairs")
@@ -88,18 +95,16 @@ def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:
         probs = np.full(iu.size, 1.0 / iu.size)
     else:
         probs = weights / total
-
-    active = np.flatnonzero(probs >= PRUNE_THRESHOLD)
-    cumulative = np.cumsum(probs[active])
-    cumulative /= cumulative[-1]
     return BlockSchedule(blocks=list(zip(iu.tolist(), ju.tolist())),
-                         probs=probs, active=active, cumulative=cumulative)
+                         probs=probs)
 
 
 def select_block(schedule: BlockSchedule, rng: np.random.Generator) -> int:
-    """Draw one block; returns its position in ``schedule.blocks``."""
-    pos = int(np.searchsorted(schedule.cumulative, rng.random(), side="right"))
-    return int(schedule.active[min(pos, schedule.active.size - 1)])
+    """Draw one block; returns its position in ``schedule.blocks``.  A
+    block of probability 0 has an empty interval of ``cumulative``, which
+    ``side="right"`` steps over; u < 1 = cumulative[-1] stays in range."""
+    return int(np.searchsorted(schedule.cumulative, rng.random(),
+                               side="right"))
 
 
 def export_correlations_csv(c: np.ndarray, path) -> None:

@@ -332,6 +332,8 @@ def cmd_identify(args) -> int:
     variants_raw = args.variant or _get(_section(cfg, "sampler"), "variant",
                                         str, required=True)
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"no variant given; choose from {VARIANTS}")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}; choose from {VARIANTS}")

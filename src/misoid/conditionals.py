@@ -20,7 +20,8 @@ standard normal z.  :func:`block_conditional` takes one of two routes.
   C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
   T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
   sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
-  on first use) serves every draw at two matrix-vector products, the way
+  with the problem for a single channel and on first use for a wider
+  block) serves every draw at two matrix-vector products, the way
   one decomposition serves every ridge parameter in generalized
   cross-validation (Golub, Heath & Wahba 1979).  The spectrum keeps the
   block's data gram, for its right-hand side.  A scale vector s that is
@@ -54,7 +55,6 @@ The mean and covariance are computed only when read (oracle and tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +63,7 @@ from scipy.linalg.lapack import dpotrf, dsyevd, dtrtrs
 
 from .errors import DegenerateRateError, FactorizationError
 from .kernel import StableSplineKernel, quad_form
-from .regression import RegressorBank, Workspace
+from .regression import RegressorBank
 
 RATE_FLOOR = 1e-300
 
@@ -163,13 +163,20 @@ def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
 
 
 class BlockSpectra:
-    """The spectra of one problem's blocks, keyed by the channel tuple and
-    each built on its first use; every chain of the problem shares them."""
+    """The spectra of one problem's blocks, keyed by the channel tuple;
+    every chain of the problem shares them.  Every chain draws every
+    channel, so the m single channels' are built here, and their
+    eigenvalues stacked, (m, p) and read-only, as ``single_evals`` for one
+    sweep to scale every channel at once.  A wider block's is built on
+    its first use."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
         self.kernel = kernel
         self._built: dict = {}
+        self.single_evals = np.stack([self((k,)).evals
+                                      for k in range(bank.m)])
+        self.single_evals.setflags(write=False)
 
     def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
@@ -178,14 +185,6 @@ class BlockSpectra:
                                    self.kernel.chol)
             self._built[channels] = found
         return found
-
-    @cached_property
-    def single_evals(self) -> np.ndarray:
-        """The m single channels' eigenvalues stacked, (m, p) and
-        read-only, so that one sweep scales every channel at once."""
-        stack = np.stack([self((k,)).evals for k in range(self.bank.m)])
-        stack.setflags(write=False)
-        return stack
 
 
 def spectral_scales(lam: float | np.ndarray, inv_s2: float,
@@ -324,8 +323,7 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
 def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                       cross: np.ndarray, hyper: HyperState,
                       bank: RegressorBank, kernel: StableSplineKernel,
-                      spectra: BlockSpectra | None,
-                      work: Workspace | None = None
+                      spectra: BlockSpectra | None
                       ) -> GaussianBlockPosterior:
     """Gaussian conditional of the coefficients of ``channels``, a tuple of
     distinct channels, given everything else.
@@ -334,7 +332,9 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
     from ``cross``, the running state of ``theta``.  Spectral given
     ``spectra`` and one scale factor for the whole block, else factored.
-    A block's stacked coefficients and gram go into ``work`` if given.
+    It writes into nothing the bank keeps; the state update after its
+    draw, ``bank.set_channel``, reuses the bank's buffers, so chains share
+    a bank one at a time.
     """
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
@@ -344,12 +344,11 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     if spectra is not None and lam.count(lam[0]) == len(lam):
         spectrum = spectra(channels)
         rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
-                                               spectrum.gram, work)
+                                               spectrum.gram)
         return GaussianBlockPosterior.from_spectrum(
             spectrum, lam[0], inv_s2, rhs)
-    gram = bank.block_gram(channels, work)
-    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram,
-                                           work)
+    gram = bank.block_gram(channels)
+    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram)
     # a wider block's precision overwrites its gram; a single channel's is
     # the bank's read-only cache, so its precision is a new array
     precision = factored_precision(gram, inv_s2, lam, kernel,

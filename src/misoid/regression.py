@@ -29,10 +29,11 @@ structure, an (m+1)-by-p array: row k < m holds sum_j Toep(lag_kj)
 theta_j and row m the tail sum s = sum_j T_j theta_j, so that
 G_k'G theta = row k - T_k' s and theta'G'G theta = theta . rows - s . s.
 Changing channel k by d moves the state by channel k's panel times the
-(2p-1)-by-p Hankel matrix of d, one small product
-(:meth:`RegressorBank.set_channel`).  Given the state, a block's
-projection is one product with the block's gram plus O(p^2) per channel,
-and the residual sum of squares is O(mp).
+(2p-1)-by-p Hankel matrix of d, one small product into buffers the bank
+keeps (:meth:`RegressorBank.set_channel`), so chains share a bank one at
+a time.  Given the state, a block's projection is one product with the
+block's gram plus O(p^2) per channel, and the residual sum of squares is
+O(mp).
 """
 
 from __future__ import annotations
@@ -115,11 +116,13 @@ def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
 class RegressorBank:
     """Cached cross-products of the regressor blocks of one dataset.
 
-    Immutable after construction: every cached array is read-only, so
-    every chain of a problem shares one bank.  Nothing here is m*p by m*p:
-    a gram G_i'G_j is built on demand from the stored lag correlations and
-    tails (``gram``, ``block_gram``), and only the dense oracle asks for
-    the whole grid (``dense_gram``).
+    Every cached array is read-only, so every chain of a problem shares
+    one bank.  :meth:`set_channel` writes its update into buffers the bank
+    made once, so chains share a bank one at a time, never from two
+    threads at once.  Nothing here is m*p by m*p: a gram G_i'G_j is built
+    on demand from the stored lag correlations and tails (``gram``,
+    ``block_gram``), and only the dense oracle asks for the whole grid
+    (``dense_gram``).
     """
 
     def __init__(self, data: Dataset, p: int):
@@ -141,6 +144,15 @@ class RegressorBank:
                                    for k in range(self.m)])
         for arr in (self._panels, self._tails, self.gty, self._diagonal):
             arr.setflags(write=False)
+        # set_channel's buffers: the change d sits between p - 1 zeros on
+        # each side, so the Hankel matrix H[l, a] = padded[l + a] is a
+        # strided view of it
+        padded = np.zeros(3 * self.p - 2)
+        self._change = padded[self.p - 1:2 * self.p - 1]
+        self._shifts = np.ndarray((2 * self.p - 1, self.p), buffer=padded,
+                                  strides=(padded.itemsize,) * 2)
+        self._hankel = np.empty((2 * self.p - 1, self.p))
+        self._product = np.empty((self.m + 1, self.p))
 
     def _pair_gram(self, i: int, j: int) -> np.ndarray:
         """Toep(lag_ij) - T_i'T_j, a new array; exactly symmetric for
@@ -164,17 +176,14 @@ class RegressorBank:
             return self._pair_gram(j, i).T
         return self._pair_gram(i, j)
 
-    def block_gram(self, channels: tuple[int, ...],
-                   work: Workspace | None = None) -> np.ndarray:
+    def block_gram(self, channels: tuple[int, ...]) -> np.ndarray:
         """The grams G_a' G_b of every a, b in ``channels``, stacked in
         channel order: one channel's is its cached read-only gram, more
-        channels' an exactly symmetric C-contiguous matrix, written into
-        ``work``'s buffer if given."""
+        channels' a new, exactly symmetric C-contiguous matrix."""
         if len(channels) == 1:
             return self._diagonal[channels[0]]
         p, c = self.p, len(channels)
-        out = (np.empty((c * p, c * p)) if work is None
-               else work.gram[:(c * p) ** 2].reshape(c * p, c * p))
+        out = np.empty((c * p, c * p))
         for r, a in enumerate(channels):
             out[r * p:(r + 1) * p, r * p:(r + 1) * p] = self._diagonal[a]
             for q in range(r + 1, c):
@@ -202,22 +211,21 @@ class RegressorBank:
         return out
 
     def set_channel(self, theta: np.ndarray, cross: np.ndarray, k: int,
-                    value: np.ndarray, work: Workspace | None = None) -> None:
+                    value: np.ndarray) -> None:
         """Write channel k's coefficients into ``theta`` and move the
-        running state ``cross`` (see :meth:`cross_state`) by the change,
-        using the buffers of ``work`` (a new :class:`Workspace` if None).
+        running state ``cross`` (see :meth:`cross_state`) by the change.
 
         The change d enters every lag product as the Hankel matrix
         H[l, a] = d[l - p + 1 + a] (zero outside 0..p-1), one strided copy
         of d padded by p - 1 zeros on each side; channel k's panel times H
-        is the whole update, a single (m+1)-by-(2p-1)-by-p product.
+        is the whole update, a single (m+1)-by-(2p-1)-by-p product.  Every
+        call reuses the bank's buffers for d, H and the product, so it
+        allocates nothing.
         """
-        if work is None:
-            work = Workspace(self.m, self.p, 1)
         rows = theta_block(theta, k, self.p)
-        np.subtract(value, rows, out=work.change)
-        np.copyto(work.hankel, work.shifts)
-        cross += np.dot(self._panels[k], work.hankel, out=work.product)
+        np.subtract(value, rows, out=self._change)
+        np.copyto(self._hankel, self._shifts)
+        cross += np.dot(self._panels[k], self._hankel, out=self._product)
         rows[...] = value
 
     def cross_state(self, theta: np.ndarray) -> np.ndarray:
@@ -227,10 +235,8 @@ class RegressorBank:
         s = sum_j T_j theta_j."""
         cross = np.zeros((self.m + 1, self.p))
         start = np.zeros(self.m * self.p)
-        work = Workspace(self.m, self.p, 1)
         for k in range(self.m):
-            self.set_channel(start, cross, k, theta_block(theta, k, self.p),
-                             work)
+            self.set_channel(start, cross, k, theta_block(theta, k, self.p))
         return cross
 
     def gram_product(self, cross: np.ndarray) -> np.ndarray:
@@ -248,20 +254,17 @@ class RegressorBank:
 
     def partial_projection(self, channels: tuple[int, ...],
                            theta: np.ndarray, cross: np.ndarray,
-                           gram: np.ndarray,
-                           work: Workspace | None = None) -> np.ndarray:
+                           gram: np.ndarray) -> np.ndarray:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
         plus the block's gram (``block_gram(channels)``) times the block's
-        coefficients, which a wider block stacks in ``work`` if given."""
+        coefficients, which a wider block stacks into a new array."""
         p = self.p
         if len(channels) == 1:
             coefficients = theta_block(theta, channels[0], p)
         else:
-            coefficients = (np.empty(len(channels) * p) if work is None
-                            else work.stacked[:len(channels) * p])
-            for r, k in enumerate(channels):
-                coefficients[r * p:(r + 1) * p] = theta_block(theta, k, p)
+            coefficients = np.concatenate([theta_block(theta, k, p)
+                                           for k in channels])
         out = np.dot(gram, coefficients)
         tail = cross[-1]
         for r, k in enumerate(channels):
@@ -281,25 +284,6 @@ class RegressorBank:
         grid = self.block_gram(tuple(range(m)))
         # one channel's block gram is the cached read-only diagonal
         return grid if grid.flags.writeable else grid.copy()
-
-
-class Workspace:
-    """Scratch arrays that let the bank's updates of m channels of order p,
-    in blocks of up to ``width``, run without allocating (see the methods
-    that take one).  A bank is shared by every chain of a problem; a
-    workspace belongs to the caller that made it."""
-
-    def __init__(self, m: int, p: int, width: int):
-        padded = np.zeros(3 * p - 2)
-        # d sits between the pads; H[l, a] = padded[l + a], a strided view
-        self.change = padded[p - 1:2 * p - 1]
-        self.shifts = np.ndarray((2 * p - 1, p), buffer=padded,
-                                 strides=(padded.itemsize,) * 2)
-        self.hankel = np.empty((2 * p - 1, p))
-        self.product = np.empty((m + 1, p))
-        self.stacked = np.empty(width * p)
-        # flat, so that a narrower block's gram is a C-contiguous prefix
-        self.gram = np.empty((width * p) ** 2)
 
 
 def _lag_panels(inputs: np.ndarray,

@@ -51,7 +51,7 @@ from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
                            sample_sigma2_from_sumsq, spectral_scales, whiten)
 from .errors import FactorizationError
 from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
-from .regression import Dataset, RegressorBank, Workspace
+from .regression import Dataset, RegressorBank
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
 
@@ -97,10 +97,10 @@ class SamplerConfig:
         if self.uses_blocks:
             if self.n_ob < 1:
                 raise ValueError("overlapping-block variants need n_ob >= 1")
-            if self.beta is None or not self.beta > 0:
+            if self.beta is None or not 0 < self.beta < np.inf:
                 raise ValueError(
-                    "overlapping-block variants need a positive selection "
-                    "rate beta (no default)")
+                    "overlapping-block variants need a positive, finite "
+                    f"selection rate beta (no default), got {self.beta}")
 
     @property
     def common_scale(self) -> bool:
@@ -118,7 +118,7 @@ class Problem:
     data: Dataset
     bank: RegressorBank
     kernel: StableSplineKernel
-    # block spectra, built on first use and shared by the problem's chains
+    # block spectra, shared by the problem's chains
     spectra: BlockSpectra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -270,16 +270,16 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
     """Second Gibbs step, given ``hyper``: the m channel blocks in order,
     then ``n_ob`` blocks of channels from ``schedule`` for the block
     variants.  Updates ``theta`` and ``cross`` in place; returns the
-    channel tuples drawn.  One workspace, made here as wide as the widest
-    block, serves every block update of the step."""
+    channel tuples drawn.  Every state update writes into the buffers of
+    ``problem.bank`` (see :meth:`RegressorBank.set_channel`), so the
+    chains of a problem take their steps one at a time."""
     bank = problem.bank
     if hyper.lam.shape != (bank.m,):
         raise ValueError(f"need {bank.m} scale factors, got an array of "
                          f"shape {hyper.lam.shape}")
     n_ob = config.n_ob if config.uses_blocks else 0
     p = bank.p
-    work = Workspace(bank.m, p, schedule.width if n_ob else 1)
-    draw_channels(theta, cross, hyper, problem, rng, work)
+    draw_channels(theta, cross, hyper, problem, rng)
 
     selected: list = []
     for _ in range(n_ob):
@@ -291,17 +291,16 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
         often = schedule.probs[b] * (n_ob * config.n_mc) >= PAIR_SPECTRUM_DRAWS
         post = block_conditional(channels, theta, cross, hyper, bank,
                                  problem.kernel,
-                                 problem.spectra if often else None, work)
+                                 problem.spectra if often else None)
         z = draw_gaussian(post, rng)
         for r, k in enumerate(channels):
-            bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p], work)
+            bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
         selected.append(channels)
     return selected
 
 
 def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
-                  problem: Problem, rng: np.random.Generator,
-                  work: Workspace) -> None:
+                  problem: Problem, rng: np.random.Generator) -> None:
     """The m single-channel blocks in channel order, each drawn from its
     spectrum against the freshest values.  The pass takes the channels'
     spectral scales as one (m, p) table and its m*p standard normals from
@@ -318,7 +317,7 @@ def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
         scale = scales[k]
         value = root_times(basis, scale,
                            whiten(basis, scale, rhs) + noise[k])
-        bank.set_channel(theta, cross, k, value, work)
+        bank.set_channel(theta, cross, k, value)
 
 
 def sweep(state: ChainState, problem: Problem,

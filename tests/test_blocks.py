@@ -174,6 +174,44 @@ def test_beta_must_be_positive():
         mi.compute_block_probabilities(np.eye(3), 0.0)
 
 
+def test_beta_must_be_finite():
+    # an infinite rate would make every weight nan
+    with pytest.raises(ValueError, match="finite"):
+        mi.compute_block_probabilities(np.eye(3) + 0.5, np.inf)
+
+
+def test_schedule_derives_cumulative():
+    # the running sum of the probabilities, scaled to end at exactly 1
+    sched = mi.BlockSchedule(blocks=[(0, 1), (0, 2), (1, 2)],
+                             probs=np.array([0.5, 0.25, 0.25 - 1e-12]))
+    np.testing.assert_allclose(sched.cumulative, [0.5, 0.75, 1.0],
+                               rtol=1e-11)
+    assert sched.cumulative[-1] == 1.0
+
+
+@pytest.mark.parametrize("blocks,probs", [
+    pytest.param([(0, 1), (1, 2)], [1.0], id="too-few-probabilities"),
+    pytest.param([(0, 1)], [0.5, 0.5], id="too-many-probabilities"),
+    pytest.param([], [], id="no-blocks"),
+    pytest.param([(0, 1), (1, 2)], [1.5, -0.5], id="negative"),
+    pytest.param([(0, 1), (1, 2)], [np.nan, 1.0], id="nan"),
+    pytest.param([(0, 1), (1, 2)], [np.inf, 1.0], id="inf"),
+    pytest.param([(0, 1), (1, 2)], [0.0, 0.0], id="all-zero"),
+    pytest.param([(0, 1), (1, 2)], [2.0, 1.0], id="sum-not-one"),
+])
+def test_schedule_refuses_malformed_probabilities(blocks, probs):
+    with pytest.raises(ValueError):
+        mi.BlockSchedule(blocks=blocks, probs=np.array(probs))
+
+
+def test_zero_probability_blocks_never_drawn():
+    # a zero-probability block, first or last, has an empty interval
+    sched = mi.BlockSchedule(blocks=[(0, 1), (1, 2), (0, 2)],
+                             probs=np.array([0.0, 1.0, 0.0]))
+    rng = np.random.default_rng(11)
+    assert {mi.select_block(sched, rng) for _ in range(1000)} == {1}
+
+
 def test_select_block_single_pair():
     c = np.array([[1.0, 0.9], [0.9, 1.0]])
     sched = mi.compute_block_probabilities(c, 20.0)
@@ -212,7 +250,6 @@ def test_pruning_keeps_negligible_pairs_out_of_draws():
                   [0.999, 1.0, 1e-15],
                   [1e-15, 1e-15, 1.0]])
     sched = mi.compute_block_probabilities(c, 100.0)
-    assert sched.active.size < len(sched.blocks)
     rng = np.random.default_rng(9)
     for _ in range(1000):
         assert sched.blocks[mi.select_block(sched, rng)] == (0, 1)

@@ -202,6 +202,29 @@ def test_unusable_data_exits_2(tiny_config, capsys, variant, column, rows,
     assert not os.path.exists(f"{out}/{variant}")
 
 
+@pytest.mark.parametrize("flags,old,new,named", [
+    pytest.param(["--beta", "inf"], "", "", "beta", id="beta-flag"),
+    pytest.param([], "beta = 20", "beta = inf", "beta", id="beta-key"),
+    pytest.param(["--variant", ","], "", "", "variant", id="variant-flag"),
+    pytest.param([], "variant = GSOB", "variant = ,", "variant",
+                 id="variant-key"),
+])
+def test_infinite_rate_or_no_variant_exits_2(tiny_config, capsys, flags,
+                                             old, new, named):
+    # an infinite selection rate and an empty variant list are config
+    # errors: exit 2 before any chain runs, no traceback and no directory
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    Path(cfg).write_text(Path(cfg).read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["identify", cfg, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert "chain written" not in captured.out
+    assert sorted(os.listdir(out)) == ["cmatrix.csv", "dataset.csv",
+                                       "truth.json"]
+
+
 def test_malformed_dataset_exits_2(tiny_config, capsys):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0

@@ -114,8 +114,7 @@ def test_sweep_composes_single_conditionals():
     # and on a hand-built schedule of a triple drawn often and a rare pair
     problem = _collinear_triple()
     wide = mi.BlockSchedule(blocks=[(0, 1, 2), (1, 2)],
-                            probs=np.array([0.9, 0.1]), active=np.arange(2),
-                            cumulative=np.array([0.9, 1.0]))
+                            probs=np.array([0.9, 0.1]))
     cases = [(variant, None) for variant in sp.VARIANTS]
     cases += [("GSOB", wide), ("GSOBd", wide)]
     routes_seen, wide_routes = set(), set()
@@ -297,7 +296,8 @@ def test_sweep_block_selections_logged():
 
 def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
     # two channels: the one pair is drawn n_ob * n_mc times, so it gets a
-    # spectrum at PAIR_SPECTRUM_DRAWS draws and factors its precision below
+    # spectrum at PAIR_SPECTRUM_DRAWS draws and factors its precision
+    # below; the single channels' spectra come with the problem
     from misoid import conditionals
 
     limit = conditionals.PAIR_SPECTRUM_DRAWS
@@ -310,8 +310,9 @@ def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
 
     monkeypatch.setattr(conditionals, "block_spectrum", counted)
     for n_mc in (limit - 1, limit):
-        problem, _ = _problem(seed=8)
         sizes.clear()
+        problem, _ = _problem(seed=8)
+        assert sizes == [1, 1]
         cfg = mi.SamplerConfig(variant="GSOB", n_mc=n_mc, alpha=0.9, p=3,
                                beta=20.0, n_ob=1, seed=4)
         record, _ = mi.run(problem, cfg)
