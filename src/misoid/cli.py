@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .blocks import (compute_block_probabilities, compute_correlations,
                      export_correlations_csv, export_probabilities_csv)
-from .diagnostics import build_report, run_oracle_checks
+from .diagnostics import ORACLE_ALPHA, build_report, run_oracle_checks
 from .errors import DegenerateRateError, FactorizationError, SizeGuardError
 from .kernel import check_kernel_settings
 from .regression import load_dataset_csv, save_dataset_csv
@@ -79,6 +79,11 @@ def _section(cfg, name):
     return cfg[name] if cfg.has_section(name) else None
 
 
+def _given(**settings) -> dict:
+    """The settings a flag or key sets, for the callee's defaults to fill."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -104,30 +109,24 @@ def cmd_simulate(args) -> int:
     if mode not in ("duplicate", "chain", "independent"):
         raise ConfigError(f"unknown generator mode {mode!r}")
     prefix = _get(gen, "correlated_prefix", int, default=0)
-    target_c = _get(gen, "target_c", float, default=0.99)
-    ma = _get(gen, "ma_coefficient", float, default=0.8)
     noise_var = _get(gen, "noise_variance", float, required=True)
-    degree = _get(gen, "denominator_degree", int, default=5)
-    rmin = _get(gen, "pole_radius_min", float, default=0.4)
-    rmax = _get(gen, "pole_radius_max", float, default=0.9)
     p = _get(gen, "fir_order", int, required=True)
     seed = _get(gen, "seed", int, default=0)
 
     outdir = args.output or _get(runsec, "output", str, required=True)
-    emit = (args.emit_figures
-            or _get(runsec, "emit_figures", bool, default=False))
 
     try:
-        sys_spec = RandomSystemSpec(
-            m=m, fir_order=p, denominator_degree=degree,
-            pole_radius_max=rmax, pole_radius_min=rmin)
+        sys_spec = RandomSystemSpec(m=m, fir_order=p, **_given(
+            denominator_degree=_get(gen, "denominator_degree", int),
+            pole_radius_min=_get(gen, "pole_radius_min", float),
+            pole_radius_max=_get(gen, "pole_radius_max", float)))
         inp_spec = CollinearInputSpec(
-            m=m, n=n,
-            correlated_prefix=prefix if mode == "chain" else 0,
-            target_c=target_c, ma_coefficient=ma,
-            duplicate=(mode == "duplicate"),
-        )
-        gamma = (gamma_for_target_c(target_c, ma, 1.0)
+            m=m, n=n, correlated_prefix=prefix if mode == "chain" else 0,
+            duplicate=(mode == "duplicate"), **_given(
+                target_c=_get(gen, "target_c", float),
+                ma_coefficient=_get(gen, "ma_coefficient", float)))
+        gamma = (gamma_for_target_c(inp_spec.target_c,
+                                    inp_spec.ma_coefficient, 1.0)
                  if mode == "chain" and prefix > 1 else None)
         if not noise_var >= 0.0:
             raise ValueError(f"noise variance must be >= 0, got {noise_var}")
@@ -144,8 +143,7 @@ def cmd_simulate(args) -> int:
     save_dataset_csv(data, os.path.join(outdir, "dataset.csv"))
     write_truth_json(os.path.join(outdir, "truth.json"), system, noise_var,
                      gamma=gamma, achieved_correlations=cmat)
-    if emit:
-        export_correlations_csv(cmat, os.path.join(outdir, "cmatrix.csv"))
+    export_correlations_csv(cmat, os.path.join(outdir, "cmatrix.csv"))
 
     print(f"wrote {outdir}/dataset.csv ({n} samples, {m} channels) "
           f"and truth.json")
@@ -176,25 +174,19 @@ def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
         raise ConfigError(
             "config key 'literal_paper_shape' is retired: the common scale "
             "factor is drawn with shape m*p/2 only; remove the key")
-    settings = {
-        "n_mc": _flag_or(args.iterations, sec, "iterations", int,
-                         required=True),
-        "alpha": _flag_or(args.alpha, sec, "alpha", float, required=True),
-        "p": _flag_or(args.fir_order, sec, "fir_order", int, required=True),
-        "beta": _flag_or(args.beta, sec, "beta", float),
-        "n_ob": _flag_or(args.n_ob, sec, "overlapping_blocks", int),
-        "burn_in": _flag_or(args.burn_in, sec, "burn_in", int),
-        "thin": _flag_or(args.thin, sec, "thin", int),
-    }
+    settings = _given(
+        n_mc=_flag_or(args.iterations, sec, "iterations", int, required=True),
+        beta=_flag_or(args.beta, sec, "beta", float),
+        n_ob=_flag_or(args.n_ob, sec, "overlapping_blocks", int),
+        burn_in=_flag_or(args.burn_in, sec, "burn_in", int),
+        thin=_flag_or(args.thin, sec, "thin", int))
     try:
-        return SamplerConfig(variant=variant, seed=seed,
-                             **{field: value for field, value in
-                                settings.items() if value is not None})
+        return SamplerConfig(variant=variant, seed=seed, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
+def _run_one(problem, config, outdir, truth, data_hash) -> None:
     """Run one chain into a temporary sibling of ``outdir``, which then
     replaces ``outdir`` whole, the partial chain of a numerical abort
     included; on any other error the sibling is removed."""
@@ -205,8 +197,7 @@ def _run_one(problem, config, outdir, truth, data_hash, emit_figures) -> None:
         shutil.rmtree(leftover, ignore_errors=True)
     os.makedirs(staging)
     try:
-        _write_chain(problem, config, staging, truth, data_hash,
-                     emit_figures)
+        _write_chain(problem, config, staging, truth, data_hash)
     except NUMERICAL_ERRORS:
         _move_into_place(staging, outdir)
         raise
@@ -225,8 +216,7 @@ def _move_into_place(staging, outdir) -> None:
     shutil.rmtree(stale, ignore_errors=True)
 
 
-def _write_chain(problem, config, outdir, truth, data_hash,
-                 emit_figures) -> None:
+def _write_chain(problem, config, outdir, truth, data_hash) -> None:
     started = time.perf_counter()
     try:
         record, summary = run(problem, config)
@@ -234,7 +224,7 @@ def _write_chain(problem, config, outdir, truth, data_hash,
         partial = getattr(exc, "partial_record", None)
         if partial is not None:
             save_record(partial, None, outdir, aborted=True)
-            _write_manifest(outdir, config, data_hash,
+            _write_manifest(outdir, problem, config, data_hash,
                             time.perf_counter() - started, partial.seconds,
                             aborted=True, error=str(exc))
         raise
@@ -247,9 +237,9 @@ def _write_chain(problem, config, outdir, truth, data_hash,
     report = build_report(record, summary, truth_resp)
     report.to_json(os.path.join(outdir, "diagnostics.json"))
     phases["report"] = time.perf_counter() - mark
-    _write_manifest(outdir, config, data_hash,
+    _write_manifest(outdir, problem, config, data_hash,
                     time.perf_counter() - started, phases)
-    if emit_figures and config.uses_blocks:
+    if config.uses_blocks:
         schedule = compute_block_probabilities(problem.correlations,
                                                config.beta)
         export_probabilities_csv(schedule,
@@ -262,10 +252,12 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS")
 
 
-def _write_manifest(outdir, config, data_hash, seconds, phases,
+def _write_manifest(outdir, problem, config, data_hash, seconds, phases,
                     aborted=False, error=None) -> None:
     doc = {
-        "config": dataclasses.asdict(config),
+        # the chain's settings and the prior's, which the problem holds
+        "config": {**dataclasses.asdict(config),
+                   "alpha": problem.kernel.alpha, "p": problem.kernel.p},
         "seed": config.seed,
         "data_sha256": data_hash,
         "version": __version__,
@@ -320,6 +312,7 @@ def _load_identifiable(path):
 def cmd_identify(args) -> int:
     cfg = _read_config(args.config)
     datasec = _section(cfg, "data")
+    sampsec = _section(cfg, "sampler")
     runsec = _section(cfg, "run")
 
     data_path = args.data or _get(datasec, "path", str)
@@ -329,47 +322,49 @@ def cmd_identify(args) -> int:
         raise ConfigError(f"dataset not found: {data_path}")
     truth_path = args.truth or _get(datasec, "truth", str)
 
-    variants_raw = args.variant or _get(_section(cfg, "sampler"), "variant",
-                                        str, required=True)
+    variants_raw = args.variant or _get(sampsec, "variant", str,
+                                        required=True)
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
     if not variants:
         raise ConfigError(f"no variant given; choose from {VARIANTS}")
-    for v in variants:
+    for i, v in enumerate(variants):
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}; choose from {VARIANTS}")
+        if v in variants[:i]:
+            raise ConfigError(f"variant {v!r} is listed twice; each variant "
+                              "runs once per replicate")
 
     outroot = args.output or _get(runsec, "output", str, required=True)
     replicates = _flag_or(args.replicates, runsec, "replicates", int,
                           default=1)
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
-    emit = args.emit_figures or _get(runsec, "emit_figures", bool,
-                                     default=False)
 
-    master_seed = _flag_or(args.seed, _section(cfg, "sampler"), "seed", int,
-                           default=0)
+    # the prior's and every chain's settings are checked before the data load
+    alpha = _flag_or(args.alpha, sampsec, "alpha", float, required=True)
+    p = _flag_or(args.fir_order, sampsec, "fir_order", int, required=True)
+    try:
+        check_kernel_settings(alpha, p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    master_seed = _flag_or(args.seed, sampsec, "seed", int, default=0)
+    jobs = [(_sampler_config(cfg, args, variant,
+                             derive_seed(master_seed, rep)),
+             os.path.join(outroot, variant, f"rep{rep:03d}"))
+            for variant in variants for rep in range(replicates)]
+
     data = _load_identifiable(data_path)
     if data.m < 2 and {"GSOB", "GSOBd"} & set(variants):
         raise ConfigError(f"{data_path}: the GSOB variants update blocks of "
                           "two or more channels; the data have one input")
     data_hash = _sha256(data_path)
-
-    jobs = []
-    for variant in variants:
-        for rep in range(replicates):
-            config = _sampler_config(cfg, args, variant,
-                                     derive_seed(master_seed, rep))
-            outdir = os.path.join(outroot, variant, f"rep{rep:03d}")
-            jobs.append((config, outdir))
-    truth = None
-    if truth_path:
-        truth = _load_truth(truth_path, data.m, jobs[0][0].p)
-    problem = build_problem(data, jobs[0][0])
+    truth = _load_truth(truth_path, data.m, p) if truth_path else None
+    problem = build_problem(data, alpha, p)
 
     failed = []
     for config, outdir in jobs:
         try:
-            _run_one(problem, config, outdir, truth, data_hash, emit)
+            _run_one(problem, config, outdir, truth, data_hash)
         except Exception as exc:
             kind = ("numerical abort" if isinstance(exc, NUMERICAL_ERRORS)
                     else "error")
@@ -402,7 +397,7 @@ def cmd_oracle_check(args) -> int:
             "oracle needs channels >= 2 (for pairs), samples >= 1, sweeps >= "
             f"50 (for the IACT) and seed >= 0; got {m}, {n}, {sweeps}, {seed}")
     try:
-        check_kernel_settings(0.9, p)
+        check_kernel_settings(ORACLE_ALPHA, p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -458,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     sim.add_argument("config")
     sim.add_argument("--output")
-    sim.add_argument("--emit-figures", action="store_true", default=False)
     sim.set_defaults(func=cmd_simulate)
 
     ident = sub.add_parser("identify", help="run Gibbs chains on a dataset")
@@ -476,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--seed", type=int)
     ident.add_argument("--thin", type=int)
     ident.add_argument("--replicates", type=int)
-    ident.add_argument("--emit-figures", action="store_true", default=False)
     ident.set_defaults(func=cmd_identify)
 
     oc = sub.add_parser("oracle-check",

@@ -227,6 +227,10 @@ class OracleCheckReport:
         return all(c.passed for c in self.checks)
 
 
+# the prior decay rate of the oracle's instance
+ORACLE_ALPHA = 0.9
+
+
 def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
                       m: int = 2, p: int = 3, n: int = 50,
                       corrupt_mean: bool = False) -> OracleCheckReport:
@@ -247,7 +251,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     checks can fail.
     """
     rng = np.random.default_rng(seed)
-    kernel = build_kernel(0.9, p)
+    kernel = build_kernel(ORACLE_ALPHA, p)
     lam_true, sigma2_true = 0.8, 0.3
     inputs = rng.standard_normal((m, n))
     theta_true = np.concatenate([
@@ -302,14 +306,12 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
 
     schedule = compute_block_probabilities(problem.correlations, 20.0)
     for variant in VARIANTS:
-        config = SamplerConfig(
-            variant=variant, n_mc=n_sweeps, alpha=0.9, p=p,
-            beta=20.0, n_ob=2, burn_in=0, seed=seed + 1,
-        )
+        config = SamplerConfig(variant=variant, n_mc=n_sweeps, beta=20.0,
+                               n_ob=2, burn_in=0, seed=seed + 1)
         hyper, joint = frozen[config.common_scale]
         sd = np.sqrt(np.diag(joint.covariance))
         chain_rng = np.random.default_rng(config.seed)
-        state = init_chain(problem, config)
+        state = init_chain(problem)
         draws = np.empty((n_sweeps, m * p))
         for t in range(n_sweeps):
             draw_coefficients(state.theta, state.cross, hyper, problem,

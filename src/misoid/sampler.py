@@ -50,7 +50,7 @@ from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
                            sample_lambda_common, sample_lambda_k,
                            sample_sigma2_from_sumsq, spectral_scales, whiten)
 from .errors import FactorizationError
-from .kernel import StableSplineKernel, build_kernel, check_kernel_settings
+from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
@@ -64,12 +64,11 @@ def scale_names(variant: str, m: int) -> list:
 
 @dataclass
 class SamplerConfig:
-    """Run parameters for one chain."""
+    """How one chain explores the posterior that :func:`build_problem`
+    defines; the prior's decay rate and FIR order belong to the problem."""
 
     variant: str = "GSOB"
     n_mc: int = 500
-    alpha: float = 0.9
-    p: int = 50
     beta: float | None = None
     n_ob: int = 1
     burn_in: int | None = None       # default: n_mc // 2
@@ -80,7 +79,6 @@ class SamplerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {VARIANTS}")
-        check_kernel_settings(self.alpha, self.p)
         if self.n_mc < 1:
             raise ValueError("need at least one iteration")
         if self.thin < 1:
@@ -133,9 +131,12 @@ class Problem:
         return c
 
 
-def build_problem(data: Dataset, config: SamplerConfig) -> Problem:
-    kernel = build_kernel(config.alpha, config.p)
-    bank = RegressorBank(data, config.p)
+def build_problem(data: Dataset, alpha: float, p: int) -> Problem:
+    """The posterior of ``data`` under the stable spline prior of decay
+    ``alpha`` on FIR responses of length ``p`` (ValueError if the kernel
+    cannot be built from them), ready for any number of chains."""
+    kernel = build_kernel(alpha, p)
+    bank = RegressorBank(data, kernel.p)
     return Problem(data=data, bank=bank, kernel=kernel)
 
 
@@ -213,7 +214,7 @@ def derive_seed(master: int, index: int) -> int:
 INIT_RIDGE_EPSILON = 1e-8
 
 
-def init_chain(problem: Problem, config: SamplerConfig) -> ChainState:
+def init_chain(problem: Problem) -> ChainState:
     """Starting state: unit scale factors, output-variance noise level, and
     sequential per-channel least-squares coefficients, each channel fitted
     to the residual its predecessors leave behind (with a vanishing
@@ -365,7 +366,7 @@ def run(problem: Problem,
                                                config.beta)
 
     started = time.perf_counter()
-    state = init_chain(problem, config)
+    state = init_chain(problem)
     seconds = {"init": time.perf_counter() - started}
     theta_samples = np.empty((config.n_mc // config.thin, m * p))
     # a common scale fills all m entries of lam, so its first is the trace

@@ -52,7 +52,5 @@ def make_small_problem(seed=0, m=2, p=3, n=50, lam=0.8, sigma2=0.3):
 @pytest.fixture(scope="session")
 def example1_problem():
     data, system = make_example1()
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=500, alpha=0.9, p=50,
-                           beta=20.0, n_ob=2, seed=0)
-    problem = mi.build_problem(data, cfg)
+    problem = mi.build_problem(data, alpha=0.9, p=50)
     return problem, system

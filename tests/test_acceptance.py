@@ -167,9 +167,8 @@ def test_criterion_6_duplicate_input_reproduction():
         data, system = make_example1(data_seed=11)
         truth = system.responses.ravel()
         p = 50
-        base = dict(n_mc=500, alpha=0.9, p=p, beta=20.0, n_ob=2, seed=1)
-        problem = mi.build_problem(
-            data, mi.SamplerConfig(variant="GSOB", **base))
+        base = dict(n_mc=500, beta=20.0, n_ob=2, seed=1)
+        problem = mi.build_problem(data, alpha=0.9, p=p)
         summaries = {}
         for variant in ("GSOB", "GSOBd", "GSd"):
             _, summaries[variant] = mi.run(
@@ -197,16 +196,14 @@ def test_criterion_6_duplicate_input_reproduction():
 def test_criterion_7_mixing_ordering():
     with Stopwatch(300.0) as watch:
         data, _ = make_example1(data_seed=11)
-        problem = mi.build_problem(
-            data, mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=50,
-                                   seed=0))
+        problem = mi.build_problem(data, alpha=0.9, p=50)
         wins, pairs = 0, []
         for seed in range(5):
             taus = {}
             for variant in ("GSOB", "GS"):
                 cfg = mi.SamplerConfig(variant=variant, n_mc=2000,
-                                       burn_in=1000, alpha=0.9, p=50,
-                                       beta=20.0, n_ob=2, seed=seed)
+                                       burn_in=1000, beta=20.0, n_ob=2,
+                                       seed=seed)
                 record, _ = mi.run(problem, cfg)
                 taus[variant] = mi.iact(record.lambda_trace[1000:, 0])
             pairs.append((taus["GSOB"], taus["GS"]))
@@ -229,17 +226,15 @@ def test_criterion_8_desk_scale_comparison():
         data = mi.synthesize_dataset(system, inputs, 0.3, rng)
         truth = system.responses.ravel()
         p = 50
-        problem = mi.build_problem(
-            data, mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=p,
-                                   seed=0))
+        problem = mi.build_problem(data, alpha=0.9, p=p)
         prefix_wins = 0
         indep_ok = True
         details = []
         for seed in (0, 1, 2):
             errs = {}
             for variant in ("GSOB", "GS"):
-                cfg = mi.SamplerConfig(variant=variant, n_mc=1000, alpha=0.9,
-                                       p=p, beta=100.0, n_ob=10, seed=seed)
+                cfg = mi.SamplerConfig(variant=variant, n_mc=1000,
+                                       beta=100.0, n_ob=10, seed=seed)
                 _, summary = mi.run(problem, cfg)
                 errs[variant] = mi.fit_metric(summary.mean, truth, p)
             pref = {v: errs[v][:5].mean() for v in errs}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,7 +40,6 @@ output = {out}
 replicates = 1
 # a key identify does not read: unknown keys are ignored
 threads = 1
-emit_figures = true
 """
 
 
@@ -80,6 +80,23 @@ def test_simulate_then_identify_then_diagnose(tiny_config):
     assert main(["diagnose", rundir, "--truth", f"{out}/truth.json"]) == 0
     report = json.load(open(f"{rundir}/diagnostics.json"))
     assert report["fit_errors"] is not None
+
+
+def test_manifest_records_the_problem_settings(tiny_config):
+    # alpha and p belong to the problem, not to a chain's SamplerConfig;
+    # the manifest records them beside the chain's settings
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg, "--alpha", "0.8",
+                 "--variant", "GS,GSOB"]) == 0
+    for variant in ("GS", "GSOB"):
+        manifest = json.loads(
+            Path(out, variant, "rep000", "manifest.json").read_text())
+        config = manifest["config"]
+        assert config["alpha"] == 0.8 and config["p"] == 8
+        assert set(config) == {
+            "alpha", "p", *(f.name for f in
+                            dataclasses.fields(mi.SamplerConfig))}
 
 
 def test_identify_variant_list_and_replicates(tiny_config):
@@ -225,6 +242,39 @@ def test_infinite_rate_or_no_variant_exits_2(tiny_config, capsys, flags,
                                        "truth.json"]
 
 
+@pytest.mark.parametrize("variants", ["GS,GS", "GSOB,GS,GSOB"])
+def test_repeated_variant_exits_2(tiny_config, capsys, variants):
+    # a variant listed twice would write its chains twice, the second
+    # replacing the first: refused before the data load
+    cfg, out = tiny_config
+    os.makedirs(out)
+    Path(out, "dataset.csv").write_text("not a dataset\n")
+    assert main(["identify", cfg, "--variant", variants]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "listed twice" in captured.err
+    assert variants.split(",")[0] in captured.err
+    assert sorted(os.listdir(out)) == ["dataset.csv"]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--iterations", "0"], "iteration"),
+    (["--alpha", "1.5"], "decay rate"),
+    (["--fir-order", "0"], "FIR order"),
+    (["--variant", "GS", "--burn-in", "40"], "burn-in"),
+], ids=["iterations", "alpha", "fir-order", "burn-in"])
+def test_bad_setting_refused_before_data_load(tiny_config, capsys, flags,
+                                              named):
+    # a setting out of its range is refused without reading the dataset:
+    # the malformed file here is never parsed
+    cfg, out = tiny_config
+    os.makedirs(out)
+    Path(out, "dataset.csv").write_text("not a dataset\n")
+    assert main(["identify", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "dataset.csv" not in err
+
+
 def test_malformed_dataset_exits_2(tiny_config, capsys):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
@@ -247,7 +297,8 @@ def test_config_value_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old,new,named", [
-    ("emit_figures = true", "emit_figures = ture", "emit_figures"),
+    ("[sampler]", "[sampler]\nliteral_paper_shape = ture",
+     "literal_paper_shape"),
     ("[sampler]", "[sampler]\nliteral_paper_shape = TRUE", "retired"),
 ], ids=["misspelt-boolean", "retired-key"])
 def test_config_value_that_would_change_a_run_exits_2(tiny_config, capsys,
@@ -276,6 +327,33 @@ def test_retired_literal_shape_option(tiny_config, capsys):
     Path(cfg).write_text(text.replace(
         "[sampler]", "[sampler]\nliteral_paper_shape = false"))
     assert main(["identify", cfg]) == 0
+
+
+@pytest.mark.parametrize("key", ["", "emit_figures = false\n"],
+                         ids=["no-key", "retired-key"])
+def test_figures_always_written(tiny_config, key):
+    # the correlations and each block chain's pair-probability matrix are
+    # written with no key asking for them; a leftover emit_figures key is
+    # ignored like any unknown key
+    cfg, out = tiny_config
+    Path(cfg).write_text(Path(cfg).read_text().replace("[run]\n",
+                                                       "[run]\n" + key))
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg, "--variant", "GS,GSOB,GSOBd"]) == 0
+    assert Path(out, "cmatrix.csv").stat().st_size > 0
+    for variant in ("GSOB", "GSOBd"):
+        assert Path(out, variant, "rep000", "pmatrix.csv").stat().st_size > 0
+    assert not Path(out, "GS", "rep000", "pmatrix.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "identify"])
+def test_retired_emit_figures_flag(tiny_config, capsys, command):
+    cfg, out = tiny_config
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg, "--emit-figures"])
+    assert exc.value.code == 2
+    assert "--emit-figures" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # valid settings of each command; a case below replaces one of them
@@ -632,8 +710,29 @@ def test_readme_config_block_parses(tmp_path):
     path.write_text(block)
     cfg = _read_config(str(path))
     assert _get(_section(cfg, "generator"), "channels", int) == 2
-    assert _get(_section(cfg, "run"), "emit_figures", bool) is True
+    assert _get(_section(cfg, "run"), "replicates", int) == 1
     assert _get(_section(cfg, "sampler"), "burn_in", int) is None
+
+
+def test_readme_library_use_runs(tiny_config, monkeypatch, capsys):
+    # the two Python blocks under "Library use", run as they stand on a
+    # small simulated dataset.csv
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library use\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0]
+              for block in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    monkeypatch.chdir(out)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    problem, config = namespace["problem"], namespace["config"]
+    assert problem.kernel.p == 50 and config.n_mc == 1000
+    assert np.all(np.isfinite(namespace["state"].theta))
+    assert capsys.readouterr().out
 
 
 def test_bundled_configs_parse():

@@ -136,8 +136,8 @@ def test_pair_sum_error():
 def test_build_report_and_json(tmp_path):
     data, bank, kernel, theta_true = make_small_problem(seed=10)
     problem = mi.Problem(data=data, bank=bank, kernel=kernel)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=200, alpha=0.9, p=3,
-                           beta=20.0, n_ob=1, seed=0)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=200, beta=20.0, n_ob=1,
+                           seed=0)
     record, summary = mi.run(problem, cfg)
     report = mi.build_report(record, summary, truth_responses=theta_true)
     assert "lambda" in report.iact and "sigma2" in report.iact

@@ -24,17 +24,16 @@ def _problem(seed=0, m=2, p=3, n=50):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        mi.SamplerConfig(variant="bogus", n_mc=10, alpha=0.9, p=3)
+        mi.SamplerConfig(variant="bogus", n_mc=10)
     with pytest.raises(ValueError):
-        mi.SamplerConfig(variant="GS", n_mc=0, alpha=0.9, p=3)
+        mi.SamplerConfig(variant="GS", n_mc=0)
     with pytest.raises(ValueError):
-        mi.SamplerConfig(variant="GS", n_mc=10, burn_in=10, alpha=0.9, p=3)
+        mi.SamplerConfig(variant="GS", n_mc=10, burn_in=10)
     with pytest.raises(ValueError):
-        mi.SamplerConfig(variant="GSOB", n_mc=10, alpha=0.9, p=3, beta=None)
+        mi.SamplerConfig(variant="GSOB", n_mc=10, beta=None)
     with pytest.raises(ValueError):
-        mi.SamplerConfig(variant="GSOB", n_mc=10, alpha=0.9, p=3, beta=20.0,
-                         n_ob=0)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=11, alpha=0.9, p=3)
+        mi.SamplerConfig(variant="GSOB", n_mc=10, beta=20.0, n_ob=0)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=11)
     assert cfg.burn_in == 5
     assert not cfg.uses_blocks and cfg.common_scale
 
@@ -50,17 +49,15 @@ def test_derive_seed_spreads():
 
 def test_init_degenerate_output():
     data = mi.Dataset(y=np.zeros(20), inputs=np.ones((1, 20)))
-    cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=2)
-    problem = mi.build_problem(data, cfg)
+    problem = mi.build_problem(data, alpha=0.9, p=2)
     with pytest.raises(ValueError):
-        mi.init_chain(problem, cfg)
+        mi.init_chain(problem)
 
 
 def test_init_deterministic():
     problem, _ = _problem(seed=1)
-    cfg = mi.SamplerConfig(variant="GSd", n_mc=10, alpha=0.9, p=3)
-    s1 = mi.init_chain(problem, cfg)
-    s2 = mi.init_chain(problem, cfg)
+    s1 = mi.init_chain(problem)
+    s2 = mi.init_chain(problem)
     np.testing.assert_array_equal(s1.theta, s2.theta)
     assert s1.hyper.sigma2 == np.var(problem.data.y)
     np.testing.assert_array_equal(s1.hyper.lam, np.ones(2))
@@ -71,9 +68,8 @@ def test_init_recovers_strong_signal():
     system = mi.generate_system(mi.RandomSystemSpec(m=1, fir_order=40), rng)
     inputs = rng.standard_normal((1, 4000))
     data = mi.synthesize_dataset(system, inputs, 0.05, rng)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=40)
-    problem = mi.build_problem(data, cfg)
-    state = mi.init_chain(problem, cfg)
+    problem = mi.build_problem(data, alpha=0.9, p=40)
+    state = mi.init_chain(problem)
     truth = system.responses.ravel()
     err = np.linalg.norm(state.theta - truth) / np.linalg.norm(truth)
     assert err < 0.10
@@ -81,8 +77,7 @@ def test_init_recovers_strong_signal():
 
 def test_init_nonzero_quadratic_forms():
     problem, _ = _problem(seed=3)
-    cfg = mi.SamplerConfig(variant="GSd", n_mc=10, alpha=0.9, p=3)
-    state = mi.init_chain(problem, cfg)
+    state = mi.init_chain(problem)
     for k in range(2):
         assert mi.quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
 
@@ -91,8 +86,8 @@ def test_init_nonzero_quadratic_forms():
 
 def test_sweep_composes_single_conditionals():
     problem, _ = _problem(seed=5)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=10, alpha=0.9, p=3)
-    state = mi.init_chain(problem, cfg)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=10)
+    state = mi.init_chain(problem)
 
     # a sweep is draw_hyper then draw_coefficients on one generator
     rng_a = np.random.default_rng(7)
@@ -119,13 +114,13 @@ def test_sweep_composes_single_conditionals():
     cases += [("GSOB", wide), ("GSOBd", wide)]
     routes_seen, wide_routes = set(), set()
     for variant, given in cases:
-        cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=4,
+        cfg = mi.SamplerConfig(variant=variant, n_mc=30,
                                beta=2.0, n_ob=4, seed=0)
         schedule = given
         if schedule is None and cfg.uses_blocks:
             schedule = mi.compute_block_probabilities(problem.correlations,
                                                       cfg.beta)
-        state = mi.init_chain(problem, cfg)
+        state = mi.init_chain(problem)
         theta_a, cross_a = state.theta.copy(), state.cross.copy()
         theta_b, cross_b = state.theta.copy(), state.cross.copy()
         rng_a = np.random.default_rng(8)
@@ -213,10 +208,9 @@ def test_draw_coefficients_refuses_wrong_scale_count():
     # a fixed HyperState comes from the caller: a wrong length is refused
     # before any block is drawn
     problem, _ = _problem(seed=6)
-    cfg = mi.SamplerConfig(variant="GSOBd", n_mc=10, alpha=0.9, p=3,
-                           beta=20.0)
+    cfg = mi.SamplerConfig(variant="GSOBd", n_mc=10, beta=20.0)
     schedule = mi.compute_block_probabilities(problem.correlations, cfg.beta)
-    state = mi.init_chain(problem, cfg)
+    state = mi.init_chain(problem)
     theta, cross = state.theta.copy(), state.cross.copy()
     for lam in (np.ones(1), np.ones(3)):
         hyper = mi.HyperState(lam=lam, sigma2=0.4)
@@ -235,13 +229,14 @@ def test_running_cross_product_stays_exact():
     common = rng.standard_normal(n)
     inputs = common + 0.05 * rng.standard_normal((m, n))
     y = inputs.sum(axis=0) + 0.3 * rng.standard_normal(n)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, alpha=0.9, p=p,
-                           beta=20.0, n_ob=3, seed=1)
-    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), cfg)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, beta=20.0, n_ob=3,
+                           seed=1)
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
+                               p=p)
     schedule = mi.compute_block_probabilities(
         mi.compute_correlations(problem.data), cfg.beta)
     chain_rng = np.random.default_rng(cfg.seed)
-    state = mi.init_chain(problem, cfg)
+    state = mi.init_chain(problem)
     dense = problem.bank.dense_gram()
     exact = dense @ state.theta
     got = problem.bank.gram_product(state.cross)
@@ -270,9 +265,9 @@ def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
         raise AssertionError("dense grid built during a chain")
 
     monkeypatch.setattr(mi.RegressorBank, "dense_gram", refuse)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=4, alpha=0.9, p=p,
-                           beta=20.0, n_ob=2, seed=2)
-    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), cfg)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=4, beta=20.0, n_ob=2, seed=2)
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
+                               p=p)
     record, _ = mi.run(problem, cfg)
     assert record.completed == cfg.n_mc
     assert record.selected_blocks.shape == (cfg.n_mc * cfg.n_ob, 3)
@@ -283,8 +278,7 @@ def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
 
 def test_sweep_block_selections_logged():
     problem, _ = _problem(seed=6)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=10, alpha=0.9, p=3,
-                           beta=20.0, n_ob=2, seed=0)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=10, beta=20.0, n_ob=2, seed=0)
     record, _ = mi.run(problem, cfg)
     assert record.selected_blocks.shape == (20, 3)
     # two channels: every selected pair is (0, 1)
@@ -313,7 +307,7 @@ def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
         sizes.clear()
         problem, _ = _problem(seed=8)
         assert sizes == [1, 1]
-        cfg = mi.SamplerConfig(variant="GSOB", n_mc=n_mc, alpha=0.9, p=3,
+        cfg = mi.SamplerConfig(variant="GSOB", n_mc=n_mc,
                                beta=20.0, n_ob=1, seed=4)
         record, _ = mi.run(problem, cfg)
         assert record.completed == n_mc
@@ -324,9 +318,9 @@ def test_hyper_updates_condition_on_previous_theta():
     # the scale/noise draws for iteration t are functions of theta^(t-1):
     # replaying them from the recorded previous state must reproduce traces
     problem, _ = _problem(seed=7)
-    cfg = mi.SamplerConfig(variant="GSd", n_mc=5, alpha=0.9, p=3, seed=3)
+    cfg = mi.SamplerConfig(variant="GSd", n_mc=5, seed=3)
     rng = np.random.default_rng(cfg.seed)
-    state = mi.init_chain(problem, cfg)
+    state = mi.init_chain(problem)
     prev_theta = state.theta.copy()
     new_state, _ = mi.sweep(state, problem, None, cfg, rng)
     replay = np.random.default_rng(cfg.seed)
@@ -339,7 +333,7 @@ def test_hyper_updates_condition_on_previous_theta():
 
 def test_run_deterministic():
     problem, _ = _problem(seed=8)
-    cfg = mi.SamplerConfig(variant="GSOBd", n_mc=50, alpha=0.9, p=3,
+    cfg = mi.SamplerConfig(variant="GSOBd", n_mc=50,
                            beta=15.0, n_ob=1, seed=21)
     r1, s1 = mi.run(problem, cfg)
     r2, s2 = mi.run(problem, cfg)
@@ -357,7 +351,7 @@ def test_trace_shapes_per_variant():
                            ("GSd", ["lambda_0", "lambda_1"]),
                            ("GSOB", ["lambda"]),
                            ("GSOBd", ["lambda_0", "lambda_1"])):
-        cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=3,
+        cfg = mi.SamplerConfig(variant=variant, n_mc=30,
                                beta=10.0, n_ob=1, seed=0)
         record, _ = mi.run(problem, cfg)
         assert record.scale_names == names
@@ -371,8 +365,7 @@ def test_trace_shapes_per_variant():
 
 def test_single_retained_sample():
     problem, _ = _problem(seed=10)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=6, burn_in=5, alpha=0.9, p=3,
-                           seed=0)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=6, burn_in=5, seed=0)
     record, summary = mi.run(problem, cfg)
     np.testing.assert_array_equal(summary.mean, record.theta_samples[-1])
     np.testing.assert_array_equal(summary.sd, np.zeros(6))
@@ -380,8 +373,7 @@ def test_single_retained_sample():
 
 def test_thinning():
     problem, _ = _problem(seed=11)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=30, alpha=0.9, p=3, thin=3,
-                           seed=0)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=30, thin=3, seed=0)
     record, summary = mi.run(problem, cfg)
     assert record.theta_samples.shape == (10, 6)
     np.testing.assert_array_equal(record.stored_iterations,
@@ -395,10 +387,9 @@ def test_thinning():
 def test_posterior_mean_matches_analytic_when_frozen():
     problem, theta_true = _problem(seed=12)
     frozen = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.3)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=4000, burn_in=100, alpha=0.9,
-                           p=3, seed=5)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=4000, burn_in=100, seed=5)
     rng = np.random.default_rng(cfg.seed)
-    state = mi.init_chain(problem, cfg)
+    state = mi.init_chain(problem)
     draws = np.empty((cfg.n_mc, 6))
     for t in range(cfg.n_mc):
         sp.draw_coefficients(state.theta, state.cross, frozen, problem, None,
@@ -415,7 +406,7 @@ def test_posterior_mean_matches_analytic_when_frozen():
 
 def test_partial_record_attached_on_abort(monkeypatch):
     problem, _ = _problem(seed=13)
-    cfg = mi.SamplerConfig(variant="GS", n_mc=50, alpha=0.9, p=3, seed=0)
+    cfg = mi.SamplerConfig(variant="GS", n_mc=50, seed=0)
     calls = {"count": 0}
     real = sp.draw_channels
 
@@ -445,8 +436,8 @@ def test_collapsed_scale_aborts_cleanly(monkeypatch, lam_1, sigma2):
     # spectral scales non-finite: the coefficient step raises, and a chain
     # that reaches it keeps the sweeps before it
     problem, _ = _problem(seed=18)
-    cfg = mi.SamplerConfig(variant="GSd", n_mc=30, alpha=0.9, p=3, seed=2)
-    state = mi.init_chain(problem, cfg)
+    cfg = mi.SamplerConfig(variant="GSd", n_mc=30, seed=2)
+    state = mi.init_chain(problem)
     collapsed = mi.HyperState(lam=np.array([0.7, lam_1]), sigma2=sigma2)
     with np.errstate(over="ignore"), pytest.raises(FactorizationError):
         sp.draw_coefficients(state.theta.copy(), state.cross.copy(),
@@ -502,7 +493,7 @@ def _tables_row_by_row(record, summary) -> dict:
 @pytest.mark.parametrize("variant", sp.VARIANTS)
 def test_save_and_load_record(tmp_path, variant, thin):
     problem, _ = _problem(seed=14)
-    cfg = mi.SamplerConfig(variant=variant, n_mc=40, alpha=0.9, p=3,
+    cfg = mi.SamplerConfig(variant=variant, n_mc=40,
                            beta=20.0, n_ob=2, seed=9, thin=thin)
     record, summary = mi.run(problem, cfg)
     outdir = tmp_path / "chain"
@@ -532,7 +523,7 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
     # one channel gives one lambda column either way; the header says
     # whether it is the common scale or channel 0's own
     problem, _ = _problem(seed=17, m=1)
-    cfg = mi.SamplerConfig(variant=variant, n_mc=30, alpha=0.9, p=3, seed=3)
+    cfg = mi.SamplerConfig(variant=variant, n_mc=30, seed=3)
     record, summary = mi.run(problem, cfg)
     assert record.lambda_trace.shape == shape
     mi.save_record(record, summary, tmp_path)
@@ -546,8 +537,7 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
 
 def test_recorded_selection_frequencies_match_schedule():
     problem, _ = _problem(seed=16, m=3, p=2, n=60)
-    cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, alpha=0.9, p=2,
-                           beta=5.0, n_ob=5, seed=2)
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, beta=5.0, n_ob=5, seed=2)
     record, _ = mi.run(problem, cfg)
     sched = mi.compute_block_probabilities(
         mi.compute_correlations(problem.data), cfg.beta)
@@ -566,7 +556,7 @@ def _hyper_mean_z(problem, theta, variant, draws=20_000):
     b / (a - 1) computed here from K^-1 and ||y - G theta||^2."""
     bank, kernel = problem.bank, problem.kernel
     m, p, n = bank.m, kernel.p, problem.data.n
-    cfg = mi.SamplerConfig(variant=variant, n_mc=10, alpha=0.9, p=p)
+    cfg = mi.SamplerConfig(variant=variant, n_mc=10)
     cross = bank.cross_state(theta)
     rng = np.random.default_rng(8)
     hypers = [sp.draw_hyper(theta, cross, problem, cfg, rng)
