@@ -13,14 +13,17 @@ the mp-by-mp grid ``{G_i' G_j}``:
     G_i' G_j = Toep(lag_ij) - T_i' T_j,
 
 where lag_ij holds the 2p - 1 lag correlations of the pair over the whole
-record (p BLAS products of the m-by-n inputs with their shifted
-transposes) and T_i is the p-by-p upper-triangular Toeplitz matrix of
-u_i's last p - 1 samples, which corrects for the products that fall past
-the end of the record.  Per channel k it stores an (m+1)-by-(2p-1) panel
-(the lags of every channel against k, plus a row holding T_k), T_k, and
-the diagonal gram G_k'G_k, besides the projections ``{G_k' y}`` and
-``y'y``: m(m+1)(2p-1) + 2mp^2 floats, 12 MB at m = 100 and p = 50,
-where the grid takes 200 MB.  Off-diagonal grams are built on demand;
+record and T_i is the p-by-p upper-triangular Toeplitz matrix of u_i's
+last p - 1 samples, which corrects for the products that fall past the
+end of the record.  One overlap-save FFT pass over the record finds the
+lags of every pair, in about 5m^2 n flops and a working memory that does
+not grow with n; the projections ``{G_k' y}`` are one product per segment
+of the record with the Hankel matrix of y.  Per
+channel k the bank stores an (m+1)-by-(2p-1) panel (the lags of every
+channel against k, plus a row holding T_k), T_k, and the diagonal gram
+G_k'G_k, besides the projections ``{G_k' y}`` and ``y'y``:
+m(m+1)(2p-1) + 2mp^2 floats, 12 MB at m = 100 and p = 50, where the grid
+takes 200 MB.  Off-diagonal grams are built on demand;
 only the dense oracle and tests build the whole grid
 (:meth:`RegressorBank.dense_gram`).
 
@@ -42,6 +45,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import zgemm
 
 from .errors import SizeGuardError
 
@@ -97,6 +102,9 @@ def save_dataset_csv(data: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """The dataset in ``path``: a header ``y,u1..um``, then one row of
+    m + 1 numbers per sample.  Any other file is refused with a
+    ValueError whose message starts with the path."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
     if not names or names[0] != "y":
@@ -104,8 +112,46 @@ def load_dataset_csv(path) -> Dataset:
     expected = ["y"] + [f"u{k + 1}" for k in range(len(names) - 1)]
     if names != expected:
         raise ValueError(f"{path}: columns must be y,u1..um, got {names}")
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Dataset(y=table[:, 0], inputs=table[:, 1:].T)
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        raise ValueError(f"{path}: {_first_bad_row(path, names)}") from None
+    if table.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if table.shape[1] != len(names):
+        raise ValueError(
+            f"{path}: every data row has {table.shape[1]} values, but the "
+            f"header names {len(names)} columns")
+    try:
+        return Dataset(y=table[:, 0], inputs=table[:, 1:].T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_row(path, names: list[str]) -> str:
+    """Why ``np.loadtxt`` refused ``path``: its first data line whose
+    width differs from the header's, or that holds a cell that is not a
+    number, read again line by line (only a refused file is)."""
+    with open(path) as fh:
+        next(fh)
+        for number, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            cells = text.split(",")
+            if len(cells) != len(names):
+                return (f"line {number} has {len(cells)} values, but the "
+                        f"header names {len(names)} columns")
+            for name, cell in zip(names, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return (f"line {number}: {name} value {cell.strip()!r} "
+                            "is not a number")
+    return "the data rows cannot be read as numbers"
 
 
 def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -139,7 +185,7 @@ class RegressorBank:
         self.m = data.m
         self.yty = float(np.dot(data.y, data.y))
         self._panels, self._tails = _lag_panels(data.inputs, self.p)
-        self.gty = _lagged_projections(data.inputs, data.y, self.p)
+        self.gty = _projections(data.inputs, data.y, self.p)
         self._diagonal = np.stack([self._pair_gram(k, k)
                                    for k in range(self.m)])
         for arr in (self._panels, self._tails, self.gty, self._diagonal):
@@ -293,26 +339,29 @@ def _lag_panels(inputs: np.ndarray,
     Entry (a, b) of G_i' G_j is sum_t u_i[t - a] u_j[t - b] over the n
     rows t.  Over the whole record, rows t >= n included, that sum is
     lag_ij[p - 1 + b - a], where lag_ij[p - 1 + tau] = sum_t u_i[t]
-    u_j[t - tau] for |tau| < p; one matrix product per lag finds it for
-    every pair at once.  The rows t >= n add (T_i' T_j)[a, b], where T_k
-    is the p-by-p upper-triangular Toeplitz matrix with T_k[s, a] =
-    u_k[n - a + s] for a > s (its last p - 1 samples), so
+    u_j[t - tau] for |tau| < p.  The rows t >= n add (T_i' T_j)[a, b],
+    where T_k is the p-by-p upper-triangular Toeplitz matrix with T_k[s, a]
+    = u_k[n - a + s] for a > s (its last p - 1 samples), so
     G_i' G_j = Toep(lag_ij) - T_i' T_j.  Samples before the first one are
     zeros, so p >= n stays exact.
 
+    :func:`_lag_sums` finds the p lags tau >= 0 of every pair in one FFT
+    pass; lags tau < 0 are those of the transposed pair, and lag 0 is
+    symmetrized, so Toep(lag_kk) is exactly symmetric.
+
     ``panels[k]`` is (m+1)-by-(2p-1): row j < m is lag_jk, and row m is
     p - 1 zeros followed by T_k's first row.  ``tails[k]`` is T_k.  Pairs
-    (i, j) and (j, i) read the same products, transposed exactly.
+    (i, j) and (j, i) read the same sums, transposed exactly.
     """
     m, n = inputs.shape
     panels = np.zeros((m, m + 1, 2 * p - 1))
-    for tau in range(min(p, n)):
-        # corr[i, j] = sum_t u_i[t] u_j[t - tau] = lag_ij[p - 1 + tau]
-        corr = inputs[:, tau:] @ inputs[:, :n - tau].T
-        if tau == 0:
-            corr = np.triu(corr) + np.triu(corr, 1).T
-        panels[:, :m, p - 1 + tau] = corr.T
-        panels[:, :m, p - 1 - tau] = corr
+    for first, lags in _lag_sums(inputs, p):
+        # lags[i, j, p - 1 - tau] = lag_jk[p - 1 - tau], k = first + i
+        panels[first:first + len(lags), :m, :p] = lags
+    centre = panels[:, :m, p - 1]
+    centre[...] = np.triu(centre) + np.triu(centre, 1).T
+    # lag_jk[p - 1 + tau] = lag_kj[p - 1 - tau]
+    panels[:, :m, p:] = panels[:, :m, :p - 1][..., ::-1].transpose(1, 0, 2)
     # last[:, r] = u[n - r] for r = 1 .. p - 1, zero before the record
     last = np.zeros((m, p))
     k = min(p - 1, n)
@@ -324,11 +373,113 @@ def _lag_panels(inputs: np.ndarray,
     return panels, tails
 
 
-def _lagged_projections(inputs: np.ndarray, y: np.ndarray,
-                        p: int) -> np.ndarray:
-    """Stacked {G_k' y}: entry k*p + a is sum_s u_k[s] y[s + a]."""
+# Working memory of the lag pass, in bytes: the spectra of one group of
+# chunks, and the cross-spectral sums of one block of rows.  Neither grows
+# with the record's length.
+_GROUP_BYTES = 4 << 20
+_SUMS_BYTES = 32 << 20
+
+
+def _lag_sums(inputs: np.ndarray, p: int):
+    """Yield (first, lags) for blocks of rows i of ``inputs``, where
+    lags[i - first, j, d] = sum_t u_i[t] u_j[t - (p - 1 - d)] for d < p,
+    with zeros outside the record.
+
+    Overlap-save block correlation (Stockham 1966): the record is cut into
+    chunks of L = N - (p - 1) samples, N = ``_transform_size(p)``.  For
+    inputs i and j, the conjugate size-N DFT of u_i's chunk (zero-padded)
+    times the DFT of u_j's window (the p - 1 samples before the chunk,
+    then the chunk) is the DFT of a circular correlation whose first p
+    entries are the chunk's share of the lags tau = p - 1 .. 0, with no
+    wrap-around.  A group of chunks adds these cross-spectra to a
+    rows-by-m complex matrix per frequency bin, one BLAS product per bin,
+    and the inverse FFT of the sums holds the lags.  Each group is
+    transformed straight from ``inputs``, so nothing the size of the
+    record is copied; blocks of rows keep the sums within ``_SUMS_BYTES``
+    when m is large.
+    """
+    m, n = inputs.shape
+    size = _transform_size(p)
+    step = size - (p - 1)
+    bins = size // 2 + 1
+    chunks = -(-n // step)
+    rows = min(m, max(1, _SUMS_BYTES // (16 * bins * m)))
+    group = min(chunks, max(1, _GROUP_BYTES // (16 * bins * (m + rows))))
+    windows = np.empty((bins, group, m), dtype=complex)
+    for first in range(0, m, rows):
+        count = min(rows, m - first)
+        sums = np.zeros((bins, count, m), dtype=complex)
+        chunked = np.empty((bins, group, count), dtype=complex)
+        for start in range(0, chunks, group):
+            block = range(start, min(start + group, chunks))
+            _spectra(inputs, block, step, p - 1, size, size, windows)
+            _spectra(inputs[first:first + count], block, step, 0, step,
+                     size, chunked)
+            k = len(block)
+            for f in range(bins):
+                # sums[f] += conj(chunked[f])' windows[f], written in
+                # place as its Fortran-ordered transpose
+                zgemm(1.0, windows[f, :k].T, chunked[f, :k].T, beta=1.0,
+                      c=sums[f].T, trans_b=2, overwrite_c=1)
+        # the inverse FFT a few rows at a time, keeping only the p lags
+        part = max(1, _GROUP_BYTES // (8 * size * m))
+        for r in range(0, count, part):
+            lags = np.fft.irfft(sums[:, r:r + part], n=size, axis=0)[:p]
+            yield first + r, lags.transpose(1, 2, 0)
+
+
+def _transform_size(p: int) -> int:
+    """The lag pass's DFT size N: the least power of two that is at least
+    4p and at least 64 (fewer, longer transforms for short responses)."""
+    return 1 << (max(4 * p, 64) - 1).bit_length()
+
+
+def _spectra(rows: np.ndarray, block: range, step: int, back: int,
+             length: int, size: int, out: np.ndarray) -> None:
+    """out[:, i, :] = the size-N real DFT of rows[:, s:s + length], zeros
+    outside the record and after the segment, for the i-th chunk c of
+    ``block``, where s = c * step - back."""
+    n = rows.shape[1]
+    # chunks whose segment lies inside the record: one strided view
+    lo = max(block.start, -(-back // step))
+    hi = min(block.stop, (n - length + back) // step + 1)
+    if lo < hi:
+        segments = sliding_window_view(rows, length, axis=1)[
+            :, lo * step - back:(hi - 1) * step - back + 1:step]
+        np.fft.rfft(segments.transpose(1, 0, 2), n=size, axis=-1,
+                    out=out[:, lo - block.start:hi - block.start]
+                    .transpose(1, 2, 0))
+    else:
+        lo = hi = block.start
+    # at most the first and the last chunk of the record reach past it
+    for c in (*range(block.start, lo), *range(hi, block.stop)):
+        s = c * step - back
+        a, b = max(s, 0), min(s + length, n)
+        padded = np.zeros((rows.shape[0], size))
+        padded[:, a - s:b - s] = rows[:, a:b]
+        np.fft.rfft(padded, axis=-1, out=out[:, c - block.start].T)
+
+
+def _projections(inputs: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Stacked {G_k' y}: entry k*p + a is sum_s u_k[s] y[s + a].
+
+    One product per segment of the record, of the inputs' samples with
+    the Hankel matrix H[s, a] = y[s + a] (zero past the record), copied
+    into a buffer of ``_GROUP_BYTES``.  Every entry stays a plain sum of
+    products over the samples, exact when one input is a unit impulse.
+    """
     m, n = inputs.shape
     gty = np.zeros((m, p))
-    for a in range(min(p, n)):
-        gty[:, a] = inputs[:, :n - a] @ y[a:]
+    hankel = np.empty((min(n, max(1, _GROUP_BYTES // (8 * p))), p))
+    for start in range(0, n, len(hankel)):
+        stop = min(start + len(hankel), n)
+        h = hankel[:stop - start]
+        # rows whose p samples all lie in the record, then the last p - 1
+        inside = min(stop, max(start, n - p + 1))
+        if inside > start:
+            h[:inside - start] = sliding_window_view(y, p)[start:inside]
+        for s in range(inside, stop):
+            h[s - start, :n - s] = y[s:]
+            h[s - start, n - s:] = 0.0
+        gty += inputs[:, start:stop] @ h
     return gty.reshape(-1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,58 @@ def test_malformed_dataset_exits_2(tiny_config, capsys):
     capsys.readouterr()
     assert main(["identify", cfg]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rows_narrower_than_the_header_exit_2(tiny_config, capsys):
+    # three inputs simulated, the last value cut from every data row: the
+    # rows no longer match the header's y,u1,u2,u3, and no chain may run
+    # on the two inputs that are left
+    cfg, out = tiny_config
+    text = Path(cfg).read_text().replace("channels = 2", "channels = 3")
+    Path(cfg).write_text(text.replace("mode = duplicate",
+                                      "mode = independent"))
+    assert main(["simulate", cfg]) == 0
+    dataset = Path(out) / "dataset.csv"
+    header, *rows = dataset.read_text().splitlines()
+    assert header == "y,u1,u2,u3"
+    dataset.write_text("\n".join(
+        [header] + [row.rsplit(",", 1)[0] for row in rows]) + "\n")
+    capsys.readouterr()
+    code = main(["identify", cfg, "--variant", "GS"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {dataset}:")
+    assert "3 values" in captured.err and "4 columns" in captured.err
+    assert "chain written" not in captured.out
+    assert not os.path.exists(f"{out}/GS")
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]]
+                 + rows[4:], id="ragged-row"),
+    pytest.param(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]
+                                          + ",abc"] + rows[4:],
+                 id="text-cell"),
+    pytest.param(lambda rows: rows[:1], id="header-only"),
+])
+def test_unreadable_dataset_names_the_file(tiny_config, capsys, edit):
+    # the refusal starts with the file's path and says what is wrong in
+    # the program's own words: no numpy advice, no warning before it
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    dataset = Path(out) / "dataset.csv"
+    dataset.write_text("\n".join(edit(dataset.read_text().splitlines()))
+                       + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["identify", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {dataset}:")
+    assert "usecols" not in captured.err and "Warning" not in captured.err
+    assert not caught
+    assert "chain written" not in captured.out
 
 
 def test_config_value_error_exits_2(tmp_path, capsys):

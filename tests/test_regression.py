@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,6 +199,108 @@ def test_structured_update_matches_dense_product(instance, seed):
     direct = float(np.sum((y - G @ theta) ** 2))
     assert bank.residual_sumsq(theta, cross) == pytest.approx(
         direct, rel=1e-9, abs=1e-9 * float(y @ y))
+
+
+def _loop_lags(inputs, p):
+    """The retired builder, kept as the reference for the FFT pass: lags
+    [k, j] = lag_jk, one product of the inputs with their shifted
+    transposes per lag, lag 0 symmetrized."""
+    m, n = inputs.shape
+    lags = np.zeros((m, m, 2 * p - 1))
+    for tau in range(min(p, n)):
+        corr = inputs[:, tau:] @ inputs[:, :n - tau].T
+        if tau == 0:
+            corr = np.triu(corr) + np.triu(corr, 1).T
+        lags[:, :, p - 1 + tau] = corr.T
+        lags[:, :, p - 1 - tau] = corr
+    return lags
+
+
+def _loop_projections(inputs, y, p):
+    """Stacked {G_k' y}, one matrix-vector product per lag."""
+    m, n = inputs.shape
+    gty = np.zeros((m, p))
+    for a in range(min(p, n)):
+        gty[:, a] = inputs[:, :n - a] @ y[a:]
+    return gty.reshape(-1)
+
+
+def _chunk(p):
+    """The number of new samples in each chunk of the lag pass."""
+    return mi.regression._transform_size(p) - (p - 1)
+
+
+def _assert_matches_loop(inputs, y, p):
+    m = inputs.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+    lags = _loop_lags(inputs, p)
+    gty = _loop_projections(inputs, y, p)
+    np.testing.assert_allclose(bank._panels[:, :m], lags, rtol=0,
+                               atol=1e-10 * np.abs(lags).max())
+    np.testing.assert_allclose(bank.gty, gty, rtol=0,
+                               atol=1e-10 * np.abs(gty).max())
+    # the pairs (j, k) and (k, j) hold one set of lags, reversed exactly
+    panels = bank._panels[:, :m]
+    assert np.array_equal(panels, panels[..., ::-1].transpose(1, 0, 2))
+    assert bank._panels.shape == (m, m + 1, 2 * p - 1)
+    assert bank._panels.flags.c_contiguous
+    assert not bank._panels.flags.writeable
+    for i in range(m):
+        assert np.array_equal(bank.gram(i, i), bank.gram(i, i).T)
+        for j in range(m):
+            assert np.array_equal(bank.gram(j, i), bank.gram(i, j).T)
+
+
+@pytest.mark.parametrize("m, p, n, duplicate", [
+    (3, 50, _chunk(50) - 1, False),     # one chunk, one short of full
+    (3, 50, _chunk(50), False),         # exactly one chunk
+    (3, 50, _chunk(50) + 1, False),     # a second chunk of one sample
+    (3, 50, 20_000, False),             # about a hundred chunks
+    (3, 8, 100_000, False),             # several groups of chunks
+    (3, 1, 50_000, False),              # p = 1: lag 0 only
+    (2, 50, 30, False),                 # p > n: rank deficient
+    (1, 12, 500, False),                # one channel
+    (3, 50, 1000, True),                # a duplicated input
+])
+def test_lags_match_the_product_loop(m, p, n, duplicate):
+    rng = np.random.default_rng(m * 1000 + p + n)
+    inputs = rng.standard_normal((m, n))
+    if duplicate:
+        inputs[-1] = inputs[0]
+    _assert_matches_loop(inputs, rng.standard_normal(n), p)
+
+
+@pytest.mark.parametrize("group_bytes, sums_bytes", [
+    (64 << 10, 8 << 10),        # chunks in groups of 5, one row at a time
+    (4 << 10, 16 << 10),        # one chunk per group, two rows at a time
+])
+def test_lags_match_in_small_pieces(monkeypatch, group_bytes, sums_bytes):
+    # working-memory bounds small enough that one record spans many groups,
+    # several blocks of rows and several inverse transforms per block
+    monkeypatch.setattr(mi.regression, "_GROUP_BYTES", group_bytes)
+    monkeypatch.setattr(mi.regression, "_SUMS_BYTES", sums_bytes)
+    rng = np.random.default_rng(5)
+    inputs = rng.standard_normal((3, 20_000))
+    inputs[2] = -inputs[0]
+    _assert_matches_loop(inputs, rng.standard_normal(20_000), 50)
+
+
+def test_build_memory_does_not_grow_with_the_record():
+    # 12.8 MB of inputs: the build holds a few MB at a time, where a padded
+    # or stacked copy of the record would not fit under the bound
+    rng = np.random.default_rng(9)
+    n = 400_000
+    data = mi.Dataset(y=rng.standard_normal(n),
+                      inputs=rng.standard_normal((4, n)))
+    tracemalloc.start()
+    try:
+        mi.RegressorBank(data, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20 < data.inputs.nbytes
 
 
 def test_dense_gram_refused_above_oracle_limit():
