@@ -20,7 +20,7 @@ from .regression import (Dataset, RegressorBank, load_dataset_csv,
                          save_dataset_csv)
 from .sampler import (ChainRecord, Problem, SamplerConfig, VARIANTS,
                       build_problem, derive_seed, init_chain, load_record,
-                      run, save_record, summarize, sweep)
+                      run, save_record, sweep)
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
                      generate_inputs, generate_system, load_truth_json,
                      synthesize_dataset, write_truth_json)

@@ -29,12 +29,12 @@ import numpy as np
 from . import __version__
 from .blocks import (compute_block_probabilities, compute_correlations,
                      export_correlations_csv, export_probabilities_csv)
-from .diagnostics import ORACLE_ALPHA, build_report, run_oracle_checks
-from .errors import DegenerateRateError, FactorizationError, SizeGuardError
+from .diagnostics import build_report, run_oracle_checks
+from .errors import NUMERICAL_ERRORS
 from .kernel import check_kernel_settings
 from .regression import load_dataset_csv, save_dataset_csv
 from .sampler import (SamplerConfig, VARIANTS, build_problem, derive_seed,
-                      load_record, run, save_record, summarize)
+                      load_record, run, save_record)
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
                      generate_inputs, generate_system, load_truth_json,
                      synthesize_dataset, write_truth_json)
@@ -42,10 +42,6 @@ from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
 
 class ConfigError(Exception):
     pass
-
-
-# errors that end a chain early: exit 1, with the partial chain flushed
-NUMERICAL_ERRORS = (FactorizationError, DegenerateRateError)
 
 
 def _read_config(path) -> configparser.ConfigParser:
@@ -186,10 +182,10 @@ def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _run_one(problem, config, outdir, truth, data_hash) -> None:
+def _run_one(problem, config, outdir, truth, data_hash) -> str | None:
     """Run one chain into a temporary sibling of ``outdir``, which then
-    replaces ``outdir`` whole, the partial chain of a numerical abort
-    included; on any other error the sibling is removed."""
+    replaces ``outdir`` whole, finished or aborted; on an error the sibling
+    is removed.  Returns the numerical abort's message, or None."""
     parent, name = os.path.split(outdir)
     staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
     # a sibling under this process id is left over from an earlier run
@@ -197,14 +193,12 @@ def _run_one(problem, config, outdir, truth, data_hash) -> None:
         shutil.rmtree(leftover, ignore_errors=True)
     os.makedirs(staging)
     try:
-        _write_chain(problem, config, staging, truth, data_hash)
-    except NUMERICAL_ERRORS:
-        _move_into_place(staging, outdir)
-        raise
+        error = _write_chain(problem, config, staging, truth, data_hash)
     except BaseException:
         shutil.rmtree(staging)
         raise
     _move_into_place(staging, outdir)
+    return error
 
 
 def _move_into_place(staging, outdir) -> None:
@@ -216,34 +210,29 @@ def _move_into_place(staging, outdir) -> None:
     shutil.rmtree(stale, ignore_errors=True)
 
 
-def _write_chain(problem, config, outdir, truth, data_hash) -> None:
+def _write_chain(problem, config, outdir, truth, data_hash) -> str | None:
+    """Run one chain and write it: its traces, a finished chain's report and
+    block probabilities, then the manifest.  Returns the abort's message."""
     started = time.perf_counter()
-    try:
-        record, summary = run(problem, config)
-    except NUMERICAL_ERRORS as exc:
-        partial = getattr(exc, "partial_record", None)
-        if partial is not None:
-            save_record(partial, None, outdir, aborted=True)
-            _write_manifest(outdir, problem, config, data_hash,
-                            time.perf_counter() - started, partial.seconds,
-                            aborted=True, error=str(exc))
-        raise
+    record = run(problem, config)
     phases = dict(record.seconds)
     mark = time.perf_counter()
-    save_record(record, summary, outdir)
+    save_record(record, outdir)
     phases["save"] = time.perf_counter() - mark
-    mark = time.perf_counter()
-    truth_resp = truth["responses"] if truth is not None else None
-    report = build_report(record, summary, truth_resp)
-    report.to_json(os.path.join(outdir, "diagnostics.json"))
-    phases["report"] = time.perf_counter() - mark
+    if not record.aborted:
+        mark = time.perf_counter()
+        truth_resp = truth["responses"] if truth is not None else None
+        report = build_report(record, truth_resp)
+        report.to_json(os.path.join(outdir, "diagnostics.json"))
+        phases["report"] = time.perf_counter() - mark
+        if config.uses_blocks:
+            schedule = compute_block_probabilities(problem.correlations,
+                                                   config.beta)
+            export_probabilities_csv(schedule,
+                                     os.path.join(outdir, "pmatrix.csv"))
     _write_manifest(outdir, problem, config, data_hash,
-                    time.perf_counter() - started, phases)
-    if config.uses_blocks:
-        schedule = compute_block_probabilities(problem.correlations,
-                                               config.beta)
-        export_probabilities_csv(schedule,
-                                 os.path.join(outdir, "pmatrix.csv"))
+                    time.perf_counter() - started, phases, record.error)
+    return record.error
 
 
 # environment variables that set the BLAS thread count, recorded as found
@@ -253,7 +242,7 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _write_manifest(outdir, problem, config, data_hash, seconds, phases,
-                    aborted=False, error=None) -> None:
+                    error) -> None:
     doc = {
         # the chain's settings and the prior's, which the problem holds
         "config": {**dataclasses.asdict(config),
@@ -268,9 +257,9 @@ def _write_manifest(outdir, problem, config, data_hash, seconds, phases,
             "cpu_count": os.cpu_count(),
             **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         },
-        "aborted": aborted,
+        "aborted": error is not None,
     }
-    if error:
+    if error is not None:
         doc["error"] = error
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -361,21 +350,22 @@ def cmd_identify(args) -> int:
     truth = _load_truth(truth_path, data.m, p) if truth_path else None
     problem = build_problem(data, alpha, p)
 
-    failed = []
+    failed, aborted = [], False
     for config, outdir in jobs:
         try:
-            _run_one(problem, config, outdir, truth, data_hash)
+            error = _run_one(problem, config, outdir, truth, data_hash)
         except Exception as exc:
-            kind = ("numerical abort" if isinstance(exc, NUMERICAL_ERRORS)
-                    else "error")
-            print(f"{kind} in {outdir}: {exc}", file=sys.stderr)
+            print(f"error in {outdir}: {exc}", file=sys.stderr)
             failed.append(exc)
+            continue
+        if error is not None:
+            print(f"numerical abort in {outdir}: {error}", file=sys.stderr)
+            aborted = True
         else:
             print(f"chain written: {outdir}")
-    for exc in failed:
-        if not isinstance(exc, NUMERICAL_ERRORS):
-            raise exc
-    return 1 if failed else 0
+    if failed:
+        raise failed[0]
+    return 1 if aborted else 0
 
 
 # --------------------------------------------------------------------------
@@ -383,29 +373,17 @@ def cmd_identify(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_oracle_check(args) -> int:
-    seed, sweeps, m, p, n = 0, 10_000, 2, 3, 50
+    sec = None
     if args.config:
-        cfg = _read_config(args.config)
-        sec = _section(cfg, "oracle")
-        seed = _get(sec, "seed", int, default=seed)
-        sweeps = _get(sec, "sweeps", int, default=sweeps)
-        m = _get(sec, "channels", int, default=m)
-        p = _get(sec, "fir_order", int, default=p)
-        n = _get(sec, "samples", int, default=n)
-    if m < 2 or n < 1 or sweeps < 50 or seed < 0:
-        raise ConfigError(
-            "oracle needs channels >= 2 (for pairs), samples >= 1, sweeps >= "
-            f"50 (for the IACT) and seed >= 0; got {m}, {n}, {sweeps}, {seed}")
+        sec = _section(_read_config(args.config), "oracle")
     try:
-        check_kernel_settings(ORACLE_ALPHA, p)
+        report = run_oracle_checks(
+            corrupt_mean=args.corrupt_mean, **_given(
+                seed=_get(sec, "seed", int), n_sweeps=_get(sec, "sweeps", int),
+                m=_get(sec, "channels", int), p=_get(sec, "fir_order", int),
+                n=_get(sec, "samples", int)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        report = run_oracle_checks(seed=seed, n_sweeps=sweeps, m=m, p=p, n=n,
-                                   corrupt_mean=args.corrupt_mean)
-    except SizeGuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status}  {check.name}: statistic={check.statistic:.3e} "
@@ -418,14 +396,13 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"run directory not found: {args.run_dir}")
     try:
         record = load_record(args.run_dir)
-        summary = summarize(record)
+        record.summary      # a chain with no retained sample is refused
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{args.run_dir}: {exc}") from None
     truth = None
     if args.truth:
         truth = _load_truth(args.truth, record.m, record.p)
-    report = build_report(record, summary,
-                          truth["responses"] if truth else None)
+    report = build_report(record, truth["responses"] if truth else None)
     out = os.path.join(args.run_dir, "diagnostics.json")
     report.to_json(out)
     for name in sorted(report.iact):

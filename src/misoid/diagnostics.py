@@ -168,7 +168,7 @@ class DiagnosticsReport:
             fh.write("\n")
 
 
-def build_report(record, summary, truth_responses: np.ndarray | None = None
+def build_report(record, truth_responses: np.ndarray | None = None
                  ) -> DiagnosticsReport:
     """Diagnostics for a chain record: per-trace IACT/ESS on the post-burn-in
     segment, per-coefficient posterior sd, and fit errors when truth is given."""
@@ -196,11 +196,11 @@ def build_report(record, summary, truth_responses: np.ndarray | None = None
 
     fit = None
     if truth_responses is not None:
-        fit = fit_metric(summary.mean, np.asarray(truth_responses).ravel(),
-                         record.p)
+        fit = fit_metric(record.summary.mean,
+                         np.asarray(truth_responses).ravel(), record.p)
     return DiagnosticsReport(iact=taus, ess=esses,
                              degenerate_traces=degenerate,
-                             posterior_sd=summary.sd, fit_errors=fit)
+                             posterior_sd=record.summary.sd, fit_errors=fit)
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +227,6 @@ class OracleCheckReport:
         return all(c.passed for c in self.checks)
 
 
-# the prior decay rate of the oracle's instance
-ORACLE_ALPHA = 0.9
-
-
 def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
                       m: int = 2, p: int = 3, n: int = 50,
                       corrupt_mean: bool = False) -> OracleCheckReport:
@@ -249,9 +245,17 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     ``corrupt_mean`` runs the chains on the negated output, so their means
     converge to minus the analytic ones -- a mutation proving the chain
     checks can fail.
+
+    Settings the suite cannot run raise ValueError before any chain runs,
+    a :class:`SizeGuardError` for an instance too large for the oracle.
     """
+    if m < 2 or n < 1 or n_sweeps < 50 or seed < 0:
+        raise ValueError(
+            "oracle needs channels >= 2 (for pairs), samples >= 1, sweeps "
+            ">= 50 (for the IACT) and seed >= 0; "
+            f"got {m}, {n}, {n_sweeps}, {seed}")
+    kernel = build_kernel(0.9, p)       # the prior's decay rate
     rng = np.random.default_rng(seed)
-    kernel = build_kernel(ORACLE_ALPHA, p)
     lam_true, sigma2_true = 0.8, 0.3
     inputs = rng.standard_normal((m, n))
     theta_true = np.concatenate([

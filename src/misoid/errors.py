@@ -17,3 +17,7 @@ class FactorizationError(RuntimeError):
 
 class SizeGuardError(ValueError):
     """Instance too large for a dense-oracle code path."""
+
+
+# the errors that end a chain early, as a numerical abort
+NUMERICAL_ERRORS = (FactorizationError, DegenerateRateError)

@@ -26,6 +26,9 @@ structure (:class:`ChainState`): a block draw moves it by one small product
 of the changed channel's lag panel with the change, so no sweep reads an
 mp-by-mp grid and none exists.
 
+:func:`run` returns a chain's :class:`ChainRecord` whether the chain
+finishes or ends in a numerical abort.
+
 Chains are deterministic given (data, config, seed).  Replicates use seeds
 derived from the master seed by a splitmix64-style mix of the replicate
 index, so a replicate's chain does not depend on how many others run.
@@ -49,7 +52,7 @@ from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
                            block_conditional, draw_gaussian, root_times,
                            sample_lambda_common, sample_lambda_k,
                            sample_sigma2_from_sumsq, spectral_scales, whiten)
-from .errors import FactorizationError
+from .errors import NUMERICAL_ERRORS, FactorizationError
 from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
 
@@ -158,7 +161,7 @@ class ChainState:
 
 @dataclass
 class ChainRecord:
-    """Stored traces of one chain (complete or flushed after an abort)."""
+    """Stored traces of one chain, finished or ended by a numerical abort."""
 
     variant: str
     m: int
@@ -173,6 +176,8 @@ class ChainRecord:
     selected_blocks: np.ndarray      # (n_selected, 3): iteration, i, j
     # wall seconds of the run that made it: "init" and "sweeps"
     seconds: dict = field(default_factory=dict)
+    # the message of the numerical abort that ended the chain, or None
+    error: str | None = None
 
     @property
     def scale_names(self) -> list:
@@ -182,6 +187,26 @@ class ChainRecord:
     def completed(self) -> int:
         """Iterations actually swept."""
         return self.lambda_trace.shape[0]
+
+    @property
+    def aborted(self) -> bool:
+        return self.completed < self.n_mc
+
+    @cached_property
+    def summary(self) -> PosteriorSummary:
+        """Posterior summaries over the stored post-burn-in samples."""
+        keep = self.stored_iterations > self.burn_in
+        samples = self.theta_samples[keep]
+        if samples.shape[0] == 0:
+            raise ValueError(
+                "no retained samples: burn-in swallowed the chain")
+        q = np.quantile(samples, [0.025, 0.975], axis=0)
+        return PosteriorSummary(
+            mean=samples.mean(axis=0),
+            sd=samples.std(axis=0, ddof=1) if samples.shape[0] > 1
+            else np.zeros(samples.shape[1]),
+            q025=q[0], q975=q[1],
+        )
 
     @property
     def stored_iterations(self) -> np.ndarray:
@@ -239,7 +264,12 @@ def init_chain(problem: Problem) -> ChainState:
         spectrum = problem.spectra((k,))
         eps = ridge * float(np.trace(spectrum.gram))
         if not eps > 0.0:
-            raise FactorizationError(f"initialization: channel {k} has no data")
+            raise FactorizationError(
+                f"initialization: channel {k} has no data"
+                if not np.trace(spectrum.gram) > 0.0 else
+                "initialization: the prior scale var(y) * tr(K^-1) overflows "
+                f"(var(y) = {sigma2_0:g}, alpha = {kernel.alpha:g}, "
+                f"fir_order = {p})")
         rhs = bank.partial_projection((k,), theta0, cross, spectrum.gram)
         fit = GaussianBlockPosterior.from_spectrum(
             spectrum, 1.0 / eps, 1.0 / sigma2_0, rhs / sigma2_0).mean
@@ -333,64 +363,32 @@ def sweep(state: ChainState, problem: Problem,
     return ChainState(theta=theta, cross=cross, hyper=hyper), selected
 
 
-def summarize(record: ChainRecord) -> PosteriorSummary:
-    """Posterior summaries over the stored post-burn-in samples."""
-    keep = record.stored_iterations > record.burn_in
-    samples = record.theta_samples[keep]
-    if samples.shape[0] == 0:
-        raise ValueError("no retained samples: burn-in swallowed the chain")
-    q = np.quantile(samples, [0.025, 0.975], axis=0)
-    return PosteriorSummary(
-        mean=samples.mean(axis=0),
-        sd=samples.std(axis=0, ddof=1) if samples.shape[0] > 1
-        else np.zeros(samples.shape[1]),
-        q025=q[0], q975=q[1],
-    )
+def run(problem: Problem, config: SamplerConfig) -> ChainRecord:
+    """Run one chain to completion or to a numerical abort.
 
-
-def run(problem: Problem,
-        config: SamplerConfig) -> tuple[ChainRecord, PosteriorSummary]:
-    """Run one chain to completion.
-
-    On a numerical abort the partial record is attached to the raised
-    exception as ``exc.partial_record`` so callers can flush it to disk.
-    Either record times chain initialization and the sweeps.
+    After an abort the record holds the sweeps before it and the abort's
+    message in ``error``.  Either record times chain initialization and
+    the sweeps.
     """
     rng = np.random.default_rng(config.seed)
-    bank = problem.bank
-    m, p = bank.m, problem.kernel.p
-
+    m, p = problem.bank.m, problem.kernel.p
     schedule = None
     if config.uses_blocks:
         schedule = compute_block_probabilities(problem.correlations,
                                                config.beta)
 
-    started = time.perf_counter()
-    state = init_chain(problem)
-    seconds = {"init": time.perf_counter() - started}
     theta_samples = np.empty((config.n_mc // config.thin, m * p))
     # a common scale fills all m entries of lam, so its first is the trace
     n_scales = len(scale_names(config.variant, m))
     lambda_trace = np.empty((config.n_mc, n_scales))
     sigma2_trace = np.empty(config.n_mc)
     block_log: list = []
-    completed = 0
+    completed, error, seconds = 0, None, {}
 
-    def record_so_far() -> ChainRecord:
-        seconds["sweeps"] = time.perf_counter() - sweeps_started
-        return ChainRecord(
-            variant=config.variant, m=m, p=p, n_mc=config.n_mc,
-            burn_in=config.burn_in, thin=config.thin, seed=config.seed,
-            theta_samples=theta_samples[:completed // config.thin],
-            lambda_trace=lambda_trace[:completed],
-            sigma2_trace=sigma2_trace[:completed],
-            selected_blocks=np.array(block_log,
-                                     dtype=np.int64).reshape(-1, 3),
-            seconds=seconds,
-        )
-
-    sweeps_started = time.perf_counter()
+    started = time.perf_counter()
     try:
+        state = init_chain(problem)
+        seconds["init"] = time.perf_counter() - started
         for t in range(1, config.n_mc + 1):
             state, selected = sweep(state, problem, schedule, config, rng)
             lambda_trace[t - 1] = state.hyper.lam[:n_scales]
@@ -399,11 +397,20 @@ def run(problem: Problem,
             if t % config.thin == 0:
                 theta_samples[t // config.thin - 1] = state.theta
             completed = t
-    except Exception as exc:
-        exc.partial_record = record_so_far()
-        raise
-    record = record_so_far()
-    return record, summarize(record)
+    except NUMERICAL_ERRORS as exc:
+        error = str(exc)
+    # an abort in the initial fit leaves all of the time to "init"
+    elapsed = time.perf_counter() - started
+    seconds["sweeps"] = elapsed - seconds.setdefault("init", elapsed)
+    return ChainRecord(
+        variant=config.variant, m=m, p=p, n_mc=config.n_mc,
+        burn_in=config.burn_in, thin=config.thin, seed=config.seed,
+        theta_samples=theta_samples[:completed // config.thin],
+        lambda_trace=lambda_trace[:completed],
+        sigma2_trace=sigma2_trace[:completed],
+        selected_blocks=np.array(block_log, dtype=np.int64).reshape(-1, 3),
+        seconds=seconds, error=error,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -433,14 +440,13 @@ def _read_table(outdir, name: str, columns: list, dtype=float) -> np.ndarray:
                               usecols=range(len(columns)))
 
 
-def save_record(record: ChainRecord, summary: PosteriorSummary,
-                outdir, aborted: bool = False) -> None:
+def save_record(record: ChainRecord, outdir) -> None:
     """Write the chain artifacts into ``outdir``.
 
     lambda.csv / sigma2.csv   lambda and sigma2 traces, one row per iteration
     theta_samples.npy         stored coefficient draws, row per iteration
     blocks.csv                pair-update log (iteration, i, j), 0-based
-    summary.csv               per-coefficient posterior summaries
+    summary.csv               posterior summaries (a finished chain only)
     record.json               layout metadata (variant, sizes, burn-in, ...)
     """
     os.makedirs(outdir, exist_ok=True)
@@ -452,7 +458,8 @@ def save_record(record: ChainRecord, summary: PosteriorSummary,
     np.save(os.path.join(outdir, "theta_samples.npy"), record.theta_samples)
     _write_table(outdir, "blocks.csv", ["iteration", "i", "j"],
                  record.selected_blocks, 3)
-    if summary is not None:
+    if not record.aborted:
+        summary = record.summary
         c = np.arange(summary.mean.size)
         rows = np.column_stack([c, *np.divmod(c, record.p), summary.mean,
                                 summary.sd, summary.q025, summary.q975])
@@ -463,7 +470,7 @@ def save_record(record: ChainRecord, summary: PosteriorSummary,
         "variant": record.variant, "m": record.m, "p": record.p,
         "n_mc": record.n_mc, "burn_in": record.burn_in, "thin": record.thin,
         "seed": record.seed, "completed": record.completed,
-        "aborted": aborted,
+        "aborted": record.aborted,
     }
     with open(os.path.join(outdir, "record.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)

@@ -171,8 +171,8 @@ def test_criterion_6_duplicate_input_reproduction():
         problem = mi.build_problem(data, alpha=0.9, p=p)
         summaries = {}
         for variant in ("GSOB", "GSOBd", "GSd"):
-            _, summaries[variant] = mi.run(
-                problem, mi.SamplerConfig(variant=variant, **base))
+            summaries[variant] = mi.run(
+                problem, mi.SamplerConfig(variant=variant, **base)).summary
 
         sum_err = pair_sum_error(summaries["GSOB"].mean, truth, p, 0, 1)
         sd_ratio = (summaries["GSOB"].sd[p:].mean()
@@ -204,7 +204,7 @@ def test_criterion_7_mixing_ordering():
                 cfg = mi.SamplerConfig(variant=variant, n_mc=2000,
                                        burn_in=1000, beta=20.0, n_ob=2,
                                        seed=seed)
-                record, _ = mi.run(problem, cfg)
+                record = mi.run(problem, cfg)
                 taus[variant] = mi.iact(record.lambda_trace[1000:, 0])
             pairs.append((taus["GSOB"], taus["GS"]))
             wins += taus["GSOB"] < taus["GS"]
@@ -235,7 +235,7 @@ def test_criterion_8_desk_scale_comparison():
             for variant in ("GSOB", "GS"):
                 cfg = mi.SamplerConfig(variant=variant, n_mc=1000,
                                        beta=100.0, n_ob=10, seed=seed)
-                _, summary = mi.run(problem, cfg)
+                summary = mi.run(problem, cfg).summary
                 errs[variant] = mi.fit_metric(summary.mean, truth, p)
             pref = {v: errs[v][:5].mean() for v in errs}
             indep = {v: errs[v][5:].mean() for v in errs}

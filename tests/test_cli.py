@@ -498,7 +498,7 @@ def test_abort_flushes_partial_chain(tiny_config, monkeypatch):
     manifest = json.load(open(f"{rundir}/manifest.json"))
     assert manifest["aborted"] is True
     assert "error" in manifest
-    assert set(manifest["phase_seconds"]) == {"init", "sweeps"}
+    assert set(manifest["phase_seconds"]) == {"init", "sweeps", "save"}
     partial = np.load(f"{rundir}/theta_samples.npy")
     assert 0 < partial.shape[0] < 40
 
@@ -535,6 +535,34 @@ def test_aborted_rerun_replaces_previous_chain(tiny_config, monkeypatch):
         "blocks.csv", "lambda.csv", "manifest.json", "record.json",
         "sigma2.csv", "theta_samples.npy"]
     assert json.load(open(f"{rundir}/record.json"))["aborted"] is True
+
+
+def test_init_abort_flushes_empty_chain(tiny_config, monkeypatch, capsys):
+    # an abort in the initial fit still writes its chain, of 0 sweeps, over
+    # the previous one: the traces, record.json and the manifest
+    from misoid import sampler as sp
+    from misoid.errors import FactorizationError
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg]) == 0
+
+    def no_start(problem):
+        raise FactorizationError("synthetic initialization failure")
+
+    monkeypatch.setattr(sp, "init_chain", no_start)
+    capsys.readouterr()
+    assert main(["identify", cfg]) == 1
+    rundir = f"{out}/GSOB/rep000"
+    assert "numerical abort in" in capsys.readouterr().err
+    assert sorted(os.listdir(rundir)) == [
+        "blocks.csv", "lambda.csv", "manifest.json", "record.json",
+        "sigma2.csv", "theta_samples.npy"]
+    record = json.load(open(f"{rundir}/record.json"))
+    assert record["aborted"] is True and record["completed"] == 0
+    manifest = json.load(open(f"{rundir}/manifest.json"))
+    assert manifest["error"] == "synthetic initialization failure"
+    assert np.load(f"{rundir}/theta_samples.npy").shape == (0, 16)
 
 
 def test_write_error_leaves_no_chain_directory(tiny_config, monkeypatch,

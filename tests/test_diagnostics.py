@@ -138,8 +138,8 @@ def test_build_report_and_json(tmp_path):
     problem = mi.Problem(data=data, bank=bank, kernel=kernel)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=200, beta=20.0, n_ob=1,
                            seed=0)
-    record, summary = mi.run(problem, cfg)
-    report = mi.build_report(record, summary, truth_responses=theta_true)
+    record = mi.run(problem, cfg)
+    report = mi.build_report(record, truth_responses=theta_true)
     assert "lambda" in report.iact and "sigma2" in report.iact
     assert report.ess["lambda"] <= record.n_mc - record.burn_in
     assert report.fit_errors.shape == (2,)

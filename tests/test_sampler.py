@@ -54,6 +54,32 @@ def test_init_degenerate_output():
         mi.init_chain(problem)
 
 
+def test_init_channel_without_data():
+    rng = np.random.default_rng(4)
+    inputs = np.vstack([rng.standard_normal(30), np.zeros(30)])
+    data = mi.Dataset(y=inputs[0] + 0.1 * rng.standard_normal(30),
+                      inputs=inputs)
+    problem = mi.build_problem(data, alpha=0.9, p=3)
+    with pytest.raises(FactorizationError,
+                       match="initialization: channel 1 has no data"):
+        mi.init_chain(problem)
+
+
+def test_init_prior_scale_overflow():
+    # var(y) * tr(K^-1) overflows: every channel has data, but the ridge
+    # of the initial fit is 0
+    rng = np.random.default_rng(5)
+    inputs = rng.standard_normal((2, 60))
+    data = mi.Dataset(y=1e150 * rng.standard_normal(60), inputs=inputs)
+    problem = mi.build_problem(data, alpha=0.5, p=40)
+    with pytest.raises(FactorizationError) as info:
+        mi.init_chain(problem)
+    message = str(info.value)
+    assert "var(y) * tr(K^-1) overflows" in message
+    assert "alpha = 0.5" in message and "fir_order = 40" in message
+    assert "no data" not in message
+
+
 def test_init_deterministic():
     problem, _ = _problem(seed=1)
     s1 = mi.init_chain(problem)
@@ -268,7 +294,7 @@ def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=4, beta=20.0, n_ob=2, seed=2)
     problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
                                p=p)
-    record, _ = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     assert record.completed == cfg.n_mc
     assert record.selected_blocks.shape == (cfg.n_mc * cfg.n_ob, 3)
     arrays = [v for v in vars(problem.bank).values()
@@ -279,7 +305,7 @@ def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
 def test_sweep_block_selections_logged():
     problem, _ = _problem(seed=6)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=10, beta=20.0, n_ob=2, seed=0)
-    record, _ = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     assert record.selected_blocks.shape == (20, 3)
     # two channels: every selected pair is (0, 1)
     assert np.all(record.selected_blocks[:, 1] == 0)
@@ -309,7 +335,7 @@ def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
         assert sizes == [1, 1]
         cfg = mi.SamplerConfig(variant="GSOB", n_mc=n_mc,
                                beta=20.0, n_ob=1, seed=4)
-        record, _ = mi.run(problem, cfg)
+        record = mi.run(problem, cfg)
         assert record.completed == n_mc
         assert sorted(sizes) == ([1, 1] if n_mc < limit else [1, 1, 2])
 
@@ -335,13 +361,13 @@ def test_run_deterministic():
     problem, _ = _problem(seed=8)
     cfg = mi.SamplerConfig(variant="GSOBd", n_mc=50,
                            beta=15.0, n_ob=1, seed=21)
-    r1, s1 = mi.run(problem, cfg)
-    r2, s2 = mi.run(problem, cfg)
+    r1 = mi.run(problem, cfg)
+    r2 = mi.run(problem, cfg)
     np.testing.assert_array_equal(r1.theta_samples, r2.theta_samples)
     np.testing.assert_array_equal(r1.lambda_trace, r2.lambda_trace)
     np.testing.assert_array_equal(r1.sigma2_trace, r2.sigma2_trace)
     np.testing.assert_array_equal(r1.selected_blocks, r2.selected_blocks)
-    np.testing.assert_array_equal(s1.mean, s2.mean)
+    np.testing.assert_array_equal(r1.summary.mean, r2.summary.mean)
 
 
 def test_trace_shapes_per_variant():
@@ -353,7 +379,7 @@ def test_trace_shapes_per_variant():
                            ("GSOBd", ["lambda_0", "lambda_1"])):
         cfg = mi.SamplerConfig(variant=variant, n_mc=30,
                                beta=10.0, n_ob=1, seed=0)
-        record, _ = mi.run(problem, cfg)
+        record = mi.run(problem, cfg)
         assert record.scale_names == names
         assert record.completed == 30
         assert record.lambda_trace.shape == (30, len(names))
@@ -366,21 +392,22 @@ def test_trace_shapes_per_variant():
 def test_single_retained_sample():
     problem, _ = _problem(seed=10)
     cfg = mi.SamplerConfig(variant="GS", n_mc=6, burn_in=5, seed=0)
-    record, summary = mi.run(problem, cfg)
-    np.testing.assert_array_equal(summary.mean, record.theta_samples[-1])
-    np.testing.assert_array_equal(summary.sd, np.zeros(6))
+    record = mi.run(problem, cfg)
+    np.testing.assert_array_equal(record.summary.mean,
+                                  record.theta_samples[-1])
+    np.testing.assert_array_equal(record.summary.sd, np.zeros(6))
 
 
 def test_thinning():
     problem, _ = _problem(seed=11)
     cfg = mi.SamplerConfig(variant="GS", n_mc=30, thin=3, seed=0)
-    record, summary = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     assert record.theta_samples.shape == (10, 6)
     np.testing.assert_array_equal(record.stored_iterations,
                                   np.arange(3, 31, 3))
     # summaries use stored iterations past burn-in (15): iterations 18..30
     keep = record.stored_iterations > 15
-    np.testing.assert_allclose(summary.mean,
+    np.testing.assert_allclose(record.summary.mean,
                                record.theta_samples[keep].mean(axis=0))
 
 
@@ -418,10 +445,10 @@ def test_partial_record_attached_on_abort(monkeypatch):
         return real(theta, cross, hyper, problem, *args)
 
     monkeypatch.setattr(sp, "draw_channels", explode_later)
-    with pytest.raises(FactorizationError) as info:
-        mi.run(problem, cfg)
-    partial = info.value.partial_record
+    partial = mi.run(problem, cfg)
     assert partial.completed == 10
+    assert partial.aborted and partial.error == "synthetic failure"
+    assert set(partial.seconds) == {"init", "sweeps"}
     assert partial.theta_samples.shape == (10, 6)
     np.testing.assert_array_equal(partial.stored_iterations,
                                   np.arange(1, 11))
@@ -458,20 +485,20 @@ def test_collapsed_scale_aborts_cleanly(monkeypatch, lam_1, sigma2):
         return collapsed if calls["count"] > 10 else real(*args)
 
     monkeypatch.setattr(sp, "draw_hyper", collapse_later)
-    with np.errstate(over="ignore"), \
-            pytest.raises(FactorizationError) as info:
-        mi.run(problem, cfg)
-    partial = info.value.partial_record
+    with np.errstate(over="ignore"):
+        partial = mi.run(problem, cfg)
     assert partial.completed == 10
+    assert partial.aborted and partial.error
     assert partial.theta_samples.shape == (10, 6)
     assert np.all(np.isfinite(partial.theta_samples))
     assert np.all(partial.lambda_trace > 0.0)
 
 
-def _tables_row_by_row(record, summary) -> dict:
+def _tables_row_by_row(record) -> dict:
     """The chain tables formatted one row at a time: the reference for
     save_record's layout."""
     iterations = range(1, record.completed + 1)
+    summary = record.summary
     return {
         "lambda.csv": ",".join(["iteration", *record.scale_names]) + "\n"
         + "".join(f"{t}," + ",".join(f"{v:.17g}" for v in row) + "\n"
@@ -495,10 +522,10 @@ def test_save_and_load_record(tmp_path, variant, thin):
     problem, _ = _problem(seed=14)
     cfg = mi.SamplerConfig(variant=variant, n_mc=40,
                            beta=20.0, n_ob=2, seed=9, thin=thin)
-    record, summary = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     outdir = tmp_path / "chain"
-    mi.save_record(record, summary, outdir)
-    for name, text in _tables_row_by_row(record, summary).items():
+    mi.save_record(record, outdir)
+    for name, text in _tables_row_by_row(record).items():
         assert (outdir / name).read_text() == text, name
     back = mi.load_record(outdir)
     # every stored field, and every derived one; only timings stay behind
@@ -508,11 +535,10 @@ def test_save_and_load_record(tmp_path, variant, thin):
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(record, name), err_msg=name)
     assert back.lambda_trace.shape == (cfg.n_mc, len(back.scale_names))
-    summary2 = mi.summarize(back)
-    np.testing.assert_array_equal(summary2.mean, summary.mean)
+    np.testing.assert_array_equal(back.summary.mean, record.summary.mean)
     # the reloaded record writes the same bytes
     again = tmp_path / "again"
-    mi.save_record(back, summary2, again)
+    mi.save_record(back, again)
     assert sorted(os.listdir(again)) == sorted(os.listdir(outdir))
     for name in os.listdir(outdir):
         assert (again / name).read_bytes() == (outdir / name).read_bytes()
@@ -524,9 +550,9 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
     # whether it is the common scale or channel 0's own
     problem, _ = _problem(seed=17, m=1)
     cfg = mi.SamplerConfig(variant=variant, n_mc=30, seed=3)
-    record, summary = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     assert record.lambda_trace.shape == shape
-    mi.save_record(record, summary, tmp_path)
+    mi.save_record(record, tmp_path)
     header = (tmp_path / "lambda.csv").read_text().splitlines()[0]
     assert header == "iteration," + record.scale_names[0]
     back = mi.load_record(tmp_path)
@@ -538,7 +564,7 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
 def test_recorded_selection_frequencies_match_schedule():
     problem, _ = _problem(seed=16, m=3, p=2, n=60)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, beta=5.0, n_ob=5, seed=2)
-    record, _ = mi.run(problem, cfg)
+    record = mi.run(problem, cfg)
     sched = mi.compute_block_probabilities(
         mi.compute_correlations(problem.data), cfg.beta)
     n_sel = record.selected_blocks.shape[0]
