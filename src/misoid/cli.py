@@ -27,14 +27,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .blocks import (compute_block_probabilities, compute_correlations,
-                     export_correlations_csv, export_probabilities_csv)
+from .blocks import (compute_correlations, export_correlations_csv,
+                     export_probabilities_csv)
 from .diagnostics import build_report, run_oracle_checks
 from .errors import NUMERICAL_ERRORS
-from .kernel import check_kernel_settings
+from .kernel import build_kernel
 from .regression import load_dataset_csv, save_dataset_csv
 from .sampler import (SamplerConfig, VARIANTS, build_problem, derive_seed,
-                      load_record, run, save_record)
+                      load_record, prior_scale, run, save_record)
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
                      generate_inputs, generate_system, load_truth_json,
                      synthesize_dataset, write_truth_json)
@@ -226,9 +226,7 @@ def _write_chain(problem, config, outdir, truth, data_hash) -> str | None:
         report.to_json(os.path.join(outdir, "diagnostics.json"))
         phases["report"] = time.perf_counter() - mark
         if config.uses_blocks:
-            schedule = compute_block_probabilities(problem.correlations,
-                                                   config.beta)
-            export_probabilities_csv(schedule,
+            export_probabilities_csv(problem.block_schedule(config.beta),
                                      os.path.join(outdir, "pmatrix.csv"))
     _write_manifest(outdir, problem, config, data_hash,
                     time.perf_counter() - started, phases, record.error)
@@ -333,7 +331,7 @@ def cmd_identify(args) -> int:
     alpha = _flag_or(args.alpha, sampsec, "alpha", float, required=True)
     p = _flag_or(args.fir_order, sampsec, "fir_order", int, required=True)
     try:
-        check_kernel_settings(alpha, p)
+        kernel = build_kernel(alpha, p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     master_seed = _flag_or(args.seed, sampsec, "seed", int, default=0)
@@ -346,6 +344,11 @@ def cmd_identify(args) -> int:
     if data.m < 2 and {"GSOB", "GSOBd"} & set(variants):
         raise ConfigError(f"{data_path}: the GSOB variants update blocks of "
                           "two or more channels; the data have one input")
+    if not prior_scale(data.y, kernel) < np.inf:
+        raise ConfigError(
+            f"{data_path}: the prior scale var(y) * tr(K^-1) overflows "
+            f"(var(y) = {np.var(data.y):g}, alpha = {alpha:g}, fir_order = "
+            f"{p}), so no chain can start; raise alpha or lower fir_order")
     data_hash = _sha256(data_path)
     truth = _load_truth(truth_path, data.m, p) if truth_path else None
     problem = build_problem(data, alpha, p)

@@ -12,7 +12,10 @@ variance, and Gaussian measurement noise.  All conditionals are conjugate:
 
 A Gaussian block is held as a square root T of its covariance and the
 whitened right-hand side w = T'b: the mean is T w and a draw T (w + z) for
-standard normal z.  :func:`block_conditional` takes one of two routes.
+standard normal z.  T depends on the scale factors and the noise variance
+only, w on the state too, so :func:`block_conditional` builds T and the
+block's gram with :func:`block_root`, then whitens the block's right-hand
+side.  The root takes one of two routes.
 
 * Spectral, for a block with one scale factor for the whole block, given
   its spectrum.  With K = C C' (``kernel.chol``, repeated over the block's
@@ -33,22 +36,32 @@ standard normal z.  :func:`block_conditional` takes one of two routes.
   precision, applied by triangular solves (Rue 2001), with LAPACK's
   ``dpotrf`` and ``dtrtrs`` called directly.  A failed factorization gets
   one jitter retry of 1e-10 times the mean diagonal; a factor with a
-  non-finite diagonal is a failure too.  The block's gram serves the
-  right-hand side before it is scaled into the precision.
+  non-finite diagonal is a failure too.  The precision is a new array, so
+  the block's gram stays for the right-hand side.
+
+A block drawn again at the same scale factors and noise variance needs
+only a new right-hand side: ``block_conditional`` takes a dict of the
+roots built so far, which the sampler keeps for one coefficient step, so
+a block factors or scales its spectrum once per sweep however often the
+sweep draws it, with the very factor ``dpotrf`` would return again.
 
 The sampler gives every single channel its spectrum.  At p = 50 (m = 20,
 n = 1e4, one core, BLAS on one thread, medians of in-process timings) a
-single-channel conditional and its draw cost about 34 us against 66 us
-with a p-by-p factor, a spectral pair about 50 us against 170 to 190 us;
-a single spectrum costs about 0.5 ms to build and a pair spectrum 1.7 to
-1.8 ms, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.
-A pair therefore gets a spectrum only if its chain is expected to draw it
-at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that break-even
-which also bounds a chain's pair spectra (8p**2 + 2p floats each, the
-pair's gram included) by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS``.  The
-sweep's single-channel pass draws from the same formulas
-(:func:`spectral_scales`, :func:`whiten`, :func:`root_times`) without
-building a posterior per channel.
+single-channel conditional and its draw cost about 35 us against 65 us
+with a p-by-p factor.  A pair costs about 30 us from its spectrum, 85 us
+from a factor of its kept gram, 105 us from a factor of a new gram (21 us
+of it the gram) and 25 to 28 us when redrawn from a root it already has.
+A single spectrum costs about 0.5 ms to build and a pair spectrum 1.7
+ms, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.  A
+pair therefore gets a spectrum, or under two scale factors a kept gram,
+only if its chain is expected to draw it at least ``PAIR_SPECTRUM_DRAWS``
+times, a margin over that break-even which also bounds the pair spectra
+(8p**2 + 2p floats each, the pair's gram included) and the kept grams
+(4p**2 floats each, 80 kB at p = 50) of a chain by
+n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS`` pairs.  The sweep's single-channel
+pass draws from the same formulas (:func:`spectral_scales`,
+:func:`whiten`, :func:`root_times`) without building a posterior per
+channel.
 The mean and covariance are computed only when read (oracle and tests).
 """
 
@@ -168,12 +181,15 @@ class BlockSpectra:
     channel, so the m single channels' are built here, and their
     eigenvalues stacked, (m, p) and read-only, as ``single_evals`` for one
     sweep to scale every channel at once.  A wider block's is built on
-    its first use."""
+    its first use.  The data gram of every block asked for (:meth:`gram`)
+    is kept too, read-only, so that a block drawn often under two scale
+    factors, which no spectrum covers, builds its gram once."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
         self.kernel = kernel
         self._built: dict = {}
+        self._grams: dict = {}
         self.single_evals = np.stack([self((k,)).evals
                                       for k in range(bank.m)])
         self.single_evals.setflags(write=False)
@@ -181,9 +197,18 @@ class BlockSpectra:
     def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
         if found is None:
-            found = block_spectrum(self.bank.block_gram(channels),
-                                   self.kernel.chol)
+            found = block_spectrum(self.gram(channels), self.kernel.chol)
             self._built[channels] = found
+        return found
+
+    def gram(self, channels: tuple[int, ...]) -> np.ndarray:
+        """The array ``bank.block_gram(channels)`` returns, built on the
+        block's first use and kept read-only."""
+        found = self._grams.get(channels)
+        if found is None:
+            found = self.bank.block_gram(channels)
+            found.setflags(write=False)
+            self._grams[channels] = found
         return found
 
 
@@ -207,14 +232,12 @@ def spectral_scales(lam: float | np.ndarray, inv_s2: float,
 
 
 def factored_precision(gram: np.ndarray, inv_s2: float, lam: list,
-                       kernel: StableSplineKernel,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """The precision inv_s2 gram + blkdiag(Kinv / lam_c) of a block whose
-    channels have the scale factors ``lam``, in ``out`` (which may be
-    ``gram`` itself) or a new array.  Kinv / lam_c enters through its
-    three bands, as Kinv's other entries are exactly 0."""
-    precision = np.multiply(gram, inv_s2,
-                            out=np.empty(gram.shape) if out is None else out)
+                       kernel: StableSplineKernel) -> np.ndarray:
+    """The precision inv_s2 gram + blkdiag(Kinv / lam_c), a new array, of a
+    block whose channels have the scale factors ``lam``.  Kinv / lam_c
+    enters through its three bands, as Kinv's other entries are exactly
+    0."""
+    precision = np.multiply(gram, inv_s2)
     n, p = precision.shape[0], kernel.p
     # a diagonal of a C-contiguous n-by-n matrix is every (n+1)-th entry
     flat = precision.reshape(-1)
@@ -320,40 +343,70 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
     return sample_inverse_gamma(0.5 * n, 0.5 * rss, rng)
 
 
-def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
-                      cross: np.ndarray, hyper: HyperState,
-                      bank: RegressorBank, kernel: StableSplineKernel,
-                      spectra: BlockSpectra | None
-                      ) -> GaussianBlockPosterior:
-    """Gaussian conditional of the coefficients of ``channels``, a tuple of
-    distinct channels, given everything else.
+class BlockRoot(NamedTuple):
+    """The square root T of a block's covariance at one setting of the
+    scale factors and noise variance, as :class:`GaussianBlockPosterior`
+    holds it (``factor`` and ``scale``), beside the block's data gram,
+    which every right-hand side needs."""
 
-    Precision ``sigma**-2 G_c'G_c + blkdiag(Kinv / lambda_c)``; the mean
-    solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
-    from ``cross``, the running state of ``theta``.  Spectral given
-    ``spectra`` and one scale factor for the whole block, else factored.
-    It writes into nothing the bank keeps; the state update after its
-    draw, ``bank.set_channel``, reuses the bank's buffers, so chains share
-    a bank one at a time.
-    """
+    gram: np.ndarray
+    factor: np.ndarray
+    scale: np.ndarray | None
+
+
+def block_root(channels: tuple[int, ...], hyper: HyperState,
+               bank: RegressorBank, kernel: StableSplineKernel,
+               spectra: BlockSpectra | None) -> BlockRoot:
+    """The covariance root of the block ``channels`` at ``hyper``, which
+    does not depend on the coefficients: spectral given ``spectra`` and one
+    scale factor for the whole block, else factored, its gram then kept in
+    ``spectra`` when given and built anew when not."""
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
     inv_s2 = 1.0 / hyper.sigma2
     # a list of scalars, not fancy indexing: this runs once per block draw
     lam = [hyper.lam[k] for k in channels]
-    if spectra is not None and lam.count(lam[0]) == len(lam):
-        spectrum = spectra(channels)
-        rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
-                                               spectrum.gram)
-        return GaussianBlockPosterior.from_spectrum(
-            spectrum, lam[0], inv_s2, rhs)
-    gram = bank.block_gram(channels)
-    rhs = inv_s2 * bank.partial_projection(channels, theta, cross, gram)
-    # a wider block's precision overwrites its gram; a single channel's is
-    # the bank's read-only cache, so its precision is a new array
-    precision = factored_precision(gram, inv_s2, lam, kernel,
-                                   None if len(channels) == 1 else gram)
-    return GaussianBlockPosterior.from_precision(precision, rhs)
+    if spectra is None:
+        gram = bank.block_gram(channels)
+    elif lam.count(lam[0]) == len(lam):
+        basis, evals, gram = spectra(channels)
+        return BlockRoot(gram, basis, spectral_scales(lam[0], inv_s2, evals))
+    else:
+        gram = spectra.gram(channels)
+    precision = factored_precision(gram, inv_s2, lam, kernel)
+    return BlockRoot(gram, _chol_lower(precision, "posterior precision"),
+                     None)
+
+
+def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
+                      cross: np.ndarray, hyper: HyperState,
+                      bank: RegressorBank, kernel: StableSplineKernel,
+                      spectra: BlockSpectra | None,
+                      roots: dict | None = None) -> GaussianBlockPosterior:
+    """Gaussian conditional of the coefficients of ``channels``, a tuple of
+    distinct channels, given everything else.
+
+    Precision ``sigma**-2 G_c'G_c + blkdiag(Kinv / lambda_c)``; the mean
+    solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
+    from ``cross``, the running state of ``theta``.  The precision's root
+    is :func:`block_root`'s; ``roots``, a dict the caller keeps for one
+    ``hyper``, holds every root built so far, keyed by the channels, for
+    a block drawn again to whiten its new right-hand side with.  It writes
+    into nothing the bank keeps; the state update after its draw,
+    ``bank.set_channel``, reuses the bank's buffers, so chains share a bank
+    one at a time.
+    """
+    if roots is None:
+        roots = {}
+    root = roots.get(channels)
+    if root is None:
+        root = roots[channels] = block_root(channels, hyper, bank, kernel,
+                                            spectra)
+    rhs = (1.0 / hyper.sigma2) * bank.partial_projection(
+        channels, theta, cross, root.gram)
+    return GaussianBlockPosterior(root.factor,
+                                  whiten(root.factor, root.scale, rhs),
+                                  root.scale)
 
 
 def draw_gaussian(post: GaussianBlockPosterior,

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import conditionals
-from .blocks import compute_block_probabilities
 from .conditionals import HyperState, _chol_lower
 from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
@@ -308,7 +307,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
         checks.append(OracleCheck(
             f"{kind}-block conditional vs joint posterior", worst[size], 1e-8))
 
-    schedule = compute_block_probabilities(problem.correlations, 20.0)
+    schedule = problem.block_schedule(20.0)
     for variant in VARIANTS:
         config = SamplerConfig(variant=variant, n_mc=n_sweeps, beta=20.0,
                                n_ob=2, burn_in=0, seed=seed + 1)

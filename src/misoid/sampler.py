@@ -18,8 +18,9 @@ A sweep is :func:`draw_hyper` then :func:`draw_coefficients`; to sample
 the coefficients at fixed hyperparameters, call :func:`draw_coefficients`
 from an :func:`init_chain` state with a fixed :class:`HyperState`.  Its
 single channels are one flat pass (:func:`draw_channels`), its scheduled
-blocks come from :func:`block_conditional`; both draw exactly what that
-conditional, taken one block at a time, would.
+blocks come from :func:`block_conditional`, which builds a block's
+covariance root once per call however often the call draws the block;
+both draw exactly what that conditional, taken one block at a time, would.
 
 A chain also carries a running state of G'G theta in the bank's lag
 structure (:class:`ChainState`): a block draw moves it by one small product
@@ -121,6 +122,9 @@ class Problem:
     kernel: StableSplineKernel
     # block spectra, shared by the problem's chains
     spectra: BlockSpectra = field(init=False, repr=False, compare=False)
+    # block schedules by selection rate, shared likewise
+    _schedules: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         self.spectra = BlockSpectra(self.bank, self.kernel)
@@ -132,6 +136,18 @@ class Problem:
         c = compute_correlations(self.data)
         c.setflags(write=False)
         return c
+
+    def block_schedule(self, beta: float) -> BlockSchedule:
+        """The pair schedule at selection rate ``beta`` (read-only arrays),
+        built on first use and shared by every block-variant chain of the
+        problem, and by the ``pmatrix.csv`` of each."""
+        found = self._schedules.get(beta)
+        if found is None:
+            found = compute_block_probabilities(self.correlations, beta)
+            for arr in (found.probs, found.cumulative):
+                arr.setflags(write=False)
+            self._schedules[beta] = found
+        return found
 
 
 def build_problem(data: Dataset, alpha: float, p: int) -> Problem:
@@ -239,6 +255,13 @@ def derive_seed(master: int, index: int) -> int:
 INIT_RIDGE_EPSILON = 1e-8
 
 
+def prior_scale(y: np.ndarray, kernel: StableSplineKernel) -> float:
+    """var(y) tr(K^-1), whose inverse scales the ridge of the initial fit
+    (:func:`init_chain`); inf when the product overflows, which leaves the
+    fit no ridge at all."""
+    return float(np.var(y)) * float(np.trace(kernel.Kinv))
+
+
 def init_chain(problem: Problem) -> ChainState:
     """Starting state: unit scale factors, output-variance noise level, and
     sequential per-channel least-squares coefficients, each channel fitted
@@ -259,7 +282,7 @@ def init_chain(problem: Problem) -> ChainState:
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
     cross = np.zeros((m + 1, p))
-    ridge = INIT_RIDGE_EPSILON / (sigma2_0 * float(np.trace(kernel.Kinv)))
+    ridge = INIT_RIDGE_EPSILON / prior_scale(y, kernel)
     for k in range(m):
         spectrum = problem.spectra((k,))
         eps = ridge * float(np.trace(spectrum.gram))
@@ -313,16 +336,19 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
     draw_channels(theta, cross, hyper, problem, rng)
 
     selected: list = []
+    # the root of each block drawn so far, at this call's fixed hyper
+    roots: dict = {}
     for _ in range(n_ob):
         b = select_block(schedule, rng)
         channels = schedule.blocks[b]
-        # a block spectrum repays its build only on a block the chain is
-        # expected to draw often; the others factor their precision, as
-        # does a block whose scale factors differ
+        # a block spectrum, or a kept gram, repays its build only on a block
+        # the chain is expected to draw often; a rarer block builds its
+        # gram anew, and it or a block whose scale factors differ factors
+        # its precision, once per call
         often = schedule.probs[b] * (n_ob * config.n_mc) >= PAIR_SPECTRUM_DRAWS
         post = block_conditional(channels, theta, cross, hyper, bank,
                                  problem.kernel,
-                                 problem.spectra if often else None)
+                                 problem.spectra if often else None, roots)
         z = draw_gaussian(post, rng)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
@@ -372,10 +398,8 @@ def run(problem: Problem, config: SamplerConfig) -> ChainRecord:
     """
     rng = np.random.default_rng(config.seed)
     m, p = problem.bank.m, problem.kernel.p
-    schedule = None
-    if config.uses_blocks:
-        schedule = compute_block_probabilities(problem.correlations,
-                                               config.beta)
+    schedule = (problem.block_schedule(config.beta) if config.uses_blocks
+                else None)
 
     theta_samples = np.empty((config.n_mc // config.thin, m * p))
     # a common scale fills all m entries of lam, so its first is the trace

@@ -276,6 +276,33 @@ def test_bad_setting_refused_before_data_load(tiny_config, capsys, flags,
     assert "dataset.csv" not in err
 
 
+def test_overflowing_prior_scale_exits_2(tiny_config, capsys):
+    # alpha = 0.5 at order 1020 passes the kernel's own check, but
+    # var(y) tr(K^-1) overflows on these data (tr K^-1 = 5.6e307): no
+    # chain could start, so identify refuses once the data are loaded,
+    # before any chain directory exists
+    cfg, out = tiny_config
+    text = Path(cfg).read_text().replace("mode = duplicate",
+                                         "mode = independent")
+    Path(cfg).write_text(text.replace("noise_variance = 0.3",
+                                      "noise_variance = 10"))
+    assert main(["simulate", cfg]) == 0
+    capsys.readouterr()
+    code = main(["identify", cfg, "--variant", "GS,GSOBd", "--alpha", "0.5",
+                 "--fir-order", "1020"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "var(y) * tr(K^-1) overflows" in captured.err
+    assert "alpha = 0.5" in captured.err and "fir_order = 1020" in captured.err
+    assert "chain written" not in captured.out
+    assert sorted(os.listdir(out)) == ["cmatrix.csv", "dataset.csv",
+                                       "truth.json"]
+    # one order lower the same data start their chains
+    assert main(["identify", cfg, "--variant", "GS", "--alpha", "0.5",
+                 "--fir-order", "8", "--iterations", "4"]) == 0
+
+
 def test_malformed_dataset_exits_2(tiny_config, capsys):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
@@ -681,6 +708,30 @@ def test_identify_computes_correlations_once(tiny_config, monkeypatch):
                  "--replicates", "2", "--output", f"{out}/blocks"]) == 0
     assert calls["count"] == 1
     assert os.path.exists(f"{out}/blocks/GSOBd/rep001/pmatrix.csv")
+
+
+def test_identify_builds_one_schedule(tiny_config, monkeypatch):
+    # every block chain of a run, and every pmatrix.csv it writes, shares
+    # the problem's one schedule for its selection rate
+    from misoid import sampler as sp
+
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    rates = []
+    real = sp.compute_block_probabilities
+
+    def counted(c, beta):
+        rates.append(beta)
+        return real(c, beta)
+
+    monkeypatch.setattr(sp, "compute_block_probabilities", counted)
+    assert main(["identify", cfg, "--variant", "GSOB,GSOBd",
+                 "--replicates", "2", "--output", f"{out}/blocks"]) == 0
+    assert rates == [20.0]
+    written = {Path(f"{out}/blocks/{variant}/rep{rep:03d}/pmatrix.csv")
+               .read_text() for variant in ("GSOB", "GSOBd")
+               for rep in range(2)}
+    assert len(written) == 1
 
 
 def test_block_spectra_built_once_per_run(tiny_config, monkeypatch):

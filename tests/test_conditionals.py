@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 import misoid as mi
-from misoid.conditionals import (BlockSpectra, _chol_lower, block_spectrum,
-                                 sample_inverse_gamma,
+from misoid.conditionals import (BlockSpectra, _chol_lower, block_root,
+                                 block_spectrum, sample_inverse_gamma,
                                  sample_sigma2_from_sumsq)
 from misoid.errors import DegenerateRateError, FactorizationError
 
@@ -632,6 +632,71 @@ def test_spectra_built_once_and_shared(monkeypatch):
     assert not gram.flags.writeable
     np.testing.assert_array_equal(gram, bank.block_gram((0, 2)))
     assert evals.min() >= 0.0 and np.all(np.diff(evals) >= 0.0)
+
+
+def test_spectra_keep_each_gram_once(monkeypatch):
+    # a block's kept gram is the very array the bank builds for it, built
+    # once whether its spectrum or its factored route asks first
+    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
+    spectra = BlockSpectra(bank, kernel)
+    asked = []
+    real = bank.block_gram
+
+    def counted(channels):
+        asked.append(channels)
+        return real(channels)
+
+    monkeypatch.setattr(bank, "block_gram", counted)
+    gram = spectra.gram((0, 2))
+    assert spectra((0, 2)).gram is gram and spectra.gram((0, 2)) is gram
+    assert spectra((1, 2)).gram is spectra.gram((1, 2))
+    assert asked == [(0, 2), (1, 2)]
+    assert not gram.flags.writeable
+    assert gram.tobytes() == real((0, 2)).tobytes()
+    # under two scale factors the factored route reads the kept gram
+    hyper = mi.HyperState(lam=np.array([0.5, 0.9, 2.0]), sigma2=0.4)
+    theta = np.random.default_rng(27).standard_normal(bank.m * bank.p)
+    cross = bank.cross_state(theta)
+    root = block_root((0, 2), hyper, bank, kernel, spectra)
+    assert root.scale is None and root.gram is gram
+    assert asked == [(0, 2), (1, 2)]
+
+
+def test_block_roots_are_reused_for_one_hyper(monkeypatch):
+    # a block drawn again at the same hyperparameters whitens its new
+    # right-hand side with the root it already has: the same posterior,
+    # byte for byte, as one built afresh, and no second factorization
+    import misoid.conditionals as conditionals
+
+    _, bank, kernel, _ = make_small_problem(seed=28, m=3, p=4, n=60)
+    spectra = BlockSpectra(bank, kernel)
+    rng = np.random.default_rng(29)
+    factored = []
+    real = conditionals._chol_lower
+
+    def counted(mat, what):
+        factored.append(mat.shape[0])
+        return real(mat, what)
+
+    monkeypatch.setattr(conditionals, "_chol_lower", counted)
+    for lam in (np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.9, 2.0])):
+        hyper = mi.HyperState(lam=lam, sigma2=0.4)
+        for given in (spectra, None):
+            roots: dict = {}
+            factored.clear()
+            for _ in range(3):
+                theta = rng.standard_normal(bank.m * bank.p)
+                cross = bank.cross_state(theta)
+                kept = mi.block_conditional((0, 1), theta, cross, hyper,
+                                            bank, kernel, given, roots)
+                fresh = mi.block_conditional((0, 1), theta, cross, hyper,
+                                             bank, kernel, given)
+                for a, b in ((kept.factor, fresh.factor),
+                             (kept.whitened, fresh.whitened)):
+                    assert a.tobytes() == b.tobytes()
+                assert kept.factor is roots[(0, 1)].factor
+            spectral = given is not None and lam[0] == lam[1]
+            assert factored == ([] if spectral else [8] * 4)
 
 
 def test_spectral_scales_must_be_finite_and_positive():

@@ -138,7 +138,7 @@ def test_sweep_composes_single_conditionals():
                             probs=np.array([0.9, 0.1]))
     cases = [(variant, None) for variant in sp.VARIANTS]
     cases += [("GSOB", wide), ("GSOBd", wide)]
-    routes_seen, wide_routes = set(), set()
+    routes_seen, wide_routes, redrawn = set(), set(), set()
     for variant, given in cases:
         cfg = mi.SamplerConfig(variant=variant, n_mc=30,
                                beta=2.0, n_ob=4, seed=0)
@@ -151,6 +151,11 @@ def test_sweep_composes_single_conditionals():
         theta_b, cross_b = state.theta.copy(), state.cross.copy()
         rng_a = np.random.default_rng(8)
         rng_b = copy.deepcopy(rng_a)
+        often = set()
+        if schedule is not None:
+            often = {block for block, prob in zip(schedule.blocks,
+                                                   schedule.probs)
+                     if prob * cfg.n_ob * cfg.n_mc >= PAIR_SPECTRUM_DRAWS}
         for t in range(6):
             lam = (np.full(3, 0.5 + 0.2 * t) if cfg.common_scale
                    else np.array([0.5, 0.9, 1.3]) + 0.1 * t)
@@ -165,6 +170,9 @@ def test_sweep_composes_single_conditionals():
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             if given is None:
                 routes_seen |= {(variant, route) for route in routes}
+                # a block drawn again in one call reuses its root there
+                redrawn |= {(variant, block) for block in often
+                            if reference.count(block) > 1}
             else:
                 wide_routes |= {(variant, block, route)
                                 for block, route in zip(reference, routes)}
@@ -177,6 +185,60 @@ def test_sweep_composes_single_conditionals():
                            ("GSOB", (1, 2), "factored"),
                            ("GSOBd", (0, 1, 2), "factored"),
                            ("GSOBd", (1, 2), "factored")}
+    # and both block variants redrew their often pair within one call
+    assert redrawn == {("GSOB", (0, 1)), ("GSOBd", (0, 1))}
+
+
+def test_one_factor_per_block_per_call(monkeypatch):
+    # under GSOBd a pair drawn n_ob = 5 times in one call is factored once
+    # in that call, whether the chain draws it often (a kept gram) or not
+    import misoid.conditionals as conditionals
+
+    problem = _collinear_triple()
+    only = mi.BlockSchedule(blocks=[(0, 1)], probs=np.array([1.0]))
+    factored = []
+    real = conditionals._chol_lower
+
+    def counted(mat, what):
+        factored.append(mat.shape[0])
+        return real(mat, what)
+
+    monkeypatch.setattr(conditionals, "_chol_lower", counted)
+    for n_mc in (2, 30):
+        cfg = mi.SamplerConfig(variant="GSOBd", n_mc=n_mc, beta=2.0, n_ob=5)
+        state = mi.init_chain(problem)
+        rng = np.random.default_rng(9)
+        for t in range(3):
+            hyper = mi.HyperState(lam=np.array([0.5, 0.9, 1.3]) + 0.1 * t,
+                                  sigma2=0.3)
+            factored.clear()
+            drawn = sp.draw_coefficients(state.theta, state.cross, hyper,
+                                         problem, only, cfg, rng)
+            assert drawn == [(0, 1)] * 5
+            assert factored == [8]
+
+
+def test_often_pair_gram_built_once_per_problem(monkeypatch):
+    # the gram of a pair drawn often under two scale factors, which has no
+    # spectrum, is built once for every chain of the problem
+    problem = _collinear_triple()
+    asked = []
+    real = problem.bank.block_gram
+
+    def counted(channels):
+        asked.append(channels)
+        return real(channels)
+
+    monkeypatch.setattr(problem.bank, "block_gram", counted)
+    for seed in (0, 1):
+        record = mi.run(problem, mi.SamplerConfig(
+            variant="GSOBd", n_mc=30, beta=2.0, n_ob=4, seed=seed))
+        assert not record.aborted
+        drawn = [tuple(row) for row in record.selected_blocks[:, 1:]]
+        assert drawn.count((0, 1)) > PAIR_SPECTRUM_DRAWS
+    assert asked.count((0, 1)) == 1
+    # the rarer pairs still build theirs on every call that draws them
+    assert asked.count((1, 2)) > 1
 
 
 def test_one_normal_call_is_many():
