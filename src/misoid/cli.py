@@ -182,10 +182,11 @@ def _sampler_config(cfg, args, variant: str, seed: int) -> SamplerConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _run_one(problem, config, outdir, truth, data_hash) -> str | None:
+def _run_one(problem, config, outdir, truth, shared) -> str | None:
     """Run one chain into a temporary sibling of ``outdir``, which then
     replaces ``outdir`` whole, finished or aborted; on an error the sibling
-    is removed.  Returns the numerical abort's message, or None."""
+    is removed.  ``shared`` holds the manifest entries of the whole run.
+    Returns the numerical abort's message, or None."""
     parent, name = os.path.split(outdir)
     staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
     # a sibling under this process id is left over from an earlier run
@@ -193,7 +194,7 @@ def _run_one(problem, config, outdir, truth, data_hash) -> str | None:
         shutil.rmtree(leftover, ignore_errors=True)
     os.makedirs(staging)
     try:
-        error = _write_chain(problem, config, staging, truth, data_hash)
+        error = _write_chain(problem, config, staging, truth, shared)
     except BaseException:
         shutil.rmtree(staging)
         raise
@@ -210,7 +211,7 @@ def _move_into_place(staging, outdir) -> None:
     shutil.rmtree(stale, ignore_errors=True)
 
 
-def _write_chain(problem, config, outdir, truth, data_hash) -> str | None:
+def _write_chain(problem, config, outdir, truth, shared) -> str | None:
     """Run one chain and write it: its traces, a finished chain's report and
     block probabilities, then the manifest.  Returns the abort's message."""
     started = time.perf_counter()
@@ -228,7 +229,7 @@ def _write_chain(problem, config, outdir, truth, data_hash) -> str | None:
         if config.uses_blocks:
             export_probabilities_csv(problem.block_schedule(config.beta),
                                      os.path.join(outdir, "pmatrix.csv"))
-    _write_manifest(outdir, problem, config, data_hash,
+    _write_manifest(outdir, problem, config, shared,
                     time.perf_counter() - started, phases, record.error)
     return record.error
 
@@ -239,14 +240,17 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS")
 
 
-def _write_manifest(outdir, problem, config, data_hash, seconds, phases,
+def _write_manifest(outdir, problem, config, shared, seconds, phases,
                     error) -> None:
+    """The chain's ``manifest.json``: its settings, the run's ``shared``
+    entries (the data's hash and the set-up phases' seconds), its own wall
+    and phase seconds, and the BLAS thread environment."""
     doc = {
         # the chain's settings and the prior's, which the problem holds
         "config": {**dataclasses.asdict(config),
                    "alpha": problem.kernel.alpha, "p": problem.kernel.p},
         "seed": config.seed,
-        "data_sha256": data_hash,
+        **shared,
         "version": __version__,
         "seconds": round(seconds, 3),
         "phase_seconds": {name: round(value, 4)
@@ -340,7 +344,11 @@ def cmd_identify(args) -> int:
              os.path.join(outroot, variant, f"rep{rep:03d}"))
             for variant in variants for rep in range(replicates)]
 
+    # the set-up phases, timed once for every chain's manifest
+    setup = {}
+    mark = time.perf_counter()
     data = _load_identifiable(data_path)
+    setup["load"] = time.perf_counter() - mark
     if data.m < 2 and {"GSOB", "GSOBd"} & set(variants):
         raise ConfigError(f"{data_path}: the GSOB variants update blocks of "
                           "two or more channels; the data have one input")
@@ -349,14 +357,21 @@ def cmd_identify(args) -> int:
             f"{data_path}: the prior scale var(y) * tr(K^-1) overflows "
             f"(var(y) = {np.var(data.y):g}, alpha = {alpha:g}, fir_order = "
             f"{p}), so no chain can start; raise alpha or lower fir_order")
+    mark = time.perf_counter()
     data_hash = _sha256(data_path)
+    setup["hash"] = time.perf_counter() - mark
     truth = _load_truth(truth_path, data.m, p) if truth_path else None
+    mark = time.perf_counter()
     problem = build_problem(data, alpha, p)
+    setup["build"] = time.perf_counter() - mark
+    shared = {"data_sha256": data_hash,
+              "setup_seconds": {name: round(value, 4)
+                                for name, value in setup.items()}}
 
     failed, aborted = [], False
     for config, outdir in jobs:
         try:
-            error = _run_one(problem, config, outdir, truth, data_hash)
+            error = _run_one(problem, config, outdir, truth, shared)
         except Exception as exc:
             print(f"error in {outdir}: {exc}", file=sys.stderr)
             failed.append(exc)

@@ -45,23 +45,29 @@ roots built so far, which the sampler keeps for one coefficient step, so
 a block factors or scales its spectrum once per sweep however often the
 sweep draws it, with the very factor ``dpotrf`` would return again.
 
-The sampler gives every single channel its spectrum.  At p = 50 (m = 20,
-n = 1e4, one core, BLAS on one thread, medians of in-process timings) a
-single-channel conditional and its draw cost about 35 us against 65 us
-with a p-by-p factor.  A pair costs about 30 us from its spectrum, 85 us
-from a factor of its kept gram, 105 us from a factor of a new gram (21 us
-of it the gram) and 25 to 28 us when redrawn from a root it already has.
-A single spectrum costs about 0.5 ms to build and a pair spectrum 1.7
-ms, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.  A
-pair therefore gets a spectrum, or under two scale factors a kept gram,
-only if its chain is expected to draw it at least ``PAIR_SPECTRUM_DRAWS``
-times, a margin over that break-even which also bounds the pair spectra
-(8p**2 + 2p floats each, the pair's gram included) and the kept grams
-(4p**2 floats each, 80 kB at p = 50) of a chain by
-n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS`` pairs.  The sweep's single-channel
-pass draws from the same formulas (:func:`spectral_scales`,
-:func:`whiten`, :func:`root_times`) without building a posterior per
-channel.
+The sampler gives every single channel its spectrum, and beside it the
+channel's whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one
+product of [theta_k, the chain's state rows k and m, 1] with it
+(:func:`single_whitened`), so no single draw forms its right-hand side.
+At p = 50 (m = 20, n = 1e4, one core of a 2-vCPU x86 machine, BLAS on one
+thread, medians of in-process timings) a single-channel conditional and
+its draw cost about 32 us against 77 us with a p-by-p factor.  A pair
+costs about 62 us from its spectrum, 150 us from a factor of its kept
+gram, 205 us from a factor of a new gram (21 us of it the gram) and 50
+to 54 us when redrawn from a root it already has; its right-hand side
+reads the block's state rows and the tail back in one product with the
+inverse-DFT matrix, about 30 us of each.  A single spectrum costs about
+0.5 ms to build and a pair spectrum 1.7 ms, as much as 4 to 16 factored
+pair draws at p = 20, 50 and 100.  A pair therefore gets a spectrum, or
+under two scale factors a kept gram, only if its chain is expected to
+draw it at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that
+break-even which also bounds the pair spectra (8p**2 + 2p floats each,
+the pair's gram included) and the kept grams (4p**2 floats each, 80 kB
+at p = 50) of a chain by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS`` pairs.
+The sweep's single-channel pass draws from the same formulas
+(:func:`spectral_scales`, :func:`single_whitened`, :func:`root_times`)
+without building a posterior per channel; with the state update it
+costs about 37 us per channel at m = 20 and 56 us at m = 100.
 The mean and covariance are computed only when read (oracle and tests).
 """
 
@@ -183,16 +189,26 @@ class BlockSpectra:
     sweep to scale every channel at once.  A wider block's is built on
     its first use.  The data gram of every block asked for (:meth:`gram`)
     is kept too, read-only, so that a block drawn often under two scale
-    factors, which no spectrum covers, builds its gram once."""
+    factors, which no spectrum covers, builds its gram once.
+
+    For each single channel k the bank's ``projection_map`` of W_k is
+    kept too, (m, 5p+1, p) and read-only (10 MB at m = 100 and p = 50), so
+    that :func:`single_whitened` whitens the channel's right-hand side
+    from the chain's state in one product."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
         self.kernel = kernel
         self._built: dict = {}
         self._grams: dict = {}
-        self.single_evals = np.stack([self((k,)).evals
-                                      for k in range(bank.m)])
-        self.single_evals.setflags(write=False)
+        m, p = bank.m, bank.p
+        self.single_evals = np.empty((m, p))
+        self.single_maps = np.empty((m, 5 * p + 1, p))
+        for k in range(m):
+            basis, self.single_evals[k], _ = self((k,))
+            bank.projection_map(k, basis, self.single_maps[k])
+        for arr in (self.single_evals, self.single_maps):
+            arr.setflags(write=False)
 
     def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
@@ -210,6 +226,17 @@ class BlockSpectra:
             found.setflags(write=False)
             self._grams[channels] = found
         return found
+
+
+def single_whitened(spectra: BlockSpectra, k: int, theta: np.ndarray,
+                    cross: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """w = T'b of channel k's conditional, b = inv_s2 G_k'(y - sum_{j != k}
+    G_j theta_j), for the spectral root T = W_k diag(scale), given the
+    chain's ``theta`` and running state ``cross`` and the ``weight``
+    inv_s2 * scale: W_k'G_k'(y - ...) is one product of the state with
+    the channel's kept map (:meth:`RegressorBank.single_projection`)."""
+    return weight * spectra.bank.single_projection(k, theta, cross,
+                                                   spectra.single_maps[k])
 
 
 def spectral_scales(lam: float | np.ndarray, inv_s2: float,
@@ -402,11 +429,16 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     if root is None:
         root = roots[channels] = block_root(channels, hyper, bank, kernel,
                                             spectra)
-    rhs = (1.0 / hyper.sigma2) * bank.partial_projection(
-        channels, theta, cross, root.gram)
-    return GaussianBlockPosterior(root.factor,
-                                  whiten(root.factor, root.scale, rhs),
-                                  root.scale)
+    inv_s2 = 1.0 / hyper.sigma2
+    if spectra is not None and len(channels) == 1:
+        # a single channel's root is its spectrum's
+        whitened = single_whitened(spectra, channels[0], theta, cross,
+                                   inv_s2 * root.scale)
+    else:
+        rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
+                                               root.gram)
+        whitened = whiten(root.factor, root.scale, rhs)
+    return GaussianBlockPosterior(root.factor, whitened, root.scale)
 
 
 def draw_gaussian(post: GaussianBlockPosterior,

@@ -18,25 +18,34 @@ last p - 1 samples, which corrects for the products that fall past the
 end of the record.  One overlap-save FFT pass over the record finds the
 lags of every pair, in about 5m^2 n flops and a working memory that does
 not grow with n; the projections ``{G_k' y}`` are one product per segment
-of the record with the Hankel matrix of y.  Per
-channel k the bank stores an (m+1)-by-(2p-1) panel (the lags of every
-channel against k, plus a row holding T_k), T_k, and the diagonal gram
-G_k'G_k, besides the projections ``{G_k' y}`` and ``y'y``:
-m(m+1)(2p-1) + 2mp^2 floats, 12 MB at m = 100 and p = 50, where the grid
-takes 200 MB.  Off-diagonal grams are built on demand;
-only the dense oracle and tests build the whole grid
-(:meth:`RegressorBank.dense_gram`).
+of the record with the Hankel matrix of y.  Channel k's lags against every
+channel, plus a row holding T_k, form an (m+1)-by-(2p-1) panel, and the
+bank keeps the panel's size-N DFT, N = 2p - 1, row by row: an
+(m+1)-by-p complex panel spectrum (p bins of a real sequence).  With T_k,
+the diagonal gram G_k'G_k, the projections ``{G_k' y}`` and ``y'y`` that
+is 2m(m+1)p + 2mp^2 floats, 12 MB at m = 100 and p = 50, where the grid
+takes 200 MB.  Off-diagonal grams are built on demand, a pair's lags read
+back by one inverse transform; only the dense oracle and tests build the
+whole grid (:meth:`RegressorBank.dense_gram`).
 
-A chain keeps the running state of its coefficients in the same
-structure, an (m+1)-by-p array: row k < m holds sum_j Toep(lag_kj)
-theta_j and row m the tail sum s = sum_j T_j theta_j, so that
-G_k'G theta = row k - T_k' s and theta'G'G theta = theta . rows - s . s.
-Changing channel k by d moves the state by channel k's panel times the
-(2p-1)-by-p Hankel matrix of d, one small product into buffers the bank
-keeps (:meth:`RegressorBank.set_channel`), so chains share a bank one at
-a time.  Given the state, a block's projection is one product with the
-block's gram plus O(p^2) per channel, and the residual sum of squares is
-O(mp).
+A chain keeps the running state of its coefficients as spectra too, an
+(m+1)-by-p complex array (:meth:`RegressorBank.cross_state`): the
+spectrum of row k < m holds sum_j Toep(lag_kj) theta_j and that of row m
+the tail sum s = sum_j T_j theta_j, so that G_k'G theta = row k - T_k' s
+and theta'G'G theta = theta . rows - s . s.  Each row is a correlation
+of a panel row with theta's channels, which the size-N DFT turns into a
+product per bin without wrap-around: changing channel k by d moves the
+state by channel k's panel spectrum times d's DFT, one p-by-2p real
+product and (m+1)p complex products, O(mp) where a product of the
+time-domain panel with the change's Hankel matrix is O(mp^2)
+(:meth:`RegressorBank.set_channel`).  The rows are read back through one
+real product with a fixed 2p-by-p inverse-DFT matrix, so a block's
+projection is that product for its rows and the tail plus O(p^2) per
+channel, and the residual sum of squares is one product of the whole
+state.  A single channel's projection, times any matrix, is one product
+of [theta_k, state row k, tail row, 1] with a (5p+1)-column map built
+once (:meth:`RegressorBank.projection_map`).  Updates write into buffers
+the bank keeps, so chains share a bank one at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +61,10 @@ from .errors import SizeGuardError
 
 # unknowns up to which the dense grid, and the oracle on it, may be built
 ORACLE_MAX_COEFFICIENTS = 2000
+
+# the constant entry of RegressorBank.single_projection's stacked vector
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,7 @@ class RegressorBank:
     one bank.  :meth:`set_channel` writes its update into buffers the bank
     made once, so chains share a bank one at a time, never from two
     threads at once.  Nothing here is m*p by m*p: a gram G_i'G_j is built
-    on demand from the stored lag correlations and tails (``gram``,
+    on demand from the stored panel spectra and tails (``gram``,
     ``block_gram``), and only the dense oracle asks for the whole grid
     (``dense_gram``).
     """
@@ -184,33 +197,36 @@ class RegressorBank:
         self.n = data.n
         self.m = data.m
         self.yty = float(np.dot(data.y, data.y))
-        self._panels, self._tails = _lag_panels(data.inputs, self.p)
+        panels, self._tails = _lag_panels(data.inputs, self.p)
         self.gty = _projections(data.inputs, data.y, self.p)
-        self._diagonal = np.stack([self._pair_gram(k, k)
-                                   for k in range(self.m)])
-        for arr in (self._panels, self._tails, self.gty, self._diagonal):
+        self._diagonal = np.stack([
+            _toeplitz_gram(panels[k, k], self._tails[k], self._tails[k])
+            for k in range(self.m)])
+        # the panels' spectra replace them, one channel at a time
+        self._spectra = np.empty((self.m, self.m + 1, self.p), dtype=complex)
+        for k in range(self.m):
+            np.fft.rfft(panels[k], axis=-1, out=self._spectra[k])
+        del panels
+        self._forward, self._to_lags = _dft_matrices(self.p)
+        # a state row's p entries are the inverse DFT's entries 0, -1, ..
+        self._inverse = np.ascontiguousarray(
+            self._to_lags[:, -np.arange(self.p) % (2 * self.p - 1)])
+        for arr in (self._spectra, self.gty, self._diagonal, self._forward,
+                    self._to_lags, self._inverse):
             arr.setflags(write=False)
-        # set_channel's buffers: the change d sits between p - 1 zeros on
-        # each side, so the Hankel matrix H[l, a] = padded[l + a] is a
-        # strided view of it
-        padded = np.zeros(3 * self.p - 2)
-        self._change = padded[self.p - 1:2 * self.p - 1]
-        self._shifts = np.ndarray((2 * self.p - 1, self.p), buffer=padded,
-                                  strides=(padded.itemsize,) * 2)
-        self._hankel = np.empty((2 * self.p - 1, self.p))
-        self._product = np.empty((self.m + 1, self.p))
+        # set_channel's buffers: the change, its DFT (2p reals, p bins)
+        # and the state's move
+        self._change = np.empty(self.p)
+        self._change_dft = np.empty(2 * self.p)
+        self._change_bins = self._change_dft.view(complex)
+        self._move = np.empty((self.m + 1, self.p), dtype=complex)
 
     def _pair_gram(self, i: int, j: int) -> np.ndarray:
-        """Toep(lag_ij) - T_i'T_j, a new array; exactly symmetric for
-        i == j.  Toep(lag_ij)[a, b] = lag_ij[p - 1 + b - a] is a strided
-        view of lag_ij, row i of channel j's panel."""
-        p, panels, tails = self.p, self._panels, self._tails
-        s0, s1, s2 = panels.strides
-        toeplitz = np.ndarray((p, p), buffer=panels,
-                              offset=j * s0 + i * s1 + (p - 1) * s2,
-                              strides=(-s2, s2))
-        product = tails[i].T @ tails[j]
-        return np.subtract(toeplitz, product, out=product)
+        """Toep(lag_ij) - T_i'T_j, a new array, lag_ij read back by one
+        inverse transform of row i of channel j's panel spectrum: one real
+        product with the bank's inverse-DFT matrix."""
+        lags = np.dot(self._spectra[j, i].view(float), self._to_lags)
+        return _toeplitz_gram(lags, self._tails[i], self._tails[j])
 
     def gram(self, i: int, j: int) -> np.ndarray:
         """The p-by-p cross-product G_i' G_j (the cached read-only one for
@@ -261,41 +277,50 @@ class RegressorBank:
         """Write channel k's coefficients into ``theta`` and move the
         running state ``cross`` (see :meth:`cross_state`) by the change.
 
-        The change d enters every lag product as the Hankel matrix
-        H[l, a] = d[l - p + 1 + a] (zero outside 0..p-1), one strided copy
-        of d padded by p - 1 zeros on each side; channel k's panel times H
-        is the whole update, a single (m+1)-by-(2p-1)-by-p product.  Every
-        call reuses the bank's buffers for d, H and the product, so it
+        The change d enters every row as its DFT, one real product of d
+        with the bank's p-by-2p forward matrix; channel k's panel spectrum
+        times that DFT, bin by bin, is the whole update.  Every call
+        reuses the bank's buffers for d, its DFT and the move, so it
         allocates nothing.
         """
         rows = theta_block(theta, k, self.p)
         np.subtract(value, rows, out=self._change)
-        np.copyto(self._hankel, self._shifts)
-        cross += np.dot(self._panels[k], self._hankel, out=self._product)
+        np.dot(self._change, self._forward, out=self._change_dft)
+        cross += np.multiply(self._spectra[k], self._change_bins,
+                             out=self._move)
         rows[...] = value
 
     def cross_state(self, theta: np.ndarray) -> np.ndarray:
         """The running state of ``theta``, built from zero one channel at a
-        time: an (m+1)-by-p array whose row k < m is
-        sum_j Toep(lag_kj) theta_j and whose row m is the tail sum
+        time: an (m+1)-by-p complex array, the size-N DFTs (N = 2p - 1)
+        whose inverse, read by :meth:`state_rows`, gives row k < m as
+        sum_j Toep(lag_kj) theta_j and row m as the tail sum
         s = sum_j T_j theta_j."""
-        cross = np.zeros((self.m + 1, self.p))
+        cross = np.zeros((self.m + 1, self.p), dtype=complex)
         start = np.zeros(self.m * self.p)
         for k in range(self.m):
             self.set_channel(start, cross, k, theta_block(theta, k, self.p))
         return cross
 
+    def state_rows(self, cross: np.ndarray) -> np.ndarray:
+        """The running state's rows read back in the time domain: one
+        product of its spectra, as 2p reals per row, with the bank's
+        2p-by-p inverse-DFT matrix."""
+        return np.dot(cross.view(float), self._inverse)
+
     def gram_product(self, cross: np.ndarray) -> np.ndarray:
         """G'G theta read back from the running state of theta: block k is
         row k minus T_k' s."""
-        return (cross[:-1] - cross[-1] @ self._tails).reshape(-1)
+        rows = self.state_rows(cross)
+        return (rows[:-1] - rows[-1] @ self._tails).reshape(-1)
 
     def residual_sumsq(self, theta: np.ndarray, cross: np.ndarray) -> float:
         """||y - G theta||^2 from the running state of theta (no data
         pass): theta'G'G theta is theta . rows - s . s."""
-        tail = cross[-1]
+        rows = self.state_rows(cross)
+        tail = rows[-1]
         val = (self.yty - 2.0 * float(self.gty @ theta)
-               + float(np.vdot(theta, cross[:-1])) - float(tail @ tail))
+               + float(np.vdot(theta, rows[:-1])) - float(tail @ tail))
         return max(val, 0.0)
 
     def partial_projection(self, channels: tuple[int, ...],
@@ -304,7 +329,8 @@ class RegressorBank:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
         plus the block's gram (``block_gram(channels)``) times the block's
-        coefficients, which a wider block stacks into a new array."""
+        coefficients, which a wider block stacks into a new array.  The
+        block's state rows and the tail are read back in one product."""
         p = self.p
         if len(channels) == 1:
             coefficients = theta_block(theta, channels[0], p)
@@ -312,11 +338,37 @@ class RegressorBank:
             coefficients = np.concatenate([theta_block(theta, k, p)
                                            for k in channels])
         out = np.dot(gram, coefficients)
-        tail = cross[-1]
+        rows = self.state_rows(cross[[*channels, self.m]])
+        tail = rows[-1]
         for r, k in enumerate(channels):
-            out[r * p:(r + 1) * p] += (self.gty[k * p:(k + 1) * p] - cross[k]
+            out[r * p:(r + 1) * p] += (self.gty[k * p:(k + 1) * p] - rows[r]
                                        + np.dot(tail, self._tails[k]))
         return out
+
+    def projection_map(self, k: int, right: np.ndarray,
+                       out: np.ndarray) -> None:
+        """Fill ``out``, (5p+1)-by-q, with the matrix M for which
+        :meth:`single_projection`'s [theta_k, state row k, tail row, 1] M
+        is G_k'(y - sum_{j != k} G_j theta_j)' ``right``.  The state rows
+        enter as their spectra, 2p reals each, so M stacks G_k'G_k right,
+        minus the inverse-DFT matrix times ``right``, the inverse-DFT
+        matrix times T_k right, and (G_k'y)' right."""
+        p = self.p
+        np.dot(self._diagonal[k], right, out=out[:p])
+        np.dot(self._inverse, -right, out=out[p:3 * p])
+        np.dot(self._inverse, self._tails[k] @ right, out=out[3 * p:5 * p])
+        np.dot(self.xty(k), right, out=out[5 * p])
+
+    def single_projection(self, k: int, theta: np.ndarray,
+                          cross: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+        """G_k'(y - sum_{j != k} G_j theta_j)' right, from the running state
+        of theta, for a matrix ``mapped`` that :meth:`projection_map` filled
+        with ``right``: one product of [theta_k, state row k, tail row, 1]
+        with it."""
+        stacked = np.concatenate((theta_block(theta, k, self.p),
+                                  cross[k].view(float),
+                                  cross[-1].view(float), _ONE))
+        return np.dot(stacked, mapped)
 
     def dense_gram(self) -> np.ndarray:
         """The whole mp-by-mp grid {G_i' G_j}, exactly symmetric, for the
@@ -330,6 +382,55 @@ class RegressorBank:
         grid = self.block_gram(tuple(range(m)))
         # one channel's block gram is the cached read-only diagonal
         return grid if grid.flags.writeable else grid.copy()
+
+
+def _toeplitz_gram(lags: np.ndarray, tail_i: np.ndarray,
+                   tail_j: np.ndarray) -> np.ndarray:
+    """Toep(lags) - T_i'T_j, a new array, where Toep(lags)[a, b] =
+    lags[p - 1 + b - a] is a strided view of the 2p - 1 lags; exactly
+    symmetric for the symmetric lags of a diagonal panel row and
+    T_i = T_j."""
+    p = tail_i.shape[0]
+    step = lags.strides[0]
+    toeplitz = np.ndarray((p, p), buffer=lags, offset=(p - 1) * step,
+                          strides=(-step, step))
+    product = tail_i.T @ tail_j
+    return np.subtract(toeplitz, product, out=product)
+
+
+def _dft_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-N DFT, N = 2p - 1, of the running state, as real products.
+
+    A state row is a correlation out[a] = sum_b h[p - 1 + b - a] d[b],
+    a < p, of a panel row h (2p - 1 entries) with a channel's change d,
+    and h's index never leaves 0..N-1, so with H = DFT(h) and
+    w = exp(2 pi i / N),
+
+        out[a] = (1/N) sum_f H_f D_f w^(-f a),
+        D_f = sum_b d[b] w^(f (p - 1 + b)),
+
+    over all N bins: out[a] is entry -a (mod N) of the inverse DFT of
+    H D.  Both sides are real, so bins N - f are the conjugates of bins f
+    and only f < p are kept.  ``forward`` (p-by-2p) maps d to the p bins
+    of D, and ``inverse`` (2p-by-N) maps p bins of a real sequence to the
+    sequence, bin 0 once and every other bin twice by its real part; bins
+    are interleaved real and imaginary parts, a complex array's float
+    view.
+    """
+    n = 2 * p - 1
+    bins = np.arange(p)
+    angle = 2.0 * np.pi / n
+    # the phases reduced modulo N before scaling, for accuracy
+    forward = np.empty((p, 2 * p))
+    phase = angle * ((bins[None, :] * (p - 1 + bins[:, None])) % n)
+    forward[:, 0::2] = np.cos(phase)
+    forward[:, 1::2] = np.sin(phase)
+    inverse = np.empty((2 * p, n))
+    phase = angle * ((bins[:, None] * np.arange(n)[None, :]) % n)
+    weight = np.where(bins == 0, 1.0, 2.0)[:, None] / n
+    inverse[0::2] = weight * np.cos(phase)
+    inverse[1::2] = -weight * np.sin(phase)
+    return forward, inverse
 
 
 def _lag_panels(inputs: np.ndarray,
@@ -351,7 +452,8 @@ def _lag_panels(inputs: np.ndarray,
 
     ``panels[k]`` is (m+1)-by-(2p-1): row j < m is lag_jk, and row m is
     p - 1 zeros followed by T_k's first row.  ``tails[k]`` is T_k.  Pairs
-    (i, j) and (j, i) read the same sums, transposed exactly.
+    (i, j) and (j, i) read the same sums, transposed exactly.  Both arrays
+    are returned read-only.
     """
     m, n = inputs.shape
     panels = np.zeros((m, m + 1, 2 * p - 1))
@@ -370,6 +472,8 @@ def _lag_panels(inputs: np.ndarray,
     tails = np.zeros((m, p, p))
     for s in range(p):
         tails[:, s, s:] = last[:, :p - s]
+    for arr in (panels, tails):
+        arr.setflags(write=False)
     return panels, tails
 
 

@@ -22,10 +22,12 @@ blocks come from :func:`block_conditional`, which builds a block's
 covariance root once per call however often the call draws the block;
 both draw exactly what that conditional, taken one block at a time, would.
 
-A chain also carries a running state of G'G theta in the bank's lag
-structure (:class:`ChainState`): a block draw moves it by one small product
-of the changed channel's lag panel with the change, so no sweep reads an
-mp-by-mp grid and none exists.
+A chain also carries a running state of G'G theta as spectra of the
+bank's lag structure (:class:`ChainState`): a block draw moves it by the
+changed channel's panel spectrum times the change's DFT, O(mp) per
+channel, so no sweep reads an mp-by-mp grid and none exists.  A single
+channel's whitened right-hand side is one product of the state with the
+channel's kept map (:func:`single_whitened`).
 
 :func:`run` returns a chain's :class:`ChainRecord` whether the chain
 finishes or ends in a numerical abort.
@@ -48,11 +50,11 @@ import numpy as np
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra,
-                           GaussianBlockPosterior, HyperState,
+from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
                            block_conditional, draw_gaussian, root_times,
                            sample_lambda_common, sample_lambda_k,
-                           sample_sigma2_from_sumsq, spectral_scales, whiten)
+                           sample_sigma2_from_sumsq, single_whitened,
+                           spectral_scales)
 from .errors import NUMERICAL_ERRORS, FactorizationError
 from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
@@ -163,8 +165,10 @@ def build_problem(data: Dataset, alpha: float, p: int) -> Problem:
 class ChainState:
     """One chain's current values.
 
-    ``cross`` is the (m+1)-by-p running state of theta
-    (:meth:`RegressorBank.cross_state`): row k < m holds
+    ``cross`` is the running state of theta
+    (:meth:`RegressorBank.cross_state`), an (m+1)-by-p complex array: the
+    size-N DFTs, N = 2p - 1, of m + 1 rows, which the bank reads back
+    (:meth:`RegressorBank.state_rows`).  Row k < m holds
     sum_j Toep(lag_kj) theta_j and row m the tail sum s = sum_j T_j theta_j,
     so G_k'G theta is row k minus T_k' s, and theta'G'G theta is
     theta . rows - s . s.  Only the bank's ``set_channel`` changes it.
@@ -281,7 +285,7 @@ def init_chain(problem: Problem) -> ChainState:
     bank, kernel = problem.bank, problem.kernel
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
-    cross = np.zeros((m + 1, p))
+    cross = bank.cross_state(theta0)
     ridge = INIT_RIDGE_EPSILON / prior_scale(y, kernel)
     for k in range(m):
         spectrum = problem.spectra((k,))
@@ -293,9 +297,9 @@ def init_chain(problem: Problem) -> ChainState:
                 "initialization: the prior scale var(y) * tr(K^-1) overflows "
                 f"(var(y) = {sigma2_0:g}, alpha = {kernel.alpha:g}, "
                 f"fir_order = {p})")
-        rhs = bank.partial_projection((k,), theta0, cross, spectrum.gram)
-        fit = GaussianBlockPosterior.from_spectrum(
-            spectrum, 1.0 / eps, 1.0 / sigma2_0, rhs / sigma2_0).mean
+        scale = spectral_scales(1.0 / eps, 1.0 / sigma2_0, spectrum.evals)
+        fit = root_times(spectrum.basis, scale, single_whitened(
+            problem.spectra, k, theta0, cross, scale / sigma2_0))
         bank.set_channel(theta0, cross, k, fit)
     return ChainState(theta=theta0, cross=cross,
                       hyper=HyperState(lam=np.ones(m), sigma2=sigma2_0))
@@ -366,14 +370,12 @@ def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
     m, p = bank.m, bank.p
     inv_s2 = 1.0 / hyper.sigma2
     scales = spectral_scales(hyper.lam[:, None], inv_s2, spectra.single_evals)
+    weights = inv_s2 * scales
     noise = rng.standard_normal(m * p).reshape(m, p)
     for k in range(m):
-        basis, _, gram = spectra((k,))
-        rhs = bank.partial_projection((k,), theta, cross, gram)
-        rhs *= inv_s2
-        scale = scales[k]
-        value = root_times(basis, scale,
-                           whiten(basis, scale, rhs) + noise[k])
+        whitened = single_whitened(spectra, k, theta, cross, weights[k])
+        value = root_times(spectra((k,)).basis, scales[k],
+                           whitened + noise[k])
         bank.set_channel(theta, cross, k, value)
 
 

@@ -100,6 +100,23 @@ def test_manifest_records_the_problem_settings(tiny_config):
                             dataclasses.fields(mi.SamplerConfig))}
 
 
+def test_manifest_records_the_setup_phases(tiny_config):
+    # the run's set-up is timed once, phase by phase, and every chain's
+    # manifest records it, so work moved into set-up shows in an artifact
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg, "--variant", "GS,GSOB"]) == 0
+    setups = []
+    for variant in ("GS", "GSOB"):
+        manifest = json.loads(
+            Path(out, variant, "rep000", "manifest.json").read_text())
+        setup = manifest["setup_seconds"]
+        assert set(setup) == {"load", "hash", "build"}
+        assert all(value >= 0.0 for value in setup.values())
+        setups.append(setup)
+    assert setups[0] == setups[1]
+
+
 def test_identify_variant_list_and_replicates(tiny_config):
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0

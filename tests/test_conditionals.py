@@ -194,7 +194,8 @@ def test_theta_conditional_generalized_ridge_oracle():
     kernel = mi.build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
-    post = mi.block_conditional((0,), np.zeros(p), np.zeros((2, p)), hyper,
+    zero = np.zeros(p)
+    post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
                                 bank, kernel, BlockSpectra(bank, kernel))
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)

@@ -177,7 +177,7 @@ def test_structured_update_matches_dense_product(instance, seed):
     dense = bank.dense_gram()
     rng = np.random.default_rng(seed)
     theta = np.zeros(m * p)
-    cross = np.zeros((m + 1, p))
+    cross = bank.cross_state(theta)
     for k in rng.integers(0, m, size=3 * m):
         bank.set_channel(theta, cross, int(k), rng.standard_normal(p))
         exact = dense @ theta
@@ -193,12 +193,42 @@ def test_structured_update_matches_dense_product(instance, seed):
         got = bank.partial_projection(channels, theta, cross,
                                       bank.block_gram(channels))
         assert np.max(np.abs(got - expected)) <= bound
+        # a single channel's projection through its map, here of the
+        # identity, in one product
+        c = channels[0]
+        idx = np.arange(c * p, (c + 1) * p)
+        expected = (bank.gty[idx] - exact[idx]
+                    + dense[np.ix_(idx, idx)] @ theta[idx])
+        mapped = np.empty((5 * p + 1, p))
+        bank.projection_map(c, np.eye(p), mapped)
+        got = bank.single_projection(c, theta, cross, mapped)
+        assert np.max(np.abs(got - expected)) <= bound
     rebuilt = bank.cross_state(theta)
     assert np.max(np.abs(bank.gram_product(rebuilt) - dense @ theta)) <= bound
     G = stacked_regressors(inputs, p)
     direct = float(np.sum((y - G @ theta) ** 2))
     assert bank.residual_sumsq(theta, cross) == pytest.approx(
         direct, rel=1e-9, abs=1e-9 * float(y @ y))
+
+
+def test_spectral_state_does_not_drift():
+    # 50 m random channel writes at m = 20, p = 50: the running state,
+    # kept as spectra, stays within 1e-12 of the dense product at the end
+    rng = np.random.default_rng(23)
+    m, p, n = 20, 50, 2000
+    inputs = rng.standard_normal((m, n))
+    inputs[1:] += 0.5 * inputs[0]
+    bank = mi.RegressorBank(
+        mi.Dataset(y=rng.standard_normal(n), inputs=inputs), p)
+    dense = bank.dense_gram()
+    theta = np.zeros(m * p)
+    cross = bank.cross_state(theta)
+    for k in rng.integers(0, m, size=50 * m):
+        bank.set_channel(theta, cross, int(k), rng.standard_normal(p))
+    bound = 1e-12 * (np.abs(dense) @ np.abs(theta)).max()
+    assert np.max(np.abs(bank.gram_product(cross) - dense @ theta)) <= bound
+    rebuilt = bank.gram_product(bank.cross_state(theta))
+    assert np.max(np.abs(bank.gram_product(cross) - rebuilt)) <= bound
 
 
 def _loop_lags(inputs, p):
@@ -237,16 +267,24 @@ def _assert_matches_loop(inputs, y, p):
         bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     lags = _loop_lags(inputs, p)
     gty = _loop_projections(inputs, y, p)
-    np.testing.assert_allclose(bank._panels[:, :m], lags, rtol=0,
+    panels, _ = mi.regression._lag_panels(inputs, p)
+    np.testing.assert_allclose(panels[:, :m], lags, rtol=0,
                                atol=1e-10 * np.abs(lags).max())
     np.testing.assert_allclose(bank.gty, gty, rtol=0,
                                atol=1e-10 * np.abs(gty).max())
     # the pairs (j, k) and (k, j) hold one set of lags, reversed exactly
-    panels = bank._panels[:, :m]
-    assert np.array_equal(panels, panels[..., ::-1].transpose(1, 0, 2))
-    assert bank._panels.shape == (m, m + 1, 2 * p - 1)
-    assert bank._panels.flags.c_contiguous
-    assert not bank._panels.flags.writeable
+    assert np.array_equal(panels[:, :m],
+                          panels[:, :m, ::-1].transpose(1, 0, 2))
+    assert panels.shape == (m, m + 1, 2 * p - 1)
+    assert panels.flags.c_contiguous
+    assert not panels.flags.writeable
+    # the bank keeps the panels' size-(2p - 1) spectra in their place
+    spectra = bank._spectra
+    assert spectra.shape == (m, m + 1, p) and spectra.dtype == complex
+    assert spectra.flags.c_contiguous
+    assert not spectra.flags.writeable
+    np.testing.assert_allclose(np.fft.irfft(spectra, n=2 * p - 1), panels,
+                               rtol=0, atol=1e-10 * np.abs(panels).max())
     for i in range(m):
         assert np.array_equal(bank.gram(i, i), bank.gram(i, i).T)
         for j in range(m):
