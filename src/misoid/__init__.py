@@ -8,8 +8,7 @@ samplers).
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (GaussianBlockPosterior, HyperState,
-                           block_conditional, draw_gaussian,
+from .conditionals import (HyperState, block_conditional, draw_gaussian,
                            sample_lambda_common, sample_lambda_k)
 from .diagnostics import (analytic_posterior, build_report,
                           effective_sample_size, fit_metric, iact,

@@ -10,26 +10,27 @@ variance, and Gaussian measurement noise.  All conditionals are conjugate:
 * a coefficient block, any tuple of distinct channels, is Gaussian with
   precision sigma**-2 G'G + blkdiag(Kinv / lambda_c).
 
-A Gaussian block is held as a square root T of its covariance and the
-whitened right-hand side w = T'b: the mean is T w and a draw T (w + z) for
-standard normal z.  T depends on the scale factors and the noise variance
-only, w on the state too, so :func:`block_conditional` builds T and the
-block's gram with :func:`block_root`, then whitens the block's right-hand
-side.  The root takes one of two routes.
+A Gaussian block is held as a square root T of its covariance, a
+:class:`BlockRoot`, and the whitened right-hand side w = T'b: the mean is
+T w and a draw T (w + z) for standard normal z.  T depends on the scale
+factors and the noise variance only, w on the state too, so
+:func:`block_conditional` builds the root with :func:`block_root`, then
+whitens the block's right-hand side with it.  The root takes one of two
+routes.
 
-* Spectral, for a block with one scale factor for the whole block, given
-  its spectrum.  With K = C C' (``kernel.chol``, repeated over the block's
-  channels) and C'G'GC = V diag(e) V', the precision is
+* Spectral, for a block with one scale factor for the whole block that
+  its chain draws often.  With K = C C' (``kernel.chol``, repeated over
+  the block's channels) and C'G'GC = V diag(e) V', the precision is
   C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
   T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
   sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
   with the problem for a single channel and on first use for a wider
   block) serves every draw at two matrix-vector products, the way
   one decomposition serves every ridge parameter in generalized
-  cross-validation (Golub, Heath & Wahba 1979).  The spectrum keeps the
-  block's data gram, for its right-hand side.  A scale vector s that is
-  not finite and positive (lambda or sigma**2 collapsed towards 0) is a
-  failure.
+  cross-validation (Golub, Heath & Wahba 1979).  The spectra keep the
+  block's data gram beside its spectrum, for its right-hand side.  A
+  scale vector s that is not finite and positive (lambda or sigma**2
+  collapsed towards 0) is a failure.
 * Factored, for every other block: channels with different scale
   factors, which no single spectrum covers, or a block drawn too rarely to
   repay a spectrum.  T = L^-T for the lower Cholesky factor L of the
@@ -45,30 +46,23 @@ roots built so far, which the sampler keeps for one coefficient step, so
 a block factors or scales its spectrum once per sweep however often the
 sweep draws it, with the very factor ``dpotrf`` would return again.
 
-The sampler gives every single channel its spectrum, and beside it the
-channel's whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one
-product of [theta_k, the chain's state rows k and m, 1] with it
-(:func:`single_whitened`), so no single draw forms its right-hand side.
-At p = 50 (m = 20, n = 1e4, one core of a 2-vCPU x86 machine, BLAS on one
-thread, medians of in-process timings) a single-channel conditional and
-its draw cost about 32 us against 77 us with a p-by-p factor.  A pair
-costs about 62 us from its spectrum, 150 us from a factor of its kept
-gram, 205 us from a factor of a new gram (21 us of it the gram) and 50
-to 54 us when redrawn from a root it already has; its right-hand side
-reads the block's state rows and the tail back in one product with the
-inverse-DFT matrix, about 30 us of each.  A single spectrum costs about
-0.5 ms to build and a pair spectrum 1.7 ms, as much as 4 to 16 factored
-pair draws at p = 20, 50 and 100.  A pair therefore gets a spectrum, or
-under two scale factors a kept gram, only if its chain is expected to
-draw it at least ``PAIR_SPECTRUM_DRAWS`` times, a margin over that
-break-even which also bounds the pair spectra (8p**2 + 2p floats each,
-the pair's gram included) and the kept grams (4p**2 floats each, 80 kB
-at p = 50) of a chain by n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS`` pairs.
-The sweep's single-channel pass draws from the same formulas
-(:func:`spectral_scales`, :func:`single_whitened`, :func:`root_times`)
-without building a posterior per channel; with the state update it
-costs about 37 us per channel at m = 20 and 56 us at m = 100.
-The mean and covariance are computed only when read (oracle and tests).
+Every single channel has its spectrum, and beside it the channel's
+whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one product of
+[theta_k, the chain's state rows k and m, 1] with it, so no single draw
+forms its right-hand side.  :func:`single_conditional` is that one
+formula, which the sweep's single-channel pass, the chain's initial fit
+and :func:`block_conditional` share.
+
+A single spectrum costs about 0.5 ms to build and a pair spectrum 1.7 ms
+at p = 50, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.
+A pair therefore gets a spectrum, or under two scale factors a kept gram,
+only if its chain is expected to draw it at least ``PAIR_SPECTRUM_DRAWS``
+times, a margin over that break-even which also bounds the pair spectra
+(8p**2 + 2p floats each, the pair's gram included) and the kept grams
+(4p**2 floats each, 80 kB at p = 50) of a chain by
+n_ob * n_mc / ``PAIR_SPECTRUM_DRAWS`` pairs.  README gives the measured
+cost of each kind of draw.  The mean and covariance are computed only
+when read (oracle and tests).
 """
 
 from __future__ import annotations
@@ -111,74 +105,74 @@ class HyperState:
             raise ValueError("noise variance must be positive")
 
 
-@dataclass
-class GaussianBlockPosterior:
-    """Gaussian block N(T w, T T') as a square root T of the covariance and
-    the whitened right-hand side w = T'b.
+class BlockRoot(NamedTuple):
+    """A square root T of a block's covariance at one setting of the scale
+    factors and noise variance, beside the block's data gram, which every
+    right-hand side needs.
 
-    Spectral form: T = ``factor`` diag(``scale``), ``factor`` = W = C V.
-    Cholesky form (``scale`` is None): T = L^-T for the lower Cholesky
-    factor L = ``factor`` of the precision.
+    Spectral: T = ``factor`` diag(``scale``), ``factor`` = W = C V.
+    Factored (``scale`` is None): T = L^-T for the lower Cholesky factor
+    L = ``factor`` of the precision.
     """
 
+    gram: np.ndarray
     factor: np.ndarray
+    scale: np.ndarray | None
+
+    def whiten(self, rhs: np.ndarray) -> np.ndarray:
+        """T'rhs."""
+        if self.scale is None:
+            return _solve_lower(self.factor, rhs)
+        return self.scale * np.dot(rhs, self.factor)
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """T v."""
+        if self.scale is None:
+            return _solve_lower(self.factor, v, trans=1)
+        return np.dot(self.factor, self.scale * v)
+
+
+class GaussianBlockPosterior(NamedTuple):
+    """Gaussian block N(T w, T T') as the square root T of its covariance,
+    ``root``, and the whitened right-hand side w = T'b."""
+
+    root: BlockRoot
     whitened: np.ndarray
-    scale: np.ndarray | None = None
-
-    @classmethod
-    def from_precision(cls, precision: np.ndarray,
-                       rhs: np.ndarray) -> GaussianBlockPosterior:
-        L = _chol_lower(precision, "posterior precision")
-        return cls(factor=L, whitened=whiten(L, None, rhs))
-
-    @classmethod
-    def from_spectrum(cls, spectrum: BlockSpectrum, lam: float,
-                      inv_s2: float,
-                      rhs: np.ndarray) -> GaussianBlockPosterior:
-        """Posterior of precision C^-T V diag(1/lam + e inv_s2) V' C^-1 and
-        right-hand side ``rhs``, from the block's spectrum (W = C V, e)."""
-        basis = spectrum.basis
-        scale = spectral_scales(lam, inv_s2, spectrum.evals)
-        return cls(factor=basis, whitened=whiten(basis, scale, rhs),
-                   scale=scale)
 
     @property
     def mean(self) -> np.ndarray:
-        return root_times(self.factor, self.scale, self.whitened)
+        return self.root.times(self.whitened)
 
     @property
     def covariance(self) -> np.ndarray:
-        if self.scale is None:
-            cov = cho_solve((self.factor, True),
-                            np.eye(self.factor.shape[0]))
+        factor, scale = self.root.factor, self.root.scale
+        if scale is None:
+            cov = cho_solve((factor, True), np.eye(factor.shape[0]))
         else:
-            cov = (self.factor * self.scale ** 2) @ self.factor.T
+            cov = (factor * scale ** 2) @ factor.T
         return 0.5 * (cov + cov.T)
 
 
 class BlockSpectrum(NamedTuple):
-    """A block's spectrum, W = C V and e ascending, beside the block's data
-    gram that it decomposes; all three arrays are read-only."""
+    """A block's spectrum, W = C V and e ascending, both read-only."""
 
     basis: np.ndarray
     evals: np.ndarray
-    gram: np.ndarray
 
 
 def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
-    """(W, e, gram) with B'(gram)B = V diag(e) V' and W = B V, where B is
-    the block-diagonal repeat of the prior factor ``chol`` (K = C C') that
-    matches ``gram``'s size; e ascends and is clipped at 0.  ``gram`` is
-    kept, made read-only, for the block's projections."""
+    """(W, e) with B'(gram)B = V diag(e) V' and W = B V, where B is the
+    block-diagonal repeat of the prior factor ``chol`` (K = C C') that
+    matches ``gram``'s size; e ascends and is clipped at 0."""
     blocks = np.kron(np.eye(gram.shape[0] // chol.shape[0]), chol)
     evals, vecs, info = dsyevd(blocks.T @ gram @ blocks, lower=1)
     if info != 0:
         raise FactorizationError(f"block spectrum: dsyevd info {info}")
     basis = blocks @ vecs
     evals = np.maximum(evals, 0.0)
-    for arr in (basis, evals, gram):
+    for arr in (basis, evals):
         arr.setflags(write=False)
-    return BlockSpectrum(basis, evals, gram)
+    return BlockSpectrum(basis, evals)
 
 
 class BlockSpectra:
@@ -193,7 +187,7 @@ class BlockSpectra:
 
     For each single channel k the bank's ``projection_map`` of W_k is
     kept too, (m, 5p+1, p) and read-only (10 MB at m = 100 and p = 50), so
-    that :func:`single_whitened` whitens the channel's right-hand side
+    that :func:`single_conditional` whitens the channel's right-hand side
     from the chain's state in one product."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
@@ -205,7 +199,7 @@ class BlockSpectra:
         self.single_evals = np.empty((m, p))
         self.single_maps = np.empty((m, 5 * p + 1, p))
         for k in range(m):
-            basis, self.single_evals[k], _ = self((k,))
+            basis, self.single_evals[k] = self((k,))
             bank.projection_map(k, basis, self.single_maps[k])
         for arr in (self.single_evals, self.single_maps):
             arr.setflags(write=False)
@@ -226,17 +220,6 @@ class BlockSpectra:
             found.setflags(write=False)
             self._grams[channels] = found
         return found
-
-
-def single_whitened(spectra: BlockSpectra, k: int, theta: np.ndarray,
-                    cross: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """w = T'b of channel k's conditional, b = inv_s2 G_k'(y - sum_{j != k}
-    G_j theta_j), for the spectral root T = W_k diag(scale), given the
-    chain's ``theta`` and running state ``cross`` and the ``weight``
-    inv_s2 * scale: W_k'G_k'(y - ...) is one product of the state with
-    the channel's kept map (:meth:`RegressorBank.single_projection`)."""
-    return weight * spectra.bank.single_projection(k, theta, cross,
-                                                   spectra.single_maps[k])
 
 
 def spectral_scales(lam: float | np.ndarray, inv_s2: float,
@@ -310,23 +293,6 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def whiten(factor: np.ndarray, scale: np.ndarray | None,
-           rhs: np.ndarray) -> np.ndarray:
-    """T'rhs for the covariance square root T of a
-    :class:`GaussianBlockPosterior` with this ``factor`` and ``scale``."""
-    if scale is None:
-        return _solve_lower(factor, rhs)
-    return scale * np.dot(rhs, factor)
-
-
-def root_times(factor: np.ndarray, scale: np.ndarray | None,
-               v: np.ndarray) -> np.ndarray:
-    """T v for the square root T that :func:`whiten` transposes."""
-    if scale is None:
-        return _solve_lower(factor, v, trans=1)
-    return np.dot(factor, scale * v)
-
-
 def sample_inverse_gamma(shape: float, rate: float | np.ndarray,
                          rng: np.random.Generator) -> float | np.ndarray:
     """Draws from InvGamma(shape, rate), density ~ x**(-a-1) exp(-b/x), one
@@ -370,45 +336,46 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
     return sample_inverse_gamma(0.5 * n, 0.5 * rss, rng)
 
 
-class BlockRoot(NamedTuple):
-    """The square root T of a block's covariance at one setting of the
-    scale factors and noise variance, as :class:`GaussianBlockPosterior`
-    holds it (``factor`` and ``scale``), beside the block's data gram,
-    which every right-hand side needs."""
-
-    gram: np.ndarray
-    factor: np.ndarray
-    scale: np.ndarray | None
-
-
 def block_root(channels: tuple[int, ...], hyper: HyperState,
-               bank: RegressorBank, kernel: StableSplineKernel,
-               spectra: BlockSpectra | None) -> BlockRoot:
+               spectra: BlockSpectra, often: bool) -> BlockRoot:
     """The covariance root of the block ``channels`` at ``hyper``, which
-    does not depend on the coefficients: spectral given ``spectra`` and one
-    scale factor for the whole block, else factored, its gram then kept in
-    ``spectra`` when given and built anew when not."""
+    does not depend on the coefficients: spectral for a block drawn
+    ``often`` under one scale factor for the whole block, else factored.
+    A block drawn ``often`` keeps its gram in ``spectra``; a rarer one
+    builds it anew."""
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
     inv_s2 = 1.0 / hyper.sigma2
     # a list of scalars, not fancy indexing: this runs once per block draw
     lam = [hyper.lam[k] for k in channels]
-    if spectra is None:
-        gram = bank.block_gram(channels)
-    elif lam.count(lam[0]) == len(lam):
-        basis, evals, gram = spectra(channels)
+    gram = (spectra.gram(channels) if often
+            else spectra.bank.block_gram(channels))
+    if often and lam.count(lam[0]) == len(lam):
+        basis, evals = spectra(channels)
         return BlockRoot(gram, basis, spectral_scales(lam[0], inv_s2, evals))
-    else:
-        gram = spectra.gram(channels)
-    precision = factored_precision(gram, inv_s2, lam, kernel)
+    precision = factored_precision(gram, inv_s2, lam, spectra.kernel)
     return BlockRoot(gram, _chol_lower(precision, "posterior precision"),
                      None)
 
 
+def single_conditional(spectra: BlockSpectra, k: int, scale: np.ndarray,
+                       weight: np.ndarray, theta: np.ndarray,
+                       cross: np.ndarray) -> GaussianBlockPosterior:
+    """Channel k's conditional from its spectrum, at the spectral scales
+    ``scale`` (:func:`spectral_scales`): the root T = W_k diag(scale) and
+    w = T'b, b = inv_s2 G_k'(y - sum_{j != k} G_j theta_j), given the
+    ``weight`` inv_s2 * scale and the chain's ``theta`` and running state
+    ``cross``.  W_k'G_k'(y - ...) is one product of the state with the
+    channel's kept map (:meth:`RegressorBank.single_projection`)."""
+    root = BlockRoot(spectra.gram((k,)), spectra((k,)).basis, scale)
+    projected = spectra.bank.single_projection(k, theta, cross,
+                                               spectra.single_maps[k])
+    return GaussianBlockPosterior(root, weight * projected)
+
+
 def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                       cross: np.ndarray, hyper: HyperState,
-                      bank: RegressorBank, kernel: StableSplineKernel,
-                      spectra: BlockSpectra | None,
+                      spectra: BlockSpectra, often: bool,
                       roots: dict | None = None) -> GaussianBlockPosterior:
     """Gaussian conditional of the coefficients of ``channels``, a tuple of
     distinct channels, given everything else.
@@ -416,33 +383,29 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     Precision ``sigma**-2 G_c'G_c + blkdiag(Kinv / lambda_c)``; the mean
     solves it against ``sigma**-2 G_c'(y - sum_{j not in c} G_j theta_j)``,
     from ``cross``, the running state of ``theta``.  The precision's root
-    is :func:`block_root`'s; ``roots``, a dict the caller keeps for one
-    ``hyper``, holds every root built so far, keyed by the channels, for
-    a block drawn again to whiten its new right-hand side with.  It writes
-    into nothing the bank keeps; the state update after its draw,
-    ``bank.set_channel``, reuses the bank's buffers, so chains share a bank
-    one at a time.
+    is :func:`block_root`'s, by the route ``often`` picks; ``roots``, a
+    dict the caller keeps for one ``hyper``, holds every root built so
+    far, keyed by the channels, for a block drawn again to whiten its new
+    right-hand side with.  It writes into nothing the bank keeps; the
+    state update after its draw, ``bank.set_channel``, reuses the bank's
+    buffers, so chains share a bank one at a time.
     """
     if roots is None:
         roots = {}
     root = roots.get(channels)
     if root is None:
-        root = roots[channels] = block_root(channels, hyper, bank, kernel,
-                                            spectra)
+        root = roots[channels] = block_root(channels, hyper, spectra, often)
     inv_s2 = 1.0 / hyper.sigma2
-    if spectra is not None and len(channels) == 1:
-        # a single channel's root is its spectrum's
-        whitened = single_whitened(spectra, channels[0], theta, cross,
-                                   inv_s2 * root.scale)
-    else:
-        rhs = inv_s2 * bank.partial_projection(channels, theta, cross,
-                                               root.gram)
-        whitened = whiten(root.factor, root.scale, rhs)
-    return GaussianBlockPosterior(root.factor, whitened, root.scale)
+    if often and len(channels) == 1:
+        return single_conditional(spectra, channels[0], root.scale,
+                                  inv_s2 * root.scale, theta, cross)
+    rhs = inv_s2 * spectra.bank.partial_projection(channels, theta, cross,
+                                                   root.gram)
+    return GaussianBlockPosterior(root, root.whiten(rhs))
 
 
 def draw_gaussian(post: GaussianBlockPosterior,
                   rng: np.random.Generator) -> np.ndarray:
     """T (w + z) = mean + T z for standard normal z."""
     z = rng.standard_normal(post.whitened.size)
-    return root_times(post.factor, post.scale, post.whitened + z)
+    return post.root.times(post.whitened + z)

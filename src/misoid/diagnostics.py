@@ -287,8 +287,9 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     exact = dense @ anchor
     drift = float(np.max(np.abs(bank.gram_product(cross) - exact))
                   / np.max(np.abs(exact)))
-    # every single channel and pair, by its spectrum (at one scale factor
-    # for the whole block only) and by a factor of its precision
+    # every single channel and pair by both routes: drawn often, by its
+    # spectrum (at one scale factor for the whole block only), and drawn
+    # rarely, by a factor of its precision
     spectra = conditionals.BlockSpectra(bank, kernel)
     blocks = [*combinations(range(m), 1), *combinations(range(m), 2)]
     worst = {1: 0.0, 2: 0.0}
@@ -296,9 +297,9 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
         for channels in blocks:
             idx = (p * np.array(channels)[:, None] + np.arange(p)).ravel()
             mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
-            for route in (spectra, None):
+            for often in (True, False):
                 cond = conditionals.block_conditional(
-                    channels, anchor, cross, hyper, bank, kernel, route)
+                    channels, anchor, cross, hyper, spectra, often)
                 worst[len(channels)] = max(
                     worst[len(channels)],
                     float(np.max(np.abs(cond.mean - mean_ref))),

@@ -329,14 +329,11 @@ class RegressorBank:
         """Stacked G_k'(y - sum_{j not in channels} G_j theta_j) for k in
         channels, from the running state of theta: G_k'y - G_k'G theta
         plus the block's gram (``block_gram(channels)``) times the block's
-        coefficients, which a wider block stacks into a new array.  The
-        block's state rows and the tail are read back in one product."""
+        coefficients, stacked into a new array.  The block's state rows
+        and the tail are read back in one product."""
         p = self.p
-        if len(channels) == 1:
-            coefficients = theta_block(theta, channels[0], p)
-        else:
-            coefficients = np.concatenate([theta_block(theta, k, p)
-                                           for k in channels])
+        coefficients = np.concatenate([theta_block(theta, k, p)
+                                       for k in channels])
         out = np.dot(gram, coefficients)
         rows = self.state_rows(cross[[*channels, self.m]])
         tail = rows[-1]

@@ -26,8 +26,8 @@ A chain also carries a running state of G'G theta as spectra of the
 bank's lag structure (:class:`ChainState`): a block draw moves it by the
 changed channel's panel spectrum times the change's DFT, O(mp) per
 channel, so no sweep reads an mp-by-mp grid and none exists.  A single
-channel's whitened right-hand side is one product of the state with the
-channel's kept map (:func:`single_whitened`).
+channel's conditional is one product of the state with the channel's
+kept map (:func:`single_conditional`).
 
 :func:`run` returns a chain's :class:`ChainRecord` whether the chain
 finishes or ends in a numerical abort.
@@ -51,9 +51,9 @@ import numpy as np
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
 from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
-                           block_conditional, draw_gaussian, root_times,
+                           block_conditional, draw_gaussian,
                            sample_lambda_common, sample_lambda_k,
-                           sample_sigma2_from_sumsq, single_whitened,
+                           sample_sigma2_from_sumsq, single_conditional,
                            spectral_scales)
 from .errors import NUMERICAL_ERRORS, FactorizationError
 from .kernel import StableSplineKernel, build_kernel
@@ -288,19 +288,20 @@ def init_chain(problem: Problem) -> ChainState:
     cross = bank.cross_state(theta0)
     ridge = INIT_RIDGE_EPSILON / prior_scale(y, kernel)
     for k in range(m):
-        spectrum = problem.spectra((k,))
-        eps = ridge * float(np.trace(spectrum.gram))
+        gram = problem.spectra.gram((k,))
+        eps = ridge * float(np.trace(gram))
         if not eps > 0.0:
             raise FactorizationError(
                 f"initialization: channel {k} has no data"
-                if not np.trace(spectrum.gram) > 0.0 else
+                if not np.trace(gram) > 0.0 else
                 "initialization: the prior scale var(y) * tr(K^-1) overflows "
                 f"(var(y) = {sigma2_0:g}, alpha = {kernel.alpha:g}, "
                 f"fir_order = {p})")
-        scale = spectral_scales(1.0 / eps, 1.0 / sigma2_0, spectrum.evals)
-        fit = root_times(spectrum.basis, scale, single_whitened(
-            problem.spectra, k, theta0, cross, scale / sigma2_0))
-        bank.set_channel(theta0, cross, k, fit)
+        scale = spectral_scales(1.0 / eps, 1.0 / sigma2_0,
+                                problem.spectra.single_evals[k])
+        fit = single_conditional(problem.spectra, k, scale, scale / sigma2_0,
+                                 theta0, cross)
+        bank.set_channel(theta0, cross, k, fit.mean)
     return ChainState(theta=theta0, cross=cross,
                       hyper=HyperState(lam=np.ones(m), sigma2=sigma2_0))
 
@@ -350,9 +351,8 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
         # gram anew, and it or a block whose scale factors differ factors
         # its precision, once per call
         often = schedule.probs[b] * (n_ob * config.n_mc) >= PAIR_SPECTRUM_DRAWS
-        post = block_conditional(channels, theta, cross, hyper, bank,
-                                 problem.kernel,
-                                 problem.spectra if often else None, roots)
+        post = block_conditional(channels, theta, cross, hyper,
+                                 problem.spectra, often, roots)
         z = draw_gaussian(post, rng)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
@@ -373,10 +373,10 @@ def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
     weights = inv_s2 * scales
     noise = rng.standard_normal(m * p).reshape(m, p)
     for k in range(m):
-        whitened = single_whitened(spectra, k, theta, cross, weights[k])
-        value = root_times(spectra((k,)).basis, scales[k],
-                           whitened + noise[k])
-        bank.set_channel(theta, cross, k, value)
+        post = single_conditional(spectra, k, scales[k], weights[k], theta,
+                                  cross)
+        bank.set_channel(theta, cross, k,
+                         post.root.times(post.whitened + noise[k]))
 
 
 def sweep(state: ChainState, problem: Problem,

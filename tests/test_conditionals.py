@@ -5,9 +5,11 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 import misoid as mi
-from misoid.conditionals import (BlockSpectra, _chol_lower, block_root,
-                                 block_spectrum, sample_inverse_gamma,
-                                 sample_sigma2_from_sumsq)
+from misoid.conditionals import (BlockRoot, BlockSpectra,
+                                 GaussianBlockPosterior, _chol_lower,
+                                 block_root, block_spectrum,
+                                 sample_inverse_gamma,
+                                 sample_sigma2_from_sumsq, spectral_scales)
 from misoid.errors import DegenerateRateError, FactorizationError
 
 from conftest import make_small_problem, toeplitz_block
@@ -171,7 +173,7 @@ def test_theta_conditional_zero_input_recovers_prior():
     hyper = mi.HyperState(lam=np.array([1.0, 2.5]), sigma2=0.5)
     theta = rng.standard_normal(2 * p)
     post = mi.block_conditional((1,), theta, bank.cross_state(theta), hyper,
-                                bank, kernel, BlockSpectra(bank, kernel))
+                                BlockSpectra(bank, kernel), True)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -181,7 +183,7 @@ def test_theta_conditional_large_noise_recovers_prior():
     hyper = mi.HyperState(lam=np.full(bank.m, 1.7), sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
     post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                                bank, kernel, BlockSpectra(bank, kernel))
+                                BlockSpectra(bank, kernel), True)
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -196,7 +198,7 @@ def test_theta_conditional_generalized_ridge_oracle():
     hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
     zero = np.zeros(p)
     post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                                bank, kernel, BlockSpectra(bank, kernel))
+                                BlockSpectra(bank, kernel), True)
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -214,13 +216,10 @@ def test_block_conditional_orthogonal_inputs_decouple():
     theta = np.zeros(2 * p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
-    pair = mi.block_conditional((0, 1), theta, cross, hyper, bank, kernel,
-                                spectra)
+    pair = mi.block_conditional((0, 1), theta, cross, hyper, spectra, True)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.block_conditional((0,), theta, cross, hyper, bank, kernel,
-                                   spectra)
-    single1 = mi.block_conditional((1,), theta, cross, hyper, bank, kernel,
-                                   spectra)
+    single0 = mi.block_conditional((0,), theta, cross, hyper, spectra, True)
+    single1 = mi.block_conditional((1,), theta, cross, hyper, spectra, True)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -231,14 +230,14 @@ def test_block_conditional_orthogonal_inputs_decouple():
 
 @pytest.mark.parametrize("common", [True, False],
                          ids=["common", "distinct"])
-@pytest.mark.parametrize("given", [True, False], ids=["spectra", "factor"])
+@pytest.mark.parametrize("often", [True, False], ids=["spectra", "factor"])
 @pytest.mark.parametrize("channels", [(1,), (0, 2), (2, 0, 1)],
                          ids=["single", "pair", "triple"])
-def test_block_conditional_matches_joint_schur(channels, given, common):
+def test_block_conditional_matches_joint_schur(channels, often, common):
     # any tuple of channels, in the order given, against the Schur
     # extraction of the joint posterior; the three-channel tuple is the
     # whole problem, the joint posterior itself.  The spectral route is
-    # taken only given spectra and one scale factor for the whole block.
+    # taken only for a block drawn often under one scale factor.
     data, bank, kernel, _ = make_small_problem(seed=11, m=3, p=2, n=30)
     lam = 0.8 * (np.ones(3) if common else np.array([0.5, 1.0, 1.5]))
     sigma2 = 0.3
@@ -249,10 +248,9 @@ def test_block_conditional_matches_joint_schur(channels, given, common):
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in channels])
     mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
     post = mi.block_conditional(channels, anchor, bank.cross_state(anchor),
-                                hyper, bank, kernel,
-                                BlockSpectra(bank, kernel) if given else None)
-    spectral = given and (common or len(channels) == 1)
-    assert (post.scale is not None) == spectral
+                                hyper, BlockSpectra(bank, kernel), often)
+    spectral = often and (common or len(channels) == 1)
+    assert (post.root.scale is not None) == spectral
     np.testing.assert_allclose(post.mean, mean_ref, atol=1e-8)
     np.testing.assert_allclose(post.covariance, cov_ref, atol=1e-8)
 
@@ -270,9 +268,10 @@ def test_block_conditional_identical_inputs_null_direction():
     evals, evecs = np.linalg.eigh(kernel.K)
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
-    for spectra in (BlockSpectra(bank, kernel), None):
+    spectra = BlockSpectra(bank, kernel)
+    for often in (True, False):
         pair = mi.block_conditional((0, 1), zero, bank.cross_state(zero),
-                                    hyper, bank, kernel, spectra)
+                                    hyper, spectra, often)
         # (v, -v) is invisible to identical inputs: its variance is prior
         # scale
         np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
@@ -286,11 +285,12 @@ def test_block_conditional_rejects_same_channel():
     data, bank, kernel, _ = make_small_problem(seed=14, m=3)
     hyper = mi.HyperState(lam=np.ones(bank.m), sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
+    spectra = BlockSpectra(bank, kernel)
     for channels in ((1, 1), (0, 2, 0)):
-        for spectra in (BlockSpectra(bank, kernel), None):
+        for often in (True, False):
             with pytest.raises(ValueError, match="distinct"):
                 mi.block_conditional(channels, zero, bank.cross_state(zero),
-                                     hyper, bank, kernel, spectra)
+                                     hyper, spectra, often)
 
 
 def test_scale_consistency():
@@ -306,15 +306,19 @@ def test_scale_consistency():
     h1 = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.4)
     h2 = mi.HyperState(lam=np.full(2, 0.8), sigma2=c ** 2 * 0.4)
     p1 = mi.block_conditional((0,), theta, base.cross_state(theta), h1,
-                              base, kernel, BlockSpectra(base, kernel))
+                              BlockSpectra(base, kernel), True)
     p2 = mi.block_conditional((0,), theta, scaled.cross_state(theta), h2,
-                              scaled, kernel, BlockSpectra(scaled, kernel))
+                              BlockSpectra(scaled, kernel), True)
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
 # -- drawing -----------------------------------------------------------------
 
-_posterior = mi.GaussianBlockPosterior.from_precision
+def _posterior(precision, rhs):
+    """The Gaussian of this precision and right-hand side, by its Cholesky
+    root; no right-hand side is formed from a gram here."""
+    root = BlockRoot(None, _chol_lower(precision, "test"), None)
+    return GaussianBlockPosterior(root, root.whiten(rhs))
 
 
 def test_draw_gaussian_collapsed_covariance():
@@ -387,7 +391,7 @@ def test_posterior_from_precision_property(system, seed):
     np.testing.assert_allclose(post.covariance @ precision, np.eye(p),
                                rtol=0, atol=max(1e-8, 8 * p * eps * cond))
     z = np.random.default_rng(seed).standard_normal(p)
-    expected = mean + solve_triangular(post.factor, z, lower=True,
+    expected = mean + solve_triangular(post.root.factor, z, lower=True,
                                        trans="T")
     draw = mi.draw_gaussian(post, np.random.default_rng(seed))
     np.testing.assert_allclose(draw, expected, rtol=0,
@@ -410,7 +414,7 @@ def test_theta_updates_preserve_exact_posterior():
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
             post = mi.block_conditional((k,), theta, bank.cross_state(theta),
-                                        hyper, bank, kernel, spectra)
+                                        hyper, spectra, True)
             theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
@@ -448,11 +452,11 @@ def test_vanishing_scale_factor_raises_instead_of_nan():
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
     for channels in ((0,), (0, 1)):
-        for route in (spectra, None):
+        for often in (True, False):
             with np.errstate(over="ignore"), \
                     pytest.raises(FactorizationError):
-                mi.block_conditional(channels, theta, cross, hyper, bank,
-                                     kernel, route)
+                mi.block_conditional(channels, theta, cross, hyper, spectra,
+                                     often)
 
 
 def test_lapack_factor_and_draw():
@@ -477,18 +481,18 @@ def test_lapack_factor_and_draw():
     post = _posterior(precision, np.ones(bank.p))
     np.testing.assert_array_equal(precision, saved)
     # a plain posterior, a pair with two scale factors, and a single
-    # channel and a common-scale pair given no spectra: Cholesky form
+    # channel and a common-scale pair drawn rarely: Cholesky form
     spectra = BlockSpectra(bank, kernel)
     common = mi.HyperState(lam=np.full(3, 0.7), sigma2=0.4)
     for post in (post,
-                 mi.block_conditional((0, 2), theta, cross, hyper, bank,
-                                      kernel, spectra),
-                 mi.block_conditional((2,), theta, cross, hyper, bank,
-                                      kernel, None),
-                 mi.block_conditional((0, 2), theta, cross, common, bank,
-                                      kernel, None)):
-        assert post.scale is None
-        L = post.factor
+                 mi.block_conditional((0, 2), theta, cross, hyper, spectra,
+                                      True),
+                 mi.block_conditional((2,), theta, cross, hyper, spectra,
+                                      False),
+                 mi.block_conditional((0, 2), theta, cross, common, spectra,
+                                      False)):
+        assert post.root.scale is None
+        L = post.root.factor
         np.testing.assert_array_equal(np.triu(L, 1), 0.0)
         z = np.random.default_rng(23).standard_normal(L.shape[0])
         expected = post.mean + solve_triangular(L, z, lower=True, trans="T")
@@ -501,14 +505,13 @@ def test_lapack_factor_and_draw():
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
     spectral = [
-        (mi.block_conditional((2,), theta, cross, hyper, bank, kernel,
-                              spectra),
+        (mi.block_conditional((2,), theta, cross, hyper, spectra, True),
          kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
-        (mi.block_conditional((0, 2), theta, cross, common, bank, kernel,
-                              spectra), pair_precision),
+        (mi.block_conditional((0, 2), theta, cross, common, spectra, True),
+         pair_precision),
     ]
     for post, precision in spectral:
-        root = post.factor * post.scale
+        root = post.root.factor * post.root.scale
         np.testing.assert_allclose(root.T @ precision @ root,
                                    np.eye(root.shape[0]), rtol=0, atol=1e-12)
         z = np.random.default_rng(23).standard_normal(root.shape[0])
@@ -557,8 +560,9 @@ def test_spectral_posterior_matches_cholesky(system, seed):
     precision = kinv / lam + gram
     cond = np.linalg.cond(precision)
     bound = max(1e-8, 8 * size * np.finfo(float).eps * cond)
-    spectral = mi.GaussianBlockPosterior.from_spectrum(
-        block_spectrum(gram, chol), lam, 1.0, rhs)
+    basis, evals = block_spectrum(gram, chol)
+    root = BlockRoot(gram, basis, spectral_scales(lam, 1.0, evals))
+    spectral = GaussianBlockPosterior(root, root.whiten(rhs))
     ref = _posterior(precision, rhs)
     mean, ref_mean = spectral.mean, ref.mean
     assert (np.linalg.norm(precision @ mean - rhs)
@@ -575,16 +579,16 @@ def test_spectral_posterior_matches_cholesky(system, seed):
     # precision whitens T z back to a vector of the same length as z
     z = np.random.default_rng(seed).standard_normal(size)
     draw = mi.draw_gaussian(spectral, np.random.default_rng(seed))
-    step = spectral.factor @ (spectral.scale * z)
+    step = root.factor @ (root.scale * z)
     np.testing.assert_allclose(draw, mean + step, rtol=0,
                                atol=1e-12 * np.abs(draw).max())
-    whitened = ref.factor.T @ step
+    whitened = ref.root.factor.T @ step
     assert abs(np.linalg.norm(whitened) - np.linalg.norm(z)) <= (
         bound * np.linalg.norm(z))
 
 
 def test_pair_route_follows_its_two_scale_factors():
-    # a pair is spectral exactly when it is given spectra and its own two
+    # a pair is spectral exactly when it is drawn often and its own two
     # scale factors are equal, whatever the other channels' scales
     _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=60)
     hyper = mi.HyperState(lam=np.array([0.5, 0.5, 2.0]), sigma2=0.4)
@@ -593,17 +597,17 @@ def test_pair_route_follows_its_two_scale_factors():
     spectra = BlockSpectra(bank, kernel)
     spectral = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        for given in (spectra, None):
-            post = mi.block_conditional((i, j), theta, cross, hyper, bank,
-                                        kernel, given)
-            spectral[i, j, given is not None] = post.scale is not None
+        for often in (True, False):
+            post = mi.block_conditional((i, j), theta, cross, hyper, spectra,
+                                        often)
+            spectral[i, j, often] = post.root.scale is not None
     assert spectral == {(0, 1, True): True, (0, 2, True): False,
                         (1, 2, True): False, (0, 1, False): False,
                         (0, 2, False): False, (1, 2, False): False}
     # both routes of the equal-scale pair are the same posterior
-    routes = [mi.block_conditional((0, 1), theta, cross, hyper, bank,
-                                   kernel, given)
-              for given in (spectra, None)]
+    routes = [mi.block_conditional((0, 1), theta, cross, hyper, spectra,
+                                   often)
+              for often in (True, False)]
     np.testing.assert_allclose(routes[0].mean, routes[1].mean, atol=1e-10)
     np.testing.assert_allclose(routes[0].covariance, routes[1].covariance,
                                atol=1e-10)
@@ -628,7 +632,8 @@ def test_spectra_built_once_and_shared(monkeypatch):
     seen = [spectra(key) for _ in range(20) for key in keys]
     assert sorted(built) == [4, 4, 4, 8, 8, 8]
     assert all(got is spectra(key) for got, key in zip(seen, keys * 20))
-    basis, evals, gram = spectra((0, 2))
+    basis, evals = spectra((0, 2))
+    gram = spectra.gram((0, 2))
     assert basis.shape == (8, 8) and not basis.flags.writeable
     assert not gram.flags.writeable
     np.testing.assert_array_equal(gram, bank.block_gram((0, 2)))
@@ -649,8 +654,10 @@ def test_spectra_keep_each_gram_once(monkeypatch):
 
     monkeypatch.setattr(bank, "block_gram", counted)
     gram = spectra.gram((0, 2))
-    assert spectra((0, 2)).gram is gram and spectra.gram((0, 2)) is gram
-    assert spectra((1, 2)).gram is spectra.gram((1, 2))
+    spectra((0, 2))
+    spectra((1, 2))
+    assert spectra.gram((0, 2)) is gram
+    spectra.gram((1, 2))
     assert asked == [(0, 2), (1, 2)]
     assert not gram.flags.writeable
     assert gram.tobytes() == real((0, 2)).tobytes()
@@ -658,9 +665,40 @@ def test_spectra_keep_each_gram_once(monkeypatch):
     hyper = mi.HyperState(lam=np.array([0.5, 0.9, 2.0]), sigma2=0.4)
     theta = np.random.default_rng(27).standard_normal(bank.m * bank.p)
     cross = bank.cross_state(theta)
-    root = block_root((0, 2), hyper, bank, kernel, spectra)
+    root = block_root((0, 2), hyper, spectra, True)
     assert root.scale is None and root.gram is gram
     assert asked == [(0, 2), (1, 2)]
+
+
+def test_block_root_whiten_and_times_are_one_root():
+    # the spectral and the factored root of one block, a duplicated-input
+    # pair among the blocks, each act as one square root T of the block's
+    # covariance: whiten is T' and times is T, so u . T v = T'u . v and
+    # T T'b = Sigma b
+    rng = np.random.default_rng(30)
+    n, p, lam, sigma2 = 80, 4, 0.7, 0.4
+    u = rng.standard_normal((2, n))
+    data = mi.Dataset(y=rng.standard_normal(n),
+                      inputs=np.vstack([u[0], u[0], u[1]]))
+    bank = mi.RegressorBank(data, p)
+    kernel = mi.build_kernel(0.9, p)
+    spectra = BlockSpectra(bank, kernel)
+    hyper = mi.HyperState(lam=np.full(3, lam), sigma2=sigma2)
+    for channels in ((1,), (0, 1), (1, 2)):
+        size = p * len(channels)
+        precision = (bank.block_gram(channels) / sigma2
+                     + np.kron(np.eye(len(channels)), kernel.Kinv) / lam)
+        for often in (True, False):
+            root = block_root(channels, hyper, spectra, often)
+            assert (root.scale is not None) == often
+            dense = root.times(np.eye(size))
+            left, right, b = rng.standard_normal((3, size))
+            bound = 1e-12 * (np.abs(left) @ np.abs(dense) @ np.abs(right))
+            assert abs(left @ root.times(right)
+                       - root.whiten(left) @ right) <= bound
+            expected = np.linalg.solve(precision, b)
+            assert (np.linalg.norm(root.times(root.whiten(b)) - expected)
+                    <= 1e-10 * np.linalg.norm(expected))
 
 
 def test_block_roots_are_reused_for_one_hyper(monkeypatch):
@@ -682,21 +720,21 @@ def test_block_roots_are_reused_for_one_hyper(monkeypatch):
     monkeypatch.setattr(conditionals, "_chol_lower", counted)
     for lam in (np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.9, 2.0])):
         hyper = mi.HyperState(lam=lam, sigma2=0.4)
-        for given in (spectra, None):
+        for often in (True, False):
             roots: dict = {}
             factored.clear()
             for _ in range(3):
                 theta = rng.standard_normal(bank.m * bank.p)
                 cross = bank.cross_state(theta)
                 kept = mi.block_conditional((0, 1), theta, cross, hyper,
-                                            bank, kernel, given, roots)
+                                            spectra, often, roots)
                 fresh = mi.block_conditional((0, 1), theta, cross, hyper,
-                                             bank, kernel, given)
-                for a, b in ((kept.factor, fresh.factor),
+                                             spectra, often)
+                for a, b in ((kept.root.factor, fresh.root.factor),
                              (kept.whitened, fresh.whitened)):
                     assert a.tobytes() == b.tobytes()
-                assert kept.factor is roots[(0, 1)].factor
-            spectral = given is not None and lam[0] == lam[1]
+                assert kept.root.factor is roots[(0, 1)].factor
+            spectral = often and lam[0] == lam[1]
             assert factored == ([] if spectral else [8] * 4)
 
 
@@ -704,16 +742,13 @@ def test_spectral_scales_must_be_finite_and_positive():
     # a pair of all-zero inputs gives e = 0; an infinite scale factor then
     # leaves s = 0, an infinite 1/sigma2 gives NaN, a vanishing scale
     # factor gives s = inf: each raises instead of returning zeros
-    rng = np.random.default_rng(26)
     kernel = mi.build_kernel(0.9, 3)
     spectrum = block_spectrum(np.zeros((6, 6)), kernel.chol)
     np.testing.assert_array_equal(spectrum[1], 0.0)
-    rhs = rng.standard_normal(6)
     for lam, inv_s2 in ((np.inf, 1.0), (1.0, np.inf), (5e-324, 1.0)):
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FactorizationError):
-            mi.GaussianBlockPosterior.from_spectrum(spectrum, lam, inv_s2,
-                                                    rhs)
+            spectral_scales(lam, inv_s2, spectrum.evals)
 
 
 def test_lambda_rates_are_banded_sums():

@@ -271,23 +271,22 @@ def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
     ``block_conditional``: the blocks drawn and the route of each."""
     bank, p = problem.bank, problem.bank.p
 
-    def draw(channels, spectra):
-        post = mi.block_conditional(channels, theta, cross, hyper, bank,
-                                    problem.kernel, spectra)
+    def draw(channels, often):
+        post = mi.block_conditional(channels, theta, cross, hyper,
+                                    problem.spectra, often)
         value = mi.draw_gaussian(post, rng)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, value[r * p:(r + 1) * p])
-        return "factored" if post.scale is None else "spectral"
+        return "factored" if post.root.scale is None else "spectral"
 
     for k in range(bank.m):
-        assert draw((k,), problem.spectra) == "spectral"
+        assert draw((k,), True) == "spectral"
     selected, routes = [], []
     for _ in range(config.n_ob if config.uses_blocks else 0):
         b = mi.select_block(schedule, rng)
         often = (schedule.probs[b] * config.n_ob * config.n_mc
                  >= PAIR_SPECTRUM_DRAWS)
-        routes.append(draw(schedule.blocks[b],
-                           problem.spectra if often else None))
+        routes.append(draw(schedule.blocks[b], often))
         selected.append(schedule.blocks[b])
     return selected, routes
 
