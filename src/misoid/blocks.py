@@ -51,22 +51,49 @@ class BlockSchedule:
         self.cumulative = cumulative / cumulative[-1]
 
 
-def compute_correlations(data: Dataset) -> np.ndarray:
-    """Absolute sample correlation of every input pair.
+def compute_correlations(data: Dataset,
+                         sums: np.ndarray | None = None) -> np.ndarray:
+    """Absolute sample correlation of every input pair, from the inputs'
+    lag-0 sums S = u u' and their means mu:
+
+        c_ij = |S_ij - n mu_i mu_j| / sqrt(v_i v_j),  v_k = S_kk - n mu_k^2.
+
+    A problem passes the sums its bank holds
+    (:meth:`RegressorBank.zero_lag_sums`), which makes this O(m^2) after
+    one O(mn) pass for the means; without ``sums`` they are formed here.
+    Centering after summing cancels digits: the error grows like
+    (mean/sd)^2 times the rounding of S, as the bank's own grams' does --
+    about 1e-11 at a mean of 100 sd and 1e-7 at 1e4 sd, against 1e-15 for
+    zero-mean inputs.  The diagonal is exactly 1.
 
     Raises
     ------
     ValueError
-        If any input has zero sample variance.
+        If any input is constant (its samples all equal), or if an input's
+        variance cancels against its mean.
     """
     u = data.inputs
-    stds = u.std(axis=1)
-    if np.any(stds == 0.0):
-        dead = int(np.flatnonzero(stds == 0.0)[0])
-        raise ValueError(f"input channel {dead} has zero sample variance")
+    constant = np.flatnonzero(np.ptp(u, axis=1) == 0.0)
+    if constant.size:
+        raise ValueError(
+            f"input channel {constant[0]} has zero sample variance")
     if data.m == 1:
         return np.ones((1, 1))
-    return np.abs(np.corrcoef(u))
+    if sums is None:
+        sums = u @ u.T
+    mean = u.mean(axis=1)
+    cov = sums - data.n * np.outer(mean, mean)
+    var = cov.diagonal()
+    if not np.all(var > 0.0):
+        lost = int(np.flatnonzero(~(var > 0.0))[0])
+        raise ValueError(f"input channel {lost}: its variance cancels "
+                         "against its mean in double precision; center it")
+    sd = np.sqrt(var)
+    c = np.abs(cov)
+    c /= np.outer(sd, sd)
+    np.minimum(c, 1.0, out=c)
+    np.fill_diagonal(c, 1.0)
+    return c
 
 
 def compute_block_probabilities(c: np.ndarray, beta: float) -> BlockSchedule:

@@ -178,12 +178,14 @@ def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
 class BlockSpectra:
     """The spectra of one problem's blocks, keyed by the channel tuple;
     every chain of the problem shares them.  Every chain draws every
-    channel, so the m single channels' are built here, and their
-    eigenvalues stacked, (m, p) and read-only, as ``single_evals`` for one
-    sweep to scale every channel at once.  A wider block's is built on
-    its first use.  The data gram of every block asked for (:meth:`gram`)
-    is kept too, read-only, so that a block drawn often under two scale
-    factors, which no spectrum covers, builds its gram once.
+    channel, so the m single channels' are built here, as stacked tables,
+    read-only, that one sweep reads to draw every channel: their bases
+    ``single_bases`` (m, p, p) and eigenvalues ``single_evals`` (m, p).
+    A single channel's spectrum is a view of the tables; a wider block's
+    is built on its first use.  The data gram of every block asked for
+    (:meth:`gram`) is kept too, read-only, so that a block drawn often
+    under two scale factors, which no spectrum covers, builds its gram
+    once.
 
     For each single channel k the bank's ``projection_map`` of W_k is
     kept too, (m, 5p+1, p) and read-only (10 MB at m = 100 and p = 50), so
@@ -193,16 +195,21 @@ class BlockSpectra:
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
         self.kernel = kernel
-        self._built: dict = {}
         self._grams: dict = {}
         m, p = bank.m, bank.p
+        self.single_bases = np.empty((m, p, p))
         self.single_evals = np.empty((m, p))
         self.single_maps = np.empty((m, 5 * p + 1, p))
         for k in range(m):
-            basis, self.single_evals[k] = self((k,))
+            basis, self.single_evals[k] = block_spectrum(self.gram((k,)),
+                                                         kernel.chol)
+            self.single_bases[k] = basis
             bank.projection_map(k, basis, self.single_maps[k])
-        for arr in (self.single_evals, self.single_maps):
+        for arr in (self.single_bases, self.single_evals, self.single_maps):
             arr.setflags(write=False)
+        self._built: dict = {
+            (k,): BlockSpectrum(self.single_bases[k], self.single_evals[k])
+            for k in range(m)}
 
     def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
         found = self._built.get(channels)
@@ -367,7 +374,7 @@ def single_conditional(spectra: BlockSpectra, k: int, scale: np.ndarray,
     ``weight`` inv_s2 * scale and the chain's ``theta`` and running state
     ``cross``.  W_k'G_k'(y - ...) is one product of the state with the
     channel's kept map (:meth:`RegressorBank.single_projection`)."""
-    root = BlockRoot(spectra.gram((k,)), spectra((k,)).basis, scale)
+    root = BlockRoot(spectra.gram((k,)), spectra.single_bases[k], scale)
     projected = spectra.bank.single_projection(k, theta, cross,
                                                spectra.single_maps[k])
     return GaussianBlockPosterior(root, weight * projected)

@@ -26,7 +26,10 @@ the diagonal gram G_k'G_k, the projections ``{G_k' y}`` and ``y'y`` that
 is 2m(m+1)p + 2mp^2 floats, 12 MB at m = 100 and p = 50, where the grid
 takes 200 MB.  Off-diagonal grams are built on demand, a pair's lags read
 back by one inverse transform; only the dense oracle and tests build the
-whole grid (:meth:`RegressorBank.dense_gram`).
+whole grid (:meth:`RegressorBank.dense_gram`).  Lag 0 of every pair is
+u u', which the input correlations of the block schedule read from the
+bank (:meth:`RegressorBank.zero_lag_sums`, O(m^2 p)) instead of a second
+O(m^2 n) pass over the inputs.
 
 A chain keeps the running state of its coefficients as spectra too, an
 (m+1)-by-p complex array (:meth:`RegressorBank.cross_state`): the
@@ -45,7 +48,9 @@ channel, and the residual sum of squares is one product of the whole
 state.  A single channel's projection, times any matrix, is one product
 of [theta_k, state row k, tail row, 1] with a (5p+1)-column map built
 once (:meth:`RegressorBank.projection_map`).  Updates write into buffers
-the bank keeps, so chains share a bank one at a time.
+the bank keeps, so chains share a bank one at a time; the sampler's
+single-channel pass moves the state itself, from the bank's public
+``panel_spectra`` and ``forward_dft``, with buffers of its own.
 """
 
 from __future__ import annotations
@@ -182,6 +187,12 @@ class RegressorBank:
     on demand from the stored panel spectra and tails (``gram``,
     ``block_gram``), and only the dense oracle asks for the whole grid
     (``dense_gram``).
+
+    Two read-only tables are public, for a sampler that moves the state
+    itself as :meth:`set_channel` does: ``panel_spectra``, (m, m+1, p)
+    complex, row j of channel k's being the spectrum of lag_jk and row m
+    that of T_k's first row, and ``forward_dft``, the p-by-2p matrix that
+    maps a change of one channel to its DFT.
     """
 
     def __init__(self, data: Dataset, p: int):
@@ -203,16 +214,17 @@ class RegressorBank:
             _toeplitz_gram(panels[k, k], self._tails[k], self._tails[k])
             for k in range(self.m)])
         # the panels' spectra replace them, one channel at a time
-        self._spectra = np.empty((self.m, self.m + 1, self.p), dtype=complex)
+        self.panel_spectra = np.empty((self.m, self.m + 1, self.p),
+                                      dtype=complex)
         for k in range(self.m):
-            np.fft.rfft(panels[k], axis=-1, out=self._spectra[k])
+            np.fft.rfft(panels[k], axis=-1, out=self.panel_spectra[k])
         del panels
-        self._forward, self._to_lags = _dft_matrices(self.p)
+        self.forward_dft, self._to_lags = _dft_matrices(self.p)
         # a state row's p entries are the inverse DFT's entries 0, -1, ..
         self._inverse = np.ascontiguousarray(
             self._to_lags[:, -np.arange(self.p) % (2 * self.p - 1)])
-        for arr in (self._spectra, self.gty, self._diagonal, self._forward,
-                    self._to_lags, self._inverse):
+        for arr in (self.panel_spectra, self.gty, self._diagonal,
+                    self.forward_dft, self._to_lags, self._inverse):
             arr.setflags(write=False)
         # set_channel's buffers: the change, its DFT (2p reals, p bins)
         # and the state's move
@@ -225,7 +237,7 @@ class RegressorBank:
         """Toep(lag_ij) - T_i'T_j, a new array, lag_ij read back by one
         inverse transform of row i of channel j's panel spectrum: one real
         product with the bank's inverse-DFT matrix."""
-        lags = np.dot(self._spectra[j, i].view(float), self._to_lags)
+        lags = np.dot(self.panel_spectra[j, i].view(float), self._to_lags)
         return _toeplitz_gram(lags, self._tails[i], self._tails[j])
 
     def gram(self, i: int, j: int) -> np.ndarray:
@@ -285,8 +297,8 @@ class RegressorBank:
         """
         rows = theta_block(theta, k, self.p)
         np.subtract(value, rows, out=self._change)
-        np.dot(self._change, self._forward, out=self._change_dft)
-        cross += np.multiply(self._spectra[k], self._change_bins,
+        np.dot(self._change, self.forward_dft, out=self._change_dft)
+        cross += np.multiply(self.panel_spectra[k], self._change_bins,
                              out=self._move)
         rows[...] = value
 
@@ -366,6 +378,21 @@ class RegressorBank:
                                   cross[k].view(float),
                                   cross[-1].view(float), _ONE))
         return np.dot(stacked, mapped)
+
+    def zero_lag_sums(self) -> np.ndarray:
+        """The (m, m) sums sum_t u_i[t] u_j[t] over the record, u u', a new
+        exactly symmetric array read from the bank in O(m^2 p), with no
+        pass over the record: entry (i, j), i < j, is lag 0 read back from
+        row i of channel j's panel spectrum, the row :meth:`gram` reads
+        the pair's lags from, and entry (k, k) is the diagonal gram's
+        (0, 0) entry."""
+        # lags[j, i] = lag_ij at tau = 0, entry p - 1 of the inverse DFT
+        lags = np.dot(self.panel_spectra.view(float),
+                      self._to_lags[:, self.p - 1])
+        sums = np.tril(lags[:, :self.m], -1)
+        sums += sums.T
+        sums[np.diag_indices(self.m)] = self._diagonal[:, 0, 0]
+        return sums
 
     def dense_gram(self) -> np.ndarray:
         """The whole mp-by-mp grid {G_i' G_j}, exactly symmetric, for the

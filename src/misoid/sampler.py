@@ -17,10 +17,11 @@ is the state after the block updates.
 A sweep is :func:`draw_hyper` then :func:`draw_coefficients`; to sample
 the coefficients at fixed hyperparameters, call :func:`draw_coefficients`
 from an :func:`init_chain` state with a fixed :class:`HyperState`.  Its
-single channels are one flat pass (:func:`draw_channels`), its scheduled
-blocks come from :func:`block_conditional`, which builds a block's
-covariance root once per call however often the call draws the block;
-both draw exactly what that conditional, taken one block at a time, would.
+single channels are one flat pass (:func:`draw_channels`) over the
+problem's tables of maps, bases and panel spectra, its scheduled blocks
+come from :func:`block_conditional`, which builds a block's covariance
+root once per call however often the call draws the block; both draw
+exactly what that conditional, taken one block at a time, would.
 
 A chain also carries a running state of G'G theta as spectra of the
 bank's lag structure (:class:`ChainState`): a block draw moves it by the
@@ -28,6 +29,12 @@ changed channel's panel spectrum times the change's DFT, O(mp) per
 channel, so no sweep reads an mp-by-mp grid and none exists.  A single
 channel's conditional is one product of the state with the channel's
 kept map (:func:`single_conditional`).
+
+Work that does not depend on the chain is done once per problem, on
+first use, and shared by its chains: the start (:attr:`Problem.start`,
+the greedy fit of :func:`init_chain`), the input correlations, read
+from the bank's lag-0 sums, and each selection rate's block schedule.
+A chain pays only for its sweeps.
 
 :func:`run` returns a chain's :class:`ChainRecord` whether the chain
 finishes or ends in a numerical abort.
@@ -117,7 +124,9 @@ class SamplerConfig:
 
 @dataclass
 class Problem:
-    """Dataset plus the immutable structures every sweep reads."""
+    """Dataset plus the immutable structures every sweep reads, and what
+    every chain of the posterior shares: its start, input correlations
+    and block schedules, each built on first use."""
 
     data: Dataset
     bank: RegressorBank
@@ -134,10 +143,26 @@ class Problem:
     @cached_property
     def correlations(self) -> np.ndarray:
         """Absolute input correlations (read-only), computed on first use
-        and shared by every block-variant chain of the problem."""
-        c = compute_correlations(self.data)
+        and shared by every block-variant chain of the problem.  They come
+        from the lag-0 sums the bank already holds
+        (:meth:`RegressorBank.zero_lag_sums`) and the input means: O(m^2 p)
+        after one O(mn) pass for the means, with no O(m^2 n) pass over the
+        inputs."""
+        c = compute_correlations(self.data, self.bank.zero_lag_sums())
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def start(self) -> ChainState:
+        """:func:`init_chain`'s state, its arrays read-only, built on first
+        use and shared by every chain of the problem: the start does not
+        depend on the chain.  A sweep copies the state it starts from.  A
+        fit that aborts is not kept, so each chain that asks for it
+        aborts alike."""
+        state = init_chain(self)
+        for arr in (state.theta, state.cross, state.hyper.lam):
+            arr.setflags(write=False)
+        return state
 
     def block_schedule(self, beta: float) -> BlockSchedule:
         """The pair schedule at selection rate ``beta`` (read-only arrays),
@@ -267,10 +292,12 @@ def prior_scale(y: np.ndarray, kernel: StableSplineKernel) -> float:
 
 
 def init_chain(problem: Problem) -> ChainState:
-    """Starting state: unit scale factors, output-variance noise level, and
-    sequential per-channel least-squares coefficients, each channel fitted
-    to the residual its predecessors leave behind (with a vanishing
-    prior-shaped regularization, relative weight 1e-8, for conditioning).
+    """Starting state, a new one on each call: unit scale factors,
+    output-variance noise level, and sequential per-channel least-squares
+    coefficients, each channel fitted to the residual its predecessors
+    leave behind (with a vanishing prior-shaped regularization, relative
+    weight 1e-8, for conditioning).  :func:`run` starts every chain of a
+    problem from one such state, :attr:`Problem.start`.
 
     The sequential fit guarantees nonzero quadratic forms for the first
     scale-factor draws, and it resolves duplicated inputs greedily: the
@@ -285,7 +312,8 @@ def init_chain(problem: Problem) -> ChainState:
     bank, kernel = problem.bank, problem.kernel
     m, p = bank.m, kernel.p
     theta0 = np.zeros(m * p)
-    cross = bank.cross_state(theta0)
+    # the running state of theta0, as bank.cross_state(theta0) builds it
+    cross = np.zeros((m + 1, p), dtype=complex)
     ridge = INIT_RIDGE_EPSILON / prior_scale(y, kernel)
     for k in range(m):
         gram = problem.spectra.gram((k,))
@@ -363,20 +391,46 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
 def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
                   problem: Problem, rng: np.random.Generator) -> None:
     """The m single-channel blocks in channel order, each drawn from its
-    spectrum against the freshest values.  The pass takes the channels'
-    spectral scales as one (m, p) table and its m*p standard normals from
-    one call, the same stream as m calls of p."""
+    spectrum against the freshest values, in one flat pass over the
+    problem's tables: each channel's map and basis (``problem.spectra``)
+    and panel spectrum (``problem.bank``), with buffers made once per
+    pass.  The pass takes the channels' spectral scales as one (m, p)
+    table and its m*p standard normals from one call, the same stream as
+    m calls of p.  Channel k's step is :func:`single_conditional`'s
+    w = weight * [theta_k, state row k, tail row, 1] map_k, the draw
+    W_k (scale * (w + z)) of :func:`draw_gaussian` and the state move of
+    ``bank.set_channel``: the same arithmetic in the same order, without
+    their call layers."""
     bank, spectra = problem.bank, problem.spectra
     m, p = bank.m, bank.p
     inv_s2 = 1.0 / hyper.sigma2
     scales = spectral_scales(hyper.lam[:, None], inv_s2, spectra.single_evals)
     weights = inv_s2 * scales
     noise = rng.standard_normal(m * p).reshape(m, p)
+    maps, bases = spectra.single_maps, spectra.single_bases
+    panels, forward = bank.panel_spectra, bank.forward_dft
+    stacked = np.empty(5 * p + 1)
+    stacked[-1] = 1.0
+    whitened, value, change = np.empty(p), np.empty(p), np.empty(p)
+    change_dft = np.empty(2 * p)
+    change_bins = change_dft.view(complex)
+    move = np.empty_like(cross)
+    state = cross.view(float)
+    tail = state[m]
     for k in range(m):
-        post = single_conditional(spectra, k, scales[k], weights[k], theta,
-                                  cross)
-        bank.set_channel(theta, cross, k,
-                         post.root.times(post.whitened + noise[k]))
+        current = theta[k * p:(k + 1) * p]
+        stacked[:p] = current
+        stacked[p:3 * p] = state[k]
+        stacked[3 * p:5 * p] = tail
+        np.dot(stacked, maps[k], out=whitened)
+        np.multiply(weights[k], whitened, out=whitened)
+        whitened += noise[k]
+        whitened *= scales[k]
+        np.dot(bases[k], whitened, out=value)
+        np.subtract(value, current, out=change)
+        np.dot(change, forward, out=change_dft)
+        cross += np.multiply(panels[k], change_bins, out=move)
+        current[...] = value
 
 
 def sweep(state: ChainState, problem: Problem,
@@ -392,11 +446,13 @@ def sweep(state: ChainState, problem: Problem,
 
 
 def run(problem: Problem, config: SamplerConfig) -> ChainRecord:
-    """Run one chain to completion or to a numerical abort.
+    """Run one chain to completion or to a numerical abort, from the
+    problem's shared start (:attr:`Problem.start`; the first chain of a
+    problem builds it, and a sweep copies the state it starts from).
 
     After an abort the record holds the sweeps before it and the abort's
-    message in ``error``.  Either record times chain initialization and
-    the sweeps.
+    message in ``error``.  Either record times chain initialization, the
+    start's build or nothing, and the sweeps.
     """
     rng = np.random.default_rng(config.seed)
     m, p = problem.bank.m, problem.kernel.p
@@ -413,7 +469,7 @@ def run(problem: Problem, config: SamplerConfig) -> ChainRecord:
 
     started = time.perf_counter()
     try:
-        state = init_chain(problem)
+        state = problem.start
         seconds["init"] = time.perf_counter() - started
         for t in range(1, config.n_mc + 1):
             state, selected = sweep(state, problem, schedule, config, rng)

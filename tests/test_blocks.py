@@ -28,10 +28,62 @@ def test_sign_flip_gives_unit_correlation():
 
 
 def test_zero_variance_input_rejected():
+    # a constant input is refused from its samples, through the bank's sums
+    # too, however its mean and sums round: 0.1 has no exact binary form
     rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        mi.compute_correlations(_dataset([rng.standard_normal(50),
-                                          np.ones(50)]))
+    for level in (1.0, 0.1):
+        data = _dataset([rng.standard_normal(50), np.full(50, level)])
+        sums = mi.RegressorBank(data, 3).zero_lag_sums()
+        for given in (None, sums):
+            with pytest.raises(ValueError, match="^input channel 1 has zero "
+                                                 "sample variance$"):
+                mi.compute_correlations(data, given)
+
+
+def test_cancelled_variance_rejected():
+    # sums that leave an input no variance beyond its mean are refused,
+    # not turned into a NaN correlation
+    rng = np.random.default_rng(2)
+    data = _dataset(rng.standard_normal((2, 40)) + 5.0)
+    sums = data.inputs @ data.inputs.T
+    sums[1, 1] = 0.0
+    with pytest.raises(ValueError, match="input channel 1: its variance "
+                                         "cancels"):
+        mi.compute_correlations(data, sums)
+
+
+def test_one_input_has_unit_correlation():
+    rng = np.random.default_rng(6)
+    data = _dataset([rng.standard_normal(30)])
+    sums = mi.RegressorBank(data, 4).zero_lag_sums()
+    for given in (None, sums):
+        c = mi.compute_correlations(data, given)
+        assert c.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("offset, bound", [(0.0, 1e-12), (100.0, 1e-9)])
+def test_correlations_match_corrcoef(offset, bound):
+    # from the inputs' own products, from the bank's lag-0 sums and as a
+    # problem holds them; the error grows with (mean/sd)^2, about 1e-11 at
+    # a mean of 100 sd
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((5, 4000))
+    u = base.copy()
+    u[1] = base[0] + 0.1 * base[1]          # c(0, 1) about 0.995
+    u[2] = base[1] - 2.0 * base[2]          # a weak link to 0 and 1
+    u[3] = -base[0] + base[3]               # a negative correlation
+    scale = np.array([1.0, 3.0, 0.2, 7.0, 1e-3])
+    u = scale[:, None] * (u + offset * np.std(u, axis=1)[:, None])
+    data = mi.Dataset(y=rng.standard_normal(4000), inputs=u)
+    reference = np.abs(np.corrcoef(u))
+    problem = mi.build_problem(data, 0.9, 20)
+    for c in (mi.compute_correlations(data),
+              mi.compute_correlations(data, problem.bank.zero_lag_sums()),
+              problem.correlations):
+        assert np.max(np.abs(c - reference)) <= bound
+        np.testing.assert_array_equal(c, c.T)
+        np.testing.assert_array_equal(np.diag(c), 1.0)
+        assert c.max() <= 1.0
 
 
 def test_chain_construction_hits_target():

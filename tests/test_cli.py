@@ -713,9 +713,11 @@ def test_identify_computes_correlations_once(tiny_config, monkeypatch):
     calls = {"count": 0}
     real = sp.compute_correlations
 
-    def counted(data):
+    def counted(data, sums=None):
+        # the bank's lag-0 sums are passed: no second pass over the record
+        assert sums is not None
         calls["count"] += 1
-        return real(data)
+        return real(data, sums)
 
     monkeypatch.setattr(sp, "compute_correlations", counted)
     assert main(["identify", cfg, "--variant", "GS,GSd",

@@ -638,6 +638,13 @@ def test_spectra_built_once_and_shared(monkeypatch):
     assert not gram.flags.writeable
     np.testing.assert_array_equal(gram, bank.block_gram((0, 2)))
     assert evals.min() >= 0.0 and np.all(np.diff(evals) >= 0.0)
+    # a single channel's spectrum is a view of the stacked tables, which
+    # hold each basis once
+    for k in range(3):
+        basis, evals = spectra((k,))
+        assert basis.base is spectra.single_bases
+        assert evals.base is spectra.single_evals
+        assert not spectra.single_bases.flags.writeable
 
 
 def test_spectra_keep_each_gram_once(monkeypatch):

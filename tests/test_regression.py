@@ -152,6 +152,26 @@ def test_cross_products_match_toeplitz_products(instance):
                                           bank.gram(i, j).T)
 
 
+@settings(max_examples=100, deadline=None)
+@given(lagged_instances())
+@example(_instance(2, 6, 3, 0))        # p > n
+@example(_instance(3, 1, 20, 2))       # p = 1
+@example(_instance(1, 1, 1, 4))
+def test_zero_lag_sums_match_the_inputs_products(instance):
+    # u u', read from the panel spectra and the diagonal grams
+    inputs, y, p = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+    sums = bank.zero_lag_sums()
+    direct = inputs @ inputs.T
+    np.testing.assert_allclose(sums, direct, rtol=0,
+                               atol=1e-12 * np.abs(direct).max())
+    assert np.array_equal(sums, sums.T)
+    np.testing.assert_array_equal(
+        np.diag(sums), [bank.gram(k, k)[0, 0] for k in range(bank.m)])
+
+
 def _duplicated(m, p, n, seed):
     inputs, y, p = _instance(m, p, n, seed)
     inputs[-1] = inputs[0]
@@ -279,7 +299,7 @@ def _assert_matches_loop(inputs, y, p):
     assert panels.flags.c_contiguous
     assert not panels.flags.writeable
     # the bank keeps the panels' size-(2p - 1) spectra in their place
-    spectra = bank._spectra
+    spectra = bank.panel_spectra
     assert spectra.shape == (m, m + 1, p) and spectra.dtype == complex
     assert spectra.flags.c_contiguous
     assert not spectra.flags.writeable

@@ -108,6 +108,46 @@ def test_init_nonzero_quadratic_forms():
         assert mi.quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
 
 
+def test_chains_share_one_start(monkeypatch):
+    # the start fit does not depend on the chain: a problem builds it once,
+    # read-only, and every variant's chain starts from it
+    problem = _collinear_triple()
+    built = []
+    real = sp.init_chain
+
+    def counted(problem):
+        built.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(sp, "init_chain", counted)
+    for variant in sp.VARIANTS:
+        cfg = mi.SamplerConfig(variant=variant, n_mc=4, beta=2.0, n_ob=2,
+                               seed=1)
+        assert mi.run(problem, cfg).completed == 4
+    assert built == [problem]
+    start, fresh = problem.start, real(problem)
+    for arr in (start.theta, start.cross, start.hyper.lam):
+        assert not arr.flags.writeable
+    assert start.theta.tobytes() == fresh.theta.tobytes()
+    assert start.cross.tobytes() == fresh.cross.tobytes()
+    np.testing.assert_array_equal(start.hyper.lam, fresh.hyper.lam)
+    assert start.hyper.sigma2 == fresh.hyper.sigma2
+
+
+def test_chain_after_another_matches_chain_alone():
+    # a chain copies the shared start and changes nothing of it, so a GSd
+    # chain run after a GS chain of the same problem is the GSd chain alone
+    gs = mi.SamplerConfig(variant="GS", n_mc=8, seed=3)
+    gsd = mi.SamplerConfig(variant="GSd", n_mc=8, seed=4)
+    shared = _collinear_triple()
+    mi.run(shared, gs)
+    after = mi.run(shared, gsd)
+    alone = mi.run(_collinear_triple(), gsd)
+    for field in ("theta_samples", "lambda_trace", "sigma2_trace"):
+        assert (getattr(after, field).tobytes()
+                == getattr(alone, field).tobytes())
+
+
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_composes_single_conditionals():
