@@ -49,9 +49,9 @@ sweep draws it, with the very factor ``dpotrf`` would return again.
 Every single channel has its spectrum, and beside it the channel's
 whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one product of
 [theta_k, the chain's state rows k and m, 1] with it, so no single draw
-forms its right-hand side.  :func:`single_conditional` is that one
-formula, which the sweep's single-channel pass, the chain's initial fit
-and :func:`block_conditional` share.
+forms its right-hand side.  The sampler's single-channel pass
+(``sampler.draw_channels``) reads the maps; :func:`block_conditional`
+draws any block, a single channel included, from its projection.
 
 A single spectrum costs about 0.5 ms to build and a pair spectrum 1.7 ms
 at p = 50, as much as 4 to 16 factored pair draws at p = 20, 50 and 100.
@@ -189,8 +189,8 @@ class BlockSpectra:
 
     For each single channel k the bank's ``projection_map`` of W_k is
     kept too, (m, 5p+1, p) and read-only (10 MB at m = 100 and p = 50), so
-    that :func:`single_conditional` whitens the channel's right-hand side
-    from the chain's state in one product."""
+    that the sampler's single-channel pass whitens the channel's
+    right-hand side from the chain's state in one product."""
 
     def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
         self.bank = bank
@@ -365,21 +365,6 @@ def block_root(channels: tuple[int, ...], hyper: HyperState,
                      None)
 
 
-def single_conditional(spectra: BlockSpectra, k: int, scale: np.ndarray,
-                       weight: np.ndarray, theta: np.ndarray,
-                       cross: np.ndarray) -> GaussianBlockPosterior:
-    """Channel k's conditional from its spectrum, at the spectral scales
-    ``scale`` (:func:`spectral_scales`): the root T = W_k diag(scale) and
-    w = T'b, b = inv_s2 G_k'(y - sum_{j != k} G_j theta_j), given the
-    ``weight`` inv_s2 * scale and the chain's ``theta`` and running state
-    ``cross``.  W_k'G_k'(y - ...) is one product of the state with the
-    channel's kept map (:meth:`RegressorBank.single_projection`)."""
-    root = BlockRoot(spectra.gram((k,)), spectra.single_bases[k], scale)
-    projected = spectra.bank.single_projection(k, theta, cross,
-                                               spectra.single_maps[k])
-    return GaussianBlockPosterior(root, weight * projected)
-
-
 def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                       cross: np.ndarray, hyper: HyperState,
                       spectra: BlockSpectra, often: bool,
@@ -393,9 +378,7 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     is :func:`block_root`'s, by the route ``often`` picks; ``roots``, a
     dict the caller keeps for one ``hyper``, holds every root built so
     far, keyed by the channels, for a block drawn again to whiten its new
-    right-hand side with.  It writes into nothing the bank keeps; the
-    state update after its draw, ``bank.set_channel``, reuses the bank's
-    buffers, so chains share a bank one at a time.
+    right-hand side with.
     """
     if roots is None:
         roots = {}
@@ -403,9 +386,6 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
     if root is None:
         root = roots[channels] = block_root(channels, hyper, spectra, often)
     inv_s2 = 1.0 / hyper.sigma2
-    if often and len(channels) == 1:
-        return single_conditional(spectra, channels[0], root.scale,
-                                  inv_s2 * root.scale, theta, cross)
     rhs = inv_s2 * spectra.bank.partial_projection(channels, theta, cross,
                                                    root.gram)
     return GaussianBlockPosterior(root, root.whiten(rhs))

@@ -26,8 +26,8 @@ from . import conditionals
 from .conditionals import HyperState, _chol_lower
 from .kernel import StableSplineKernel, build_kernel
 from .regression import Dataset, RegressorBank
-from .sampler import (Problem, SamplerConfig, VARIANTS, draw_coefficients,
-                      init_chain)
+from .sampler import (Problem, SamplerConfig, VARIANTS, draw_channels,
+                      draw_coefficients, init_chain)
 
 
 @dataclass
@@ -237,9 +237,11 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
     posterior, then runs each sampler variant (GSd and GSOBd at the
     distinct scales) and compares chain means against the analytic means
     coordinatewise, with Monte Carlo standard errors widened by each
-    coordinate's IACT.  At the end of each chain, and at
-    the anchor state, the running state must still read back as the dense
-    product G'G theta.
+    coordinate's IACT.  The sweep's single-channel pass without noise,
+    from the anchor state, must give the Schur means taken channel by
+    channel.  At the end of each chain and of the pass, and at the anchor
+    state, the running state must still read back as the dense product
+    G'G theta.
 
     ``corrupt_mean`` runs the chains on the negated output, so their means
     converge to minus the analytic ones -- a mutation proving the chain
@@ -289,8 +291,10 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
                   / np.max(np.abs(exact)))
     # every single channel and pair by both routes: drawn often, by its
     # spectrum (at one scale factor for the whole block only), and drawn
-    # rarely, by a factor of its precision
-    spectra = conditionals.BlockSpectra(bank, kernel)
+    # rarely, by a factor of its precision; the true output's problem
+    # holds the spectra
+    truth = Problem(data=data, bank=bank, kernel=kernel)
+    spectra = truth.spectra
     blocks = [*combinations(range(m), 1), *combinations(range(m), 2)]
     worst = {1: 0.0, 2: 0.0}
     for hyper, joint in frozen.values():
@@ -332,6 +336,25 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
         drift = max(drift, float(np.max(np.abs(
             problem.bank.gram_product(state.cross) - exact))
             / np.max(np.abs(exact))))
+
+    # the single-channel pass without noise, from the anchor, moves each
+    # channel in turn to its conditional mean given the channels before it
+    # (already moved) and after it
+    worst_pass = 0.0
+    for hyper, joint in frozen.values():
+        theta_ref = anchor.copy()
+        for k in range(m):
+            idx = np.arange(k * p, (k + 1) * p)
+            theta_ref[idx] = joint_conditional(joint, idx, theta_ref)[0]
+        theta, state = anchor.copy(), cross.copy()
+        draw_channels(theta, state, hyper, truth, np.zeros((m, p)))
+        worst_pass = max(worst_pass, float(np.max(np.abs(theta - theta_ref))))
+        exact = dense @ theta
+        drift = max(drift, float(np.max(np.abs(bank.gram_product(state)
+                                                - exact))
+                                 / np.max(np.abs(exact))))
+    checks.append(OracleCheck("single-channel pass vs joint posterior",
+                              worst_pass, 1e-8))
     checks.append(OracleCheck("running cross-product vs G'G theta", drift,
                               1e-9))
     return OracleCheckReport(checks=checks)

@@ -47,10 +47,11 @@ projection is that product for its rows and the tail plus O(p^2) per
 channel, and the residual sum of squares is one product of the whole
 state.  A single channel's projection, times any matrix, is one product
 of [theta_k, state row k, tail row, 1] with a (5p+1)-column map built
-once (:meth:`RegressorBank.projection_map`).  Updates write into buffers
-the bank keeps, so chains share a bank one at a time; the sampler's
-single-channel pass moves the state itself, from the bank's public
-``panel_spectra`` and ``forward_dft``, with buffers of its own.
+once (:meth:`RegressorBank.projection_map`).  The bank is read-only once
+built: an update writes only into the chain's own arrays, so any number
+of chains can share one bank.  The sampler's single-channel pass moves
+the state itself, from the bank's public ``panel_spectra`` and
+``forward_dft``.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ from .errors import SizeGuardError
 
 # unknowns up to which the dense grid, and the oracle on it, may be built
 ORACLE_MAX_COEFFICIENTS = 2000
-
-# the constant entry of RegressorBank.single_projection's stacked vector
-_ONE = np.ones(1)
-_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -180,13 +177,11 @@ def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
 class RegressorBank:
     """Cached cross-products of the regressor blocks of one dataset.
 
-    Every cached array is read-only, so every chain of a problem shares
-    one bank.  :meth:`set_channel` writes its update into buffers the bank
-    made once, so chains share a bank one at a time, never from two
-    threads at once.  Nothing here is m*p by m*p: a gram G_i'G_j is built
-    on demand from the stored panel spectra and tails (``gram``,
-    ``block_gram``), and only the dense oracle asks for the whole grid
-    (``dense_gram``).
+    Every array the bank holds is read-only, and no method writes into
+    the bank, so every chain of a problem shares one bank.  Nothing here
+    is m*p by m*p: a gram G_i'G_j is built on demand from the stored
+    panel spectra and tails (``gram``, ``block_gram``), and only the
+    dense oracle asks for the whole grid (``dense_gram``).
 
     Two read-only tables are public, for a sampler that moves the state
     itself as :meth:`set_channel` does: ``panel_spectra``, (m, m+1, p)
@@ -226,12 +221,6 @@ class RegressorBank:
         for arr in (self.panel_spectra, self.gty, self._diagonal,
                     self.forward_dft, self._to_lags, self._inverse):
             arr.setflags(write=False)
-        # set_channel's buffers: the change, its DFT (2p reals, p bins)
-        # and the state's move
-        self._change = np.empty(self.p)
-        self._change_dft = np.empty(2 * self.p)
-        self._change_bins = self._change_dft.view(complex)
-        self._move = np.empty((self.m + 1, self.p), dtype=complex)
 
     def _pair_gram(self, i: int, j: int) -> np.ndarray:
         """Toep(lag_ij) - T_i'T_j, a new array, lag_ij read back by one
@@ -290,16 +279,13 @@ class RegressorBank:
         running state ``cross`` (see :meth:`cross_state`) by the change.
 
         The change d enters every row as its DFT, one real product of d
-        with the bank's p-by-2p forward matrix; channel k's panel spectrum
-        times that DFT, bin by bin, is the whole update.  Every call
-        reuses the bank's buffers for d, its DFT and the move, so it
-        allocates nothing.
+        with the bank's p-by-2p forward matrix (2p reals, p bins); channel
+        k's panel spectrum times that DFT, bin by bin, is the whole update.
+        It writes into ``theta`` and ``cross`` only.
         """
         rows = theta_block(theta, k, self.p)
-        np.subtract(value, rows, out=self._change)
-        np.dot(self._change, self.forward_dft, out=self._change_dft)
-        cross += np.multiply(self.panel_spectra[k], self._change_bins,
-                             out=self._move)
+        change = np.dot(value - rows, self.forward_dft).view(complex)
+        cross += self.panel_spectra[k] * change
         rows[...] = value
 
     def cross_state(self, theta: np.ndarray) -> np.ndarray:
@@ -357,27 +343,17 @@ class RegressorBank:
     def projection_map(self, k: int, right: np.ndarray,
                        out: np.ndarray) -> None:
         """Fill ``out``, (5p+1)-by-q, with the matrix M for which
-        :meth:`single_projection`'s [theta_k, state row k, tail row, 1] M
-        is G_k'(y - sum_{j != k} G_j theta_j)' ``right``.  The state rows
-        enter as their spectra, 2p reals each, so M stacks G_k'G_k right,
-        minus the inverse-DFT matrix times ``right``, the inverse-DFT
-        matrix times T_k right, and (G_k'y)' right."""
+        [theta_k, state row k, tail row, 1] M, one product with the
+        running state of theta, is G_k'(y - sum_{j != k} G_j theta_j)'
+        ``right``.  The state rows enter as their spectra, 2p reals each,
+        so M stacks G_k'G_k right, minus the inverse-DFT matrix times
+        ``right``, the inverse-DFT matrix times T_k right, and
+        (G_k'y)' right."""
         p = self.p
         np.dot(self._diagonal[k], right, out=out[:p])
         np.dot(self._inverse, -right, out=out[p:3 * p])
         np.dot(self._inverse, self._tails[k] @ right, out=out[3 * p:5 * p])
         np.dot(self.xty(k), right, out=out[5 * p])
-
-    def single_projection(self, k: int, theta: np.ndarray,
-                          cross: np.ndarray, mapped: np.ndarray) -> np.ndarray:
-        """G_k'(y - sum_{j != k} G_j theta_j)' right, from the running state
-        of theta, for a matrix ``mapped`` that :meth:`projection_map` filled
-        with ``right``: one product of [theta_k, state row k, tail row, 1]
-        with it."""
-        stacked = np.concatenate((theta_block(theta, k, self.p),
-                                  cross[k].view(float),
-                                  cross[-1].view(float), _ONE))
-        return np.dot(stacked, mapped)
 
     def zero_lag_sums(self) -> np.ndarray:
         """The (m, m) sums sum_t u_i[t] u_j[t] over the record, u u', a new

@@ -497,10 +497,10 @@ def test_oracle_check_cli(tmp_path, capsys):
     cfg.write_text("[oracle]\nsweeps = 400\nseed = 1\n")
     code = main(["oracle-check", str(cfg)])
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
     assert code in (0, 1)  # short run; algebra checks must pass
-    assert lines[0].startswith("PASS") and lines[1].startswith("PASS")
+    assert all(lines[i].startswith("PASS") for i in (0, 1, 6))
 
 
 def test_oracle_check_mutation_hook(tmp_path):

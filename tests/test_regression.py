@@ -214,14 +214,15 @@ def test_structured_update_matches_dense_product(instance, seed):
                                       bank.block_gram(channels))
         assert np.max(np.abs(got - expected)) <= bound
         # a single channel's projection through its map, here of the
-        # identity, in one product
+        # identity, in one product of [theta_c, state row c, tail row, 1]
         c = channels[0]
         idx = np.arange(c * p, (c + 1) * p)
         expected = (bank.gty[idx] - exact[idx]
                     + dense[np.ix_(idx, idx)] @ theta[idx])
         mapped = np.empty((5 * p + 1, p))
         bank.projection_map(c, np.eye(p), mapped)
-        got = bank.single_projection(c, theta, cross, mapped)
+        got = np.concatenate((theta[idx], cross[c].view(float),
+                              cross[-1].view(float), [1.0])) @ mapped
         assert np.max(np.abs(got - expected)) <= bound
     rebuilt = bank.cross_state(theta)
     assert np.max(np.abs(bank.gram_product(rebuilt) - dense @ theta)) <= bound

@@ -11,7 +11,7 @@ from misoid.conditionals import PAIR_SPECTRUM_DRAWS, sample_inverse_gamma
 from misoid.errors import FactorizationError
 from misoid.kernel import quad_form
 
-from conftest import make_small_problem
+from conftest import make_small_problem, stacked_regressors
 
 
 def _problem(seed=0, m=2, p=3, n=50):
@@ -80,6 +80,21 @@ def test_init_prior_scale_overflow():
     assert "no data" not in message
 
 
+def test_init_subnormal_ridge_fits_without_ridge():
+    # var(y) * tr(K^-1) = 1e306 is finite, but the ridge eps_k underflows
+    # to a subnormal whose inverse overflows: the fit runs unregularized,
+    # without a floating-point warning
+    rng = np.random.default_rng(5)
+    inputs = rng.standard_normal((2, 60))
+    y = rng.standard_normal(60)
+    kernel = mi.build_kernel(0.5, 40)
+    y *= np.sqrt(1e306 / (np.var(y) * np.trace(kernel.Kinv)))
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.5,
+                               p=40)
+    assert 0.0 < 1e-8 * np.trace(problem.bank.gram(0, 0)) / 1e306 < 2e-308
+    assert np.all(np.isfinite(mi.init_chain(problem).theta))
+
+
 def test_init_deterministic():
     problem, _ = _problem(seed=1)
     s1 = mi.init_chain(problem)
@@ -106,6 +121,46 @@ def test_init_nonzero_quadratic_forms():
     state = mi.init_chain(problem)
     for k in range(2):
         assert mi.quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
+
+
+def test_init_is_sequential_ridge_fit():
+    # channel k's start is the ridge fit, at noise variance var(y) and
+    # ridge eps_k K^-1, of the residual its predecessors leave, solved
+    # densely
+    rng = np.random.default_rng(27)
+    m, p, n = 3, 4, 60
+    inputs = rng.standard_normal((m, n))
+    inputs[1] += 0.6 * inputs[0]
+    y = inputs.sum(axis=0) + 0.3 * rng.standard_normal(n)
+    problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
+                               p=p)
+    theta = mi.init_chain(problem).theta.reshape(m, p)
+    Kinv, sigma2_0 = problem.kernel.Kinv, np.var(y)
+    residual = y.copy()
+    for k in range(m):
+        G = stacked_regressors(inputs[k:k + 1], p)
+        eps = 1e-8 * np.trace(G.T @ G) / (sigma2_0 * np.trace(Kinv))
+        expected = np.linalg.solve(G.T @ G / sigma2_0 + eps * Kinv,
+                                   G.T @ residual / sigma2_0)
+        np.testing.assert_allclose(theta[k], expected, rtol=1e-9, atol=0)
+        residual -= G @ expected
+
+
+def test_chains_leave_the_bank_untouched():
+    # the bank is read-only once built, and every chain variant leaves each
+    # of its arrays as it was
+    problem = _collinear_triple()
+    arrays = {name: value for name, value in vars(problem.bank).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays
+    assert not [name for name, arr in arrays.items()
+                if arr.flags.writeable]
+    before = {name: arr.tobytes() for name, arr in arrays.items()}
+    for variant in ("GS", "GSOB", "GSOBd"):
+        cfg = mi.SamplerConfig(variant=variant, n_mc=6, beta=2.0, n_ob=3,
+                               seed=2)
+        assert mi.run(problem, cfg).completed == 6
+    assert {name: arr.tobytes() for name, arr in arrays.items()} == before
 
 
 def test_chains_share_one_start(monkeypatch):
@@ -170,9 +225,11 @@ def test_sweep_composes_single_conditionals():
     np.testing.assert_array_equal(new_state.cross, cross)
     assert rng_a.random() == rng_b.random()
 
-    # at fixed hyperparameters the coefficient step is, byte for byte, the
-    # loop of block conditionals, on every variant and both pair routes,
-    # and on a hand-built schedule of a triple drawn often and a rare pair
+    # at fixed hyperparameters the coefficient step is the loop of block
+    # conditionals: its single-channel pass within 1e-12, and its scheduled
+    # blocks byte for byte from the state the pass leaves, on every variant
+    # and both pair routes, and on a hand-built schedule of a triple drawn
+    # often and a rare pair
     problem = _collinear_triple()
     wide = mi.BlockSchedule(blocks=[(0, 1, 2), (1, 2)],
                             probs=np.array([0.9, 0.1]))
@@ -307,27 +364,38 @@ def _collinear_triple():
 
 def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
                             rng):
-    """The coefficient step one block at a time, each block drawn from
-    ``block_conditional``: the blocks drawn and the route of each."""
-    bank, p = problem.bank, problem.bank.p
+    """The coefficient step one block at a time: the single-channel pass,
+    checked within 1e-12 relative against each channel drawn from
+    ``block_conditional`` at the pass's noise, then each scheduled block
+    drawn from ``block_conditional``: the blocks drawn and the route of
+    each."""
+    bank, m, p = problem.bank, problem.bank.m, problem.bank.p
 
-    def draw(channels, often):
+    def draw(channels, often, theta, cross, noise):
         post = mi.block_conditional(channels, theta, cross, hyper,
                                     problem.spectra, often)
-        value = mi.draw_gaussian(post, rng)
+        value = post.root.times(post.whitened + noise)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, value[r * p:(r + 1) * p])
         return "factored" if post.root.scale is None else "spectral"
 
-    for k in range(bank.m):
-        assert draw((k,), True) == "spectral"
+    noise = rng.standard_normal(m * p).reshape(m, p)
+    single, single_cross = theta.copy(), cross.copy()
+    for k in range(m):
+        assert draw((k,), True, single, single_cross, noise[k]) == "spectral"
+    sp.draw_channels(theta, cross, hyper, problem, noise)
+    for got, expected in ((theta, single), (cross, single_cross)):
+        assert (np.max(np.abs(got - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
     selected, routes = [], []
     for _ in range(config.n_ob if config.uses_blocks else 0):
         b = mi.select_block(schedule, rng)
         often = (schedule.probs[b] * config.n_ob * config.n_mc
                  >= PAIR_SPECTRUM_DRAWS)
-        routes.append(draw(schedule.blocks[b], often))
-        selected.append(schedule.blocks[b])
+        channels = schedule.blocks[b]
+        routes.append(draw(channels, often, theta, cross,
+                           rng.standard_normal(len(channels) * p)))
+        selected.append(channels)
     return selected, routes
 
 
@@ -535,6 +603,8 @@ def test_posterior_mean_matches_analytic_when_frozen():
 def test_partial_record_attached_on_abort(monkeypatch):
     problem, _ = _problem(seed=13)
     cfg = mi.SamplerConfig(variant="GS", n_mc=50, seed=0)
+    # the start's pass runs before the count begins: only sweeps count
+    problem.start
     calls = {"count": 0}
     real = sp.draw_channels
 
