@@ -10,9 +10,8 @@ from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
 from .conditionals import (HyperState, block_conditional, draw_gaussian,
                            sample_lambda_common, sample_lambda_k)
-from .diagnostics import (analytic_posterior, build_report,
-                          effective_sample_size, fit_metric, iact,
-                          joint_conditional, run_oracle_checks)
+from .diagnostics import (analytic_posterior, build_report, fit_metric,
+                          iact, joint_conditional, run_oracle_checks)
 from .errors import DegenerateRateError, FactorizationError, SizeGuardError
 from .kernel import StableSplineKernel, build_kernel, quad_form
 from .regression import (Dataset, RegressorBank, load_dataset_csv,

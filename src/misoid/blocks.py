@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regression import Dataset
+from .regression import Dataset, write_table
 
 
 @dataclass
@@ -137,13 +137,11 @@ def select_block(schedule: BlockSchedule, rng: np.random.Generator) -> int:
 def export_correlations_csv(c: np.ndarray, path) -> None:
     """Write the full correlation matrix as (i, j, value) triplets."""
     rows, cols = np.indices(c.shape)
-    np.savetxt(path, np.column_stack([rows.ravel(), cols.ravel(), c.ravel()]),
-               fmt=["%d", "%d", "%.17g"], delimiter=",", header="i,j,value",
-               comments="")
+    write_table(path, ["i", "j", "value"],
+                np.column_stack([rows.ravel(), cols.ravel(), c.ravel()]), 2)
 
 
 def export_probabilities_csv(schedule: BlockSchedule, path) -> None:
     """Write a pair schedule's probabilities as (i, j, value) triplets."""
-    np.savetxt(path, np.column_stack([schedule.blocks, schedule.probs]),
-               fmt=["%d", "%d", "%.17g"], delimiter=",", header="i,j,value",
-               comments="")
+    write_table(path, ["i", "j", "value"],
+                np.column_stack([schedule.blocks, schedule.probs]), 2)

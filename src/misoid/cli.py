@@ -18,7 +18,6 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
-import json
 import os
 import shutil
 import sys
@@ -32,7 +31,7 @@ from .blocks import (compute_correlations, export_correlations_csv,
 from .diagnostics import build_report, run_oracle_checks
 from .errors import NUMERICAL_ERRORS
 from .kernel import build_kernel
-from .regression import load_dataset_csv, save_dataset_csv
+from .regression import load_dataset_csv, save_dataset_csv, write_json
 from .sampler import (SamplerConfig, VARIANTS, build_problem, derive_seed,
                       load_record, prior_scale, run, save_record)
 from .simgen import (CollinearInputSpec, RandomSystemSpec, gamma_for_target_c,
@@ -263,9 +262,7 @@ def _write_manifest(outdir, problem, config, shared, seconds, phases,
     }
     if error is not None:
         doc["error"] = error
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"), doc)
 
 
 def _load_truth(path, m: int, p: int) -> dict:
@@ -413,10 +410,10 @@ def cmd_diagnose(args) -> int:
     if not os.path.isdir(args.run_dir):
         raise ConfigError(f"run directory not found: {args.run_dir}")
     try:
-        record = load_record(args.run_dir)
+        record = load_record(args.run_dir)      # its errors name the file
         record.summary      # a chain with no retained sample is refused
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{args.run_dir}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     truth = None
     if args.truth:
         truth = _load_truth(args.truth, record.m, record.p)

@@ -14,7 +14,6 @@ and the effective sample size length / IACT.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -25,7 +24,7 @@ from scipy.linalg import cho_solve
 from . import conditionals
 from .conditionals import HyperState, _chol_lower
 from .kernel import StableSplineKernel, build_kernel
-from .regression import Dataset, RegressorBank
+from .regression import Dataset, RegressorBank, write_json
 from .sampler import (Problem, SamplerConfig, VARIANTS, draw_channels,
                       draw_coefficients, init_chain)
 
@@ -115,10 +114,6 @@ def iact(trace: np.ndarray) -> float:
     return float(min(max(tau, 1.0), x.size))
 
 
-def effective_sample_size(trace: np.ndarray) -> float:
-    return np.asarray(trace).size / iact(trace)
-
-
 def fit_metric(estimate: np.ndarray, truth: np.ndarray, p: int) -> np.ndarray:
     """Per-channel relative L2 error of stacked coefficient vectors."""
     est = np.asarray(estimate, dtype=float).reshape(-1, p)
@@ -154,17 +149,7 @@ class DiagnosticsReport:
     fit_errors: np.ndarray | None = None
 
     def to_json(self, path) -> None:
-        doc = {
-            "iact": self.iact,
-            "ess": self.ess,
-            "degenerate_traces": self.degenerate_traces,
-            "posterior_sd": np.asarray(self.posterior_sd).tolist(),
-            "fit_errors": (None if self.fit_errors is None
-                           else np.asarray(self.fit_errors).tolist()),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, vars(self))
 
 
 def build_report(record, truth_responses: np.ndarray | None = None

@@ -1,4 +1,5 @@
-"""Identification data and the FIR regression form y = G theta + e.
+"""Identification data, its FIR regression form y = G theta + e, and the
+formats misoid keeps on disk (:func:`write_table`, :func:`write_json`).
 
 Each input channel contributes an n-by-p Toeplitz block ``G_k`` whose column
 ``j`` (0-based) holds the input delayed by ``j`` samples, with zeros before
@@ -56,6 +57,7 @@ the state itself, from the bank's public ``panel_spectra`` and
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -110,46 +112,82 @@ class Dataset:
 
 def save_dataset_csv(data: Dataset, path) -> None:
     """Write ``y,u1..um`` rows, one line per sample, 17 significant digits."""
-    header = ",".join(["y"] + [f"u{k + 1}" for k in range(data.m)])
-    table = np.column_stack([data.y, data.inputs.T])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header,
-               comments="")
+    write_table(path, ["y"] + [f"u{k + 1}" for k in range(data.m)],
+                np.column_stack([data.y, data.inputs.T]))
 
 
 def load_dataset_csv(path) -> Dataset:
     """The dataset in ``path``: a header ``y,u1..um``, then one row of
     m + 1 numbers per sample.  Any other file is refused with a
     ValueError whose message starts with the path."""
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-    if not names or names[0] != "y":
+    names, table = read_table(path)
+    if names[0] != "y":
         raise ValueError(f"{path}: first column must be 'y', got {names[:1]}")
     expected = ["y"] + [f"u{k + 1}" for k in range(len(names) - 1)]
     if names != expected:
         raise ValueError(f"{path}: columns must be y,u1..um, got {names}")
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows is refused below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError:
-        raise ValueError(f"{path}: {_first_bad_row(path, names)}") from None
     if table.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    if table.shape[1] != len(names):
-        raise ValueError(
-            f"{path}: every data row has {table.shape[1]} values, but the "
-            f"header names {len(names)} columns")
     try:
         return Dataset(y=table[:, 0], inputs=table[:, 1:].T)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _first_bad_row(path, names: list[str]) -> str:
+def write_table(path, columns: list, rows: np.ndarray,
+                int_columns: int = 0) -> None:
+    """Write every table misoid keeps: a header line of ``columns``, then
+    one line of comma-separated values per row, the first ``int_columns``
+    as integers and the rest to 17 significant digits."""
+    fmt = ["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=",".join(columns),
+               comments="")
+
+
+def read_table(path, columns: list | None = None,
+               dtype=float) -> tuple[list, np.ndarray]:
+    """The header's names and the rows of a table :func:`write_table`
+    wrote, (0, len(names)) without rows.  A header other than ``columns``
+    (when given), a row of another width or a cell that is not a number is
+    refused by a ValueError that starts with the path and names the line."""
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
+    if columns is not None and names != list(columns):
+        raise ValueError(f"{path}: line 1 names the columns "
+                         f"{','.join(names)!r}, not {','.join(columns)!r}")
+    try:
+        with warnings.catch_warnings():
+            # a table without rows, such as a GS chain's blocks.csv, is legal
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                               dtype=dtype)
+    except ValueError:
+        raise ValueError(f"{path}: {_first_bad_row(path, names, dtype)}"
+                         ) from None
+    if table.size == 0:
+        table = table.reshape(0, len(names))
+    if table.shape[1] != len(names):
+        raise ValueError(
+            f"{path}: every data row has {table.shape[1]} values, but the "
+            f"header names {len(names)} columns")
+    return names, table
+
+
+def write_json(path, doc: dict) -> None:
+    """Write every document misoid keeps: sorted keys, indent 1, a final
+    newline, and a numpy array as the nested lists of its values."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1,
+                  default=np.ndarray.tolist)
+        fh.write("\n")
+
+
+def _first_bad_row(path, names: list[str], dtype) -> str:
     """Why ``np.loadtxt`` refused ``path``: its first data line whose
     width differs from the header's, or that holds a cell that is not a
-    number, read again line by line (only a refused file is)."""
+    number of ``dtype``, read again line by line (only a refused file is)."""
+    parse = np.dtype(dtype).type
+    kind = "an integer" if np.dtype(dtype).kind in "iu" else "a number"
     with open(path) as fh:
         next(fh)
         for number, line in enumerate(fh, start=2):
@@ -162,10 +200,10 @@ def _first_bad_row(path, names: list[str]) -> str:
                         f"header names {len(names)} columns")
             for name, cell in zip(names, cells):
                 try:
-                    float(cell)
+                    parse(cell)
                 except ValueError:
                     return (f"line {number}: {name} value {cell.strip()!r} "
-                            "is not a number")
+                            f"is not {kind}")
     return "the data rows cannot be read as numbers"
 
 

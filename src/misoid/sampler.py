@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,7 +65,8 @@ from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
                            sample_sigma2_from_sumsq, spectral_scales)
 from .errors import NUMERICAL_ERRORS, FactorizationError
 from .kernel import StableSplineKernel, build_kernel
-from .regression import Dataset, RegressorBank
+from .regression import (Dataset, RegressorBank, read_table, write_json,
+                         write_table)
 
 VARIANTS = ("GS", "GSd", "GSOB", "GSOBd")
 
@@ -247,7 +247,8 @@ class ChainRecord:
         samples = self.theta_samples[keep]
         if samples.shape[0] == 0:
             raise ValueError(
-                "no retained samples: burn-in swallowed the chain")
+                f"no retained samples: a burn-in of {self.burn_in} swallowed "
+                f"the {self.completed} completed iterations")
         q = np.quantile(samples, [0.025, 0.975], axis=0)
         return PosteriorSummary(
             mean=samples.mean(axis=0),
@@ -507,31 +508,8 @@ def run(problem: Problem, config: SamplerConfig) -> ChainRecord:
 # Chain persistence
 # --------------------------------------------------------------------------
 
-def _write_table(outdir, name: str, columns: list, rows: np.ndarray,
-                 int_columns: int) -> None:
-    """Write ``rows`` as ``outdir/name`` under a header of ``columns``: the
-    first ``int_columns`` as integers, the rest to 17 significant digits."""
-    fmt = ["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)
-    np.savetxt(os.path.join(outdir, name), rows, fmt=fmt, delimiter=",",
-               header=",".join(columns), comments="")
-
-
-def _read_table(outdir, name: str, columns: list, dtype=float) -> np.ndarray:
-    """The rows of a table :func:`_write_table` wrote, once its header is
-    checked against ``columns``; a table without rows reads as empty."""
-    with open(os.path.join(outdir, name)) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(columns):
-            raise ValueError(f"{name} has header {header!r}, expected "
-                             f"{','.join(columns)!r}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            return np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2,
-                              usecols=range(len(columns)))
-
-
 def save_record(record: ChainRecord, outdir) -> None:
-    """Write the chain artifacts into ``outdir``.
+    """Write the chain artifacts into ``outdir`` (regression's formats).
 
     lambda.csv / sigma2.csv   lambda and sigma2 traces, one row per iteration
     theta_samples.npy         stored coefficient draws, row per iteration
@@ -541,55 +519,63 @@ def save_record(record: ChainRecord, outdir) -> None:
     """
     os.makedirs(outdir, exist_ok=True)
     iterations = np.arange(1, record.completed + 1)
-    _write_table(outdir, "lambda.csv", ["iteration", *record.scale_names],
-                 np.column_stack([iterations, record.lambda_trace]), 1)
-    _write_table(outdir, "sigma2.csv", ["iteration", "sigma2"],
-                 np.column_stack([iterations, record.sigma2_trace]), 1)
+    write_table(os.path.join(outdir, "lambda.csv"),
+                ["iteration", *record.scale_names],
+                np.column_stack([iterations, record.lambda_trace]), 1)
+    write_table(os.path.join(outdir, "sigma2.csv"), ["iteration", "sigma2"],
+                np.column_stack([iterations, record.sigma2_trace]), 1)
     np.save(os.path.join(outdir, "theta_samples.npy"), record.theta_samples)
-    _write_table(outdir, "blocks.csv", ["iteration", "i", "j"],
-                 record.selected_blocks, 3)
+    write_table(os.path.join(outdir, "blocks.csv"), ["iteration", "i", "j"],
+                record.selected_blocks, 3)
     if not record.aborted:
         summary = record.summary
         c = np.arange(summary.mean.size)
         rows = np.column_stack([c, *np.divmod(c, record.p), summary.mean,
                                 summary.sd, summary.q025, summary.q975])
-        _write_table(outdir, "summary.csv", ["coefficient", "channel", "lag",
-                                             "mean", "sd", "q025", "q975"],
-                     rows, 3)
-    meta = {
+        write_table(os.path.join(outdir, "summary.csv"),
+                    ["coefficient", "channel", "lag", "mean", "sd", "q025",
+                     "q975"], rows, 3)
+    write_json(os.path.join(outdir, "record.json"), {
         "variant": record.variant, "m": record.m, "p": record.p,
         "n_mc": record.n_mc, "burn_in": record.burn_in, "thin": record.thin,
         "seed": record.seed, "completed": record.completed,
         "aborted": record.aborted,
-    }
-    with open(os.path.join(outdir, "record.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_record(outdir) -> ChainRecord:
-    """Reload a persisted chain (for diagnostics runs)."""
-    with open(os.path.join(outdir, "record.json")) as fh:
-        meta = json.load(fh)
-    lam = _read_table(outdir, "lambda.csv",
-                      ["iteration", *scale_names(meta["variant"], meta["m"])])
-    sig = _read_table(outdir, "sigma2.csv", ["iteration", "sigma2"])
-    for name, table in (("lambda.csv", lam), ("sigma2.csv", sig)):
-        if table.shape[0] != meta["completed"]:
-            raise ValueError(f"{name} has {table.shape[0]} rows for "
-                             f"{meta['completed']} completed iterations")
-    theta = np.load(os.path.join(outdir, "theta_samples.npy"))
-    stored = (meta["completed"] // meta["thin"], meta["m"] * meta["p"])
+    """Reload a persisted chain (for diagnostics runs).  A file that does
+    not match ``record.json`` is refused by a ValueError naming its path."""
+    path = os.path.join(outdir, "record.json")
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        layout = {name: meta[name] for name in (
+            "variant", "m", "p", "n_mc", "burn_in", "thin", "seed")}
+        completed = meta["completed"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a chain record ({exc})") from None
+
+    def trace(name: str, columns: list) -> np.ndarray:
+        path = os.path.join(outdir, name)
+        _, table = read_table(path, ["iteration", *columns])
+        if table.shape[0] != completed:
+            raise ValueError(f"{path}: {table.shape[0]} rows for "
+                             f"{completed} completed iterations")
+        return table[:, 1:]
+
+    lam = trace("lambda.csv", scale_names(layout["variant"], layout["m"]))
+    sigma2 = trace("sigma2.csv", ["sigma2"])[:, 0]
+    path = os.path.join(outdir, "theta_samples.npy")
+    try:
+        theta = np.load(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    stored = (completed // layout["thin"], layout["m"] * layout["p"])
     if theta.shape != stored:
-        raise ValueError(f"theta_samples.npy has shape {theta.shape}, "
-                         f"expected {stored}: {meta['completed']} completed "
-                         f"iterations thinned by {meta['thin']}, "
-                         f"{meta['m']} x {meta['p']} coefficients")
-    return ChainRecord(
-        variant=meta["variant"], m=meta["m"], p=meta["p"], n_mc=meta["n_mc"],
-        burn_in=meta["burn_in"], thin=meta["thin"], seed=meta["seed"],
-        theta_samples=theta,
-        lambda_trace=lam[:, 1:], sigma2_trace=sig[:, 1],
-        selected_blocks=_read_table(outdir, "blocks.csv",
-                                    ["iteration", "i", "j"], np.int64),
-    )
+        raise ValueError(f"{path}: shape {theta.shape}, expected {stored}: "
+                         f"{completed} iterations thinned by {layout['thin']}")
+    _, blocks = read_table(os.path.join(outdir, "blocks.csv"),
+                           ["iteration", "i", "j"], np.int64)
+    return ChainRecord(**layout, theta_samples=theta, lambda_trace=lam,
+                       sigma2_trace=sigma2, selected_blocks=blocks)

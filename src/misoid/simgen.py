@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import Dataset
+from .regression import Dataset, write_json
 
 
 @dataclass(frozen=True)
@@ -224,22 +224,16 @@ def write_truth_json(path, system: SyntheticSystem, noise_variance: float,
                      gamma: float | None = None,
                      achieved_correlations: np.ndarray | None = None) -> None:
     """Ground-truth sidecar for scoring identification runs."""
-    doc = {
+    write_json(path, {
         "fir_order": system.fir_order,
-        "responses": system.responses.tolist(),
-        "numerators": system.numerators.tolist(),
-        "denominator": system.denominator.tolist(),
+        "responses": system.responses,
+        "numerators": system.numerators,
+        "denominator": system.denominator,
         "poles": [[z.real, z.imag] for z in system.poles],
         "noise_variance": noise_variance,
         "gamma": gamma,
-        "achieved_correlations": (
-            None if achieved_correlations is None
-            else np.asarray(achieved_correlations).tolist()
-        ),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        "achieved_correlations": achieved_correlations,
+    })
 
 
 def load_truth_json(path) -> dict:

@@ -680,6 +680,44 @@ def test_diagnose_malformed_input_exits_2(tiny_config, capsys, broken):
         assert table.name in err
 
 
+def _edit_row(rows, edit):
+    """The table's lines with data row 3 (line 4) edited."""
+    return rows[:3] + [edit(rows[3])] + rows[4:]
+
+
+@pytest.mark.parametrize("edit,line", [
+    pytest.param(lambda rows: _edit_row(rows, lambda row: row + ",1"), 4,
+                 id="value-too-many"),
+    pytest.param(lambda rows: _edit_row(rows,
+                                        lambda row: row.rsplit(",", 1)[0]),
+                 4, id="value-too-few"),
+    pytest.param(lambda rows: _edit_row(
+        rows, lambda row: row.rsplit(",", 1)[0] + ",abc"), 4,
+                 id="text-cell"),
+    pytest.param(lambda rows: ["iteration,lambda_0"] + rows[1:], 1,
+                 id="wrong-header"),
+])
+def test_unreadable_chain_table_names_file_and_line(tiny_config, capsys,
+                                                    edit, line):
+    # a trace row one value too wide is refused, not read without the
+    # value; every refusal starts with the table's path, which names the
+    # run directory once, and gives the line
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg, "--variant", "GS"]) == 0
+    rundir = f"{out}/GS/rep000"
+    table = Path(rundir, "lambda.csv")
+    table.write_text("\n".join(edit(table.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as refused:
+        mi.load_record(rundir)
+    assert str(refused.value).startswith(f"{table}: line {line}")
+    capsys.readouterr()
+    assert main(["diagnose", rundir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: line {line}")
+    assert err.count(rundir) == 1
+
+
 def test_vanishing_scale_factor_aborts_with_partial_chain(tiny_config,
                                                           monkeypatch):
     # a scale factor draw near the rate floor gives an infinite prior

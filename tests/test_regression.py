@@ -424,15 +424,133 @@ def test_order_exceeding_samples_warns():
         mi.RegressorBank(d, 4)
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    d = mi.Dataset(y=rng.standard_normal(20),
-                   inputs=rng.standard_normal((3, 20)))
+def _awkward(rng, shape):
+    """Values over many decades whose shortest exact form needs up to 17
+    significant digits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+
+
+# the extremes of the float range, each written and read back exactly
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]
+
+
+def _dataset(rng):
+    y = _awkward(rng, 20)
+    y[:4] = EXTREMES
+    return mi.Dataset(y=y, inputs=_awkward(rng, (3, 20)))
+
+
+def _record(rng):
+    """A finished GSOBd chain: three channel scales, two pair updates in
+    one iteration, and traces holding the float range's extremes."""
+    lam, sigma2 = np.abs(_awkward(rng, (12, 3))), np.abs(_awkward(rng, 12))
+    lam[0], sigma2[:3] = EXTREMES[:3], EXTREMES[:3]
+    return mi.ChainRecord(
+        variant="GSOBd", m=3, p=2, n_mc=12, burn_in=4, thin=1, seed=5,
+        theta_samples=_awkward(rng, (12, 6)), lambda_trace=lam,
+        sigma2_trace=sigma2, selected_blocks=np.array(
+            [[1, 0, 2], [1, 1, 2], [7, 0, 1]], dtype=np.int64))
+
+
+def _iterations(record):
+    return np.arange(1, record.completed + 1)
+
+
+def _summary_rows(record):
+    s, c = record.summary, np.arange(record.m * record.p)
+    return np.column_stack([c, c // record.p, c % record.p, s.mean, s.sd,
+                            s.q025, s.q975])
+
+
+def _correlations(rng):
+    c = np.abs(_awkward(rng, (3, 3)))
+    c.flat[:3] = EXTREMES[:3]
+    return c
+
+
+def _read_correlations(path):
+    _, rows = mi.regression.read_table(path, ["i", "j", "value"])
+    c = np.zeros((3, 3))
+    c[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+    return c
+
+
+def _schedule(rng):
+    probs = np.abs(_awkward(rng, 3))
+    return mi.BlockSchedule(blocks=[(0, 1), (0, 2), (1, 2)],
+                            probs=probs / probs.sum())
+
+
+def _read_schedule(path):
+    _, rows = mi.regression.read_table(path, ["i", "j", "value"])
+    return mi.BlockSchedule(
+        blocks=[tuple(pair) for pair in rows[:, :2].astype(int).tolist()],
+        probs=rows[:, 2])
+
+
+def _in(name, write, read):
+    """``write(obj, path)`` and ``read(path)`` of the file ``name`` as a
+    write into, and a load from, a directory."""
+    return (lambda obj, out: write(obj, out / name),
+            lambda out: read(out / name))
+
+
+def _correlation_rows(c):
+    rows, cols = np.indices(c.shape)
+    return np.column_stack([rows.ravel(), cols.ravel(), c.ravel()])
+
+
+# Every table misoid writes: what it holds, how the program writes it into
+# a directory and loads it back, and the rows the file must hold.
+TABLES = {
+    "dataset.csv": (_dataset,
+                    *_in("dataset.csv", mi.save_dataset_csv,
+                         mi.load_dataset_csv),
+                    lambda d: np.column_stack([d.y, d.inputs.T])),
+    "lambda.csv": (_record, mi.save_record, mi.load_record,
+                   lambda r: np.column_stack([_iterations(r),
+                                              r.lambda_trace])),
+    "sigma2.csv": (_record, mi.save_record, mi.load_record,
+                   lambda r: np.column_stack([_iterations(r),
+                                              r.sigma2_trace])),
+    "blocks.csv": (_record, mi.save_record, mi.load_record,
+                   lambda r: r.selected_blocks),
+    "summary.csv": (_record, mi.save_record, mi.load_record, _summary_rows),
+    "cmatrix.csv": (_correlations,
+                    *_in("cmatrix.csv", mi.blocks.export_correlations_csv,
+                         _read_correlations),
+                    _correlation_rows),
+    "pmatrix.csv": (_schedule,
+                    *_in("pmatrix.csv", mi.blocks.export_probabilities_csv,
+                         _read_schedule),
+                    lambda s: np.column_stack([s.blocks, s.probs])),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_csv_round_trip(tmp_path, name):
+    # a table reads back as the rows written, exactly, and what the program
+    # loads from it writes the same bytes again
+    make, write, load, rows = TABLES[name]
+    written = make(np.random.default_rng(8))
+    write(written, tmp_path)
+    path = tmp_path / name
+    dtype = np.int64 if name == "blocks.csv" else float
+    _, table = mi.regression.read_table(path, dtype=dtype)
+    assert table.dtype == dtype
+    np.testing.assert_array_equal(table, rows(written))
+    back = load(tmp_path)
+    np.testing.assert_array_equal(rows(back), rows(written))
+    again = tmp_path / "again"
+    again.mkdir()
+    write(back, again)
+    assert (again / name).read_bytes() == path.read_bytes()
+
+
+def test_loaded_dataset_is_contiguous(tmp_path):
     path = tmp_path / "data.csv"
-    mi.save_dataset_csv(d, path)
+    mi.save_dataset_csv(_dataset(np.random.default_rng(8)), path)
     back = mi.load_dataset_csv(path)
-    np.testing.assert_array_equal(back.y, d.y)
-    np.testing.assert_array_equal(back.inputs, d.inputs)
     assert back.y.flags.c_contiguous and back.inputs.flags.c_contiguous
     assert back.y.base is None and back.inputs.base is None  # table freed
 

@@ -706,6 +706,10 @@ def test_save_and_load_record(tmp_path, variant, thin):
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(record, name), err_msg=name)
     assert back.lambda_trace.shape == (cfg.n_mc, len(back.scale_names))
+    # a chain without block updates has a header-only blocks.csv
+    assert back.selected_blocks.dtype == np.int64
+    assert back.selected_blocks.shape == (
+        (0, 3) if not cfg.uses_blocks else (cfg.n_mc * cfg.n_ob, 3))
     np.testing.assert_array_equal(back.summary.mean, record.summary.mean)
     # the reloaded record writes the same bytes
     again = tmp_path / "again"
