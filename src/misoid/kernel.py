@@ -69,9 +69,8 @@ def build_kernel(alpha: float, p: int) -> StableSplineKernel:
     K = alpha ** np.maximum.outer(idx, idx)
 
     inv_diag, inv_offdiag = _closed_form_inverse_bands(alpha, p)
-    Kinv = np.diag(inv_diag)
-    if p > 1:
-        Kinv += np.diag(inv_offdiag, 1) + np.diag(inv_offdiag, -1)
+    Kinv = (np.diag(inv_diag) + np.diag(inv_offdiag, 1)
+            + np.diag(inv_offdiag, -1))
 
     chol = np.linalg.cholesky(K)
 
@@ -111,7 +110,6 @@ def quad_form(kernel: StableSplineKernel,
             f"vectors of length {kernel.p} expected, got shape {v.shape}"
         )
     out = (v * v) @ kernel.inv_diag
-    if kernel.p > 1:
-        out += 2.0 * ((v[..., :-1] * v[..., 1:]) @ kernel.inv_offdiag)
+    out += 2.0 * ((v[..., :-1] * v[..., 1:]) @ kernel.inv_offdiag)
     # analytically >= 0; guard against roundoff for near-null vectors
     return np.maximum(out, 0.0)

@@ -175,18 +175,24 @@ def read_table(path, columns: list | None = None,
 
 def write_json(path, doc: dict) -> None:
     """Write every document misoid keeps: sorted keys, indent 1, a final
-    newline, and a numpy array as the nested lists of its values."""
+    newline, and a numpy array or scalar as its ``tolist()``."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1,
-                  default=np.ndarray.tolist)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=_tolist)
         fh.write("\n")
+
+
+def _tolist(value):
+    """A numpy value as Python's, for :func:`json.dump`."""
+    if not isinstance(value, (np.ndarray, np.generic)):
+        raise TypeError(f"a {type(value).__name__} is not JSON")
+    return value.tolist()
 
 
 def _first_bad_row(path, names: list[str], dtype) -> str:
     """Why ``np.loadtxt`` refused ``path``: its first data line whose
     width differs from the header's, or that holds a cell that is not a
-    number of ``dtype``, read again line by line (only a refused file is)."""
-    parse = np.dtype(dtype).type
+    number of ``dtype`` in ``np.loadtxt``'s grammar, read again line by
+    line (only a refused file is)."""
     kind = "an integer" if np.dtype(dtype).kind in "iu" else "a number"
     with open(path) as fh:
         next(fh)
@@ -200,16 +206,14 @@ def _first_bad_row(path, names: list[str], dtype) -> str:
                         f"header names {len(names)} columns")
             for name, cell in zip(names, cells):
                 try:
-                    parse(cell)
+                    # a leading empty field keeps an empty cell a field, not
+                    # a blank line that np.loadtxt would skip
+                    np.loadtxt(["," + cell], delimiter=",", usecols=1,
+                               dtype=dtype)
                 except ValueError:
                     return (f"line {number}: {name} value {cell.strip()!r} "
                             f"is not {kind}")
     return "the data rows cannot be read as numbers"
-
-
-def theta_block(theta: np.ndarray, k: int, p: int) -> np.ndarray:
-    """View of channel k's p coefficients inside the stacked layout."""
-    return theta[k * p:(k + 1) * p]
 
 
 class RegressorBank:
@@ -306,9 +310,9 @@ class RegressorBank:
                 f"got shape {theta.shape}"
             )
         out = np.zeros(self.n)
-        for k in range(self.m):
-            out += np.convolve(
-                self.data.inputs[k], theta_block(theta, k, self.p))[:self.n]
+        for u, coefficients in zip(self.data.inputs,
+                                   theta.reshape(self.m, self.p)):
+            out += np.convolve(u, coefficients)[:self.n]
         return out
 
     def set_channel(self, theta: np.ndarray, cross: np.ndarray, k: int,
@@ -321,7 +325,7 @@ class RegressorBank:
         k's panel spectrum times that DFT, bin by bin, is the whole update.
         It writes into ``theta`` and ``cross`` only.
         """
-        rows = theta_block(theta, k, self.p)
+        rows = theta[k * self.p:(k + 1) * self.p]
         change = np.dot(value - rows, self.forward_dft).view(complex)
         cross += self.panel_spectra[k] * change
         rows[...] = value
@@ -334,8 +338,8 @@ class RegressorBank:
         s = sum_j T_j theta_j."""
         cross = np.zeros((self.m + 1, self.p), dtype=complex)
         start = np.zeros(self.m * self.p)
-        for k in range(self.m):
-            self.set_channel(start, cross, k, theta_block(theta, k, self.p))
+        for k, value in enumerate(theta.reshape(self.m, self.p)):
+            self.set_channel(start, cross, k, value)
         return cross
 
     def state_rows(self, cross: np.ndarray) -> np.ndarray:
@@ -368,7 +372,7 @@ class RegressorBank:
         coefficients, stacked into a new array.  The block's state rows
         and the tail are read back in one product."""
         p = self.p
-        coefficients = np.concatenate([theta_block(theta, k, p)
+        coefficients = np.concatenate([theta[k * p:(k + 1) * p]
                                        for k in channels])
         out = np.dot(gram, coefficients)
         rows = self.state_rows(cross[[*channels, self.m]])

@@ -50,6 +50,7 @@ index, so a replicate's chain does not depend on how many others run.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -77,6 +78,34 @@ def scale_names(variant: str, m: int) -> list:
             else [f"lambda_{k}" for k in range(m)])
 
 
+def check_layout(variant: str, n_mc: int, burn_in: int, thin: int,
+                 m: int = 1, p: int = 1, completed: int = 0) -> None:
+    """Refuse, by a ValueError, a chain layout that cannot exist: the one
+    rule for every :class:`SamplerConfig` and every record
+    :func:`load_record` reads."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; "
+                         f"choose from {VARIANTS}")
+    for name, value in dict(n_mc=n_mc, burn_in=burn_in, thin=thin, m=m, p=p,
+                            completed=completed).items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_mc < 1:
+        raise ValueError("need at least one iteration")
+    if min(m, p) < 1:
+        raise ValueError(f"need a channel and a lag, got m = {m}, p = {p}")
+    if thin < 1:
+        raise ValueError("thinning factor must be >= 1")
+    if not 0 <= burn_in < n_mc:
+        raise ValueError(f"burn-in must lie in [0, n_mc), got {burn_in}")
+    if (n_mc // thin) * thin <= burn_in:
+        raise ValueError(
+            f"thinning by {thin} stores no iteration after the "
+            f"burn-in ({burn_in} of {n_mc})")
+    if not 0 <= completed <= n_mc:
+        raise ValueError(f"{completed} iterations completed of {n_mc}")
+
+
 @dataclass
 class SamplerConfig:
     """How one chain explores the posterior that :func:`build_problem`
@@ -91,22 +120,9 @@ class SamplerConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; "
-                             f"choose from {VARIANTS}")
-        if self.n_mc < 1:
-            raise ValueError("need at least one iteration")
-        if self.thin < 1:
-            raise ValueError("thinning factor must be >= 1")
         if self.burn_in is None:
             self.burn_in = self.n_mc // 2
-        if not 0 <= self.burn_in < self.n_mc:
-            raise ValueError(
-                f"burn-in must lie in [0, n_mc), got {self.burn_in}")
-        if (self.n_mc // self.thin) * self.thin <= self.burn_in:
-            raise ValueError(
-                f"thinning by {self.thin} stores no iteration after the "
-                f"burn-in ({self.burn_in} of {self.n_mc})")
+        check_layout(self.variant, self.n_mc, self.burn_in, self.thin)
         if self.uses_blocks:
             if self.n_ob < 1:
                 raise ValueError("overlapping-block variants need n_ob >= 1")
@@ -190,17 +206,10 @@ def build_problem(data: Dataset, alpha: float, p: int) -> Problem:
 
 @dataclass
 class ChainState:
-    """One chain's current values.
-
-    ``cross`` is the running state of theta
-    (:meth:`RegressorBank.cross_state`), an (m+1)-by-p complex array: the
-    size-N DFTs, N = 2p - 1, of m + 1 rows, which the bank reads back
-    (:meth:`RegressorBank.state_rows`).  Row k < m holds
-    sum_j Toep(lag_kj) theta_j and row m the tail sum s = sum_j T_j theta_j,
-    so G_k'G theta is row k minus T_k' s, and theta'G'G theta is
-    theta . rows - s . s.  Only a channel's update, the bank's
-    ``set_channel`` or the same move in :func:`draw_channels`, changes it.
-    """
+    """One chain's current values: the coefficients, their running state
+    ``cross`` (:meth:`RegressorBank.cross_state`), which only a channel's
+    update changes (the bank's ``set_channel``, or the same move in
+    :func:`draw_channels`), and the hyperparameters."""
 
     theta: np.ndarray
     cross: np.ndarray
@@ -544,8 +553,9 @@ def save_record(record: ChainRecord, outdir) -> None:
 
 
 def load_record(outdir) -> ChainRecord:
-    """Reload a persisted chain (for diagnostics runs).  A file that does
-    not match ``record.json`` is refused by a ValueError naming its path."""
+    """Reload a persisted chain (for diagnostics runs).  A ``record.json``
+    whose layout no chain can have (:func:`check_layout`), or a file that
+    does not match it, is refused by a ValueError naming its path."""
     path = os.path.join(outdir, "record.json")
     try:
         with open(path) as fh:
@@ -553,6 +563,8 @@ def load_record(outdir) -> ChainRecord:
         layout = {name: meta[name] for name in (
             "variant", "m", "p", "n_mc", "burn_in", "thin", "seed")}
         completed = meta["completed"]
+        check_layout(**{name: meta[name] for name in (
+            "variant", "n_mc", "burn_in", "thin", "m", "p", "completed")})
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a chain record ({exc})") from None
 

@@ -9,6 +9,8 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import misoid as mi  # noqa: E402
+from misoid.kernel import build_kernel
+from misoid.regression import RegressorBank
 
 
 def toeplitz_block(u, p):
@@ -38,14 +40,14 @@ def make_example1(data_seed=11, n=500, p=50, noise=0.3):
 def make_small_problem(seed=0, m=2, p=3, n=50, lam=0.8, sigma2=0.3):
     """Tiny random instance with known prior draw, for oracle comparisons."""
     rng = np.random.default_rng(seed)
-    kernel = mi.build_kernel(0.9, p)
+    kernel = build_kernel(0.9, p)
     inputs = rng.standard_normal((m, n))
     theta_true = np.concatenate(
         [np.sqrt(lam) * kernel.chol @ rng.standard_normal(p) for _ in range(m)])
-    shell = mi.RegressorBank(mi.Dataset(y=np.zeros(n), inputs=inputs), p)
+    shell = RegressorBank(mi.Dataset(y=np.zeros(n), inputs=inputs), p)
     y = shell.predict(theta_true) + np.sqrt(sigma2) * rng.standard_normal(n)
     data = mi.Dataset(y=y, inputs=inputs)
-    bank = mi.RegressorBank(data, p)
+    bank = RegressorBank(data, p)
     return data, bank, kernel, theta_true
 
 

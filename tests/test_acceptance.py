@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 import misoid as mi
+from misoid.blocks import (compute_block_probabilities, compute_correlations,
+                           select_block)
 from misoid.cli import main as cli_main
-from misoid.conditionals import sample_sigma2_from_sumsq
-from misoid.diagnostics import pair_sum_error
+from misoid.conditionals import (sample_lambda_common, sample_lambda_k,
+                                 sample_sigma2_from_sumsq)
+from misoid.diagnostics import fit_metric, pair_sum_error, run_oracle_checks
+from misoid.kernel import build_kernel, quad_form
+from misoid.simgen import gamma_for_target_c
 
 from conftest import make_example1
 
@@ -44,7 +49,7 @@ def test_criterion_1_kernel_closed_form():
         worst = 0.0
         for alpha in (0.5, 0.9):
             for p in (5, 50):
-                k = mi.build_kernel(alpha, p)
+                k = build_kernel(alpha, p)
                 dense = np.linalg.inv(k.K)
                 err = (np.linalg.norm(k.Kinv - dense)
                        / np.linalg.norm(dense))
@@ -58,7 +63,7 @@ def test_criterion_1_kernel_closed_form():
 
 def test_criterion_2_conditional_exactness():
     with Stopwatch(60.0) as watch:
-        rep = mi.run_oracle_checks(seed=0, n_sweeps=10_000, m=2, p=3, n=50)
+        rep = run_oracle_checks(seed=0, n_sweeps=10_000, m=2, p=3, n=50)
         algebra = max(rep.checks[0].statistic, rep.checks[1].statistic)
         zmax = max(c.statistic for c in rep.checks[2:6])
     ok = rep.passed and watch.elapsed < watch.budget_s
@@ -75,10 +80,10 @@ def test_criterion_3_inverse_gamma_moments():
         zs = {}
 
         p = 50
-        kernel = mi.build_kernel(0.9, p)
+        kernel = build_kernel(0.9, p)
         theta = kernel.chol @ rng.standard_normal(p)
-        q = mi.quad_form(kernel, theta)
-        draws = np.array([mi.sample_lambda_k(theta[None], kernel, rng)[0]
+        q = quad_form(kernel, theta)
+        draws = np.array([sample_lambda_k(theta[None], kernel, rng)[0]
                           for _ in range(n_draws)])
         a, b = p / 2, q / 2
         se = b / ((a - 1) * np.sqrt(a - 2)) / np.sqrt(n_draws)
@@ -96,9 +101,9 @@ def test_criterion_3_inverse_gamma_moments():
         m = 2
         stacked = np.concatenate([theta, kernel.chol
                                   @ rng.standard_normal(p)])
-        total = sum(mi.quad_form(kernel, stacked[k * p:(k + 1) * p])
+        total = sum(quad_form(kernel, stacked[k * p:(k + 1) * p])
                     for k in range(m))
-        draws = np.array([mi.sample_lambda_common(stacked, kernel, rng)
+        draws = np.array([sample_lambda_common(stacked, kernel, rng)
                           for _ in range(n_draws)])
         a, b = m * p / 2, total / 2
         se = b / ((a - 1) * np.sqrt(a - 2)) / np.sqrt(n_draws)
@@ -118,8 +123,8 @@ def test_criterion_4_block_probability_reproduction():
             mi.CollinearInputSpec(m=12, n=100_000, correlated_prefix=10,
                                   target_c=0.99, ma_coefficient=0.8), rng)
         data = mi.Dataset(y=rng.standard_normal(100_000), inputs=inputs)
-        c = mi.compute_correlations(data)
-        sched = mi.compute_block_probabilities(c, 100.0)
+        c = compute_correlations(data)
+        sched = compute_block_probabilities(c, 100.0)
         table = dict(zip(sched.blocks, sched.probs))
         adjacent = np.array([table[(i, i + 1)] for i in range(9)])
         distant = table[(0, 9)]
@@ -130,7 +135,7 @@ def test_criterion_4_block_probability_reproduction():
         n_draws = 100_000
         counts = {}
         for _ in range(n_draws):
-            ij = sched.blocks[mi.select_block(sched, draw_rng)]
+            ij = sched.blocks[select_block(sched, draw_rng)]
             counts[ij] = counts.get(ij, 0) + 1
         violations = 0
         for pair, prob in table.items():
@@ -148,7 +153,7 @@ def test_criterion_4_block_probability_reproduction():
 
 def test_criterion_5_collinearity_calibration():
     with Stopwatch(5.0) as watch:
-        gamma = mi.gamma_for_target_c(0.99, 0.8, 1.0)
+        gamma = gamma_for_target_c(0.99, 0.8, 1.0)
         rng = np.random.default_rng(321)
         inputs = mi.generate_inputs(
             mi.CollinearInputSpec(m=2, n=100_000, correlated_prefix=2,
@@ -236,7 +241,7 @@ def test_criterion_8_desk_scale_comparison():
                 cfg = mi.SamplerConfig(variant=variant, n_mc=1000,
                                        beta=100.0, n_ob=10, seed=seed)
                 summary = mi.run(problem, cfg).summary
-                errs[variant] = mi.fit_metric(summary.mean, truth, p)
+                errs[variant] = fit_metric(summary.mean, truth, p)
             pref = {v: errs[v][:5].mean() for v in errs}
             indep = {v: errs[v][5:].mean() for v in errs}
             prefix_wins += pref["GSOB"] < pref["GS"]

@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import misoid as mi
+from misoid.blocks import (compute_block_probabilities, compute_correlations,
+                           select_block)
+from misoid.regression import RegressorBank
 
 
 def _dataset(inputs):
@@ -16,14 +19,14 @@ def _dataset(inputs):
 def test_identical_inputs_give_unit_correlation():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(200)
-    c = mi.compute_correlations(_dataset([u, u]))
+    c = compute_correlations(_dataset([u, u]))
     assert c[0, 1] == pytest.approx(1.0)
 
 
 def test_sign_flip_gives_unit_correlation():
     rng = np.random.default_rng(1)
     u = rng.standard_normal(200)
-    c = mi.compute_correlations(_dataset([u, -u]))
+    c = compute_correlations(_dataset([u, -u]))
     assert c[0, 1] == pytest.approx(1.0)
 
 
@@ -33,11 +36,11 @@ def test_zero_variance_input_rejected():
     rng = np.random.default_rng(2)
     for level in (1.0, 0.1):
         data = _dataset([rng.standard_normal(50), np.full(50, level)])
-        sums = mi.RegressorBank(data, 3).zero_lag_sums()
+        sums = RegressorBank(data, 3).zero_lag_sums()
         for given in (None, sums):
             with pytest.raises(ValueError, match="^input channel 1 has zero "
                                                  "sample variance$"):
-                mi.compute_correlations(data, given)
+                compute_correlations(data, given)
 
 
 def test_cancelled_variance_rejected():
@@ -49,15 +52,15 @@ def test_cancelled_variance_rejected():
     sums[1, 1] = 0.0
     with pytest.raises(ValueError, match="input channel 1: its variance "
                                          "cancels"):
-        mi.compute_correlations(data, sums)
+        compute_correlations(data, sums)
 
 
 def test_one_input_has_unit_correlation():
     rng = np.random.default_rng(6)
     data = _dataset([rng.standard_normal(30)])
-    sums = mi.RegressorBank(data, 4).zero_lag_sums()
+    sums = RegressorBank(data, 4).zero_lag_sums()
     for given in (None, sums):
-        c = mi.compute_correlations(data, given)
+        c = compute_correlations(data, given)
         assert c.tolist() == [[1.0]]
 
 
@@ -77,8 +80,8 @@ def test_correlations_match_corrcoef(offset, bound):
     data = mi.Dataset(y=rng.standard_normal(4000), inputs=u)
     reference = np.abs(np.corrcoef(u))
     problem = mi.build_problem(data, 0.9, 20)
-    for c in (mi.compute_correlations(data),
-              mi.compute_correlations(data, problem.bank.zero_lag_sums()),
+    for c in (compute_correlations(data),
+              compute_correlations(data, problem.bank.zero_lag_sums()),
               problem.correlations):
         assert np.max(np.abs(c - reference)) <= bound
         np.testing.assert_array_equal(c, c.T)
@@ -91,14 +94,14 @@ def test_chain_construction_hits_target():
     inputs = mi.generate_inputs(
         mi.CollinearInputSpec(m=3, n=100_000, correlated_prefix=3,
                               target_c=0.99, ma_coefficient=0.8), rng)
-    c = mi.compute_correlations(_dataset(inputs))
+    c = compute_correlations(_dataset(inputs))
     assert abs(c[0, 1] - 0.99) < 0.005
     assert abs(c[1, 2] - 0.99) < 0.005
 
 
 def test_two_channels_single_pair_probability_one():
     c = np.array([[1.0, 0.4], [0.4, 1.0]])
-    sched = mi.compute_block_probabilities(c, 17.0)
+    sched = compute_block_probabilities(c, 17.0)
     assert sched.probs.shape == (1,)
     assert sched.probs[0] == pytest.approx(1.0)
 
@@ -106,7 +109,7 @@ def test_two_channels_single_pair_probability_one():
 def test_equal_correlations_give_uniform_thirds():
     c = np.full((3, 3), 0.6)
     np.fill_diagonal(c, 1.0)
-    sched = mi.compute_block_probabilities(c, 9.0)
+    sched = compute_block_probabilities(c, 9.0)
     np.testing.assert_allclose(sched.probs, 1.0 / 3.0, rtol=1e-12)
 
 
@@ -116,7 +119,7 @@ def test_normalization_and_monotonicity():
     a = rng.uniform(0.1, 0.99, size=(m, m))
     c = np.abs((a + a.T) / 2)
     np.fill_diagonal(c, 1.0)
-    sched = mi.compute_block_probabilities(c, 12.0)
+    sched = compute_block_probabilities(c, 12.0)
     assert abs(sched.probs.sum() - 1.0) < 1e-12
     cvals = np.array([c[i, j] for i, j in sched.blocks])
     order = np.argsort(cvals)
@@ -145,7 +148,7 @@ def _schedule(c, beta):
     with warnings.catch_warnings():
         # all-zero correlations fall back to uniform selection, with a warning
         warnings.simplefilter("ignore")
-        return mi.compute_block_probabilities(c, beta)
+        return compute_block_probabilities(c, beta)
 
 
 # raising c(1, 2) by one ulp lowers the computed P(1, 2) by one ulp
@@ -188,7 +191,7 @@ def test_small_beta_limit_proportional_to_c():
     c = np.array([[1.0, 0.3, 0.8],
                   [0.3, 1.0, 0.5],
                   [0.8, 0.5, 1.0]])
-    sched = mi.compute_block_probabilities(c, 1e-6)
+    sched = compute_block_probabilities(c, 1e-6)
     cvals = np.array([c[i, j] for i, j in sched.blocks])
     linear = cvals / cvals.sum()
     np.testing.assert_allclose(sched.probs, linear, rtol=1e-4)
@@ -200,7 +203,7 @@ def test_small_beta_keeps_every_digit():
     c = np.array([[1.0, 1e-6, 0.5],
                   [1e-6, 1.0, 0.3],
                   [0.5, 0.3, 1.0]])
-    sched = mi.compute_block_probabilities(c, 1e-3)
+    sched = compute_block_probabilities(c, 1e-3)
     weights = np.expm1(1e-3 * c[tuple(np.transpose(sched.blocks))])
     np.testing.assert_allclose(sched.probs, weights / weights.sum(),
                                rtol=4 * np.finfo(float).eps, atol=0)
@@ -210,26 +213,26 @@ def test_large_beta_does_not_overflow():
     c = np.array([[1.0, 0.99, 0.5],
                   [0.99, 1.0, 0.5],
                   [0.5, 0.5, 1.0]])
-    sched = mi.compute_block_probabilities(c, 5000.0)
+    sched = compute_block_probabilities(c, 5000.0)
     assert np.isfinite(sched.probs).all()
     assert sched.probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_zero_correlations_fall_back_to_uniform():
     with pytest.warns(UserWarning):
-        sched = mi.compute_block_probabilities(np.zeros((4, 4)), 10.0)
+        sched = compute_block_probabilities(np.zeros((4, 4)), 10.0)
     np.testing.assert_allclose(sched.probs, 1.0 / 6.0)
 
 
 def test_beta_must_be_positive():
     with pytest.raises(ValueError):
-        mi.compute_block_probabilities(np.eye(3), 0.0)
+        compute_block_probabilities(np.eye(3), 0.0)
 
 
 def test_beta_must_be_finite():
     # an infinite rate would make every weight nan
     with pytest.raises(ValueError, match="finite"):
-        mi.compute_block_probabilities(np.eye(3) + 0.5, np.inf)
+        compute_block_probabilities(np.eye(3) + 0.5, np.inf)
 
 
 def test_schedule_derives_cumulative():
@@ -261,24 +264,24 @@ def test_zero_probability_blocks_never_drawn():
     sched = mi.BlockSchedule(blocks=[(0, 1), (1, 2), (0, 2)],
                              probs=np.array([0.0, 1.0, 0.0]))
     rng = np.random.default_rng(11)
-    assert {mi.select_block(sched, rng) for _ in range(1000)} == {1}
+    assert {select_block(sched, rng) for _ in range(1000)} == {1}
 
 
 def test_select_block_single_pair():
     c = np.array([[1.0, 0.9], [0.9, 1.0]])
-    sched = mi.compute_block_probabilities(c, 20.0)
+    sched = compute_block_probabilities(c, 20.0)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        assert sched.blocks[mi.select_block(sched, rng)] == (0, 1)
+        assert sched.blocks[select_block(sched, rng)] == (0, 1)
 
 
 def test_select_block_deterministic_sequence():
     rng = np.random.default_rng(6)
     c = np.abs(np.corrcoef(rng.standard_normal((5, 400))))
-    sched = mi.compute_block_probabilities(c, 30.0)
+    sched = compute_block_probabilities(c, 30.0)
     g1, g2 = np.random.default_rng(7), np.random.default_rng(7)
-    s1 = [mi.select_block(sched, g1) for _ in range(50)]
-    s2 = [mi.select_block(sched, g2) for _ in range(50)]
+    s1 = [select_block(sched, g1) for _ in range(50)]
+    s2 = [select_block(sched, g2) for _ in range(50)]
     assert s1 == s2
 
 
@@ -286,12 +289,12 @@ def test_select_block_frequencies():
     c = np.array([[1.0, 0.9, 0.7],
                   [0.9, 1.0, 0.8],
                   [0.7, 0.8, 1.0]])
-    sched = mi.compute_block_probabilities(c, 10.0)
+    sched = compute_block_probabilities(c, 10.0)
     rng = np.random.default_rng(8)
     n = 50_000
     counts = np.zeros(len(sched.blocks))
     for _ in range(n):
-        counts[mi.select_block(sched, rng)] += 1
+        counts[select_block(sched, rng)] += 1
     freqs = counts / n
     se = np.sqrt(sched.probs * (1 - sched.probs) / n)
     assert np.all(np.abs(freqs - sched.probs) <= 3 * se)
@@ -301,16 +304,16 @@ def test_pruning_keeps_negligible_pairs_out_of_draws():
     c = np.array([[1.0, 0.999, 1e-15],
                   [0.999, 1.0, 1e-15],
                   [1e-15, 1e-15, 1.0]])
-    sched = mi.compute_block_probabilities(c, 100.0)
+    sched = compute_block_probabilities(c, 100.0)
     rng = np.random.default_rng(9)
     for _ in range(1000):
-        assert sched.blocks[mi.select_block(sched, rng)] == (0, 1)
+        assert sched.blocks[select_block(sched, rng)] == (0, 1)
 
 
 def test_csv_exports(tmp_path):
     rng = np.random.default_rng(10)
     c = np.abs(np.corrcoef(rng.standard_normal((3, 100))))
-    sched = mi.compute_block_probabilities(c, 5.0)
+    sched = compute_block_probabilities(c, 5.0)
     cpath, ppath = tmp_path / "c.csv", tmp_path / "p.csv"
     mi.blocks.export_correlations_csv(c, cpath)
     mi.blocks.export_probabilities_csv(sched, ppath)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -354,17 +355,46 @@ def test_rows_narrower_than_the_header_exit_2(tiny_config, capsys):
     assert not os.path.exists(f"{out}/GS")
 
 
-@pytest.mark.parametrize("edit", [
+@pytest.mark.parametrize("key,value", [
+    ("thin", 0), ("thin", 1.5), ("m", "2"), ("completed", 41)])
+def test_diagnose_refuses_impossible_record_layout(tiny_config, capsys, key,
+                                                   value):
+    # a record.json whose layout no chain of 40 iterations can have is not
+    # a chain record: exit 2 with its path, no traceback
+    cfg, out = tiny_config
+    assert main(["simulate", cfg]) == 0
+    assert main(["identify", cfg, "--variant", "GS"]) == 0
+    path = Path(out, "GS", "rep000", "record.json")
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, key: value}))
+    capsys.readouterr()
+    assert main(["diagnose", str(path.parent)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: not a chain record (")
+
+
+def _last_cell(text):
+    """An edit of data row 3 (line 4): its last value replaced by ``text``."""
+    return lambda rows: _edit_row(
+        rows, lambda row: row.rsplit(",", 1)[0] + "," + text)
+
+
+@pytest.mark.parametrize("edit,why", [
     pytest.param(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]]
-                 + rows[4:], id="ragged-row"),
-    pytest.param(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]
-                                          + ",abc"] + rows[4:],
+                 + rows[4:], "line 4 has 2 values", id="ragged-row"),
+    pytest.param(_last_cell("abc"), "line 4: u2 value 'abc'",
                  id="text-cell"),
-    pytest.param(lambda rows: rows[:1], id="header-only"),
+    # Python's float reads these two, np.loadtxt does not
+    pytest.param(_last_cell("1_000"), "line 4: u2 value '1_000'",
+                 id="underscore-cell"),
+    pytest.param(_last_cell("\u0661"), "line 4: u2 value '\u0661'",
+                 id="non-ascii-digit"),
+    pytest.param(lambda rows: rows[:1], "no data rows", id="header-only"),
 ])
-def test_unreadable_dataset_names_the_file(tiny_config, capsys, edit):
+def test_unreadable_dataset_names_the_file(tiny_config, capsys, edit, why):
     # the refusal starts with the file's path and says what is wrong in
-    # the program's own words: no numpy advice, no warning before it
+    # the program's own words, the line included: no numpy advice, no
+    # warning before it
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
     dataset = Path(out) / "dataset.csv"
@@ -376,7 +406,7 @@ def test_unreadable_dataset_names_the_file(tiny_config, capsys, edit):
         code = main(["identify", cfg])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith(f"error: {dataset}:")
+    assert captured.err.startswith(f"error: {dataset}: {why}")
     assert "usecols" not in captured.err and "Warning" not in captured.err
     assert not caught
     assert "chain written" not in captured.out
@@ -691,9 +721,9 @@ def _edit_row(rows, edit):
     pytest.param(lambda rows: _edit_row(rows,
                                         lambda row: row.rsplit(",", 1)[0]),
                  4, id="value-too-few"),
-    pytest.param(lambda rows: _edit_row(
-        rows, lambda row: row.rsplit(",", 1)[0] + ",abc"), 4,
-                 id="text-cell"),
+    pytest.param(_last_cell("abc"), 4, id="text-cell"),
+    pytest.param(_last_cell("1_000"), 4, id="underscore-cell"),
+    pytest.param(_last_cell("\u0661"), 4, id="non-ascii-digit"),
     pytest.param(lambda rows: ["iteration,lambda_0"] + rows[1:], 1,
                  id="wrong-header"),
 ])
@@ -922,6 +952,22 @@ def test_readme_library_use_runs(tiny_config, monkeypatch, capsys):
     assert problem.kernel.p == 50 and config.n_mc == 1000
     assert np.all(np.isfinite(namespace["state"].theta))
     assert capsys.readouterr().out
+
+
+def test_package_binds_the_library_path():
+    # the names the README's library use calls and the types a user holds;
+    # everything else is imported from the module that defines it
+    bound = {name for name, value in vars(mi).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert bound == {
+        "load_dataset_csv", "save_dataset_csv", "build_problem",
+        "SamplerConfig", "HyperState", "BlockSchedule", "init_chain", "run",
+        "iact", "analytic_posterior", "save_record", "load_record",
+        "RandomSystemSpec", "CollinearInputSpec", "generate_system",
+        "generate_inputs", "synthesize_dataset", "write_truth_json",
+        "Dataset", "Problem", "ChainRecord", "VARIANTS"}
+    assert mi.__version__
 
 
 def test_bundled_configs_parse():

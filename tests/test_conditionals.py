@@ -7,10 +7,14 @@ from scipy.linalg import solve_triangular
 import misoid as mi
 from misoid.conditionals import (BlockRoot, BlockSpectra,
                                  GaussianBlockPosterior, _chol_lower,
-                                 block_root, block_spectrum,
-                                 sample_inverse_gamma,
+                                 block_conditional, block_root, block_spectrum,
+                                 draw_gaussian, sample_inverse_gamma,
+                                 sample_lambda_common, sample_lambda_k,
                                  sample_sigma2_from_sumsq, spectral_scales)
+from misoid.diagnostics import joint_conditional
 from misoid.errors import DegenerateRateError, FactorizationError
+from misoid.kernel import build_kernel, quad_form
+from misoid.regression import RegressorBank
 
 from conftest import make_small_problem, toeplitz_block
 
@@ -20,26 +24,26 @@ from conftest import make_small_problem, toeplitz_block
 def test_lambda_k_shape_is_half_p():
     # shape p/2 = 25 for p = 50: mean of draws must follow b/(a-1) with a=25
     rng = np.random.default_rng(0)
-    kernel = mi.build_kernel(0.9, 50)
+    kernel = build_kernel(0.9, 50)
     theta = kernel.chol @ rng.standard_normal(50)
-    q = mi.quad_form(kernel, theta)
+    q = quad_form(kernel, theta)
     a, b = 25.0, q / 2.0
-    draws = np.array([mi.sample_lambda_k(theta[None], kernel, rng)[0]
+    draws = np.array([sample_lambda_k(theta[None], kernel, rng)[0]
                       for _ in range(100_000)])
     se = (b / ((a - 1) * np.sqrt(a - 2))) / np.sqrt(draws.size)
     assert abs(draws.mean() - b / (a - 1)) < 3 * se
 
 
 def test_lambda_k_scale_family():
-    kernel = mi.build_kernel(0.9, 50)
+    kernel = build_kernel(0.9, 50)
     rng = np.random.default_rng(1)
     theta = kernel.chol @ rng.standard_normal(50)
     c = 3.7
-    d1 = np.array([mi.sample_lambda_k(theta[None], kernel,
-                                      np.random.default_rng(s))[0]
+    d1 = np.array([sample_lambda_k(theta[None], kernel,
+                                   np.random.default_rng(s))[0]
                    for s in range(500)])
-    d2 = np.array([mi.sample_lambda_k(c * theta[None], kernel,
-                                      np.random.default_rng(s))[0]
+    d2 = np.array([sample_lambda_k(c * theta[None], kernel,
+                                   np.random.default_rng(s))[0]
                    for s in range(500)])
     np.testing.assert_allclose(d2, c ** 2 * d1, rtol=1e-10)
 
@@ -47,11 +51,11 @@ def test_lambda_k_scale_family():
 def test_lambda_k_equals_sequential_inverse_gamma_draws():
     # one vectorised gamma call gives the stream of m sequential draws, and
     # leaves the generator where they would
-    kernel = mi.build_kernel(0.9, 6)
+    kernel = build_kernel(0.9, 6)
     theta = np.random.default_rng(12).standard_normal((5, 6))
-    rates = 0.5 * mi.quad_form(kernel, theta)
+    rates = 0.5 * quad_form(kernel, theta)
     rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
-    got = mi.sample_lambda_k(theta, kernel, rng_a)
+    got = sample_lambda_k(theta, kernel, rng_a)
     want = np.array([sample_inverse_gamma(3.0, rate, rng_b)
                      for rate in rates])
     np.testing.assert_array_equal(got, want)
@@ -59,23 +63,23 @@ def test_lambda_k_equals_sequential_inverse_gamma_draws():
 
 
 def test_lambda_common_reduces_to_lambda_k_for_one_channel():
-    kernel = mi.build_kernel(0.8, 7)
+    kernel = build_kernel(0.8, 7)
     rng = np.random.default_rng(2)
     theta = rng.standard_normal(7)
-    a, = mi.sample_lambda_k(theta[None], kernel, np.random.default_rng(11))
-    b = mi.sample_lambda_common(theta, kernel, np.random.default_rng(11))
+    a, = sample_lambda_k(theta[None], kernel, np.random.default_rng(11))
+    b = sample_lambda_common(theta, kernel, np.random.default_rng(11))
     assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_lambda_common_mean_oracle():
     rng = np.random.default_rng(3)
     m, p = 2, 50
-    kernel = mi.build_kernel(0.9, p)
+    kernel = build_kernel(0.9, p)
     theta = rng.standard_normal(m * p)
-    total = sum(mi.quad_form(kernel, theta[k * p:(k + 1) * p])
+    total = sum(quad_form(kernel, theta[k * p:(k + 1) * p])
                 for k in range(m))
     a, b = m * p / 2.0, total / 2.0
-    draws = np.array([mi.sample_lambda_common(theta, kernel, rng)
+    draws = np.array([sample_lambda_common(theta, kernel, rng)
                       for _ in range(100_000)])
     se = (b / ((a - 1) * np.sqrt(a - 2))) / np.sqrt(draws.size)
     assert abs(draws.mean() - b / (a - 1)) < 3 * se
@@ -85,7 +89,7 @@ def test_lambda_common_shape_by_quadrature():
     # m = 2, p = 1: the unnormalized conditional density 1/x * prod of two
     # Gaussian block densities must integrate to the IG(m*p/2, rate) law
     alpha = 0.9
-    kernel = mi.build_kernel(alpha, 1)
+    kernel = build_kernel(alpha, 1)
     t1, t2 = 0.7, -1.3
     rate = 0.5 * (t1 ** 2 + t2 ** 2) / alpha
 
@@ -106,14 +110,14 @@ def test_lambda_common_shape_by_quadrature():
 
 
 def test_lambda_degenerate_rate():
-    kernel = mi.build_kernel(0.9, 4)
+    kernel = build_kernel(0.9, 4)
     rng = np.random.default_rng(4)
     with pytest.raises(DegenerateRateError):
-        mi.sample_lambda_k(np.zeros((1, 4)), kernel, rng)
+        sample_lambda_k(np.zeros((1, 4)), kernel, rng)
     with pytest.raises(DegenerateRateError):
-        mi.sample_lambda_k(np.vstack([np.ones(4), np.zeros(4)]), kernel, rng)
+        sample_lambda_k(np.vstack([np.ones(4), np.zeros(4)]), kernel, rng)
     with pytest.raises(DegenerateRateError):
-        mi.sample_lambda_common(np.zeros(8), kernel, rng)
+        sample_lambda_common(np.zeros(8), kernel, rng)
 
 
 def test_sigma2_shape_and_mean():
@@ -168,12 +172,12 @@ def test_theta_conditional_zero_input_recovers_prior():
     n, p = 40, 4
     inputs = np.vstack([rng.standard_normal(n), np.zeros(n)])
     data = mi.Dataset(y=rng.standard_normal(n), inputs=inputs)
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.9, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.9, p)
     hyper = mi.HyperState(lam=np.array([1.0, 2.5]), sigma2=0.5)
     theta = rng.standard_normal(2 * p)
-    post = mi.block_conditional((1,), theta, bank.cross_state(theta), hyper,
-                                BlockSpectra(bank, kernel), True)
+    post = block_conditional((1,), theta, bank.cross_state(theta), hyper,
+                             BlockSpectra(bank, kernel), True)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -182,8 +186,8 @@ def test_theta_conditional_large_noise_recovers_prior():
     data, bank, kernel, _ = make_small_problem(seed=9)
     hyper = mi.HyperState(lam=np.full(bank.m, 1.7), sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
-    post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                                BlockSpectra(bank, kernel), True)
+    post = block_conditional((0,), zero, bank.cross_state(zero), hyper,
+                             BlockSpectra(bank, kernel), True)
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -192,13 +196,13 @@ def test_theta_conditional_generalized_ridge_oracle():
     n, p = 20, 3
     u = rng.standard_normal(n)
     data = mi.Dataset(y=rng.standard_normal(n), inputs=u[None, :])
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.9, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.9, p)
     lam, sigma2 = 0.6, 0.4
     hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
     zero = np.zeros(p)
-    post = mi.block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                                BlockSpectra(bank, kernel), True)
+    post = block_conditional((0,), zero, bank.cross_state(zero), hyper,
+                             BlockSpectra(bank, kernel), True)
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -210,16 +214,16 @@ def test_block_conditional_orthogonal_inputs_decouple():
     u2 = np.zeros(n); u2[10] = 1.0
     data = mi.Dataset(y=np.arange(n, dtype=float),
                       inputs=np.vstack([u1, u2]))
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.8, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.8, p)
     hyper = mi.HyperState(lam=np.array([1.0, 3.0]), sigma2=0.7)
     theta = np.zeros(2 * p)
     cross = bank.cross_state(theta)
     spectra = BlockSpectra(bank, kernel)
-    pair = mi.block_conditional((0, 1), theta, cross, hyper, spectra, True)
+    pair = block_conditional((0, 1), theta, cross, hyper, spectra, True)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = mi.block_conditional((0,), theta, cross, hyper, spectra, True)
-    single1 = mi.block_conditional((1,), theta, cross, hyper, spectra, True)
+    single0 = block_conditional((0,), theta, cross, hyper, spectra, True)
+    single1 = block_conditional((1,), theta, cross, hyper, spectra, True)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -246,9 +250,9 @@ def test_block_conditional_matches_joint_schur(channels, often, common):
     rng = np.random.default_rng(12)
     anchor = joint.mean + 0.4 * rng.standard_normal(6)
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in channels])
-    mean_ref, cov_ref = mi.joint_conditional(joint, idx, anchor)
-    post = mi.block_conditional(channels, anchor, bank.cross_state(anchor),
-                                hyper, BlockSpectra(bank, kernel), often)
+    mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
+    post = block_conditional(channels, anchor, bank.cross_state(anchor),
+                             hyper, BlockSpectra(bank, kernel), often)
     spectral = often and (common or len(channels) == 1)
     assert (post.root.scale is not None) == spectral
     np.testing.assert_allclose(post.mean, mean_ref, atol=1e-8)
@@ -260,8 +264,8 @@ def test_block_conditional_identical_inputs_null_direction():
     n, p = 200, 5
     u = rng.standard_normal(n)
     data = mi.Dataset(y=rng.standard_normal(n), inputs=np.vstack([u, u]))
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.9, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.9, p)
     lam = 1.3
     hyper = mi.HyperState(lam=np.full(2, lam), sigma2=0.3)
     zero = np.zeros(2 * p)
@@ -270,8 +274,8 @@ def test_block_conditional_identical_inputs_null_direction():
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
     spectra = BlockSpectra(bank, kernel)
     for often in (True, False):
-        pair = mi.block_conditional((0, 1), zero, bank.cross_state(zero),
-                                    hyper, spectra, often)
+        pair = block_conditional((0, 1), zero, bank.cross_state(zero),
+                                 hyper, spectra, often)
         # (v, -v) is invisible to identical inputs: its variance is prior
         # scale
         np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
@@ -289,8 +293,8 @@ def test_block_conditional_rejects_same_channel():
     for channels in ((1, 1), (0, 2, 0)):
         for often in (True, False):
             with pytest.raises(ValueError, match="distinct"):
-                mi.block_conditional(channels, zero, bank.cross_state(zero),
-                                     hyper, spectra, often)
+                block_conditional(channels, zero, bank.cross_state(zero),
+                                  hyper, spectra, often)
 
 
 def test_scale_consistency():
@@ -299,16 +303,16 @@ def test_scale_consistency():
     n, p, c = 40, 3, 5.0
     u = rng.standard_normal((2, n))
     y = rng.standard_normal(n)
-    kernel = mi.build_kernel(0.9, p)
+    kernel = build_kernel(0.9, p)
     theta = rng.standard_normal(2 * p)
-    base = mi.RegressorBank(mi.Dataset(y=y, inputs=u), p)
-    scaled = mi.RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
+    base = RegressorBank(mi.Dataset(y=y, inputs=u), p)
+    scaled = RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
     h1 = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.4)
     h2 = mi.HyperState(lam=np.full(2, 0.8), sigma2=c ** 2 * 0.4)
-    p1 = mi.block_conditional((0,), theta, base.cross_state(theta), h1,
-                              BlockSpectra(base, kernel), True)
-    p2 = mi.block_conditional((0,), theta, scaled.cross_state(theta), h2,
-                              BlockSpectra(scaled, kernel), True)
+    p1 = block_conditional((0,), theta, base.cross_state(theta), h1,
+                           BlockSpectra(base, kernel), True)
+    p2 = block_conditional((0,), theta, scaled.cross_state(theta), h2,
+                           BlockSpectra(scaled, kernel), True)
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
@@ -326,7 +330,7 @@ def test_draw_gaussian_collapsed_covariance():
     precision = 1e12 * np.eye(2)
     post = _posterior(precision, precision @ mean)
     rng = np.random.default_rng(0)
-    draws = np.array([mi.draw_gaussian(post, rng) for _ in range(1000)])
+    draws = np.array([draw_gaussian(post, rng) for _ in range(1000)])
     assert np.max(np.abs(draws - mean)) < 1e-5
 
 
@@ -336,7 +340,7 @@ def test_draw_gaussian_moments():
     A = rng.standard_normal((p, p))
     cov = A @ A.T + np.eye(p)
     post = _posterior(np.linalg.inv(cov), np.zeros(p))
-    draws = np.array([mi.draw_gaussian(post, rng) for _ in range(100_000)])
+    draws = np.array([draw_gaussian(post, rng) for _ in range(100_000)])
     emp = np.cov(draws.T)
     err = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
     assert err < 0.05
@@ -344,8 +348,8 @@ def test_draw_gaussian_moments():
 
 def test_draw_gaussian_deterministic():
     post = _posterior(np.eye(3), np.zeros(3))
-    a = mi.draw_gaussian(post, np.random.default_rng(99))
-    b = mi.draw_gaussian(post, np.random.default_rng(99))
+    a = draw_gaussian(post, np.random.default_rng(99))
+    b = draw_gaussian(post, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
@@ -393,7 +397,7 @@ def test_posterior_from_precision_property(system, seed):
     z = np.random.default_rng(seed).standard_normal(p)
     expected = mean + solve_triangular(post.root.factor, z, lower=True,
                                        trans="T")
-    draw = mi.draw_gaussian(post, np.random.default_rng(seed))
+    draw = draw_gaussian(post, np.random.default_rng(seed))
     np.testing.assert_allclose(draw, expected, rtol=0,
                                atol=1e-10 * np.abs(expected).max())
 
@@ -413,9 +417,9 @@ def test_theta_updates_preserve_exact_posterior():
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
-            post = mi.block_conditional((k,), theta, bank.cross_state(theta),
-                                        hyper, spectra, True)
-            theta[k * 3:(k + 1) * 3] = mi.draw_gaussian(post, rng)
+            post = block_conditional((k,), theta, bank.cross_state(theta),
+                                     hyper, spectra, True)
+            theta[k * 3:(k + 1) * 3] = draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
     z = np.abs(out.mean(axis=0) - joint.mean) / (sd / np.sqrt(n_rep))
@@ -455,8 +459,8 @@ def test_vanishing_scale_factor_raises_instead_of_nan():
         for often in (True, False):
             with np.errstate(over="ignore"), \
                     pytest.raises(FactorizationError):
-                mi.block_conditional(channels, theta, cross, hyper, spectra,
-                                     often)
+                block_conditional(channels, theta, cross, hyper, spectra,
+                                  often)
 
 
 def test_lapack_factor_and_draw():
@@ -485,18 +489,18 @@ def test_lapack_factor_and_draw():
     spectra = BlockSpectra(bank, kernel)
     common = mi.HyperState(lam=np.full(3, 0.7), sigma2=0.4)
     for post in (post,
-                 mi.block_conditional((0, 2), theta, cross, hyper, spectra,
-                                      True),
-                 mi.block_conditional((2,), theta, cross, hyper, spectra,
-                                      False),
-                 mi.block_conditional((0, 2), theta, cross, common, spectra,
-                                      False)):
+                 block_conditional((0, 2), theta, cross, hyper, spectra,
+                                   True),
+                 block_conditional((2,), theta, cross, hyper, spectra,
+                                   False),
+                 block_conditional((0, 2), theta, cross, common, spectra,
+                                   False)):
         assert post.root.scale is None
         L = post.root.factor
         np.testing.assert_array_equal(np.triu(L, 1), 0.0)
         z = np.random.default_rng(23).standard_normal(L.shape[0])
         expected = post.mean + solve_triangular(L, z, lower=True, trans="T")
-        draw = mi.draw_gaussian(post, np.random.default_rng(23))
+        draw = draw_gaussian(post, np.random.default_rng(23))
         np.testing.assert_allclose(draw, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
     # a single channel and a common-scale pair: spectral form, whose root
@@ -505,9 +509,9 @@ def test_lapack_factor_and_draw():
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
     spectral = [
-        (mi.block_conditional((2,), theta, cross, hyper, spectra, True),
+        (block_conditional((2,), theta, cross, hyper, spectra, True),
          kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
-        (mi.block_conditional((0, 2), theta, cross, common, spectra, True),
+        (block_conditional((0, 2), theta, cross, common, spectra, True),
          pair_precision),
     ]
     for post, precision in spectral:
@@ -516,7 +520,7 @@ def test_lapack_factor_and_draw():
                                    np.eye(root.shape[0]), rtol=0, atol=1e-12)
         z = np.random.default_rng(23).standard_normal(root.shape[0])
         expected = post.mean + root @ z
-        draw = mi.draw_gaussian(post, np.random.default_rng(23))
+        draw = draw_gaussian(post, np.random.default_rng(23))
         np.testing.assert_allclose(draw, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
     np.testing.assert_array_equal(bank.cross_state(theta), cross)
@@ -529,7 +533,7 @@ def spectral_systems(draw):
     or the rank-deficient 2p gram of a duplicated channel.  The prior has
     decay alpha in [0.5, 0.99]."""
     p = draw(st.integers(1, 12))
-    kernel = mi.build_kernel(draw(st.floats(0.5, 0.99)), p)
+    kernel = build_kernel(draw(st.floats(0.5, 0.99)), p)
     cond = 10.0 ** draw(st.floats(0.0, 8.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -545,7 +549,7 @@ def spectral_systems(draw):
     return gram, kernel.chol, kinv, lam, rng.standard_normal(gram.shape[0])
 
 
-_EDGE = mi.build_kernel(0.99, 12)
+_EDGE = build_kernel(0.99, 12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,7 +582,7 @@ def test_spectral_posterior_matches_cholesky(system, seed):
     # fixed z: the draw is mean + T z, and the Cholesky factor of the
     # precision whitens T z back to a vector of the same length as z
     z = np.random.default_rng(seed).standard_normal(size)
-    draw = mi.draw_gaussian(spectral, np.random.default_rng(seed))
+    draw = draw_gaussian(spectral, np.random.default_rng(seed))
     step = root.factor @ (root.scale * z)
     np.testing.assert_allclose(draw, mean + step, rtol=0,
                                atol=1e-12 * np.abs(draw).max())
@@ -598,15 +602,15 @@ def test_pair_route_follows_its_two_scale_factors():
     spectral = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         for often in (True, False):
-            post = mi.block_conditional((i, j), theta, cross, hyper, spectra,
-                                        often)
+            post = block_conditional((i, j), theta, cross, hyper, spectra,
+                                     often)
             spectral[i, j, often] = post.root.scale is not None
     assert spectral == {(0, 1, True): True, (0, 2, True): False,
                         (1, 2, True): False, (0, 1, False): False,
                         (0, 2, False): False, (1, 2, False): False}
     # both routes of the equal-scale pair are the same posterior
-    routes = [mi.block_conditional((0, 1), theta, cross, hyper, spectra,
-                                   often)
+    routes = [block_conditional((0, 1), theta, cross, hyper, spectra,
+                                often)
               for often in (True, False)]
     np.testing.assert_allclose(routes[0].mean, routes[1].mean, atol=1e-10)
     np.testing.assert_allclose(routes[0].covariance, routes[1].covariance,
@@ -687,8 +691,8 @@ def test_block_root_whiten_and_times_are_one_root():
     u = rng.standard_normal((2, n))
     data = mi.Dataset(y=rng.standard_normal(n),
                       inputs=np.vstack([u[0], u[0], u[1]]))
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.9, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.9, p)
     spectra = BlockSpectra(bank, kernel)
     hyper = mi.HyperState(lam=np.full(3, lam), sigma2=sigma2)
     for channels in ((1,), (0, 1), (1, 2)):
@@ -733,10 +737,10 @@ def test_block_roots_are_reused_for_one_hyper(monkeypatch):
             for _ in range(3):
                 theta = rng.standard_normal(bank.m * bank.p)
                 cross = bank.cross_state(theta)
-                kept = mi.block_conditional((0, 1), theta, cross, hyper,
-                                            spectra, often, roots)
-                fresh = mi.block_conditional((0, 1), theta, cross, hyper,
-                                             spectra, often)
+                kept = block_conditional((0, 1), theta, cross, hyper,
+                                         spectra, often, roots)
+                fresh = block_conditional((0, 1), theta, cross, hyper,
+                                          spectra, often)
                 for a, b in ((kept.root.factor, fresh.root.factor),
                              (kept.whitened, fresh.whitened)):
                     assert a.tobytes() == b.tobytes()
@@ -749,7 +753,7 @@ def test_spectral_scales_must_be_finite_and_positive():
     # a pair of all-zero inputs gives e = 0; an infinite scale factor then
     # leaves s = 0, an infinite 1/sigma2 gives NaN, a vanishing scale
     # factor gives s = inf: each raises instead of returning zeros
-    kernel = mi.build_kernel(0.9, 3)
+    kernel = build_kernel(0.9, 3)
     spectrum = block_spectrum(np.zeros((6, 6)), kernel.chol)
     np.testing.assert_array_equal(spectrum[1], 0.0)
     for lam, inv_s2 in ((np.inf, 1.0), (1.0, np.inf), (5e-324, 1.0)):
@@ -760,31 +764,31 @@ def test_spectral_scales_must_be_finite_and_positive():
 
 def test_lambda_rates_are_banded_sums():
     rng = np.random.default_rng(25)
-    kernel = mi.build_kernel(0.95, 50)
+    kernel = build_kernel(0.95, 50)
     theta = rng.standard_normal(20 * 50) * np.repeat(
         10.0 ** rng.uniform(-3, 3, 20), 50)
     theta[100:150] = 0.0                      # one all-zero channel
     blocks = theta.reshape(20, 50)
-    forms = [mi.quad_form(kernel, row) for row in blocks]
-    np.testing.assert_allclose(mi.quad_form(kernel, blocks), forms,
+    forms = [quad_form(kernel, row) for row in blocks]
+    np.testing.assert_allclose(quad_form(kernel, blocks), forms,
                                rtol=1e-12, atol=0)
-    assert mi.quad_form(kernel, blocks)[2] == 0.0
+    assert quad_form(kernel, blocks)[2] == 0.0
     # the common rate: draw x gamma(shape) recovers it from the same stream
     shape = 0.5 * theta.size
-    draw = mi.sample_lambda_common(theta, kernel, np.random.default_rng(3))
+    draw = sample_lambda_common(theta, kernel, np.random.default_rng(3))
     rate = draw * np.random.default_rng(3).gamma(shape)
     assert rate == pytest.approx(0.5 * sum(forms), rel=1e-12)
     # per channel: m gamma draws in channel order, as m one-row calls make
     nonzero = np.delete(blocks, 2, axis=0)
-    together = mi.sample_lambda_k(nonzero, kernel, np.random.default_rng(4))
+    together = sample_lambda_k(nonzero, kernel, np.random.default_rng(4))
     stream = np.random.default_rng(4)
-    apart = [mi.sample_lambda_k(row[None], kernel, stream)[0]
+    apart = [sample_lambda_k(row[None], kernel, stream)[0]
              for row in nonzero]
     np.testing.assert_allclose(together, apart, rtol=1e-12)
     with pytest.raises(DegenerateRateError):
-        mi.sample_lambda_k(blocks, kernel, np.random.default_rng(4))
+        sample_lambda_k(blocks, kernel, np.random.default_rng(4))
     with pytest.raises(ValueError):
-        mi.sample_lambda_k(theta, kernel, np.random.default_rng(4))
+        sample_lambda_k(theta, kernel, np.random.default_rng(4))
 
 
 def test_hyper_state_validation():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import misoid as mi
-from misoid.diagnostics import pair_sum_error
+from misoid.diagnostics import (build_report, fit_metric, pair_sum_error,
+                                run_oracle_checks)
 from misoid.errors import SizeGuardError
+from misoid.kernel import build_kernel
+from misoid.regression import RegressorBank
 
 from conftest import make_small_problem, stacked_regressors
 
@@ -13,8 +16,8 @@ from conftest import make_small_problem, stacked_regressors
 def test_zero_inputs_recover_prior():
     p = 4
     data = mi.Dataset(y=np.ones(20), inputs=np.zeros((2, 20)))
-    bank = mi.RegressorBank(data, p)
-    kernel = mi.build_kernel(0.9, p)
+    bank = RegressorBank(data, p)
+    kernel = build_kernel(0.9, p)
     post = mi.analytic_posterior(bank, kernel, 2.0, 0.5)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     for k in range(2):
@@ -49,8 +52,8 @@ def test_size_guard():
     rng = np.random.default_rng(3)
     data = mi.Dataset(y=rng.standard_normal(30),
                       inputs=rng.standard_normal((50, 30)))
-    bank = mi.RegressorBank(data, 41)
-    kernel = mi.build_kernel(0.9, 41)
+    bank = RegressorBank(data, 41)
+    kernel = build_kernel(0.9, 41)
     with pytest.raises(SizeGuardError):
         mi.analytic_posterior(bank, kernel, 1.0, 1.0)
 
@@ -100,8 +103,8 @@ def test_ess_bounded_by_length():
 def test_fit_metric_exact_and_zero():
     rng = np.random.default_rng(7)
     truth = rng.standard_normal(12)
-    np.testing.assert_allclose(mi.fit_metric(truth, truth, 4), 0.0)
-    np.testing.assert_allclose(mi.fit_metric(np.zeros(12), truth, 4), 1.0)
+    np.testing.assert_allclose(fit_metric(truth, truth, 4), 0.0)
+    np.testing.assert_allclose(fit_metric(np.zeros(12), truth, 4), 1.0)
 
 
 def test_fit_metric_homogeneity():
@@ -111,14 +114,14 @@ def test_fit_metric_homogeneity():
     pert = 0.1 * np.linalg.norm(truth[:5]) * pert[:5] / np.linalg.norm(pert[:5])
     est = truth.copy()
     est[:5] += pert
-    errs = mi.fit_metric(est, truth, 5)
+    errs = fit_metric(est, truth, 5)
     assert errs[0] == pytest.approx(0.1, rel=1e-10)
     assert errs[1] == 0.0
 
 
 def test_fit_metric_zero_norm_truth():
     with pytest.raises(ValueError):
-        mi.fit_metric(np.ones(4), np.zeros(4), 2)
+        fit_metric(np.ones(4), np.zeros(4), 2)
 
 
 def test_pair_sum_error():
@@ -129,7 +132,7 @@ def test_pair_sum_error():
     est[4:] -= 0.3   # ...and channel 1 down: the sum is unchanged
     assert pair_sum_error(est, truth, 4, 0, 1) == pytest.approx(0.0,
                                                                    abs=1e-12)
-    assert mi.fit_metric(est, truth, 4)[0] > 0.0
+    assert fit_metric(est, truth, 4)[0] > 0.0
 
 
 # -- report -------------------------------------------------------------------
@@ -140,7 +143,7 @@ def test_build_report_and_json(tmp_path):
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=200, beta=20.0, n_ob=1,
                            seed=0)
     record = mi.run(problem, cfg)
-    report = mi.build_report(record, truth_responses=theta_true)
+    report = build_report(record, truth_responses=theta_true)
     assert "lambda" in report.iact and "sigma2" in report.iact
     assert report.ess["lambda"] <= record.n_mc - record.burn_in
     assert report.fit_errors.shape == (2,)
@@ -152,10 +155,10 @@ def test_build_report_and_json(tmp_path):
 # -- oracle suite -------------------------------------------------------------
 
 def test_oracle_checks_pass_and_mutation_fails():
-    corrupted = mi.run_oracle_checks(seed=0, n_sweeps=300, corrupt_mean=True)
+    corrupted = run_oracle_checks(seed=0, n_sweeps=300, corrupt_mean=True)
     assert not corrupted.passed
     # the mutation must not leak into later calls
-    report = mi.run_oracle_checks(seed=0, n_sweeps=2000)
+    report = run_oracle_checks(seed=0, n_sweeps=2000)
     assert report.passed
 
 
@@ -171,7 +174,7 @@ def test_oracle_catches_a_channel_read_with_another_channels_scale(
         return real(theta, cross, hyper, *args)
 
     monkeypatch.setattr(sp, "draw_channels", reversed_scales)
-    report = mi.run_oracle_checks(seed=0, n_sweeps=500)
+    report = run_oracle_checks(seed=0, n_sweeps=500)
     passed = {check.name.split()[0]: check.passed for check in report.checks}
     assert not passed["GSd"]
     assert passed["GS"]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from misoid import build_kernel, quad_form
-from misoid.kernel import check_kernel_settings
+from misoid.kernel import build_kernel, check_kernel_settings, quad_form
 
 
 def test_single_entry():

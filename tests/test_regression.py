@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import misoid as mi
+from misoid.errors import SizeGuardError
+from misoid.regression import RegressorBank
 
 from conftest import make_example1, stacked_regressors, toeplitz_block
 
@@ -14,7 +16,7 @@ def test_unit_impulse_block():
     # G = [[1, 0], [0, 1], [0, 0]]: G'G = I and G'y = y[:2]
     y = np.array([0.7, -1.2, 3.0])
     d = mi.Dataset(y=y, inputs=np.array([[1.0, 0.0, 0.0]]))
-    bank = mi.RegressorBank(d, 2)
+    bank = RegressorBank(d, 2)
     np.testing.assert_array_equal(bank.gram(0, 0), np.eye(2))
     np.testing.assert_array_equal(bank.xty(0), y[:2])
 
@@ -24,7 +26,7 @@ def test_toeplitz_layout():
     a, b, c = 1.5, -2.0, 0.3
     y = np.array([0.5, 2.0, -1.0])
     d = mi.Dataset(y=y, inputs=np.array([[a, b, c]]))
-    bank = mi.RegressorBank(d, 2)
+    bank = RegressorBank(d, 2)
     G = np.array([[a, 0], [b, a], [c, b]])
     np.testing.assert_allclose(bank.gram(0, 0), G.T @ G, rtol=1e-15)
     np.testing.assert_allclose(bank.xty(0), G.T @ y, rtol=1e-15)
@@ -35,7 +37,7 @@ def test_prediction_matches_direct_convolution():
     u = rng.standard_normal(100)
     theta = rng.standard_normal(10)
     d = mi.Dataset(y=np.zeros(100), inputs=u[None, :])
-    bank = mi.RegressorBank(d, 10)
+    bank = RegressorBank(d, 10)
     direct = np.array([
         sum(theta[j] * (u[i - j] if i - j >= 0 else 0.0) for j in range(10))
         for i in range(100)
@@ -47,7 +49,7 @@ def test_predict_zero_and_impulse():
     rng = np.random.default_rng(1)
     d = mi.Dataset(y=np.zeros(30),
                    inputs=np.r_[1.0, np.zeros(29)][None, :])
-    bank = mi.RegressorBank(d, 5)
+    bank = RegressorBank(d, 5)
     assert np.all(bank.predict(np.zeros(5)) == 0.0)
     theta = rng.standard_normal(5)
     np.testing.assert_allclose(bank.predict(theta)[:5], theta, atol=1e-14)
@@ -56,7 +58,7 @@ def test_predict_zero_and_impulse():
 def test_predict_linear():
     rng = np.random.default_rng(2)
     d = mi.Dataset(y=np.zeros(40), inputs=rng.standard_normal((2, 40)))
-    bank = mi.RegressorBank(d, 4)
+    bank = RegressorBank(d, 4)
     t1, t2 = rng.standard_normal(8), rng.standard_normal(8)
     np.testing.assert_allclose(bank.predict(t1 + t2),
                                bank.predict(t1) + bank.predict(t2),
@@ -67,7 +69,7 @@ def test_column_norms_match_truncated_input():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(25)
     d = mi.Dataset(y=np.zeros(25), inputs=u[None, :])
-    bank = mi.RegressorBank(d, 6)
+    bank = RegressorBank(d, 6)
     norms = np.sqrt(np.diag(bank.gram(0, 0)))
     for j in range(6):
         assert norms[j] == pytest.approx(np.linalg.norm(u[:25 - j]))
@@ -75,7 +77,7 @@ def test_column_norms_match_truncated_input():
 
 def test_true_theta_residual_variance():
     data, system = make_example1(data_seed=11)
-    bank = mi.RegressorBank(data, 50)
+    bank = RegressorBank(data, 50)
     resid = data.y - bank.predict(system.responses.ravel())
     assert np.var(resid) == pytest.approx(0.3, abs=0.06)
 
@@ -88,7 +90,7 @@ def test_lagged_path_matches_dense():
     for m in (3, 1):
         d = mi.Dataset(y=rng.standard_normal(n),
                        inputs=rng.standard_normal((m, n)))
-        bank = mi.RegressorBank(d, p)
+        bank = RegressorBank(d, p)
         G = stacked_regressors(d.inputs, p)
         dense = bank.dense_gram()
         np.testing.assert_allclose(dense, G.T @ G, atol=1e-10)
@@ -129,7 +131,7 @@ def test_cross_products_match_toeplitz_products(instance):
     m, n = inputs.shape
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+        bank = RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     assert any(issubclass(w.category, UserWarning) for w in caught) == (p > n)
 
     G = stacked_regressors(inputs, p)
@@ -162,7 +164,7 @@ def test_zero_lag_sums_match_the_inputs_products(instance):
     inputs, y, p = instance
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+        bank = RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     sums = bank.zero_lag_sums()
     direct = inputs @ inputs.T
     np.testing.assert_allclose(sums, direct, rtol=0,
@@ -193,7 +195,7 @@ def test_structured_update_matches_dense_product(instance, seed):
     m = inputs.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+        bank = RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     dense = bank.dense_gram()
     rng = np.random.default_rng(seed)
     theta = np.zeros(m * p)
@@ -239,7 +241,7 @@ def test_spectral_state_does_not_drift():
     m, p, n = 20, 50, 2000
     inputs = rng.standard_normal((m, n))
     inputs[1:] += 0.5 * inputs[0]
-    bank = mi.RegressorBank(
+    bank = RegressorBank(
         mi.Dataset(y=rng.standard_normal(n), inputs=inputs), p)
     dense = bank.dense_gram()
     theta = np.zeros(m * p)
@@ -285,7 +287,7 @@ def _assert_matches_loop(inputs, y, p):
     m = inputs.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bank = mi.RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
+        bank = RegressorBank(mi.Dataset(y=y, inputs=inputs), p)
     lags = _loop_lags(inputs, p)
     gty = _loop_projections(inputs, y, p)
     panels, _ = mi.regression._lag_panels(inputs, p)
@@ -355,7 +357,7 @@ def test_build_memory_does_not_grow_with_the_record():
                       inputs=rng.standard_normal((4, n)))
     tracemalloc.start()
     try:
-        mi.RegressorBank(data, 8)
+        RegressorBank(data, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,8 +368,8 @@ def test_dense_gram_refused_above_oracle_limit():
     p = 50
     m = mi.regression.ORACLE_MAX_COEFFICIENTS // p + 1
     d = mi.Dataset(y=np.ones(60), inputs=np.ones((m, 60)))
-    with pytest.raises(mi.SizeGuardError):
-        mi.RegressorBank(d, p).dense_gram()
+    with pytest.raises(SizeGuardError):
+        RegressorBank(d, p).dense_gram()
 
 
 def test_partial_projection():
@@ -375,7 +377,7 @@ def test_partial_projection():
     n, m, p = 50, 3, 4
     d = mi.Dataset(y=rng.standard_normal(n),
                    inputs=rng.standard_normal((m, n)))
-    bank = mi.RegressorBank(d, p)
+    bank = RegressorBank(d, p)
     theta = rng.standard_normal(m * p)
     G0, G1, G2 = (toeplitz_block(u, p) for u in d.inputs)
     others = G0 @ theta[:p] + G2 @ theta[2 * p:]
@@ -403,7 +405,7 @@ def test_residual_sumsq_matches_direct():
     rng = np.random.default_rng(7)
     d = mi.Dataset(y=rng.standard_normal(80),
                    inputs=rng.standard_normal((2, 80)))
-    bank = mi.RegressorBank(d, 5)
+    bank = RegressorBank(d, 5)
     theta = rng.standard_normal(10)
     direct = float(np.sum((d.y - bank.predict(theta)) ** 2))
     cross = bank.cross_state(theta)
@@ -421,7 +423,7 @@ def test_dataset_validation():
 def test_order_exceeding_samples_warns():
     d = mi.Dataset(y=np.ones(3), inputs=np.ones((1, 3)))
     with pytest.warns(UserWarning):
-        mi.RegressorBank(d, 4)
+        RegressorBank(d, 4)
 
 
 def _awkward(rng, shape):

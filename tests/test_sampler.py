@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -7,9 +8,13 @@ import pytest
 
 import misoid as mi
 from misoid import sampler as sp
-from misoid.conditionals import PAIR_SPECTRUM_DRAWS, sample_inverse_gamma
+from misoid.blocks import (compute_block_probabilities, compute_correlations,
+                           select_block)
+from misoid.conditionals import (PAIR_SPECTRUM_DRAWS, block_conditional,
+                                 sample_inverse_gamma, sample_lambda_k)
 from misoid.errors import FactorizationError
-from misoid.kernel import quad_form
+from misoid.kernel import build_kernel, quad_form
+from misoid.regression import RegressorBank
 
 from conftest import make_small_problem, stacked_regressors
 
@@ -39,10 +44,10 @@ def test_config_validation():
 
 
 def test_derive_seed_spreads():
-    seeds = {mi.derive_seed(123, i) for i in range(1000)}
+    seeds = {sp.derive_seed(123, i) for i in range(1000)}
     assert len(seeds) == 1000
-    assert mi.derive_seed(123, 5) == mi.derive_seed(123, 5)
-    assert mi.derive_seed(123, 5) != mi.derive_seed(124, 5)
+    assert sp.derive_seed(123, 5) == sp.derive_seed(123, 5)
+    assert sp.derive_seed(123, 5) != sp.derive_seed(124, 5)
 
 
 # -- initialization -----------------------------------------------------------
@@ -87,7 +92,7 @@ def test_init_subnormal_ridge_fits_without_ridge():
     rng = np.random.default_rng(5)
     inputs = rng.standard_normal((2, 60))
     y = rng.standard_normal(60)
-    kernel = mi.build_kernel(0.5, 40)
+    kernel = build_kernel(0.5, 40)
     y *= np.sqrt(1e306 / (np.var(y) * np.trace(kernel.Kinv)))
     problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.5,
                                p=40)
@@ -120,7 +125,7 @@ def test_init_nonzero_quadratic_forms():
     problem, _ = _problem(seed=3)
     state = mi.init_chain(problem)
     for k in range(2):
-        assert mi.quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
+        assert quad_form(problem.kernel, state.theta[k * 3:(k + 1) * 3]) > 0
 
 
 def test_init_is_sequential_ridge_fit():
@@ -212,7 +217,7 @@ def test_sweep_composes_single_conditionals():
 
     # a sweep is draw_hyper then draw_coefficients on one generator
     rng_a = np.random.default_rng(7)
-    new_state, selected = mi.sweep(state, problem, None, cfg, rng_a)
+    new_state, selected = sp.sweep(state, problem, None, cfg, rng_a)
     assert selected == []
     rng_b = np.random.default_rng(7)
     theta, cross = state.theta.copy(), state.cross.copy()
@@ -241,8 +246,8 @@ def test_sweep_composes_single_conditionals():
                                beta=2.0, n_ob=4, seed=0)
         schedule = given
         if schedule is None and cfg.uses_blocks:
-            schedule = mi.compute_block_probabilities(problem.correlations,
-                                                      cfg.beta)
+            schedule = compute_block_probabilities(problem.correlations,
+                                                   cfg.beta)
         state = mi.init_chain(problem)
         theta_a, cross_a = state.theta.copy(), state.cross.copy()
         theta_b, cross_b = state.theta.copy(), state.cross.copy()
@@ -358,8 +363,8 @@ def _collinear_triple():
     u[2] = u[1] + 1.5 * u[2]
     y = u.sum(axis=0) + 0.3 * rng.standard_normal(80)
     data = mi.Dataset(y=y, inputs=u)
-    return mi.Problem(data=data, bank=mi.RegressorBank(data, 4),
-                      kernel=mi.build_kernel(0.9, 4))
+    return mi.Problem(data=data, bank=RegressorBank(data, 4),
+                      kernel=build_kernel(0.9, 4))
 
 
 def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
@@ -372,8 +377,8 @@ def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
     bank, m, p = problem.bank, problem.bank.m, problem.bank.p
 
     def draw(channels, often, theta, cross, noise):
-        post = mi.block_conditional(channels, theta, cross, hyper,
-                                    problem.spectra, often)
+        post = block_conditional(channels, theta, cross, hyper,
+                                 problem.spectra, often)
         value = post.root.times(post.whitened + noise)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, value[r * p:(r + 1) * p])
@@ -389,7 +394,7 @@ def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
                 <= 1e-12 * np.max(np.abs(expected)))
     selected, routes = [], []
     for _ in range(config.n_ob if config.uses_blocks else 0):
-        b = mi.select_block(schedule, rng)
+        b = select_block(schedule, rng)
         often = (schedule.probs[b] * config.n_ob * config.n_mc
                  >= PAIR_SPECTRUM_DRAWS)
         channels = schedule.blocks[b]
@@ -404,7 +409,7 @@ def test_draw_coefficients_refuses_wrong_scale_count():
     # before any block is drawn
     problem, _ = _problem(seed=6)
     cfg = mi.SamplerConfig(variant="GSOBd", n_mc=10, beta=20.0)
-    schedule = mi.compute_block_probabilities(problem.correlations, cfg.beta)
+    schedule = compute_block_probabilities(problem.correlations, cfg.beta)
     state = mi.init_chain(problem)
     theta, cross = state.theta.copy(), state.cross.copy()
     for lam in (np.ones(1), np.ones(3)):
@@ -428,8 +433,8 @@ def test_running_cross_product_stays_exact():
                            seed=1)
     problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
                                p=p)
-    schedule = mi.compute_block_probabilities(
-        mi.compute_correlations(problem.data), cfg.beta)
+    schedule = compute_block_probabilities(
+        compute_correlations(problem.data), cfg.beta)
     chain_rng = np.random.default_rng(cfg.seed)
     state = mi.init_chain(problem)
     dense = problem.bank.dense_gram()
@@ -437,7 +442,7 @@ def test_running_cross_product_stays_exact():
     got = problem.bank.gram_product(state.cross)
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
     for _ in range(cfg.n_mc):
-        state, _ = mi.sweep(state, problem, schedule, cfg, chain_rng)
+        state, _ = sp.sweep(state, problem, schedule, cfg, chain_rng)
     exact = dense @ state.theta
     got = problem.bank.gram_product(state.cross)
     assert np.max(np.abs(got - exact)) <= 1e-9 * np.max(np.abs(exact))
@@ -459,7 +464,7 @@ def test_gsob_above_oracle_limit_never_builds_dense_grid(monkeypatch):
     def refuse(bank):
         raise AssertionError("dense grid built during a chain")
 
-    monkeypatch.setattr(mi.RegressorBank, "dense_gram", refuse)
+    monkeypatch.setattr(RegressorBank, "dense_gram", refuse)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=4, beta=20.0, n_ob=2, seed=2)
     problem = mi.build_problem(mi.Dataset(y=y, inputs=inputs), alpha=0.9,
                                p=p)
@@ -517,10 +522,10 @@ def test_hyper_updates_condition_on_previous_theta():
     rng = np.random.default_rng(cfg.seed)
     state = mi.init_chain(problem)
     prev_theta = state.theta.copy()
-    new_state, _ = mi.sweep(state, problem, None, cfg, rng)
+    new_state, _ = sp.sweep(state, problem, None, cfg, rng)
     replay = np.random.default_rng(cfg.seed)
-    lam = mi.sample_lambda_k(prev_theta.reshape(2, 3), problem.kernel,
-                             replay)
+    lam = sample_lambda_k(prev_theta.reshape(2, 3), problem.kernel,
+                          replay)
     np.testing.assert_array_equal(new_state.hyper.lam, lam)
 
 
@@ -736,12 +741,24 @@ def test_one_channel_record_keeps_trace_shape(tmp_path, variant, shape):
     np.testing.assert_array_equal(back.lambda_trace, record.lambda_trace)
 
 
+def test_record_with_numpy_seed_saves_and_reloads(tmp_path):
+    # a numpy integer seed is written to record.json as the plain integer
+    problem, _ = _problem(seed=14)
+    record = mi.run(problem, mi.SamplerConfig(variant="GS", n_mc=20,
+                                              seed=np.int64(3)))
+    mi.save_record(record, tmp_path)
+    assert json.loads((tmp_path / "record.json").read_text())["seed"] == 3
+    back = mi.load_record(tmp_path)
+    assert back.seed == 3
+    np.testing.assert_array_equal(back.theta_samples, record.theta_samples)
+
+
 def test_recorded_selection_frequencies_match_schedule():
     problem, _ = _problem(seed=16, m=3, p=2, n=60)
     cfg = mi.SamplerConfig(variant="GSOB", n_mc=2000, beta=5.0, n_ob=5, seed=2)
     record = mi.run(problem, cfg)
-    sched = mi.compute_block_probabilities(
-        mi.compute_correlations(problem.data), cfg.beta)
+    sched = compute_block_probabilities(
+        compute_correlations(problem.data), cfg.beta)
     n_sel = record.selected_blocks.shape[0]
     assert n_sel == 10_000
     for pair, prob in zip(sched.blocks, sched.probs):

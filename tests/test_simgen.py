@@ -3,36 +3,38 @@ import pytest
 from scipy.signal import lfilter
 
 import misoid as mi
+from misoid.blocks import compute_correlations
+from misoid.simgen import gamma_for_target_c, load_truth_json
 
 
 # -- gamma / target correlation ----------------------------------------------
 
 def test_gamma_limit_perfect_correlation():
-    assert mi.gamma_for_target_c(0.999999, 0.8, 1.0) < 1e-2
-    g = [mi.gamma_for_target_c(c, 0.8, 1.0) for c in (0.9, 0.99, 0.999)]
+    assert gamma_for_target_c(0.999999, 0.8, 1.0) < 1e-2
+    g = [gamma_for_target_c(c, 0.8, 1.0) for c in (0.9, 0.99, 0.999)]
     assert g[0] > g[1] > g[2]
 
 
 def test_gamma_printed_value():
-    g = mi.gamma_for_target_c(0.99, 0.8, 1.0)
+    g = gamma_for_target_c(0.99, 0.8, 1.0)
     assert g ** 2 == pytest.approx(0.36 * (1 / 0.9801 - 1), rel=1e-10)
     assert g == pytest.approx(0.08550, abs=5e-6)
 
 
 def test_gamma_equal_power_case():
-    assert mi.gamma_for_target_c(1 / np.sqrt(2), 0.0, 1.0) == pytest.approx(1.0)
+    assert gamma_for_target_c(1 / np.sqrt(2), 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_gamma_domain():
     for bad in (0.0, 1.0, -0.5, 1.2):
         with pytest.raises(ValueError):
-            mi.gamma_for_target_c(bad, 0.8, 1.0)
+            gamma_for_target_c(bad, 0.8, 1.0)
     with pytest.raises(ValueError):
-        mi.gamma_for_target_c(0.9, 1.0, 1.0)
+        gamma_for_target_c(0.9, 1.0, 1.0)
 
 
 def test_gamma_calibration_by_simulation():
-    gamma = mi.gamma_for_target_c(0.99, 0.8, 1.0)
+    gamma = gamma_for_target_c(0.99, 0.8, 1.0)
     rng = np.random.default_rng(0)
     n = 1_000_000
     u = rng.standard_normal(n)
@@ -112,7 +114,7 @@ def test_duplicate_mode_exact_copy():
     u = mi.generate_inputs(mi.CollinearInputSpec(m=2, n=300, duplicate=True),
                            rng)
     np.testing.assert_array_equal(u[0], u[1])
-    c = mi.compute_correlations(mi.Dataset(y=np.zeros(300), inputs=u))
+    c = compute_correlations(mi.Dataset(y=np.zeros(300), inputs=u))
     assert c[0, 1] == pytest.approx(1.0)
 
 
@@ -120,7 +122,7 @@ def test_chain_correlations_decay_with_distance():
     rng = np.random.default_rng(8)
     u = mi.generate_inputs(
         mi.CollinearInputSpec(m=10, n=100_000, correlated_prefix=10), rng)
-    c = mi.compute_correlations(mi.Dataset(y=np.zeros(100_000), inputs=u))
+    c = compute_correlations(mi.Dataset(y=np.zeros(100_000), inputs=u))
     first_row = [c[0, k] for k in range(1, 10)]
     assert np.all(np.diff(first_row) < 0.0)
     adjacent = [c[i, i + 1] for i in range(9)]
@@ -132,7 +134,7 @@ def test_channels_beyond_prefix_independent():
     rng = np.random.default_rng(9)
     u = mi.generate_inputs(
         mi.CollinearInputSpec(m=6, n=100_000, correlated_prefix=3), rng)
-    c = mi.compute_correlations(mi.Dataset(y=np.zeros(100_000), inputs=u))
+    c = compute_correlations(mi.Dataset(y=np.zeros(100_000), inputs=u))
     off = [c[i, j] for i in range(3, 6) for j in range(i + 1, 6)]
     assert max(off) < 0.02
 
@@ -193,7 +195,7 @@ def test_truth_json_round_trip(tmp_path):
     path = tmp_path / "truth.json"
     mi.write_truth_json(path, system, 0.3, gamma=0.085,
                         achieved_correlations=np.eye(2))
-    doc = mi.load_truth_json(path)
+    doc = load_truth_json(path)
     np.testing.assert_allclose(doc["responses"], system.responses)
     assert doc["noise_variance"] == 0.3
     assert doc["gamma"] == 0.085
