@@ -23,14 +23,14 @@ routes.
   the block's channels) and C'G'GC = V diag(e) V', the precision is
   C^-T V diag(s) V' C^-1 with s = 1/lambda + e/sigma**2, so
   T = W diag(s**-1/2) for W = C V.  Only lambda and sigma**2 change between
-  sweeps, so one eigendecomposition per block (:class:`BlockSpectra`, built
-  with the problem for a single channel and on first use for a wider
-  block) serves every draw at two matrix-vector products, the way
-  one decomposition serves every ridge parameter in generalized
-  cross-validation (Golub, Heath & Wahba 1979).  The spectra keep the
-  block's data gram beside its spectrum, for its right-hand side.  A
-  scale vector s that is not finite and positive (lambda or sigma**2
-  collapsed towards 0) is a failure.
+  sweeps, so one eigendecomposition per block serves every draw at two
+  matrix-vector products, the way one decomposition serves every ridge
+  parameter in generalized cross-validation (Golub, Heath & Wahba 1979).
+  The problem (:class:`~misoid.sampler.Problem`), which all its chains
+  share, keeps each block's spectrum, built with it for a single channel
+  and on first use for a wider block, and beside it the block's data
+  gram, for its right-hand side.  A scale vector s that is not finite
+  and positive (lambda or sigma**2 collapsed towards 0) is a failure.
 * Factored, for every other block: channels with different scale
   factors, which no single spectrum covers, or a block drawn too rarely to
   repay a spectrum.  T = L^-T for the lower Cholesky factor L of the
@@ -46,10 +46,10 @@ roots built so far, which the sampler keeps for one coefficient step, so
 a block factors or scales its spectrum once per sweep however often the
 sweep draws it, with the very factor ``dpotrf`` would return again.
 
-Every single channel has its spectrum, and beside it the channel's
-whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one product of
-[theta_k, the chain's state rows k and m, 1] with it, so no single draw
-forms its right-hand side.  The sampler's single-channel pass
+The problem holds every single channel's spectrum, and beside it the
+channel's whitening map: W_k'G_k'(y - sum_{j != k} G_j theta_j) is one
+product of [theta_k, the chain's state rows k and m, 1] with it, so no
+single draw forms its right-hand side.  The sampler's single-channel pass
 (``sampler.draw_channels``) reads the maps; :func:`block_conditional`
 draws any block, a single channel included, from its projection.
 
@@ -68,7 +68,7 @@ when read (oracle and tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -76,7 +76,9 @@ from scipy.linalg.lapack import dpotrf, dsyevd, dtrtrs
 
 from .errors import DegenerateRateError, FactorizationError
 from .kernel import StableSplineKernel, quad_form
-from .regression import RegressorBank
+
+if TYPE_CHECKING:
+    from .sampler import Problem
 
 RATE_FLOOR = 1e-300
 
@@ -173,60 +175,6 @@ def block_spectrum(gram: np.ndarray, chol: np.ndarray) -> BlockSpectrum:
     for arr in (basis, evals):
         arr.setflags(write=False)
     return BlockSpectrum(basis, evals)
-
-
-class BlockSpectra:
-    """The spectra of one problem's blocks, keyed by the channel tuple;
-    every chain of the problem shares them.  Every chain draws every
-    channel, so the m single channels' are built here, as stacked tables,
-    read-only, that one sweep reads to draw every channel: their bases
-    ``single_bases`` (m, p, p) and eigenvalues ``single_evals`` (m, p).
-    A single channel's spectrum is a view of the tables; a wider block's
-    is built on its first use.  The data gram of every block asked for
-    (:meth:`gram`) is kept too, read-only, so that a block drawn often
-    under two scale factors, which no spectrum covers, builds its gram
-    once.
-
-    For each single channel k the bank's ``projection_map`` of W_k is
-    kept too, (m, 5p+1, p) and read-only (10 MB at m = 100 and p = 50), so
-    that the sampler's single-channel pass whitens the channel's
-    right-hand side from the chain's state in one product."""
-
-    def __init__(self, bank: RegressorBank, kernel: StableSplineKernel):
-        self.bank = bank
-        self.kernel = kernel
-        self._grams: dict = {}
-        m, p = bank.m, bank.p
-        self.single_bases = np.empty((m, p, p))
-        self.single_evals = np.empty((m, p))
-        self.single_maps = np.empty((m, 5 * p + 1, p))
-        for k in range(m):
-            basis, self.single_evals[k] = block_spectrum(self.gram((k,)),
-                                                         kernel.chol)
-            self.single_bases[k] = basis
-            bank.projection_map(k, basis, self.single_maps[k])
-        for arr in (self.single_bases, self.single_evals, self.single_maps):
-            arr.setflags(write=False)
-        self._built: dict = {
-            (k,): BlockSpectrum(self.single_bases[k], self.single_evals[k])
-            for k in range(m)}
-
-    def __call__(self, channels: tuple[int, ...]) -> BlockSpectrum:
-        found = self._built.get(channels)
-        if found is None:
-            found = block_spectrum(self.gram(channels), self.kernel.chol)
-            self._built[channels] = found
-        return found
-
-    def gram(self, channels: tuple[int, ...]) -> np.ndarray:
-        """The array ``bank.block_gram(channels)`` returns, built on the
-        block's first use and kept read-only."""
-        found = self._grams.get(channels)
-        if found is None:
-            found = self.bank.block_gram(channels)
-            found.setflags(write=False)
-            self._grams[channels] = found
-        return found
 
 
 def spectral_scales(lam: float | np.ndarray, inv_s2: float,
@@ -344,30 +292,30 @@ def sample_sigma2_from_sumsq(rss: float, n: int,
 
 
 def block_root(channels: tuple[int, ...], hyper: HyperState,
-               spectra: BlockSpectra, often: bool) -> BlockRoot:
+               problem: Problem, often: bool) -> BlockRoot:
     """The covariance root of the block ``channels`` at ``hyper``, which
     does not depend on the coefficients: spectral for a block drawn
     ``often`` under one scale factor for the whole block, else factored.
-    A block drawn ``often`` keeps its gram in ``spectra``; a rarer one
-    builds it anew."""
+    A block drawn ``often`` reads its spectrum and gram from the
+    ``problem``, which keeps them; a rarer one builds its gram anew."""
     if len(channels) > 1 and len(set(channels)) < len(channels):
         raise ValueError(f"a block needs distinct channels, got {channels}")
     inv_s2 = 1.0 / hyper.sigma2
     # a list of scalars, not fancy indexing: this runs once per block draw
     lam = [hyper.lam[k] for k in channels]
-    gram = (spectra.gram(channels) if often
-            else spectra.bank.block_gram(channels))
+    gram = (problem.gram(channels) if often
+            else problem.bank.block_gram(channels))
     if often and lam.count(lam[0]) == len(lam):
-        basis, evals = spectra(channels)
+        basis, evals = problem.spectrum(channels)
         return BlockRoot(gram, basis, spectral_scales(lam[0], inv_s2, evals))
-    precision = factored_precision(gram, inv_s2, lam, spectra.kernel)
+    precision = factored_precision(gram, inv_s2, lam, problem.kernel)
     return BlockRoot(gram, _chol_lower(precision, "posterior precision"),
                      None)
 
 
 def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
                       cross: np.ndarray, hyper: HyperState,
-                      spectra: BlockSpectra, often: bool,
+                      problem: Problem, often: bool,
                       roots: dict | None = None) -> GaussianBlockPosterior:
     """Gaussian conditional of the coefficients of ``channels``, a tuple of
     distinct channels, given everything else.
@@ -384,9 +332,9 @@ def block_conditional(channels: tuple[int, ...], theta: np.ndarray,
         roots = {}
     root = roots.get(channels)
     if root is None:
-        root = roots[channels] = block_root(channels, hyper, spectra, often)
+        root = roots[channels] = block_root(channels, hyper, problem, often)
     inv_s2 = 1.0 / hyper.sigma2
-    rhs = inv_s2 * spectra.bank.partial_projection(channels, theta, cross,
+    rhs = inv_s2 * problem.bank.partial_projection(channels, theta, cross,
                                                    root.gram)
     return GaussianBlockPosterior(root, root.whiten(rhs))
 

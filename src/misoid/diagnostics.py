@@ -126,14 +126,6 @@ def fit_metric(estimate: np.ndarray, truth: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.norm(est - tru, axis=1) / norms
 
 
-def pair_sum_error(estimate: np.ndarray, truth: np.ndarray, p: int,
-                   i: int, j: int) -> float:
-    """Relative L2 error of the summed responses of channels i and j."""
-    est = np.asarray(estimate, dtype=float).reshape(-1, p)
-    tru = np.asarray(truth, dtype=float).reshape(-1, p)
-    return float(fit_metric(est[i] + est[j], tru[i] + tru[j], p)[0])
-
-
 @dataclass
 class DiagnosticsReport:
     """Mixing and fit summary of one recorded chain."""
@@ -287,7 +279,7 @@ def run_oracle_checks(seed: int = 0, n_sweeps: int = 10_000,
             mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
             for often in (True, False):
                 cond = conditionals.block_conditional(
-                    channels, anchor, cross, hyper, truth.spectra, often)
+                    channels, anchor, cross, hyper, truth, often)
                 worst[len(channels)] = max(
                     worst[len(channels)],
                     float(np.max(np.abs(cond.mean - mean_ref))),

@@ -33,10 +33,12 @@ channel's conditional is one product of the state with the channel's
 kept map.  A chain writes into its own arrays only, so the chains of a
 problem share its bank and tables.
 
-Work that does not depend on the chain is done once per problem, on
-first use, and shared by its chains: the start (:attr:`Problem.start`,
-the greedy fit of :func:`init_chain`), the input correlations, read
-from the bank's lag-0 sums, and each selection rate's block schedule.
+Work that does not depend on the chain is done once per problem and
+shared by its chains, as the :class:`Problem` holds it: the single
+channels' tables with the problem, and on first use the start
+(:attr:`Problem.start`, the greedy fit of :func:`init_chain`), the input
+correlations, read from the bank's lag-0 sums, each selection rate's
+block schedule, and the spectrum and gram of each block drawn often.
 A chain pays only for its sweeps.
 
 :func:`run` returns a chain's :class:`ChainRecord` whether the chain
@@ -60,8 +62,8 @@ import numpy as np
 
 from .blocks import (BlockSchedule, compute_block_probabilities,
                      compute_correlations, select_block)
-from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectra, HyperState,
-                           block_conditional, draw_gaussian,
+from .conditionals import (PAIR_SPECTRUM_DRAWS, BlockSpectrum, HyperState,
+                           block_conditional, block_spectrum, draw_gaussian,
                            sample_lambda_common, sample_lambda_k,
                            sample_sigma2_from_sumsq, spectral_scales)
 from .errors import NUMERICAL_ERRORS, FactorizationError
@@ -78,18 +80,25 @@ def scale_names(variant: str, m: int) -> list:
             else [f"lambda_{k}" for k in range(m)])
 
 
+def check_integers(**values) -> None:
+    """Refuse, by a ValueError, any value that is not an integer (a bool
+    is not one)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_layout(variant: str, n_mc: int, burn_in: int, thin: int,
-                 m: int = 1, p: int = 1, completed: int = 0) -> None:
+                 m: int = 1, p: int = 1, completed: int = 0,
+                 seed: int = 0) -> None:
     """Refuse, by a ValueError, a chain layout that cannot exist: the one
     rule for every :class:`SamplerConfig` and every record
     :func:`load_record` reads."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; "
                          f"choose from {VARIANTS}")
-    for name, value in dict(n_mc=n_mc, burn_in=burn_in, thin=thin, m=m, p=p,
-                            completed=completed).items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_integers(n_mc=n_mc, burn_in=burn_in, thin=thin, m=m, p=p,
+                   completed=completed, seed=seed)
     if n_mc < 1:
         raise ValueError("need at least one iteration")
     if min(m, p) < 1:
@@ -104,6 +113,8 @@ def check_layout(variant: str, n_mc: int, burn_in: int, thin: int,
             f"burn-in ({burn_in} of {n_mc})")
     if not 0 <= completed <= n_mc:
         raise ValueError(f"{completed} iterations completed of {n_mc}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -120,16 +131,21 @@ class SamplerConfig:
     thin: int = 1
 
     def __post_init__(self):
+        # the default burn-in reads n_mc, so n_mc is checked before it
+        check_integers(n_mc=self.n_mc)
         if self.burn_in is None:
             self.burn_in = self.n_mc // 2
-        check_layout(self.variant, self.n_mc, self.burn_in, self.thin)
+        check_layout(self.variant, self.n_mc, self.burn_in, self.thin,
+                     seed=self.seed)
         if self.uses_blocks:
+            check_integers(n_ob=self.n_ob)
             if self.n_ob < 1:
                 raise ValueError("overlapping-block variants need n_ob >= 1")
-            if self.beta is None or not 0 < self.beta < np.inf:
+            if not (isinstance(self.beta, numbers.Real)
+                    and 0 < self.beta < np.inf):
                 raise ValueError(
                     "overlapping-block variants need a positive, finite "
-                    f"selection rate beta (no default), got {self.beta}")
+                    f"selection rate beta (no default), got {self.beta!r}")
 
     @property
     def common_scale(self) -> bool:
@@ -142,21 +158,62 @@ class SamplerConfig:
 
 @dataclass
 class Problem:
-    """Dataset plus the immutable structures every sweep reads, and what
-    every chain of the posterior shares: its start, input correlations
-    and block schedules, each built on first use."""
+    """Dataset plus the immutable structures every sweep reads, and the
+    one cache of what every chain of the posterior shares.
+
+    Every chain draws every channel, so the problem is built with the m
+    single channels' spectra, as stacked read-only tables that one sweep
+    reads to draw every channel: bases ``single_bases`` (m, p, p),
+    eigenvalues ``single_evals`` (m, p) and the bank's ``projection_map``
+    of each basis, ``single_maps`` (m, 5p+1, p; 10 MB at m = 100 and
+    p = 50), which whitens a channel's right-hand side from the chain's
+    state in one product.  The rest is built on first use and kept: the
+    start, the input correlations, each selection rate's block schedule,
+    a wider block's spectrum (:meth:`spectrum`) and the gram of every
+    block asked for (:meth:`gram`), so that a block drawn often under two
+    scale factors, which no spectrum covers, builds its gram once."""
 
     data: Dataset
     bank: RegressorBank
     kernel: StableSplineKernel
-    # block spectra, shared by the problem's chains
-    spectra: BlockSpectra = field(init=False, repr=False, compare=False)
-    # block schedules by selection rate, shared likewise
-    _schedules: dict = field(init=False, repr=False, compare=False,
-                             default_factory=dict)
 
     def __post_init__(self):
-        self.spectra = BlockSpectra(self.bank, self.kernel)
+        # spectra and grams by channel tuple, block schedules by rate
+        self._spectra, self._grams, self._schedules = {}, {}, {}
+        m, p = self.bank.m, self.bank.p
+        self.single_bases = np.empty((m, p, p))
+        self.single_evals = np.empty((m, p))
+        self.single_maps = np.empty((m, 5 * p + 1, p))
+        for k in range(m):
+            basis, self.single_evals[k] = block_spectrum(self.gram((k,)),
+                                                         self.kernel.chol)
+            self.single_bases[k] = basis
+            self.bank.projection_map(k, basis, self.single_maps[k])
+        for arr in (self.single_bases, self.single_evals, self.single_maps):
+            arr.setflags(write=False)
+        self._spectra.update(
+            ((k,), BlockSpectrum(self.single_bases[k], self.single_evals[k]))
+            for k in range(m))
+
+    def spectrum(self, channels: tuple[int, ...]) -> BlockSpectrum:
+        """The spectrum of the block ``channels``: a view of the tables
+        for a single channel, built on a wider block's first use and
+        kept."""
+        found = self._spectra.get(channels)
+        if found is None:
+            found = block_spectrum(self.gram(channels), self.kernel.chol)
+            self._spectra[channels] = found
+        return found
+
+    def gram(self, channels: tuple[int, ...]) -> np.ndarray:
+        """The array ``bank.block_gram(channels)`` returns, built on the
+        block's first use and kept read-only."""
+        found = self._grams.get(channels)
+        if found is None:
+            found = self.bank.block_gram(channels)
+            found.setflags(write=False)
+            self._grams[channels] = found
+        return found
 
     @cached_property
     def correlations(self) -> np.ndarray:
@@ -392,8 +449,8 @@ def draw_coefficients(theta: np.ndarray, cross: np.ndarray,
         # gram anew, and it or a block whose scale factors differ factors
         # its precision, once per call
         often = schedule.probs[b] * (n_ob * config.n_mc) >= PAIR_SPECTRUM_DRAWS
-        post = block_conditional(channels, theta, cross, hyper,
-                                 problem.spectra, often, roots)
+        post = block_conditional(channels, theta, cross, hyper, problem,
+                                 often, roots)
         z = draw_gaussian(post, rng)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, z[r * p:(r + 1) * p])
@@ -405,9 +462,9 @@ def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
                   problem: Problem, noise: np.ndarray) -> None:
     """The m single-channel blocks in channel order, each drawn from its
     spectrum against the freshest values, in one flat pass over the
-    problem's tables: each channel's map and basis (``problem.spectra``)
-    and panel spectrum (``problem.bank``), with buffers made once per
-    pass.  The pass takes the channels' spectral scales as one (m, p)
+    problem's tables: each channel's map and basis (``single_maps``,
+    ``single_bases``) and panel spectrum (``problem.bank``), with buffers
+    made once per pass.  The pass takes the channels' spectral scales as one (m, p)
     table and its standard normals as the (m, p) array ``noise``; zero
     noise gives each channel's conditional mean.
 
@@ -420,12 +477,12 @@ def draw_channels(theta: np.ndarray, cross: np.ndarray, hyper: HyperState,
     its change and move anew, made the GS coefficient step at m = 20,
     p = 50 about 5 % slower (median of 8 alternating in-process runs of
     3000 steps, 2-vCPU x86, BLAS on one thread)."""
-    bank, spectra = problem.bank, problem.spectra
+    bank = problem.bank
     m, p = bank.m, bank.p
     inv_s2 = 1.0 / hyper.sigma2
-    scales = spectral_scales(hyper.lam[:, None], inv_s2, spectra.single_evals)
+    scales = spectral_scales(hyper.lam[:, None], inv_s2, problem.single_evals)
     weights = inv_s2 * scales
-    maps, bases = spectra.single_maps, spectra.single_bases
+    maps, bases = problem.single_maps, problem.single_bases
     panels, forward = bank.panel_spectra, bank.forward_dft
     stacked = np.empty(5 * p + 1)
     stacked[-1] = 1.0
@@ -563,8 +620,7 @@ def load_record(outdir) -> ChainRecord:
         layout = {name: meta[name] for name in (
             "variant", "m", "p", "n_mc", "burn_in", "thin", "seed")}
         completed = meta["completed"]
-        check_layout(**{name: meta[name] for name in (
-            "variant", "n_mc", "burn_in", "thin", "m", "p", "completed")})
+        check_layout(**layout, completed=completed)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a chain record ({exc})") from None
 

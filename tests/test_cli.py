@@ -356,7 +356,8 @@ def test_rows_narrower_than_the_header_exit_2(tiny_config, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("thin", 0), ("thin", 1.5), ("m", "2"), ("completed", 41)])
+    ("thin", 0), ("thin", 1.5), ("m", "2"), ("completed", 41),
+    ("seed", 1.5), ("seed", -1)])
 def test_diagnose_refuses_impossible_record_layout(tiny_config, capsys, key,
                                                    value):
     # a record.json whose layout no chain of 40 iterations can have is not
@@ -824,18 +825,18 @@ def test_identify_builds_one_schedule(tiny_config, monkeypatch):
 def test_block_spectra_built_once_per_run(tiny_config, monkeypatch):
     # every chain of a problem shares its block spectra: over four chains,
     # the two single channels and the one pair are each decomposed once
-    from misoid import conditionals
+    from misoid import sampler
 
     cfg, out = tiny_config
     assert main(["simulate", cfg]) == 0
     sizes = []
-    real = conditionals.block_spectrum
+    real = sampler.block_spectrum
 
     def counted(gram, chol):
         sizes.append(gram.shape[0] // chol.shape[0])
         return real(gram, chol)
 
-    monkeypatch.setattr(conditionals, "block_spectrum", counted)
+    monkeypatch.setattr(sampler, "block_spectrum", counted)
     assert main(["identify", cfg, "--variant", "GS,GSOB",
                  "--replicates", "2"]) == 0
     assert sorted(sizes) == [1, 1, 2]

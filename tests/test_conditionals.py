@@ -5,12 +5,12 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 import misoid as mi
-from misoid.conditionals import (BlockRoot, BlockSpectra,
-                                 GaussianBlockPosterior, _chol_lower,
-                                 block_conditional, block_root, block_spectrum,
-                                 draw_gaussian, sample_inverse_gamma,
-                                 sample_lambda_common, sample_lambda_k,
-                                 sample_sigma2_from_sumsq, spectral_scales)
+from misoid.conditionals import (BlockRoot, GaussianBlockPosterior,
+                                 _chol_lower, block_conditional, block_root,
+                                 block_spectrum, draw_gaussian,
+                                 sample_inverse_gamma, sample_lambda_common,
+                                 sample_lambda_k, sample_sigma2_from_sumsq,
+                                 spectral_scales)
 from misoid.diagnostics import joint_conditional
 from misoid.errors import DegenerateRateError, FactorizationError
 from misoid.kernel import build_kernel, quad_form
@@ -177,7 +177,7 @@ def test_theta_conditional_zero_input_recovers_prior():
     hyper = mi.HyperState(lam=np.array([1.0, 2.5]), sigma2=0.5)
     theta = rng.standard_normal(2 * p)
     post = block_conditional((1,), theta, bank.cross_state(theta), hyper,
-                             BlockSpectra(bank, kernel), True)
+                             mi.Problem(data, bank, kernel), True)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(post.covariance, 2.5 * kernel.K, rtol=1e-10)
 
@@ -187,7 +187,7 @@ def test_theta_conditional_large_noise_recovers_prior():
     hyper = mi.HyperState(lam=np.full(bank.m, 1.7), sigma2=1e12)
     zero = np.zeros(bank.m * bank.p)
     post = block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                             BlockSpectra(bank, kernel), True)
+                             mi.Problem(data, bank, kernel), True)
     np.testing.assert_allclose(post.covariance, 1.7 * kernel.K, rtol=1e-6)
 
 
@@ -202,7 +202,7 @@ def test_theta_conditional_generalized_ridge_oracle():
     hyper = mi.HyperState(lam=np.array([lam]), sigma2=sigma2)
     zero = np.zeros(p)
     post = block_conditional((0,), zero, bank.cross_state(zero), hyper,
-                             BlockSpectra(bank, kernel), True)
+                             mi.Problem(data, bank, kernel), True)
     G = toeplitz_block(u, p)
     ridge = np.linalg.solve(kernel.Kinv * sigma2 / lam + G.T @ G, G.T @ data.y)
     np.testing.assert_allclose(post.mean, ridge, atol=1e-8)
@@ -219,11 +219,11 @@ def test_block_conditional_orthogonal_inputs_decouple():
     hyper = mi.HyperState(lam=np.array([1.0, 3.0]), sigma2=0.7)
     theta = np.zeros(2 * p)
     cross = bank.cross_state(theta)
-    spectra = BlockSpectra(bank, kernel)
-    pair = block_conditional((0, 1), theta, cross, hyper, spectra, True)
+    problem = mi.Problem(data, bank, kernel)
+    pair = block_conditional((0, 1), theta, cross, hyper, problem, True)
     np.testing.assert_allclose(pair.covariance[:p, p:], 0.0, atol=1e-12)
-    single0 = block_conditional((0,), theta, cross, hyper, spectra, True)
-    single1 = block_conditional((1,), theta, cross, hyper, spectra, True)
+    single0 = block_conditional((0,), theta, cross, hyper, problem, True)
+    single1 = block_conditional((1,), theta, cross, hyper, problem, True)
     np.testing.assert_allclose(pair.mean[:p], single0.mean, atol=1e-12)
     np.testing.assert_allclose(pair.mean[p:], single1.mean, atol=1e-12)
     np.testing.assert_allclose(pair.covariance[:p, :p], single0.covariance,
@@ -252,7 +252,7 @@ def test_block_conditional_matches_joint_schur(channels, often, common):
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in channels])
     mean_ref, cov_ref = joint_conditional(joint, idx, anchor)
     post = block_conditional(channels, anchor, bank.cross_state(anchor),
-                             hyper, BlockSpectra(bank, kernel), often)
+                             hyper, mi.Problem(data, bank, kernel), often)
     spectral = often and (common or len(channels) == 1)
     assert (post.root.scale is not None) == spectral
     np.testing.assert_allclose(post.mean, mean_ref, atol=1e-8)
@@ -272,10 +272,10 @@ def test_block_conditional_identical_inputs_null_direction():
     evals, evecs = np.linalg.eigh(kernel.K)
     v = evecs[:, -1]
     w = np.concatenate([v, -v]) / np.sqrt(2.0)
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     for often in (True, False):
         pair = block_conditional((0, 1), zero, bank.cross_state(zero),
-                                 hyper, spectra, often)
+                                 hyper, problem, often)
         # (v, -v) is invisible to identical inputs: its variance is prior
         # scale
         np.testing.assert_allclose(pair.covariance @ w, lam * evals[-1] * w,
@@ -289,12 +289,12 @@ def test_block_conditional_rejects_same_channel():
     data, bank, kernel, _ = make_small_problem(seed=14, m=3)
     hyper = mi.HyperState(lam=np.ones(bank.m), sigma2=1.0)
     zero = np.zeros(bank.m * bank.p)
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     for channels in ((1, 1), (0, 2, 0)):
         for often in (True, False):
             with pytest.raises(ValueError, match="distinct"):
                 block_conditional(channels, zero, bank.cross_state(zero),
-                                  hyper, spectra, often)
+                                  hyper, problem, often)
 
 
 def test_scale_consistency():
@@ -303,16 +303,15 @@ def test_scale_consistency():
     n, p, c = 40, 3, 5.0
     u = rng.standard_normal((2, n))
     y = rng.standard_normal(n)
-    kernel = build_kernel(0.9, p)
     theta = rng.standard_normal(2 * p)
-    base = RegressorBank(mi.Dataset(y=y, inputs=u), p)
-    scaled = RegressorBank(mi.Dataset(y=c * y, inputs=c * u), p)
+    base = mi.build_problem(mi.Dataset(y=y, inputs=u), 0.9, p)
+    scaled = mi.build_problem(mi.Dataset(y=c * y, inputs=c * u), 0.9, p)
     h1 = mi.HyperState(lam=np.full(2, 0.8), sigma2=0.4)
     h2 = mi.HyperState(lam=np.full(2, 0.8), sigma2=c ** 2 * 0.4)
-    p1 = block_conditional((0,), theta, base.cross_state(theta), h1,
-                           BlockSpectra(base, kernel), True)
-    p2 = block_conditional((0,), theta, scaled.cross_state(theta), h2,
-                           BlockSpectra(scaled, kernel), True)
+    p1 = block_conditional((0,), theta, base.bank.cross_state(theta), h1,
+                           base, True)
+    p2 = block_conditional((0,), theta, scaled.bank.cross_state(theta), h2,
+                           scaled, True)
     np.testing.assert_allclose(p1.mean, p2.mean, atol=1e-10)
 
 
@@ -413,12 +412,12 @@ def test_theta_updates_preserve_exact_posterior():
     rng = np.random.default_rng(19)
     n_rep, dim = 10_000, 6
     out = np.empty((n_rep, dim))
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     for r in range(n_rep):
         theta = joint.mean + L @ rng.standard_normal(dim)
         for k in range(2):
             post = block_conditional((k,), theta, bank.cross_state(theta),
-                                     hyper, spectra, True)
+                                     hyper, problem, True)
             theta[k * 3:(k + 1) * 3] = draw_gaussian(post, rng)
         out[r] = theta
     sd = np.sqrt(np.diag(joint.covariance))
@@ -450,21 +449,21 @@ def test_chol_jitter_retry_and_failure():
 
 def test_vanishing_scale_factor_raises_instead_of_nan():
     # lambda near the rate floor makes Kinv / lambda infinite
-    _, bank, kernel, _ = make_small_problem(seed=20)
+    data, bank, kernel, _ = make_small_problem(seed=20)
     hyper = mi.HyperState(lam=np.full(bank.m, 5e-324), sigma2=0.5)
     theta = np.ones(bank.m * bank.p)
     cross = bank.cross_state(theta)
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     for channels in ((0,), (0, 1)):
         for often in (True, False):
             with np.errstate(over="ignore"), \
                     pytest.raises(FactorizationError):
-                block_conditional(channels, theta, cross, hyper, spectra,
+                block_conditional(channels, theta, cross, hyper, problem,
                                   often)
 
 
 def test_lapack_factor_and_draw():
-    _, bank, kernel, _ = make_small_problem(seed=21, m=3, p=6, n=60)
+    data, bank, kernel, _ = make_small_problem(seed=21, m=3, p=6, n=60)
     p = bank.p
     gram = bank.dense_gram()[p:2 * p, p:2 * p]    # non-contiguous view
     gram.setflags(write=False)
@@ -486,14 +485,14 @@ def test_lapack_factor_and_draw():
     np.testing.assert_array_equal(precision, saved)
     # a plain posterior, a pair with two scale factors, and a single
     # channel and a common-scale pair drawn rarely: Cholesky form
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     common = mi.HyperState(lam=np.full(3, 0.7), sigma2=0.4)
     for post in (post,
-                 block_conditional((0, 2), theta, cross, hyper, spectra,
+                 block_conditional((0, 2), theta, cross, hyper, problem,
                                    True),
-                 block_conditional((2,), theta, cross, hyper, spectra,
+                 block_conditional((2,), theta, cross, hyper, problem,
                                    False),
-                 block_conditional((0, 2), theta, cross, common, spectra,
+                 block_conditional((0, 2), theta, cross, common, problem,
                                    False)):
         assert post.root.scale is None
         L = post.root.factor
@@ -509,9 +508,9 @@ def test_lapack_factor_and_draw():
     pair_precision[:p, :p] += kernel.Kinv / 0.7
     pair_precision[p:, p:] += kernel.Kinv / 0.7
     spectral = [
-        (block_conditional((2,), theta, cross, hyper, spectra, True),
+        (block_conditional((2,), theta, cross, hyper, problem, True),
          kernel.Kinv / 2.0 + bank.gram(2, 2) / 0.4),
-        (block_conditional((0, 2), theta, cross, common, spectra, True),
+        (block_conditional((0, 2), theta, cross, common, problem, True),
          pair_precision),
     ]
     for post, precision in spectral:
@@ -594,22 +593,22 @@ def test_spectral_posterior_matches_cholesky(system, seed):
 def test_pair_route_follows_its_two_scale_factors():
     # a pair is spectral exactly when it is drawn often and its own two
     # scale factors are equal, whatever the other channels' scales
-    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=60)
+    data, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=60)
     hyper = mi.HyperState(lam=np.array([0.5, 0.5, 2.0]), sigma2=0.4)
     theta = np.random.default_rng(25).standard_normal(bank.m * bank.p)
     cross = bank.cross_state(theta)
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     spectral = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         for often in (True, False):
-            post = block_conditional((i, j), theta, cross, hyper, spectra,
+            post = block_conditional((i, j), theta, cross, hyper, problem,
                                      often)
             spectral[i, j, often] = post.root.scale is not None
     assert spectral == {(0, 1, True): True, (0, 2, True): False,
                         (1, 2, True): False, (0, 1, False): False,
                         (0, 2, False): False, (1, 2, False): False}
     # both routes of the equal-scale pair are the same posterior
-    routes = [block_conditional((0, 1), theta, cross, hyper, spectra,
+    routes = [block_conditional((0, 1), theta, cross, hyper, problem,
                                 often)
               for often in (True, False)]
     np.testing.assert_allclose(routes[0].mean, routes[1].mean, atol=1e-10)
@@ -618,26 +617,27 @@ def test_pair_route_follows_its_two_scale_factors():
 
 
 def test_spectra_built_once_and_shared(monkeypatch):
-    # asked for the same blocks again and again, the spectra decompose each
-    # block once and hand back that one result every time
-    import misoid.conditionals as conditionals
+    # asked for the same blocks again and again, the problem decomposes
+    # each block once and hands back that one result every time
+    import misoid.sampler as sampler
 
-    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
+    data, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
     built = []
-    real = conditionals.block_spectrum
+    real = sampler.block_spectrum
 
     def counted(gram, chol):
         built.append(gram.shape[0])
         return real(gram, chol)
 
-    monkeypatch.setattr(conditionals, "block_spectrum", counted)
-    spectra = BlockSpectra(bank, kernel)
+    monkeypatch.setattr(sampler, "block_spectrum", counted)
+    problem = mi.Problem(data, bank, kernel)
     keys = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    seen = [spectra(key) for _ in range(20) for key in keys]
+    seen = [problem.spectrum(key) for _ in range(20) for key in keys]
     assert sorted(built) == [4, 4, 4, 8, 8, 8]
-    assert all(got is spectra(key) for got, key in zip(seen, keys * 20))
-    basis, evals = spectra((0, 2))
-    gram = spectra.gram((0, 2))
+    assert all(got is problem.spectrum(key)
+               for got, key in zip(seen, keys * 20))
+    basis, evals = problem.spectrum((0, 2))
+    gram = problem.gram((0, 2))
     assert basis.shape == (8, 8) and not basis.flags.writeable
     assert not gram.flags.writeable
     np.testing.assert_array_equal(gram, bank.block_gram((0, 2)))
@@ -645,17 +645,17 @@ def test_spectra_built_once_and_shared(monkeypatch):
     # a single channel's spectrum is a view of the stacked tables, which
     # hold each basis once
     for k in range(3):
-        basis, evals = spectra((k,))
-        assert basis.base is spectra.single_bases
-        assert evals.base is spectra.single_evals
-        assert not spectra.single_bases.flags.writeable
+        basis, evals = problem.spectrum((k,))
+        assert basis.base is problem.single_bases
+        assert evals.base is problem.single_evals
+        assert not problem.single_bases.flags.writeable
 
 
 def test_spectra_keep_each_gram_once(monkeypatch):
     # a block's kept gram is the very array the bank builds for it, built
     # once whether its spectrum or its factored route asks first
-    _, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
-    spectra = BlockSpectra(bank, kernel)
+    data, bank, kernel, _ = make_small_problem(seed=24, m=3, p=4, n=40)
+    problem = mi.Problem(data, bank, kernel)
     asked = []
     real = bank.block_gram
 
@@ -664,11 +664,11 @@ def test_spectra_keep_each_gram_once(monkeypatch):
         return real(channels)
 
     monkeypatch.setattr(bank, "block_gram", counted)
-    gram = spectra.gram((0, 2))
-    spectra((0, 2))
-    spectra((1, 2))
-    assert spectra.gram((0, 2)) is gram
-    spectra.gram((1, 2))
+    gram = problem.gram((0, 2))
+    problem.spectrum((0, 2))
+    problem.spectrum((1, 2))
+    assert problem.gram((0, 2)) is gram
+    problem.gram((1, 2))
     assert asked == [(0, 2), (1, 2)]
     assert not gram.flags.writeable
     assert gram.tobytes() == real((0, 2)).tobytes()
@@ -676,7 +676,7 @@ def test_spectra_keep_each_gram_once(monkeypatch):
     hyper = mi.HyperState(lam=np.array([0.5, 0.9, 2.0]), sigma2=0.4)
     theta = np.random.default_rng(27).standard_normal(bank.m * bank.p)
     cross = bank.cross_state(theta)
-    root = block_root((0, 2), hyper, spectra, True)
+    root = block_root((0, 2), hyper, problem, True)
     assert root.scale is None and root.gram is gram
     assert asked == [(0, 2), (1, 2)]
 
@@ -693,14 +693,14 @@ def test_block_root_whiten_and_times_are_one_root():
                       inputs=np.vstack([u[0], u[0], u[1]]))
     bank = RegressorBank(data, p)
     kernel = build_kernel(0.9, p)
-    spectra = BlockSpectra(bank, kernel)
+    problem = mi.Problem(data, bank, kernel)
     hyper = mi.HyperState(lam=np.full(3, lam), sigma2=sigma2)
     for channels in ((1,), (0, 1), (1, 2)):
         size = p * len(channels)
         precision = (bank.block_gram(channels) / sigma2
                      + np.kron(np.eye(len(channels)), kernel.Kinv) / lam)
         for often in (True, False):
-            root = block_root(channels, hyper, spectra, often)
+            root = block_root(channels, hyper, problem, often)
             assert (root.scale is not None) == often
             dense = root.times(np.eye(size))
             left, right, b = rng.standard_normal((3, size))
@@ -718,8 +718,8 @@ def test_block_roots_are_reused_for_one_hyper(monkeypatch):
     # byte for byte, as one built afresh, and no second factorization
     import misoid.conditionals as conditionals
 
-    _, bank, kernel, _ = make_small_problem(seed=28, m=3, p=4, n=60)
-    spectra = BlockSpectra(bank, kernel)
+    data, bank, kernel, _ = make_small_problem(seed=28, m=3, p=4, n=60)
+    problem = mi.Problem(data, bank, kernel)
     rng = np.random.default_rng(29)
     factored = []
     real = conditionals._chol_lower
@@ -738,9 +738,9 @@ def test_block_roots_are_reused_for_one_hyper(monkeypatch):
                 theta = rng.standard_normal(bank.m * bank.p)
                 cross = bank.cross_state(theta)
                 kept = block_conditional((0, 1), theta, cross, hyper,
-                                         spectra, often, roots)
+                                         problem, often, roots)
                 fresh = block_conditional((0, 1), theta, cross, hyper,
-                                          spectra, often)
+                                          problem, often)
                 for a, b in ((kept.root.factor, fresh.root.factor),
                              (kept.whitened, fresh.whitened)):
                     assert a.tobytes() == b.tobytes()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import misoid as mi
-from misoid.diagnostics import (build_report, fit_metric, pair_sum_error,
-                                run_oracle_checks)
+from misoid.diagnostics import build_report, fit_metric, run_oracle_checks
 from misoid.errors import SizeGuardError
 from misoid.kernel import build_kernel
 from misoid.regression import RegressorBank
@@ -130,8 +129,9 @@ def test_pair_sum_error():
     est = truth.copy()
     est[:4] += 0.3   # shift channel 0 up...
     est[4:] -= 0.3   # ...and channel 1 down: the sum is unchanged
-    assert pair_sum_error(est, truth, 4, 0, 1) == pytest.approx(0.0,
-                                                                   abs=1e-12)
+    # scored on the summed responses, as criterion 6 scores them
+    summed = fit_metric(est[:4] + est[4:], truth[:4] + truth[4:], 4)[0]
+    assert summed == pytest.approx(0.0, abs=1e-12)
     assert fit_metric(est, truth, 4)[0] > 0.0
 
 

@@ -41,6 +41,23 @@ def test_config_validation():
     cfg = mi.SamplerConfig(variant="GS", n_mc=11)
     assert cfg.burn_in == 5
     assert not cfg.uses_blocks and cfg.common_scale
+    cfg = mi.SamplerConfig(variant="GSOB", n_mc=np.int64(10), beta=2.0,
+                           n_ob=np.int32(2), seed=np.int64(3))
+    assert cfg.burn_in == 5 and cfg.seed == 3
+
+
+@pytest.mark.parametrize("settings", [
+    dict(variant="GS", seed=1.5), dict(variant="GS", seed=-1),
+    dict(variant="GS", seed=True), dict(variant="GS", seed="3"),
+    dict(variant="GS", n_mc="10"),
+    dict(variant="GSOB", beta=1.0, n_ob=1.5),
+    dict(variant="GSOBd", beta=1.0, n_ob=True),
+    dict(variant="GSOB", beta="1")])
+def test_config_refuses_ill_typed_setting(settings):
+    # a setting no chain can run with is refused by a ValueError when the
+    # config is made, never by a TypeError then or an error inside run
+    with pytest.raises(ValueError):
+        mi.SamplerConfig(**settings)
 
 
 def test_derive_seed_spreads():
@@ -377,8 +394,8 @@ def _reference_coefficients(theta, cross, hyper, problem, schedule, config,
     bank, m, p = problem.bank, problem.bank.m, problem.bank.p
 
     def draw(channels, often, theta, cross, noise):
-        post = block_conditional(channels, theta, cross, hyper,
-                                 problem.spectra, often)
+        post = block_conditional(channels, theta, cross, hyper, problem,
+                                 often)
         value = post.root.times(post.whitened + noise)
         for r, k in enumerate(channels):
             bank.set_channel(theta, cross, k, value[r * p:(r + 1) * p])
@@ -492,17 +509,15 @@ def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
     # two channels: the one pair is drawn n_ob * n_mc times, so it gets a
     # spectrum at PAIR_SPECTRUM_DRAWS draws and factors its precision
     # below; the single channels' spectra come with the problem
-    from misoid import conditionals
-
-    limit = conditionals.PAIR_SPECTRUM_DRAWS
+    limit = PAIR_SPECTRUM_DRAWS
     sizes = []
-    real = conditionals.block_spectrum
+    real = sp.block_spectrum
 
     def counted(gram, chol):
         sizes.append(gram.shape[0] // chol.shape[0])
         return real(gram, chol)
 
-    monkeypatch.setattr(conditionals, "block_spectrum", counted)
+    monkeypatch.setattr(sp, "block_spectrum", counted)
     for n_mc in (limit - 1, limit):
         sizes.clear()
         problem, _ = _problem(seed=8)
@@ -512,6 +527,44 @@ def test_pair_spectra_only_for_pairs_drawn_often(monkeypatch):
         record = mi.run(problem, cfg)
         assert record.completed == n_mc
         assert sorted(sizes) == ([1, 1] if n_mc < limit else [1, 1, 2])
+
+
+@pytest.mark.parametrize("variant", ["GSOB", "GSOBd"])
+def test_pair_caches_bounded_on_many_pairs(variant, monkeypatch):
+    # twelve channels with one shared component and a small selection rate:
+    # a nearly uniform schedule over 66 pairs, 15 to 26 expected draws
+    # each.  A chain keeps a pair's
+    # spectrum or gram only if it expects PAIR_SPECTRUM_DRAWS draws of it,
+    # so at most n_ob * n_mc / PAIR_SPECTRUM_DRAWS pairs, as README states
+    rng = np.random.default_rng(41)
+    inputs = rng.standard_normal((12, 200)) + rng.standard_normal(200)
+    data = mi.Dataset(y=inputs.sum(axis=0) + rng.standard_normal(200),
+                      inputs=inputs)
+    problem = mi.build_problem(data, alpha=0.9, p=3)
+    cfg = mi.SamplerConfig(variant=variant, n_mc=330, beta=0.5, n_ob=4,
+                           seed=5)
+    kept = set()
+    for name in ("gram", "spectrum"):
+        real = getattr(problem, name)
+
+        def counted(channels, real=real):
+            if len(channels) > 1:
+                kept.add(channels)
+            return real(channels)
+
+        monkeypatch.setattr(problem, name, counted)
+    record = mi.run(problem, cfg)
+    assert record.completed == cfg.n_mc
+    schedule = problem.block_schedule(cfg.beta)
+    budget = cfg.n_ob * cfg.n_mc
+    often = {block for block, prob in zip(schedule.blocks, schedule.probs)
+             if prob * budget >= PAIR_SPECTRUM_DRAWS}
+    drawn = {tuple(pair) for pair in record.selected_blocks[:, 1:].tolist()}
+    assert len(schedule.blocks) == 66 and len(drawn) == 66
+    # some pairs fall on each side of the rule
+    assert kept and drawn - kept
+    assert kept <= often
+    assert len(kept) <= budget / PAIR_SPECTRUM_DRAWS
 
 
 def test_hyper_updates_condition_on_previous_theta():
